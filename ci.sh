@@ -7,8 +7,6 @@ cargo build --release --examples
 cargo test -q
 cargo test -q --test scheduling_equivalence
 cargo test -q --test analysis_equivalence
-cargo test -q --test cache_robustness
-cargo test -q --test cache_equivalence
 cargo test -q --test segment_robustness
 cargo test -q --test segment_equivalence
 cargo test -q --test query_proptest
@@ -44,16 +42,22 @@ for rule in $(target/release/wm-lint --rules); do
 done
 
 # Smoke test: a tiny corpus through the single-pass analysis engine,
-# then through the longitudinal cache (index populates, analyze hits).
+# then through the segment store (index compacts into time-sharded
+# segments, analyze serves from them). (Plain grep, not -q: quitting at
+# the first match closes the pipe mid-print.)
 smoke_dir="$(mktemp -d)"
 target/release/ovh-weather generate --out "$smoke_dir" --from 2022-02-01 --to 2022-02-02 --map europe --scale 0.05
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
-target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep -q "cache:"
-# Segment store: compact into time-sharded segments, then serve a
-# six-hour window from only the segments it intersects. (Plain grep, not
-# -q: quitting at the first match closes the pipe mid-print.)
-target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 --compact --metrics | grep "segments:" > /dev/null
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep "segments:" > /dev/null
+# The report does not depend on where the store came from: no cache,
+# the warm segment store, and a forced rebuild print identical output.
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 > "$smoke_dir/plain.txt"
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache > "$smoke_dir/cached.txt"
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > "$smoke_dir/rebuilt.txt"
+diff "$smoke_dir/plain.txt" "$smoke_dir/cached.txt"
+diff "$smoke_dir/plain.txt" "$smoke_dir/rebuilt.txt"
+# Serve a six-hour window from only the segments it intersects.
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics \
     --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z | grep "segments:" > /dev/null
 # Vectorized query engine: a windowed ad-hoc query over the compacted

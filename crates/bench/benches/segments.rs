@@ -1,5 +1,5 @@
-//! Time-sharded segment store: windowed loads vs the monolithic cache,
-//! plus the append-and-compact path.
+//! Time-sharded segment store: full and windowed loads, plus the
+//! append-and-compact path.
 //!
 //! The segment store exists so a small-window `analyze --from/--to`
 //! decodes only the segments its range intersects and an append

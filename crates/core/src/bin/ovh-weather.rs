@@ -4,7 +4,7 @@
 //! ovh-weather generate --out DIR --from DATE --to DATE [--map M] [--seed N] [--scale X]
 //! ovh-weather extract  --in DIR [--map M] [--threads N] [--metrics]
 //! ovh-weather stats    --in DIR [--cache[=auto|off|rebuild]] [--threads N]
-//! ovh-weather index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--compact] [--metrics]
+//! ovh-weather index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--metrics]
 //! ovh-weather inspect  FILE.svg|FILE.yaml [--map M]
 //! ovh-weather validate FILE.yaml
 //! ovh-weather verify   [--map M] [--at DATE] [--seed N] [--scale X]
@@ -19,10 +19,9 @@
 //! `generate` materialises a simulated corpus (SVG + YAML trees, exactly
 //! the released dataset's layout); `extract` re-extracts the SVG files of
 //! an existing corpus; `stats` prints Table 2 for a corpus directory;
-//! `index` prebuilds the binary longitudinal cache so later `analyze
-//! --cache` runs skip YAML entirely (`--compact` builds and validates
-//! the time-sharded segment store instead, repairing any damaged
-//! segment); `inspect` extracts or parses one file and summarises it;
+//! `index` builds and validates the time-sharded segment store,
+//! repairing any damaged segment, so later `--cache` runs skip YAML
+//! entirely; `inspect` extracts or parses one file and summarises it;
 //! `validate` audits a YAML snapshot; `verify` runs the simulator
 //! round-trip check; `analyze` loads a stored corpus into the columnar
 //! longitudinal store and runs all nine §5 analyses in one pass —
@@ -76,7 +75,7 @@ commands:
   generate --out DIR --from YYYY-MM-DD --to YYYY-MM-DD [--map M] [--seed N] [--scale X]
   extract  --in DIR [--map M] [--threads N] [--metrics]
   stats    --in DIR [--cache[=auto|off|rebuild]] [--threads N]
-  index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--compact] [--metrics]
+  index    --in DIR [--map M] [--threads N] [--cache[=auto|rebuild]] [--metrics]
   inspect  FILE.svg|FILE.yaml [--map M]
   validate FILE.yaml
   verify   [--map M] [--at YYYY-MM-DD] [--seed N] [--scale X]
@@ -93,8 +92,7 @@ common options:
   --scale X    network scale, 1.0 = paper size (default 0.2)
   --map M      europe|world|north-america|asia-pacific (default all/europe)
   --threads N  extraction / corpus-loading workers (default: available parallelism)
-  --cache[=M]  longitudinal cache mode: auto (bare --cache), off, rebuild
-  --compact    (index) build/validate the time-sharded segment store
+  --cache[=M]  segment store mode: auto (bare --cache), off, rebuild
   --from/--to  (analyze, query) restrict to [from, to), served from segments
   --op OP      (query) kernel to run (default scan)
   --k N        (query --op topk) links to return (default 10)
@@ -107,7 +105,7 @@ common options:
 /// Options that are boolean switches rather than `--key value` pairs.
 /// `cache` is a switch with an optional mode: bare `--cache` means
 /// `auto`, and `--cache=MODE` selects one explicitly.
-const FLAG_KEYS: &[&str] = &["metrics", "cache", "compact", "json"];
+const FLAG_KEYS: &[&str] = &["metrics", "cache", "json"];
 
 /// Parsed `--key value` options, boolean `--flag`s and positionals.
 struct Options {
@@ -193,7 +191,7 @@ impl Options {
         }
     }
 
-    /// The longitudinal cache mode: absent → `Off`, bare `--cache` →
+    /// The segment store mode: absent → `Off`, bare `--cache` →
     /// `Auto`, `--cache=MODE` → that mode.
     fn cache_mode(&self) -> Result<CacheMode, String> {
         match self.values.get("cache") {
@@ -336,11 +334,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let mode = options.cache_mode()?;
     if mode != CacheMode::Off {
         // With caching requested, also summarise each map's longitudinal
-        // store — served from (and persisted to) the cache.
+        // store — served from (and persisted to) the segment store.
         let threads = options.threads()?;
         for map in options.maps()? {
             let (columnar, load_stats) =
-                build_longitudinal_cached(&store, map, threads, mode).map_err(|e| e.to_string())?;
+                build_longitudinal_windowed(&store, map, TimeRange::ALL, threads, mode)
+                    .map_err(|e| e.to_string())?;
             if columnar.is_empty() {
                 continue;
             }
@@ -373,71 +372,32 @@ fn cache_outcome(cache: &CacheStats) -> &'static str {
     }
 }
 
+/// `index`: brings the time-sharded segment store of every map in line
+/// with the corpus, validating (and repairing) each segment file on the
+/// way.
 fn cmd_index(args: &[String]) -> Result<(), String> {
     let options = Options::parse(args)?;
     let dir = options.required("in")?;
     let threads = options.threads()?;
-    // `index` exists to build the cache, so bare invocations default to
+    // `index` exists to build the store, so bare invocations default to
     // `auto` (refresh if stale) instead of `off`.
     let mode = match options.cache_mode()? {
         CacheMode::Off => CacheMode::Auto,
         mode => mode,
     };
     let store = DatasetStore::open_existing(dir).map_err(|e| e.to_string())?;
-    if options.flag("compact") {
-        return cmd_index_compact(&store, &options, threads, mode);
-    }
-    let mut maps_indexed = 0usize;
-    for map in options.maps()? {
-        let started = std::time::Instant::now();
-        let (columnar, load_stats) =
-            build_longitudinal_cached(&store, map, threads, mode).map_err(|e| e.to_string())?;
-        if columnar.is_empty() {
-            continue;
-        }
-        maps_indexed += 1;
-        let cache_bytes = std::fs::metadata(store.cache_path(map))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        println!(
-            "{:<15} indexed {} snapshots into {:.1} MiB cache in {:.2?} [{}]",
-            map.display_name(),
-            columnar.len(),
-            cache_bytes as f64 / (1024.0 * 1024.0),
-            started.elapsed(),
-            cache_outcome(&load_stats.cache),
-        );
-        if options.flag("metrics") {
-            print_load_metrics(&load_stats, &columnar, threads);
-        }
-    }
-    if maps_indexed == 0 {
-        return Err(format!("no YAML snapshots under {dir}"));
-    }
-    Ok(())
-}
-
-/// `index --compact`: brings the time-sharded segment store of every
-/// map in line with the corpus, validating (and repairing) each
-/// segment file on the way.
-fn cmd_index_compact(
-    store: &DatasetStore,
-    options: &Options,
-    threads: usize,
-    mode: CacheMode,
-) -> Result<(), String> {
     let mut maps_indexed = 0usize;
     for map in options.maps()? {
         let started = std::time::Instant::now();
         let (manifest, load_stats) =
-            reindex_segments(store, map, threads, mode).map_err(|e| e.to_string())?;
+            reindex_segments(&store, map, threads, mode).map_err(|e| e.to_string())?;
         if manifest.segments.is_empty() {
             continue;
         }
         maps_indexed += 1;
         let snapshots: u64 = manifest.segments.iter().map(|m| m.snapshots).sum();
         println!(
-            "{:<15} compacted {} snapshots into {} segment(s) in {:.2?} [{}]",
+            "{:<15} indexed {} snapshots into {} segment(s) in {:.2?} [{}]",
             map.display_name(),
             snapshots,
             manifest.segments.len(),
@@ -449,7 +409,7 @@ fn cmd_index_compact(
         }
     }
     if maps_indexed == 0 {
-        return Err("no YAML snapshots to compact".to_owned());
+        return Err(format!("no YAML snapshots under {dir}"));
     }
     Ok(())
 }
@@ -579,15 +539,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // windowed loader then only touches the segments the window
     // intersects instead of materialising the whole history.
     let range = parse_range(&options)?;
+    let window = range.unwrap_or(TimeRange::ALL);
     let store = DatasetStore::open_existing(dir).map_err(|e| e.to_string())?;
     let mut maps_analyzed = 0usize;
     for map in options.maps()? {
         let load_started = std::time::Instant::now();
-        let (columnar, load_stats) = match range {
-            Some(range) => build_longitudinal_windowed(&store, map, range, threads, mode),
-            None => build_longitudinal_cached(&store, map, threads, mode),
-        }
-        .map_err(|e| e.to_string())?;
+        let (columnar, load_stats) =
+            build_longitudinal_windowed(&store, map, window, threads, mode)
+                .map_err(|e| e.to_string())?;
         if columnar.is_empty() {
             continue;
         }

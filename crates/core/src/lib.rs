@@ -66,11 +66,11 @@ pub mod prelude {
         SuiteReport, WhiskerSummary,
     };
     pub use wm_dataset::{
-        build_longitudinal, build_longitudinal_cached, build_longitudinal_windowed,
-        build_longitudinal_windowed_with, load_snapshots, query_windowed, reindex_segments,
-        CacheError, CacheMode, CorpusFingerprint, CorpusLoadStats, CorpusStats, DatasetStore,
-        FileKind, LinkDef, LinkId, LongitudinalStore, NodeId, QueryEngine, QueryPlan, RowView,
-        SegmentManifest, SegmentMeta, SegmentPolicy, TopologyEvent,
+        build_longitudinal, build_longitudinal_windowed, build_longitudinal_windowed_with,
+        load_snapshots, query_windowed, reindex_segments, CacheError, CacheMode, CorpusFingerprint,
+        CorpusLoadStats, CorpusStats, DatasetStore, FileKind, LinkDef, LinkId, LongitudinalStore,
+        NodeId, QueryEngine, QueryPlan, RowView, SegmentManifest, SegmentMeta, SegmentPolicy,
+        TopologyEvent,
     };
     pub use wm_extract::{
         extract_batch, extract_batch_with, extract_svg, from_yaml_str, to_yaml_string, BatchInput,

@@ -1,10 +1,9 @@
 //! The versioned binary cache codec for [`LongitudinalStore`].
 //!
-//! Every `analyze`/`stats` run before this module re-parsed the whole
-//! YAML corpus from scratch — and EXPERIMENTS.md's single-pass table
-//! shows that parse dominating end-to-end time. The paper's own workflow
-//! (§4–§5) analyses one frozen corpus many times, which is exactly the
-//! shape a persisted cache amortises: parse once, reload in milliseconds.
+//! Parsing the YAML corpus dominates end-to-end load time, and the
+//! paper's own workflow (§4–§5) analyses one frozen corpus many times:
+//! parse once, reload in milliseconds. This image is the payload of
+//! every [`crate::segment`] file; it is never written on its own.
 //!
 //! # On-disk format (version 1)
 //!
@@ -77,8 +76,8 @@ const SECTION_TAGS: [u32; 7] = [
 /// Why a cache file was rejected.
 ///
 /// Every variant means "this file is not a usable cache"; none is a
-/// programming error, and the cache-aware loader reacts to all of them
-/// the same way — warn and rebuild from YAML.
+/// programming error, and the segment store reacts to all of them the
+/// same way — warn and rebuild the affected segment from YAML.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheError {
     /// The file does not start with [`CACHE_MAGIC`].
@@ -192,8 +191,8 @@ pub struct FingerprintEntry {
 /// The identity of one map's YAML corpus: every snapshot file's relative
 /// path, length and content hash, in timestamp order.
 ///
-/// Only layout-conforming snapshot files participate — the cache file
-/// itself, editor backups and other foreign files in the corpus tree
+/// Only layout-conforming snapshot files participate — segment files,
+/// editor backups and other foreign files in the corpus tree
 /// never influence the fingerprint (see [`crate::paths::parse_path`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CorpusFingerprint {
@@ -212,32 +211,6 @@ impl CorpusFingerprint {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// A single digest over the whole fingerprint, for display.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for entry in &self.entries {
-            h ^= fnv1a(entry.path.as_bytes()) ^ entry.size ^ entry.hash;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-
-    /// When `newer` extends `self` by appending files (same prefix, at
-    /// least one extra entry), returns how many entries the shared prefix
-    /// holds. Returns `None` when `newer` is not a strict extension.
-    #[must_use]
-    pub fn strict_prefix_of(&self, newer: &CorpusFingerprint) -> Option<usize> {
-        if newer.entries.len() <= self.entries.len() {
-            return None;
-        }
-        self.entries
-            .iter()
-            .zip(&newer.entries)
-            .all(|(a, b)| a == b)
-            .then_some(self.entries.len())
     }
 }
 
@@ -930,22 +903,6 @@ mod tests {
                 "truncation to {len} bytes must not decode"
             );
         }
-    }
-
-    #[test]
-    fn strict_prefix_detection() {
-        let full = sample_fingerprint();
-        let prefix = CorpusFingerprint {
-            entries: full.entries[..1].to_vec(),
-        };
-        assert_eq!(prefix.strict_prefix_of(&full), Some(1));
-        assert_eq!(full.strict_prefix_of(&full), None, "equal is not strict");
-        assert_eq!(full.strict_prefix_of(&prefix), None, "shrunk corpus");
-        let mut diverged = full.clone();
-        diverged.entries[0].hash ^= 1;
-        assert_eq!(prefix.strict_prefix_of(&diverged), None);
-        // Digest reacts to any entry change.
-        assert_ne!(full.digest(), diverged.digest());
     }
 
     #[test]

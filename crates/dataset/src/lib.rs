@@ -14,10 +14,9 @@
 //!   node/link symbol tables, per-link load time series and the topology
 //!   event log, built in one deterministic streaming pass;
 //! * [`loader`] — the shared parallel YAML corpus loader feeding either a
-//!   snapshot vector or the columnar store, with a cache-aware entry
-//!   point ([`build_longitudinal_cached`]) that fingerprints the corpus;
-//! * [`codec`] — the versioned, checksummed binary cache format that
-//!   persists a built store so later runs skip YAML entirely;
+//!   snapshot vector or the columnar store;
+//! * [`codec`] — the versioned, checksummed binary image of a built
+//!   store, the payload every segment file wraps;
 //! * [`query`] — the vectorized query engine: typed [`wm_model::Query`]
 //!   plans compiled to per-column kernels (scan, top-k, windowed
 //!   percentiles, site loads, heatmap bucketing) that run directly over
@@ -26,7 +25,9 @@
 //!   sealed immutable window segments plus an active tail, a manifest
 //!   mapping time spans to segment files, windowed loads
 //!   ([`build_longitudinal_windowed`]) that decode only intersecting
-//!   segments, and synchronous compaction ([`reindex_segments`]).
+//!   segments, and synchronous compaction ([`reindex_segments`]). It is
+//!   the one persistent store: a whole-history load is the window
+//!   [`wm_model::TimeRange::ALL`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,9 +45,7 @@ mod store;
 pub use codec::{
     decode_store, encode_store, CacheError, CorpusFingerprint, FingerprintEntry, CACHE_MAGIC,
 };
-pub use loader::{
-    build_longitudinal, build_longitudinal_cached, load_snapshots, CacheMode, CorpusLoadStats,
-};
+pub use loader::{build_longitudinal, load_snapshots, CacheMode, CorpusLoadStats};
 pub use longitudinal::{
     extract_longitudinal, ColumnarBuilder, LinkDef, LinkId, LinkSample, LongitudinalStore, NodeId,
     TopologyEvent,

@@ -660,143 +660,6 @@ impl LongitudinalStore {
         self.series_rows = series_rows;
     }
 
-    /// Appends a tail of newer snapshots to the store, producing exactly
-    /// what a full rebuild over `old corpus + tail` would produce.
-    ///
-    /// All appended timestamps must be strictly greater than the last
-    /// stored timestamp and non-decreasing among themselves (the order of
-    /// equal-timestamp snapshots in `snapshots` is preserved, matching the
-    /// batch runner's `(timestamp, input index)` contract). Symbol-table
-    /// ids are ranks in the *merged* sorted tables, so appending re-ranks
-    /// the existing columns where the tail introduces nodes or link
-    /// identities that sort before existing ones; the result is identical
-    /// to [`LongitudinalStore::from_snapshots`] over the concatenation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tail timestamp is not strictly newer than the stored
-    /// history — callers (the cache-aware loader) establish this from the
-    /// corpus fingerprint before calling.
-    pub fn append_snapshots(&mut self, snapshots: &[TopologySnapshot]) {
-        if snapshots.is_empty() {
-            return;
-        }
-        if let Some(&last) = self.timestamps.last() {
-            assert!(
-                snapshots.iter().all(|s| s.timestamp > last),
-                "appended snapshots must be strictly newer than the stored history"
-            );
-        }
-
-        let mut builder = ColumnarBuilder::new();
-        for (index, snapshot) in snapshots.iter().enumerate() {
-            builder.add_snapshot(index, snapshot);
-        }
-
-        // Merged node table and the two rank maps (old ids, builder ids).
-        let mut node_set: BTreeSet<Node> = self.nodes.iter().cloned().collect();
-        node_set.extend(builder.nodes.iter().cloned());
-        let nodes: Vec<Node> = node_set.into_iter().collect();
-        let node_rank: BTreeMap<Node, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(rank, node)| (node.clone(), rank as u32))
-            .collect();
-        let rank = |node: &Node| node_rank.get(node).copied().unwrap_or(0);
-        let old_node_map: Vec<u32> = self.nodes.iter().map(rank).collect();
-        let new_node_map: Vec<u32> = builder.nodes.iter().map(rank).collect();
-
-        // Merged link-identity table, with old defs re-ranked first.
-        let remapped_old: Vec<LinkDef> = self
-            .defs
-            .iter()
-            .map(|def| LinkDef {
-                a: NodeId(rank_of(&old_node_map, def.a.index())),
-                b: NodeId(rank_of(&old_node_map, def.b.index())),
-                label_a: def.label_a.clone(),
-                label_b: def.label_b.clone(),
-            })
-            .collect();
-        let globalize = |def: &LocalDef| LinkDef {
-            a: NodeId(rank_of(&new_node_map, def.a as usize)),
-            b: NodeId(rank_of(&new_node_map, def.b as usize)),
-            label_a: def.label_a.clone(),
-            label_b: def.label_b.clone(),
-        };
-        let mut def_set: BTreeSet<LinkDef> = remapped_old.iter().cloned().collect();
-        def_set.extend(builder.defs.iter().map(globalize));
-        let defs: Vec<LinkDef> = def_set.into_iter().collect();
-        let def_rank: BTreeMap<LinkDef, u32> = defs
-            .iter()
-            .enumerate()
-            .map(|(rank, def)| (def.clone(), rank as u32))
-            .collect();
-        let old_def_map: Vec<u32> = remapped_old
-            .iter()
-            .map(|def| def_rank.get(def).copied().unwrap_or(0))
-            .collect();
-        let new_def_map: Vec<u32> = builder
-            .defs
-            .iter()
-            .map(|def| def_rank.get(&globalize(def)).copied().unwrap_or(0))
-            .collect();
-
-        // Re-rank the existing columns in place, then install the tables.
-        for cell in &mut self.node_cells {
-            *cell = rank_of(&old_node_map, *cell as usize);
-        }
-        for cell in &mut self.link_cells {
-            *cell = rank_of(&old_def_map, *cell as usize);
-        }
-        self.nodes = nodes;
-        self.defs = defs;
-
-        // The boundary snapshot for the event log, reconstructed after the
-        // re-rank (the tables are consistent again at this point).
-        let old_len = self.timestamps.len();
-        let mut previous = (old_len > 0).then(|| self.snapshot(old_len - 1));
-
-        // Append the tail columns in (timestamp, input index) order.
-        let mut snaps = std::mem::take(&mut builder.snaps);
-        snaps.sort_by_key(|snap| (snap.timestamp, snap.index));
-        for snap in &snaps {
-            self.timestamps.push(snap.timestamp);
-            self.maps.push(snap.map);
-            self.node_cells.extend(
-                snap.nodes
-                    .iter()
-                    .map(|&id| rank_of(&new_node_map, id as usize)),
-            );
-            self.node_offsets.push(self.node_cells.len() as u32);
-            for row in &snap.rows {
-                self.link_cells
-                    .push(rank_of(&new_def_map, row.def as usize));
-                self.load_a.push(row.load_a);
-                self.load_b.push(row.load_b);
-                self.flipped.push(row.flipped);
-            }
-            self.link_offsets.push(self.link_cells.len() as u32);
-        }
-
-        // Event log: the boundary pair plus each consecutive tail pair.
-        for index in old_len..self.timestamps.len() {
-            let current = self.snapshot(index);
-            if let Some(prev) = &previous {
-                let diff = wm_model::diff(prev, &current);
-                if !diff.is_empty() {
-                    self.events.push(TopologyEvent {
-                        previous: prev.timestamp,
-                        at: current.timestamp,
-                        diff,
-                    });
-                }
-            }
-            previous = Some(current);
-        }
-
-        self.rebuild_series_index();
-    }
-
     /// Approximate resident size of the columns and tables, in bytes
     /// (cell payloads only; allocator overhead and the event log's
     /// string contents are estimated, not measured).
@@ -972,33 +835,6 @@ mod tests {
         assert_eq!(event.diff, wm_model::diff(&snaps[1], &snaps[2]));
         assert_eq!(event.diff.added_nodes, vec![Node::from_name("sbg-g2")]);
         assert_eq!(event.diff.link_delta(), 1);
-    }
-
-    #[test]
-    fn append_matches_full_rebuild() {
-        let mut snaps = series();
-        // A tail snapshot that introduces a node sorting *before* every
-        // existing one, forcing the append to re-rank old columns.
-        let mut s3 = snaps[2].clone();
-        s3.timestamp = snaps[2].timestamp + Duration::from_minutes(5);
-        s3.nodes.push(Node::from_name("AAA-PEER"));
-        s3.links.push(link("rbx-g1", 3, "AAA-PEER", 4, None));
-        snaps.push(s3);
-
-        for split in 0..=snaps.len() {
-            let full = LongitudinalStore::from_snapshots(&snaps);
-            let mut grown = LongitudinalStore::from_snapshots(&snaps[..split]);
-            grown.append_snapshots(&snaps[split..]);
-            assert_eq!(grown, full, "append after {split} stored snapshots");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly newer")]
-    fn append_rejects_stale_timestamps() {
-        let snaps = series();
-        let mut store = LongitudinalStore::from_snapshots(&snaps);
-        store.append_snapshots(&[snaps[0].clone()]);
     }
 
     #[test]

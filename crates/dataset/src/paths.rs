@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn cache_and_backup_files_are_rejected() {
-        // The longitudinal cache and common editor droppings must never
+        // A leftover cache file and common editor droppings must never
         // parse as corpus members, whatever directory they land in.
         for bad in [
             "europe/.longitudinal.cache",

@@ -1,4 +1,4 @@
-//! One time-window segment file of the sharded longitudinal cache.
+//! One time-window segment file of the longitudinal segment store.
 //!
 //! A segment is a self-contained slice of one map's history: a fixed
 //! 56-byte header (magic, format version, CRC-protected time span and
@@ -13,7 +13,7 @@
 //! identity digest of the fingerprint slice) that a manifest can be
 //! recovered from segment files alone without decoding any payload.
 //!
-//! Like the monolithic image, encoding is fully deterministic: the same
+//! Like the codec image, encoding is fully deterministic: the same
 //! slice of history encodes to the same bytes whoever builds it, at any
 //! thread count — which is what lets a damaged segment be repaired in
 //! place without rewriting the manifest.
@@ -60,10 +60,9 @@ pub struct SegmentHeader {
 /// This is the cheap identity a windowed load can recompute from a
 /// directory enumeration alone — no file contents are read, which is
 /// what keeps append cost independent of history length. The full
-/// content hashes still live in each segment's fingerprint section
-/// (and the monolithic `index` path still validates them), so a
-/// same-size in-place edit escapes only the windowed fast path; that
-/// trade-off is documented in DESIGN.md decision 14.
+/// content hashes still live in each segment's fingerprint section but
+/// are not checked on load, so a same-size in-place edit goes unnoticed;
+/// that trade-off is documented in DESIGN.md decision 14.
 #[must_use]
 pub fn identity_digest<'a, I>(parts: I) -> u64
 where

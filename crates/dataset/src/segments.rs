@@ -1,26 +1,28 @@
 //! The time-sharded segment store: manifest, windowed loads, compaction.
 //!
-//! The monolithic cache of [`crate::codec`] re-persists one image per
-//! append and decodes the whole history per query — fine for hours,
-//! hopeless for the paper's two years. This module shards that image
-//! into [`crate::segment`] files along the timestamp-sorted corpus:
-//! every chunk of `SegmentPolicy::capacity` snapshot files becomes one
-//! *sealed* segment, and the remainder (fewer than `capacity` files)
-//! is the *active tail*. The partition is a pure function of the entry
-//! list, so growing the corpus only ever rewrites the tail — and when
-//! the tail fills up it simply becomes sealed under the same name,
-//! which is the whole compaction story: merging is implicit in the
-//! canonical partition, runs synchronously inside the load that
-//! notices it, and converges on exactly the bytes a fresh build of the
-//! same corpus would write (asserted by `tests/segment_equivalence.rs`).
+//! It is the one persistent form of a map's history: a whole-history
+//! load is the window [`TimeRange::ALL`]. A single monolithic image
+//! would be re-persisted whole per append and decoded whole per query —
+//! fine for hours, hopeless for the paper's two years. This module
+//! shards the [`crate::codec`] image into [`crate::segment`] files
+//! along the timestamp-sorted corpus: every chunk of
+//! `SegmentPolicy::capacity` snapshot files becomes one *sealed*
+//! segment, and the remainder (fewer than `capacity` files) is the
+//! *active tail*. The partition is a pure function of the entry list,
+//! so growing the corpus only ever rewrites the tail — and when the
+//! tail fills up it simply becomes sealed under the same name, which
+//! is the whole compaction story: merging is implicit in the canonical
+//! partition, runs synchronously inside the load that notices it, and
+//! converges on exactly the bytes a fresh build of the same corpus
+//! would write (asserted by `tests/segment_equivalence.rs`).
 //!
 //! A manifest file maps `[t_min, t_max] → segment` so a windowed load
 //! decodes only the segments its range intersects. Validation against
 //! the corpus uses the [`crate::segment::identity_digest`] over
 //! `(path, size)` pairs — no content reads — keeping append cost
-//! independent of history length; the monolithic `index` path keeps
-//! hashing contents, so a same-size in-place edit is still caught by
-//! the full-fidelity pass (DESIGN.md decision 14 discusses the split).
+//! independent of history length. The price is that a same-size
+//! in-place edit of a YAML file goes unnoticed until `--cache=rebuild`
+//! (DESIGN.md decision 14).
 //!
 //! Damage recovery is per segment: a missing, truncated, bit-flipped,
 //! wrong-magic or wrong-version segment file is rebuilt from exactly
@@ -294,8 +296,8 @@ pub fn build_longitudinal_windowed_with(
 }
 
 /// Brings one map's segment store in line with the corpus and validates
-/// every segment file, repairing damaged ones — the `index --compact`
-/// entry point. Returns the manifest and full-corpus load counters.
+/// every segment file, repairing damaged ones — the `index` entry
+/// point. Returns the manifest and full-corpus load counters.
 pub fn reindex_segments(
     store: &DatasetStore,
     map: MapKind,

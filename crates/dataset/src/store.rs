@@ -123,55 +123,10 @@ impl DatasetStore {
         Ok(entries)
     }
 
-    /// Absolute path of one map's longitudinal cache file.
-    ///
-    /// The name is dot-prefixed and two path components deep, so it can
-    /// never collide with the snapshot layout and [`Self::entries`]
-    /// never surfaces it as a corpus member.
-    #[must_use]
-    pub fn cache_path(&self, map: MapKind) -> PathBuf {
-        self.root.join(map.slug()).join(".longitudinal.cache")
-    }
-
-    /// Writes one map's longitudinal cache image, replacing any previous
-    /// one. The write goes through a temporary sibling plus rename, so a
-    /// crash mid-write leaves either the old cache or none — never a
-    /// torn file presented as current.
-    pub fn write_cache(&self, map: MapKind, bytes: &[u8]) -> io::Result<()> {
-        let path = self.cache_path(map);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_file_name(".longitudinal.cache.tmp");
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)
-    }
-
-    /// Reads one map's longitudinal cache image as raw bytes.
-    ///
-    /// Returns `Ok(None)` when no cache exists; decoding (and deciding
-    /// whether the bytes are trustworthy) is [`crate::codec`]'s job.
-    pub fn open_cache(&self, map: MapKind) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(self.cache_path(map)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// Deletes one map's cache file if present (used by forced rebuilds).
-    pub fn remove_cache(&self, map: MapKind) -> io::Result<()> {
-        match fs::remove_file(self.cache_path(map)) {
-            Ok(()) => Ok(()),
-            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(err) => Err(err),
-        }
-    }
-
     /// Directory holding one map's segment files and manifest.
     ///
-    /// Dot-prefixed like the monolithic cache, so nothing under it can
-    /// ever surface from [`Self::entries`].
+    /// Dot-prefixed, so nothing under it can ever surface from
+    /// [`Self::entries`].
     #[must_use]
     pub fn segments_dir(&self, map: MapKind) -> PathBuf {
         self.root.join(map.slug()).join(".segments")
@@ -380,9 +335,14 @@ mod tests {
             .write(MapKind::Europe, FileKind::Yaml, t, b"map: europe")
             .unwrap();
 
-        // The cache file itself, a torn temporary, editor backups next to
-        // a real snapshot, and a hidden swap file in a date directory.
-        store.write_cache(MapKind::Europe, b"cache bytes").unwrap();
+        // A leftover cache file from older releases, a torn temporary,
+        // editor backups next to a real snapshot, and a hidden swap file
+        // in a date directory.
+        fs::write(
+            store.root().join("europe/.longitudinal.cache"),
+            b"cache bytes",
+        )
+        .unwrap();
         fs::write(store.root().join("europe/.longitudinal.cache.tmp"), b"torn").unwrap();
         let date_dir = store.root().join("europe/yaml/2022/02/01");
         fs::write(date_dir.join("0000.yaml~"), b"backup").unwrap();
@@ -393,29 +353,6 @@ mod tests {
         assert_eq!(entries.len(), 1, "only the real snapshot: {entries:?}");
         assert_eq!(entries[0].timestamp, t);
         assert_eq!(entries[0].size, 11);
-        fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
-    fn cache_round_trip_and_removal() {
-        let store = temp_store("cachefile");
-        assert_eq!(store.open_cache(MapKind::World).unwrap(), None);
-        store.write_cache(MapKind::World, b"abc").unwrap();
-        assert_eq!(
-            store.open_cache(MapKind::World).unwrap().as_deref(),
-            Some(&b"abc"[..])
-        );
-        // Overwrite replaces atomically; the temporary must not linger.
-        store.write_cache(MapKind::World, b"defg").unwrap();
-        assert_eq!(
-            store.open_cache(MapKind::World).unwrap().as_deref(),
-            Some(&b"defg"[..])
-        );
-        assert!(!store.root().join("world/.longitudinal.cache.tmp").exists());
-        store.remove_cache(MapKind::World).unwrap();
-        assert_eq!(store.open_cache(MapKind::World).unwrap(), None);
-        // Removing an absent cache is not an error.
-        store.remove_cache(MapKind::World).unwrap();
         fs::remove_dir_all(store.root()).unwrap();
     }
 

@@ -235,7 +235,7 @@ impl BroadPhaseStats {
     }
 }
 
-/// Counters of the longitudinal cache path.
+/// Counters of the segment-store load path.
 ///
 /// All fields are exact event counts, independent of timing, worker
 /// count and scheduling — like [`BroadPhaseStats`] they ride inside
@@ -243,26 +243,27 @@ impl BroadPhaseStats {
 /// plain `analyze` without caching leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Cache files whose fingerprint matched the corpus exactly (no
-    /// YAML was parsed).
+    /// Loads whose manifest matched the corpus partition exactly (no
+    /// YAML was parsed to bring the store up to date).
     pub hits: u64,
-    /// Cache misses: no cache file, or a fingerprint that neither
-    /// matched nor prefixed the corpus — a full rebuild followed.
+    /// Loads that reused nothing: no manifest, no matching segment, or a
+    /// forced rebuild — every segment was built from YAML.
     pub misses: u64,
-    /// Incremental appends: the cached fingerprint was a strict prefix
-    /// of the corpus and only the tail was parsed.
+    /// Loads that reused part of the store (a kept segment prefix or
+    /// decoded snapshots) and parsed only the changed files — a grown
+    /// corpus, but also a deletion or a size-changing edit.
     pub appends: u64,
-    /// Cache files rejected as corrupt (bad magic, CRC, truncation,
+    /// Store files rejected as corrupt (bad magic, CRC, truncation,
     /// invalid contents) before rebuilding.
     pub corrupt: u64,
-    /// Cache files written by a different format version — structurally
+    /// Store files written by a different format version — structurally
     /// intact but unreadable by this build, rebuilt like a miss. Kept
     /// apart from `corrupt` so a fleet-wide version bump does not read
     /// as data damage.
     pub stale: u64,
-    /// Snapshots served from the cache without parsing YAML.
+    /// Snapshots served from segment files without parsing YAML.
     pub snapshots_from_cache: u64,
-    /// Snapshots parsed from YAML to extend a stale cache.
+    /// Snapshots parsed from YAML to build or repair segments.
     pub snapshots_appended: u64,
     /// Segments decoded or built to serve a windowed load — the
     /// acceptance counter proving a narrow window never touches the

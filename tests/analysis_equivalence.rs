@@ -13,10 +13,11 @@ use wm_analysis::{
 /// Materialises a two-map YAML corpus with injected faults: every third
 /// SVG is corrupted before extraction (so the YAML tree has real holes —
 /// coverage gaps, not synthetic ones), and one unparsable YAML file per
-/// map exercises the loader's skip-and-count path.
-fn corpus() -> (DatasetStore, Vec<MapKind>) {
+/// map exercises the loader's skip-and-count path. Each test passes its
+/// own `tag`, so tests running in parallel never share a directory.
+fn corpus(tag: &str) -> (DatasetStore, Vec<MapKind>) {
     let dir = std::env::temp_dir().join(format!(
-        "ovh-weather-analysis-equivalence-{}",
+        "ovh-weather-analysis-equivalence-{tag}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -70,7 +71,7 @@ fn corpus() -> (DatasetStore, Vec<MapKind>) {
 
 #[test]
 fn single_pass_suite_equals_legacy_multi_pass() {
-    let (store, maps) = corpus();
+    let (store, maps) = corpus("legacy");
     let config = SuiteConfig::default();
 
     for &map in &maps {
@@ -143,7 +144,7 @@ fn single_pass_suite_equals_legacy_multi_pass() {
 
 #[test]
 fn store_driven_suite_is_byte_identical_to_legacy() {
-    let (store, maps) = corpus();
+    let (store, maps) = corpus("store");
     let config = SuiteConfig::default();
 
     for &map in &maps {
@@ -196,7 +197,7 @@ fn store_driven_suite_is_byte_identical_to_legacy() {
 
 #[test]
 fn suite_is_thread_invariant() {
-    let (store, maps) = corpus();
+    let (store, maps) = corpus("threads");
 
     for &map in &maps {
         let (baseline_store, baseline_stats) =

@@ -15,9 +15,8 @@ use ovh_weather::simulator::faults::{corrupt, FaultKind};
 const THREADS: [usize; 3] = [1, 2, 8];
 const POLICY: SegmentPolicy = SegmentPolicy { capacity: 5 };
 
-/// Materialises a fault-injected YAML window (same recipe as the
-/// monolithic cache-equivalence suite): every third SVG corrupted
-/// before extraction, one unparsable YAML file at `to`.
+/// Materialises a fault-injected YAML window: every third SVG
+/// corrupted before extraction, one unparsable YAML file at `to`.
 fn write_window(store: &DatasetStore, maps: &[MapKind], from: Timestamp, to: Timestamp) {
     let sim = Simulation::new(SimulationConfig::scaled(7, 0.1));
     for &map in maps {
@@ -322,6 +321,45 @@ fn appending_one_snapshot_rewrites_only_the_active_tail() {
         new_names.len() <= 1,
         "an append may add at most one segment, added {new_names:?}"
     );
+
+    std::fs::remove_dir_all(store.root()).expect("cleanup");
+}
+
+#[test]
+fn off_leaves_no_store_and_rebuild_equals_off() {
+    let (store, maps, _, _) = corpus("modes");
+    let map = maps[0];
+
+    // Off is a plain YAML build: nothing read or written on disk.
+    let (off, off_stats) = windowed(&store, map, TimeRange::ALL, 4, CacheMode::Off);
+    assert!(
+        !store.segments_dir(map).exists(),
+        "{map}: Off must not create .segments/"
+    );
+    assert_eq!(
+        off_stats.cache,
+        CacheStats::default(),
+        "{map}: Off counters"
+    );
+    let (fresh, fresh_stats) = build_longitudinal(&store, map, 4).expect("fresh build");
+    assert_eq!(off, fresh, "{map}: Off store");
+    assert_eq!(off_stats, fresh_stats, "{map}: Off stats");
+
+    // Rebuild over a warm store re-parses everything and still equals Off.
+    windowed(&store, map, TimeRange::ALL, 4, CacheMode::Auto);
+    for threads in THREADS {
+        let (rebuilt, rebuilt_stats) =
+            windowed(&store, map, TimeRange::ALL, threads, CacheMode::Rebuild);
+        assert_eq!(rebuilt, off, "{map}, {threads} threads: Rebuild store");
+        assert_eq!(rebuilt_stats.base(), off_stats, "{map}: Rebuild stats");
+        assert_eq!(rebuilt_stats.cache.misses, 1, "{map}: Rebuild is a miss");
+        assert_eq!(rebuilt_stats.cache.hits, 0);
+        assert_eq!(
+            rebuilt_stats.cache.snapshots_appended,
+            off.len() as u64,
+            "{map}: Rebuild re-parses every snapshot"
+        );
+    }
 
     std::fs::remove_dir_all(store.root()).expect("cleanup");
 }

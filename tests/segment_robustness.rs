@@ -5,6 +5,8 @@
 //! return exactly what a fresh YAML build returns, rebuild *only* the
 //! damaged segments, and leave every healthy segment file byte-for-byte
 //! untouched. Damage is never repaired by rebuilding the whole history.
+//! Corpus changes — a size-changing edit, deleted files — are likewise
+//! never served stale.
 
 use std::collections::BTreeMap;
 
@@ -376,7 +378,7 @@ fn compound_damage_heals_in_one_pass() {
     assert_eq!(cache.segments_rebuilt, 2, "exactly the two damaged ones");
     assert_eq!(segment_files(&store), pristine, "bytes fully restored");
 
-    // `index --compact`'s entry point performs the same healing.
+    // `index`'s entry point performs the same healing.
     store
         .remove_segment_file(MAP, &first.name)
         .expect("remove again");
@@ -396,6 +398,75 @@ fn compound_damage_heals_in_one_pass() {
         "reindex validates every segment"
     );
     assert_eq!(segment_files(&store), pristine, "reindex restored bytes");
+
+    std::fs::remove_dir_all(store.root()).expect("cleanup");
+}
+
+/// Asserts the full-range load reproduces a fresh YAML build of the
+/// corpus as it is now, then that the following load is a clean hit.
+fn assert_tracks_corpus(store: &DatasetStore, what: &str) -> CacheStats {
+    let (fresh, fresh_stats) = build_longitudinal(store, MAP, 4).expect("fresh build");
+    let cache = assert_recovers(store, &fresh, &fresh_stats, what);
+    let next = assert_recovers(store, &fresh, &fresh_stats, what);
+    assert_eq!(next.hits, 1, "{what}: next load must be a hit");
+    assert_eq!(
+        next.segments_rebuilt, 0,
+        "{what}: next load rebuilds nothing"
+    );
+    cache
+}
+
+#[test]
+fn size_changing_edit_is_rebuilt_not_trusted() {
+    let (store, baseline, baseline_stats) = corpus("edit");
+    assert_recovers(&store, &baseline, &baseline_stats, "populate");
+
+    // Append a YAML comment to the oldest file: the parsed value is
+    // unchanged, but the size is not, so its segment must not be
+    // trusted — an edit is not a hit.
+    let entries = store.entries_of(MAP, FileKind::Yaml).expect("entries");
+    let oldest = &entries[0];
+    let path = store.path_of(oldest.map, oldest.kind, oldest.timestamp);
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    bytes.extend_from_slice(b"\n# touched\n");
+    std::fs::write(&path, &bytes).expect("rewrite snapshot");
+
+    let cache = assert_tracks_corpus(&store, "edited oldest file");
+    assert_eq!(cache.hits, 0, "edited file: must not be a hit");
+    assert_eq!(cache.corrupt + cache.stale, 0, "edited file: no damage");
+    assert_eq!(
+        cache.snapshots_appended, 1,
+        "edited file: only the edited file is re-parsed"
+    );
+    let (edited, _) = build_longitudinal(&store, MAP, 4).expect("edited build");
+    assert_eq!(edited, baseline, "a comment must not change the data");
+
+    std::fs::remove_dir_all(store.root()).expect("cleanup");
+}
+
+#[test]
+fn deleted_files_are_rebuilt_not_trusted() {
+    let (store, baseline, baseline_stats) = corpus("delete");
+    assert_recovers(&store, &baseline, &baseline_stats, "populate");
+
+    // Delete the oldest, a middle and the newest file in turn; every
+    // load must reflect the shrunk corpus.
+    for which in ["oldest", "middle", "newest"] {
+        let what = format!("deleted {which} file");
+        let entries = store.entries_of(MAP, FileKind::Yaml).expect("entries");
+        let index = match which {
+            "oldest" => 0,
+            "middle" => entries.len() / 2,
+            _ => entries.len() - 1,
+        };
+        let victim = &entries[index];
+        std::fs::remove_file(store.path_of(victim.map, victim.kind, victim.timestamp))
+            .expect("delete snapshot");
+
+        let cache = assert_tracks_corpus(&store, &what);
+        assert_eq!(cache.hits, 0, "{what}: must not be a hit");
+        assert_eq!(cache.corrupt + cache.stale, 0, "{what}: no damage");
+    }
 
     std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
