@@ -12,6 +12,11 @@ cargo test -q --test segment_equivalence
 cargo test -q --test query_proptest
 cargo test -q --test query_equivalence
 cargo bench --no-run --workspace
+# The end-to-end benchmark is a separate Cargo workspace that
+# `--workspace` never compiles; build and test it so a change to the
+# public API cannot break it silently.
+cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+cargo test --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 cargo clippy -- -D warnings
 cargo clippy -p wm-lint -- -D warnings
 cargo fmt --check
@@ -57,9 +62,15 @@ target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > "$smoke_dir/rebuilt.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/cached.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/rebuilt.txt"
-# Serve a six-hour window from only the segments it intersects.
+# Serve a six-hour window from only the segments it intersects; the
+# windowed report is the same with and without the segment store.
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics \
     --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z | grep "segments:" > /dev/null
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 \
+    --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z > "$smoke_dir/window_plain.txt"
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache \
+    --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z > "$smoke_dir/window_cached.txt"
+diff "$smoke_dir/window_plain.txt" "$smoke_dir/window_cached.txt"
 # Vectorized query engine: a windowed ad-hoc query over the compacted
 # corpus, text and JSON modes.
 target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op topk --k 5 \

@@ -2,8 +2,6 @@
 
 use wm_model::{Timestamp, TopologySnapshot};
 
-use crate::suite::AnalysisPass;
-
 /// One point of the infrastructure evolution series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvolutionPoint {
@@ -112,30 +110,27 @@ pub struct EvolutionReport {
     pub internal_link_events: Vec<ChangeEvent>,
 }
 
-/// Streaming fold producing an [`EvolutionReport`] — the
-/// [`AnalysisPass`] form of [`evolution_series`] + [`detect_changes`].
+/// The suite's streaming accumulator for an [`EvolutionReport`]: the
+/// fold form of [`evolution_series`] + [`detect_changes`].
 #[derive(Debug, Clone)]
-pub struct EvolutionPass {
+pub(crate) struct EvolutionPass {
     min_router_delta: usize,
     min_link_delta: usize,
     series: Vec<EvolutionPoint>,
 }
 
 impl EvolutionPass {
-    /// Creates a pass with the given change-detection thresholds.
-    #[must_use]
-    pub fn new(min_router_delta: usize, min_link_delta: usize) -> EvolutionPass {
+    /// Creates an accumulator with the given change-detection
+    /// thresholds.
+    pub(crate) fn new(min_router_delta: usize, min_link_delta: usize) -> EvolutionPass {
         EvolutionPass {
             min_router_delta,
             min_link_delta,
             series: Vec::new(),
         }
     }
-}
 
-impl EvolutionPass {
-    /// Records one snapshot's counts — the column-driven feeder the
-    /// store-backed suite uses (the snapshot-driven pass delegates here).
+    /// Records one snapshot's counts.
     pub(crate) fn observe_counts(
         &mut self,
         timestamp: Timestamp,
@@ -150,21 +145,9 @@ impl EvolutionPass {
             external_links,
         });
     }
-}
 
-impl AnalysisPass for EvolutionPass {
-    type Output = EvolutionReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.observe_counts(
-            snapshot.timestamp,
-            snapshot.router_count(),
-            snapshot.internal_link_count(),
-            snapshot.external_link_count(),
-        );
-    }
-
-    fn finish(mut self) -> EvolutionReport {
+    /// Sorts the series and detects its change events.
+    pub(crate) fn finish(mut self) -> EvolutionReport {
         self.series.sort_by_key(|p| p.timestamp);
         let router_events = detect_changes(&self.series, |p| p.routers, self.min_router_delta);
         let internal_link_events =

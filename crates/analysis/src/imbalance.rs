@@ -8,7 +8,6 @@
 use wm_model::{LinkKind, TopologySnapshot};
 
 use crate::stats::Distribution;
-use crate::suite::AnalysisPass;
 
 /// One directed parallel set's imbalance measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,20 +105,6 @@ impl ImbalanceCdf {
         all.extend_from_slice(&self.external);
         let all = Distribution::new(all);
         (all.cdf(1.0), self.external().cdf(2.0))
-    }
-}
-
-/// [`ImbalanceCdf`] is its own artifact: the pass accumulates and
-/// finishes into itself.
-impl AnalysisPass for ImbalanceCdf {
-    type Output = ImbalanceCdf;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.add_snapshot(snapshot);
-    }
-
-    fn finish(self) -> ImbalanceCdf {
-        self
     }
 }
 

@@ -34,24 +34,20 @@ pub mod tables;
 pub mod timeframe;
 pub mod upgrades;
 
-pub use degree::{DegreeAnalysis, DegreePass};
+pub use degree::DegreeAnalysis;
 pub use evolution::{
-    detect_changes, evolution_series, ChangeEvent, EvolutionPass, EvolutionPoint, EvolutionReport,
+    detect_changes, evolution_series, ChangeEvent, EvolutionPoint, EvolutionReport,
 };
 pub use imbalance::{group_imbalances, GroupImbalance, ImbalanceCdf};
 pub use loads::{HourlyLoads, LoadCdf};
 pub use maintenance::{
-    disabled_fraction, maintenance_windows, LinkKey, MaintenancePass, MaintenanceReport,
-    MaintenanceWindow,
+    disabled_fraction, maintenance_windows, LinkKey, MaintenanceReport, MaintenanceWindow,
 };
-pub use sites::{site_counts, site_growth, SiteCounts, SiteGrowth, SitesPass};
+pub use sites::{site_counts, site_growth, SiteCounts, SiteGrowth};
 pub use stats::{Distribution, WhiskerSummary};
-pub use suite::{AnalysisPass, AnalysisSuite, SuiteConfig, SuiteReport};
-pub use tables::{table1, Table1, Table1Row, TablePass};
-pub use timeframe::{
-    coverage_segments, CoverageSegment, GapDistribution, TimeframePass, TimeframeReport,
-};
+pub use suite::{AnalysisSuite, SuiteConfig, SuiteReport};
+pub use tables::{table1, Table1, Table1Row};
+pub use timeframe::{coverage_segments, CoverageSegment, GapDistribution, TimeframeReport};
 pub use upgrades::{
-    detect_upgrade, observe_group, CapacityRecord, UpgradeOutcome, UpgradePass, UpgradeReport,
-    UpgradeTarget,
+    detect_upgrade, observe_group, CapacityRecord, UpgradeOutcome, UpgradeReport, UpgradeTarget,
 };

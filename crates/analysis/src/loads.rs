@@ -3,7 +3,6 @@
 use wm_model::{LinkKind, TopologySnapshot};
 
 use crate::stats::{Distribution, WhiskerSummary};
-use crate::suite::AnalysisPass;
 
 /// Loads grouped by hour of day — the Fig. 5a machinery.
 ///
@@ -37,16 +36,17 @@ impl HourlyLoads {
         }
     }
 
-    /// Number of samples collected for one hour.
+    /// Number of samples collected for one hour (0 for an hour ≥ 24).
     #[must_use]
     pub fn samples_in_hour(&self, hour: u8) -> usize {
-        self.buckets[hour as usize].len()
+        self.buckets.get(hour as usize).map_or(0, Vec::len)
     }
 
-    /// The whisker summary of one hour (`None` when the bucket is empty).
+    /// The whisker summary of one hour (`None` when the bucket is empty
+    /// or the hour is ≥ 24).
     #[must_use]
     pub fn summary(&self, hour: u8) -> Option<WhiskerSummary> {
-        let dist = Distribution::new(self.buckets[hour as usize].clone());
+        let dist = Distribution::new(self.buckets.get(hour as usize)?.clone());
         WhiskerSummary::of(&dist)
     }
 
@@ -69,20 +69,6 @@ impl HourlyLoads {
         let min = medians.iter().min_by(|a, b| a.1.total_cmp(&b.1))?.0;
         let max = medians.iter().max_by(|a, b| a.1.total_cmp(&b.1))?.0;
         Some((min, max))
-    }
-}
-
-/// [`HourlyLoads`] is its own artifact: the pass accumulates and
-/// finishes into itself.
-impl AnalysisPass for HourlyLoads {
-    type Output = HourlyLoads;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.add_snapshot(snapshot);
-    }
-
-    fn finish(self) -> HourlyLoads {
-        self
     }
 }
 
@@ -149,20 +135,6 @@ impl LoadCdf {
     }
 }
 
-/// [`LoadCdf`] is its own artifact: the pass accumulates and finishes
-/// into itself.
-impl AnalysisPass for LoadCdf {
-    type Output = LoadCdf;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.add_snapshot(snapshot);
-    }
-
-    fn finish(self) -> LoadCdf {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +173,16 @@ mod tests {
         assert!(hourly.summary(12).is_none());
         let s3 = hourly.summary(3).unwrap();
         assert_eq!(s3.p50, 15.0);
+    }
+
+    #[test]
+    fn hours_past_the_day_are_empty() {
+        let mut hourly = HourlyLoads::new();
+        hourly.add_snapshot(&snapshot(23, &[(10, 20, true)]));
+        for hour in [24, 255] {
+            assert_eq!(hourly.samples_in_hour(hour), 0);
+            assert!(hourly.summary(hour).is_none());
+        }
     }
 
     #[test]

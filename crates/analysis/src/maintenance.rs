@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 
 use wm_model::{Timestamp, TopologySnapshot};
 
-use crate::suite::AnalysisPass;
-
 /// Identity of one physical link across snapshots: the unordered endpoint
 /// pair plus the `#n` labels (parallel links are distinguished by label;
 /// links without labels collapse per pair).
@@ -63,7 +61,9 @@ pub fn disabled_fraction(snapshots: &[TopologySnapshot]) -> f64 {
 fn run_pass(snapshots: &[TopologySnapshot]) -> MaintenanceReport {
     let mut pass = MaintenancePass::default();
     for snapshot in snapshots {
-        pass.observe(snapshot);
+        for link in &snapshot.links {
+            pass.observe_link(snapshot.timestamp, key_of(link), link.is_disabled());
+        }
     }
     pass.finish()
 }
@@ -92,11 +92,10 @@ impl MaintenanceReport {
     }
 }
 
-/// Streaming fold producing a [`MaintenanceReport`] — the
-/// [`AnalysisPass`] behind [`maintenance_windows`] and
-/// [`disabled_fraction`].
+/// The streaming accumulator behind [`maintenance_windows`] and
+/// [`disabled_fraction`], shared with the suite.
 #[derive(Debug, Clone, Default)]
-pub struct MaintenancePass {
+pub(crate) struct MaintenancePass {
     /// Open windows: key -> (start, last_seen, count).
     open: BTreeMap<LinkKey, (Timestamp, Timestamp, usize)>,
     closed: Vec<MaintenanceWindow>,
@@ -105,9 +104,7 @@ pub struct MaintenancePass {
 }
 
 impl MaintenancePass {
-    /// Folds one link observation — the column-driven feeder the
-    /// store-backed suite uses (the snapshot-driven pass delegates
-    /// here).
+    /// Folds one link observation.
     pub(crate) fn observe_link(&mut self, at: Timestamp, key: LinkKey, disabled: bool) {
         self.observations += 1;
         if disabled {
@@ -128,18 +125,9 @@ impl MaintenancePass {
             });
         }
     }
-}
 
-impl AnalysisPass for MaintenancePass {
-    type Output = MaintenanceReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        for link in &snapshot.links {
-            self.observe_link(snapshot.timestamp, key_of(link), link.is_disabled());
-        }
-    }
-
-    fn finish(self) -> MaintenanceReport {
+    /// Closes the windows still open and sorts them by `(start, link)`.
+    pub(crate) fn finish(self) -> MaintenanceReport {
         let mut windows = self.closed;
         // Windows still open at the end of the series.
         for (key, (start, last, count)) in self.open {

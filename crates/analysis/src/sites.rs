@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 
 use wm_model::{Timestamp, TopologySnapshot};
 
-use crate::suite::AnalysisPass;
-
 /// Router and attached-link counts of one site at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SiteCounts {
@@ -79,22 +77,20 @@ impl SiteGrowth {
 pub fn site_growth(snapshots: &[TopologySnapshot]) -> Vec<SiteGrowth> {
     let mut pass = SitesPass::default();
     for snapshot in snapshots {
-        pass.observe(snapshot);
+        pass.observe_counts(snapshot.timestamp, site_counts(snapshot));
     }
     pass.finish()
 }
 
-/// Streaming fold producing the per-site growth ranking — the
-/// [`AnalysisPass`] behind [`site_growth`].
+/// The streaming accumulator behind [`site_growth`], shared with the
+/// suite.
 #[derive(Debug, Clone, Default)]
-pub struct SitesPass {
+pub(crate) struct SitesPass {
     growth: BTreeMap<String, SiteGrowth>,
 }
 
 impl SitesPass {
-    /// Folds one snapshot's per-site counts — the column-driven feeder
-    /// the store-backed suite uses (the snapshot-driven pass delegates
-    /// here).
+    /// Folds one snapshot's per-site counts.
     pub(crate) fn observe_counts(
         &mut self,
         timestamp: Timestamp,
@@ -122,16 +118,9 @@ impl SitesPass {
                 });
         }
     }
-}
 
-impl AnalysisPass for SitesPass {
-    type Output = Vec<SiteGrowth>;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.observe_counts(snapshot.timestamp, site_counts(snapshot));
-    }
-
-    fn finish(self) -> Vec<SiteGrowth> {
+    /// Ranks the sites by descending link growth, ties by name.
+    pub(crate) fn finish(self) -> Vec<SiteGrowth> {
         let mut out: Vec<SiteGrowth> = self.growth.into_values().collect();
         out.sort_by(|a, b| {
             b.link_growth()

@@ -1,48 +1,28 @@
 //! The single-pass §5 analysis engine.
 //!
-//! Historically every analysis consumed its own `&[TopologySnapshot]`
-//! slice, so regenerating the paper's artifacts meant loading the corpus
-//! once per figure. [`AnalysisPass`] recasts each analysis as a streaming
-//! fold — observe snapshots one at a time, produce the artifact at the
-//! end — and [`AnalysisSuite`] runs all nine §5 modules concurrently over
-//! one corpus scan. The suite is itself a pass, so it composes: anything
-//! that can drive one pass (a snapshot slice, a
-//! `LongitudinalStore`'s reconstruction iterator) can drive all of them.
+//! [`AnalysisSuite::run_store`] folds all nine §5 analyses over one scan
+//! of a [`LongitudinalStore`]'s columns. The streaming analyses read the
+//! CSR load columns directly; only the artifacts drawn from a final
+//! state (Fig. 4c, Table 1) and the optional Fig. 6 forensics rebuild
+//! [`TopologySnapshot`]s. The per-figure slice functions
+//! (`coverage_segments`, `evolution_series`, `table1`, …) are the
+//! reference the suite is tested against.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use wm_dataset::{LongitudinalStore, QueryEngine, RowView};
 use wm_extract::KernelStats;
-use wm_model::{Duration, LinkKind, MapKind, TimeRange, TopologySnapshot};
+use wm_model::{Duration, LinkKind, MapKind, TopologySnapshot};
 
-use crate::degree::{DegreeAnalysis, DegreePass};
+use crate::degree::DegreeAnalysis;
 use crate::evolution::{EvolutionPass, EvolutionReport};
 use crate::imbalance::ImbalanceCdf;
 use crate::loads::{HourlyLoads, LoadCdf};
 use crate::maintenance::{LinkKey, MaintenancePass, MaintenanceReport};
 use crate::sites::{SiteCounts, SiteGrowth, SitesPass};
-use crate::tables::{table1_from_counts, MapCounts, Table1, TablePass};
+use crate::tables::{table1, Table1};
 use crate::timeframe::{TimeframePass, TimeframeReport};
-use crate::upgrades::{UpgradeOutcome, UpgradePass, UpgradeTarget};
-
-/// A streaming analysis: folds snapshots one at a time, then finishes
-/// into its artifact.
-///
-/// Implementations must not assume they see every snapshot of a corpus
-/// or that snapshots arrive from a single map — only that arrival order
-/// is ascending `(timestamp, extraction order)`, which is what the
-/// shared loader guarantees.
-pub trait AnalysisPass {
-    /// The finished artifact.
-    type Output;
-
-    /// Folds one snapshot into the running state.
-    fn observe(&mut self, snapshot: &TopologySnapshot);
-
-    /// Consumes the state and produces the artifact.
-    fn finish(self) -> Self::Output;
-}
+use crate::upgrades::{detect_upgrade, observe_group, UpgradeOutcome, UpgradeTarget};
 
 /// Tuning knobs of an [`AnalysisSuite`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,14 +35,6 @@ pub struct SuiteConfig {
     pub min_link_delta: usize,
     /// When set, the Fig. 6 upgrade forensics to run alongside.
     pub upgrade: Option<UpgradeTarget>,
-    /// When set, snapshots outside this half-open window are ignored.
-    ///
-    /// The windowed dataset loader already restricts what it *loads*;
-    /// this is the belt-and-braces filter that makes the suite itself
-    /// range-aware, so driving it from an unrestricted source (a full
-    /// snapshot slice, a whole columnar store) produces the same report
-    /// as driving it from a windowed load.
-    pub range: Option<TimeRange>,
 }
 
 impl Default for SuiteConfig {
@@ -72,99 +44,58 @@ impl Default for SuiteConfig {
             min_router_delta: 1,
             min_link_delta: 4,
             upgrade: None,
-            range: None,
         }
     }
 }
 
-/// All nine §5 analyses folded concurrently over one snapshot stream.
+/// The running state of one suite scan: the streaming accumulators of
+/// every §5 analysis.
 #[derive(Debug, Clone)]
 pub struct AnalysisSuite {
-    snapshots: usize,
-    range: Option<TimeRange>,
     timeframe: TimeframePass,
     evolution: EvolutionPass,
-    degree: DegreePass,
     hourly: HourlyLoads,
     load_cdf: LoadCdf,
     imbalance: ImbalanceCdf,
-    table: TablePass,
     sites: SitesPass,
     maintenance: MaintenancePass,
-    upgrade: Option<UpgradePass>,
 }
 
 impl AnalysisSuite {
-    /// Creates a suite with the given configuration.
-    #[must_use]
-    pub fn new(config: SuiteConfig) -> AnalysisSuite {
+    fn new(config: &SuiteConfig) -> AnalysisSuite {
         AnalysisSuite {
-            snapshots: 0,
-            range: config.range,
             timeframe: TimeframePass::new(config.max_gap),
             evolution: EvolutionPass::new(config.min_router_delta, config.min_link_delta),
-            degree: DegreePass::default(),
             hourly: HourlyLoads::new(),
             load_cdf: LoadCdf::new(),
             imbalance: ImbalanceCdf::new(),
-            table: TablePass::default(),
             sites: SitesPass::default(),
             maintenance: MaintenancePass::default(),
-            upgrade: config.upgrade.map(UpgradePass::new),
         }
     }
 
-    /// Runs the whole suite over an already-materialised snapshot source
-    /// — a slice, an owned vector, or a columnar store's reconstruction
-    /// iterator.
-    pub fn run<I, T>(config: SuiteConfig, snapshots: I) -> SuiteReport
-    where
-        I: IntoIterator<Item = T>,
-        T: Borrow<TopologySnapshot>,
-    {
-        let mut suite = AnalysisSuite::new(config);
-        for snapshot in snapshots {
-            suite.observe(snapshot.borrow());
-        }
-        suite.finish()
-    }
-
-    /// Runs the whole suite directly over a columnar store, via the
-    /// query engine's catalog and row visitors.
+    /// Runs the whole suite over every snapshot of a columnar store, via
+    /// the query engine's catalog and row visitors.
     ///
-    /// The streaming §5 passes (loads, imbalance, sites, tables,
-    /// evolution, timeframe, maintenance) read the CSR load columns —
-    /// no [`TopologySnapshot`] is reconstructed for them; only Fig. 4c's
-    /// final-state degree analysis and the optional Fig. 6 forensics
-    /// rebuild snapshots. The report is byte-identical to
-    /// [`AnalysisSuite::run`] over the store's reconstructed snapshots,
-    /// and the returned [`KernelStats`] counts the column work done.
+    /// The streaming analyses (loads, imbalance, sites, evolution,
+    /// timeframe, maintenance) read the CSR load columns — no
+    /// [`TopologySnapshot`] is reconstructed for them. Fig. 4c and
+    /// Table 1 read each map's latest snapshot, reconstructed once per
+    /// map at the end; the optional Fig. 6 forensics reconstruct every
+    /// snapshot. The returned [`KernelStats`] counts the column work
+    /// done.
     pub fn run_store(config: SuiteConfig, store: &LongitudinalStore) -> (SuiteReport, KernelStats) {
         let engine = QueryEngine::new(store);
-        let range = config.range.unwrap_or(TimeRange::ALL);
-        let indices = engine.snapshot_range(range);
-        let upgrade_target = config.upgrade.clone();
-        let mut suite = AnalysisSuite::new(SuiteConfig {
-            upgrade: None,
-            range: None,
-            ..config
-        });
+        let mut suite = AnalysisSuite::new(&config);
 
         // Reusable imbalance scratch: member rows per parallel group.
         let mut members: Vec<Vec<RowView<'_>>> = vec![Vec::new(); engine.pair_count()];
         let mut used_pairs: Vec<u32> = Vec::new();
         let mut latest_per_map: BTreeMap<MapKind, usize> = BTreeMap::new();
-        let mut last_index = None;
         let mut rows_scanned = 0u64;
 
-        for index in indices.clone() {
-            let Some(&timestamp) = store.timestamps().get(index) else {
-                continue;
-            };
-            let map = store.map_of(index);
-            suite.snapshots += 1;
-            last_index = Some(index);
-            latest_per_map.insert(map, index);
+        for (index, &timestamp) in store.timestamps().iter().enumerate() {
+            latest_per_map.insert(store.map_of(index), index);
             suite.timeframe.observe_instant(timestamp);
 
             // Node columns: router count and per-site router tallies.
@@ -254,27 +185,61 @@ impl AnalysisSuite {
             }
         }
 
-        let mut report = suite.finish();
-
-        // Table 1 and Fig. 4c read one state per map / the final state.
-        report.table1 = table1_from_counts(&map_counts(&engine, &latest_per_map));
-        report.degree = last_index.map(|index| DegreeAnalysis::of(&store.snapshot(index)));
-        if let Some(target) = upgrade_target {
-            let mut pass = UpgradePass::new(target);
-            for index in indices.clone() {
-                pass.observe(&store.snapshot(index));
+        // Fig. 4c and Table 1 read the final state of each map; the
+        // overall last snapshot is the latest of its own map.
+        let latest: BTreeMap<MapKind, TopologySnapshot> = latest_per_map
+            .iter()
+            .map(|(&map, &index)| (map, store.snapshot(index)))
+            .collect();
+        let degree = store
+            .len()
+            .checked_sub(1)
+            .and_then(|last| latest.get(&store.map_of(last)))
+            .map(DegreeAnalysis::of);
+        let finals: Vec<TopologySnapshot> = latest.into_values().collect();
+        let upgrade = config.upgrade.map(|target| {
+            let observations: Vec<_> = store
+                .snapshots()
+                .filter_map(|snapshot| observe_group(&snapshot, &target.from, &target.to))
+                .collect();
+            let report = detect_upgrade(&observations, &target.records);
+            UpgradeOutcome {
+                observations,
+                report,
             }
-            report.upgrade = Some(pass.finish());
-        }
+        });
+        let report = suite.finish(store.len(), degree, table1(&finals), upgrade);
 
         let stats = KernelStats {
             queries: 1,
             kernels: 1,
-            snapshots_scanned: indices.len() as u64,
+            snapshots_scanned: store.len() as u64,
             rows_scanned,
             samples: rows_scanned * 2,
         };
         (report, stats)
+    }
+
+    fn finish(
+        self,
+        snapshots: usize,
+        degree: Option<DegreeAnalysis>,
+        table1: Table1,
+        upgrade: Option<UpgradeOutcome>,
+    ) -> SuiteReport {
+        SuiteReport {
+            snapshots,
+            timeframe: self.timeframe.finish(),
+            evolution: self.evolution.finish(),
+            degree,
+            hourly: self.hourly,
+            load_cdf: self.load_cdf,
+            imbalance: self.imbalance,
+            table1,
+            sites: self.sites.finish(),
+            maintenance: self.maintenance.finish(),
+            upgrade,
+        }
     }
 }
 
@@ -339,77 +304,6 @@ fn directed_imbalance(engine: &QueryEngine<'_>, group: &[RowView<'_>], from: &st
         max = max.max(load);
     }
     (kept >= 2).then(|| f64::from(max - min))
-}
-
-/// One [`MapCounts`] per map, read off the latest stored snapshot per
-/// map through the engine's node/row visitors.
-fn map_counts(
-    engine: &QueryEngine<'_>,
-    latest_per_map: &BTreeMap<MapKind, usize>,
-) -> BTreeMap<MapKind, MapCounts> {
-    latest_per_map
-        .iter()
-        .map(|(&map, &index)| {
-            let mut counts = MapCounts::default();
-            for id in engine.node_ids(index) {
-                if let Some(node) = engine.node_at(id) {
-                    if node.is_router() {
-                        counts.routers += 1;
-                        counts.router_names.insert(node.name.to_string());
-                    }
-                }
-            }
-            for row in engine.rows(index) {
-                match row.kind {
-                    LinkKind::Internal => counts.internal_links += 1,
-                    LinkKind::External => counts.external_links += 1,
-                }
-            }
-            (map, counts)
-        })
-        .collect()
-}
-
-impl AnalysisPass for AnalysisSuite {
-    type Output = SuiteReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        if self
-            .range
-            .is_some_and(|range| !range.contains(snapshot.timestamp))
-        {
-            return;
-        }
-        self.snapshots += 1;
-        self.timeframe.observe(snapshot);
-        self.evolution.observe(snapshot);
-        self.degree.observe(snapshot);
-        self.hourly.observe(snapshot);
-        self.load_cdf.observe(snapshot);
-        self.imbalance.observe(snapshot);
-        self.table.observe(snapshot);
-        self.sites.observe(snapshot);
-        self.maintenance.observe(snapshot);
-        if let Some(upgrade) = &mut self.upgrade {
-            upgrade.observe(snapshot);
-        }
-    }
-
-    fn finish(self) -> SuiteReport {
-        SuiteReport {
-            snapshots: self.snapshots,
-            timeframe: self.timeframe.finish(),
-            evolution: self.evolution.finish(),
-            degree: self.degree.finish(),
-            hourly: self.hourly.finish(),
-            load_cdf: self.load_cdf.finish(),
-            imbalance: self.imbalance.finish(),
-            table1: self.table.finish(),
-            sites: self.sites.finish(),
-            maintenance: self.maintenance.finish(),
-            upgrade: self.upgrade.map(AnalysisPass::finish),
-        }
-    }
 }
 
 /// Every §5 artifact of one corpus scan.
@@ -563,6 +457,10 @@ mod tests {
     use crate::timeframe::{coverage_segments, GapDistribution};
     use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp};
 
+    fn run(config: SuiteConfig, snapshots: &[TopologySnapshot]) -> (SuiteReport, KernelStats) {
+        AnalysisSuite::run_store(config, &LongitudinalStore::from_snapshots(snapshots))
+    }
+
     /// A small two-map series with a diurnal load swing, a disabled
     /// window and a mid-series router addition.
     fn corpus() -> Vec<TopologySnapshot> {
@@ -603,12 +501,15 @@ mod tests {
     }
 
     #[test]
-    fn suite_matches_legacy_analyses() {
+    fn suite_matches_slice_functions() {
         let snapshots = corpus();
         let config = SuiteConfig::default();
-        let report = AnalysisSuite::run(config.clone(), &snapshots);
+        let (report, stats) = run(config.clone(), &snapshots);
 
         assert_eq!(report.snapshots, snapshots.len());
+        assert_eq!(stats.snapshots_scanned as usize, snapshots.len());
+        let links: usize = snapshots.iter().map(|s| s.links.len()).sum();
+        assert_eq!(stats.rows_scanned as usize, links);
 
         let times: Vec<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
         assert_eq!(
@@ -665,7 +566,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_section() {
-        let report = AnalysisSuite::run(SuiteConfig::default(), corpus());
+        let (report, _) = run(SuiteConfig::default(), &corpus());
         let text = report.render();
         for needle in [
             "snapshots analysed",
@@ -683,63 +584,9 @@ mod tests {
     }
 
     #[test]
-    fn range_filter_matches_prefiltered_input() {
-        let snapshots = corpus();
-        let range = TimeRange::new(
-            Timestamp::from_ymd_hms(2021, 6, 1, 4, 0, 0),
-            Timestamp::from_ymd_hms(2021, 6, 1, 16, 0, 0),
-        );
-        let config = SuiteConfig {
-            range: Some(range),
-            ..SuiteConfig::default()
-        };
-        let windowed = AnalysisSuite::run(config, &snapshots);
-        let filtered: Vec<TopologySnapshot> = snapshots
-            .iter()
-            .filter(|s| range.contains(s.timestamp))
-            .cloned()
-            .collect();
-        assert!(filtered.len() < snapshots.len() && !filtered.is_empty());
-        assert_eq!(
-            windowed,
-            AnalysisSuite::run(SuiteConfig::default(), &filtered)
-        );
-    }
-
-    #[test]
-    fn store_run_matches_snapshot_run() {
-        let snapshots = corpus();
-        let store = wm_dataset::LongitudinalStore::from_snapshots(&snapshots);
-        let config = SuiteConfig::default();
-        let legacy = AnalysisSuite::run(config.clone(), &snapshots);
-        let (report, stats) = AnalysisSuite::run_store(config, &store);
-        assert_eq!(report, legacy);
-        assert_eq!(format!("{report:?}"), format!("{legacy:?}"));
-        assert_eq!(report.render(), legacy.render());
-        assert_eq!(stats.snapshots_scanned as usize, snapshots.len());
-        assert_eq!(stats.rows_scanned as usize, store.observations());
-    }
-
-    #[test]
-    fn store_run_honours_the_range_filter() {
-        let snapshots = corpus();
-        let store = wm_dataset::LongitudinalStore::from_snapshots(&snapshots);
-        let range = TimeRange::new(
-            Timestamp::from_ymd_hms(2021, 6, 1, 4, 0, 0),
-            Timestamp::from_ymd_hms(2021, 6, 1, 16, 0, 0),
-        );
-        let config = SuiteConfig {
-            range: Some(range),
-            ..SuiteConfig::default()
-        };
-        let legacy = AnalysisSuite::run(config.clone(), &snapshots);
-        let (report, _) = AnalysisSuite::run_store(config, &store);
-        assert_eq!(report, legacy);
-    }
-
-    #[test]
     fn empty_corpus_is_well_formed() {
-        let report = AnalysisSuite::run(SuiteConfig::default(), &[] as &[TopologySnapshot]);
+        let (report, stats) = run(SuiteConfig::default(), &[]);
+        assert_eq!(stats.rows_scanned, 0);
         assert_eq!(report.snapshots, 0);
         assert_eq!(report.degree, None);
         assert!(report.table1.rows.is_empty());
@@ -787,7 +634,7 @@ mod tests {
             }),
             ..SuiteConfig::default()
         };
-        let report = AnalysisSuite::run(config, &snapshots);
+        let (report, _) = run(config, &snapshots);
         let upgrade = report.upgrade.expect("upgrade outcome");
         assert_eq!(upgrade.observations.len(), snapshots.len());
         assert_eq!(

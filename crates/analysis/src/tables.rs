@@ -1,10 +1,8 @@
 //! Table 1 — the network-size summary.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use wm_model::{MapKind, TopologySnapshot};
-
-use crate::suite::AnalysisPass;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,51 +63,6 @@ pub fn table1(snapshots: &[TopologySnapshot]) -> Table1 {
     }
 }
 
-/// One map's counts as collected by the store-driven suite: the same
-/// facts [`table1`] reads off a snapshot, without the snapshot.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MapCounts {
-    /// OVH routers on the map.
-    pub(crate) routers: usize,
-    /// Internal links.
-    pub(crate) internal_links: usize,
-    /// External links.
-    pub(crate) external_links: usize,
-    /// Router names, for the cross-map de-duplicated total.
-    pub(crate) router_names: BTreeSet<String>,
-}
-
-/// Assembles Table 1 from per-map counts — the column-driven feeder the
-/// store-backed suite uses; mirrors [`table1`] exactly.
-pub(crate) fn table1_from_counts(latest: &BTreeMap<MapKind, MapCounts>) -> Table1 {
-    let mut rows = Vec::new();
-    let mut router_names: BTreeSet<&str> = BTreeSet::new();
-    let mut total_internal = 0;
-    let mut total_external = 0;
-    for map in MapKind::ALL {
-        let Some(counts) = latest.get(&map) else {
-            continue;
-        };
-        rows.push(Table1Row {
-            map,
-            routers: counts.routers,
-            internal_links: counts.internal_links,
-            external_links: counts.external_links,
-        });
-        total_internal += counts.internal_links;
-        total_external += counts.external_links;
-        for name in &counts.router_names {
-            router_names.insert(name.as_str());
-        }
-    }
-    Table1 {
-        rows,
-        total_routers: router_names.len(),
-        total_internal,
-        total_external,
-    }
-}
-
 impl Table1 {
     /// Renders the paper's table layout.
     #[must_use]
@@ -133,27 +86,6 @@ impl Table1 {
             "Total", self.total_routers, self.total_internal, self.total_external
         ));
         out
-    }
-}
-
-/// Streaming fold assembling Table 1 from the *last* snapshot observed
-/// per map — the paper builds the table from one capture date, and on a
-/// mixed-map stream the most recent state per map is that date.
-#[derive(Debug, Clone, Default)]
-pub struct TablePass {
-    latest: BTreeMap<MapKind, TopologySnapshot>,
-}
-
-impl AnalysisPass for TablePass {
-    type Output = Table1;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.latest.insert(snapshot.map, snapshot.clone());
-    }
-
-    fn finish(self) -> Table1 {
-        let snapshots: Vec<TopologySnapshot> = self.latest.into_values().collect();
-        table1(&snapshots)
     }
 }
 

@@ -4,10 +4,9 @@
 //! available at the five-minute resolution; Fig. 3 reports the
 //! distribution of the time distance between consecutive data files.
 
-use wm_model::{time::SNAPSHOT_INTERVAL, Duration, Timestamp, TopologySnapshot};
+use wm_model::{time::SNAPSHOT_INTERVAL, Duration, Timestamp};
 
 use crate::stats::Distribution;
-use crate::suite::AnalysisPass;
 
 /// A contiguous stretch of collected data (one Fig. 2 bar segment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,41 +115,31 @@ pub struct TimeframeReport {
     pub gaps: GapDistribution,
 }
 
-/// Streaming fold producing a [`TimeframeReport`] — the [`AnalysisPass`]
-/// form of [`coverage_segments`] + [`GapDistribution`].
+/// The suite's streaming accumulator for a [`TimeframeReport`]: the
+/// fold form of [`coverage_segments`] + [`GapDistribution`].
 #[derive(Debug, Clone)]
-pub struct TimeframePass {
+pub(crate) struct TimeframePass {
     max_gap: Duration,
     times: Vec<Timestamp>,
 }
 
 impl TimeframePass {
-    /// Creates a pass breaking segments on gaps larger than `max_gap`.
-    #[must_use]
-    pub fn new(max_gap: Duration) -> TimeframePass {
+    /// Creates an accumulator breaking segments on gaps larger than
+    /// `max_gap`.
+    pub(crate) fn new(max_gap: Duration) -> TimeframePass {
         TimeframePass {
             max_gap,
             times: Vec::new(),
         }
     }
-}
 
-impl TimeframePass {
-    /// Records one snapshot instant — the column-driven feeder the
-    /// store-backed suite uses (the snapshot-driven pass delegates here).
+    /// Records one snapshot instant.
     pub(crate) fn observe_instant(&mut self, at: Timestamp) {
         self.times.push(at);
     }
-}
 
-impl AnalysisPass for TimeframePass {
-    type Output = TimeframeReport;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        self.observe_instant(snapshot.timestamp);
-    }
-
-    fn finish(self) -> TimeframeReport {
+    /// Produces the Fig. 2 / Fig. 3 artifact.
+    pub(crate) fn finish(self) -> TimeframeReport {
         TimeframeReport {
             segments: coverage_segments(&self.times, self.max_gap),
             gaps: GapDistribution::new(&self.times),

@@ -8,8 +8,6 @@
 
 use wm_model::{Timestamp, TopologySnapshot};
 
-use crate::suite::AnalysisPass;
-
 /// A dated total-capacity record for a peering LAN, as PeeringDB
 /// publishes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,43 +176,6 @@ pub struct UpgradeOutcome {
     pub observations: Vec<GroupObservation>,
     /// The detected milestones.
     pub report: UpgradeReport,
-}
-
-/// Streaming fold producing an [`UpgradeOutcome`] — the [`AnalysisPass`]
-/// form of [`observe_group`] + [`detect_upgrade`].
-#[derive(Debug, Clone)]
-pub struct UpgradePass {
-    target: UpgradeTarget,
-    observations: Vec<GroupObservation>,
-}
-
-impl UpgradePass {
-    /// Creates a pass monitoring `target`.
-    #[must_use]
-    pub fn new(target: UpgradeTarget) -> UpgradePass {
-        UpgradePass {
-            target,
-            observations: Vec::new(),
-        }
-    }
-}
-
-impl AnalysisPass for UpgradePass {
-    type Output = UpgradeOutcome;
-
-    fn observe(&mut self, snapshot: &TopologySnapshot) {
-        if let Some(observation) = observe_group(snapshot, &self.target.from, &self.target.to) {
-            self.observations.push(observation);
-        }
-    }
-
-    fn finish(self) -> UpgradeOutcome {
-        let report = detect_upgrade(&self.observations, &self.target.records);
-        UpgradeOutcome {
-            observations: self.observations,
-            report,
-        }
-    }
 }
 
 #[cfg(test)]

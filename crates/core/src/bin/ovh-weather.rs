@@ -553,11 +553,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         maps_analyzed += 1;
         let load_elapsed = load_started.elapsed();
         let analyze_started = std::time::Instant::now();
-        let config = SuiteConfig {
-            range,
-            ..SuiteConfig::default()
-        };
-        let (report, kernel_stats) = AnalysisSuite::run_store(config, &columnar);
+        let (report, kernel_stats) = AnalysisSuite::run_store(SuiteConfig::default(), &columnar);
         let analyze_elapsed = analyze_started.elapsed();
         println!("=== {} ===", map.display_name());
         print!("{}", report.render());

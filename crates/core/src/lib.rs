@@ -41,10 +41,8 @@
 #![warn(missing_docs)]
 
 mod pipeline;
-mod summary;
 
 pub use pipeline::{Pipeline, PipelineReport, WindowResult};
-pub use summary::{summarize, CorpusSummary};
 
 pub use wm_analysis as analysis;
 pub use wm_dataset as dataset;
@@ -58,16 +56,16 @@ pub use wm_yaml as yaml;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use crate::{summarize, CorpusSummary, Pipeline, PipelineReport, WindowResult};
+    pub use crate::{Pipeline, PipelineReport, WindowResult};
     pub use wm_analysis::{
         coverage_segments, detect_changes, detect_upgrade, evolution_series, group_imbalances,
-        observe_group, table1, AnalysisPass, AnalysisSuite, CapacityRecord, DegreeAnalysis,
-        Distribution, GapDistribution, HourlyLoads, ImbalanceCdf, LoadCdf, SuiteConfig,
-        SuiteReport, WhiskerSummary,
+        observe_group, table1, AnalysisSuite, CapacityRecord, DegreeAnalysis, Distribution,
+        GapDistribution, HourlyLoads, ImbalanceCdf, LoadCdf, SuiteConfig, SuiteReport,
+        WhiskerSummary,
     };
     pub use wm_dataset::{
         build_longitudinal, build_longitudinal_windowed, build_longitudinal_windowed_with,
-        load_snapshots, query_windowed, reindex_segments, CacheError, CacheMode, CorpusFingerprint,
+        query_windowed, reindex_segments, CacheError, CacheMode, CorpusFingerprint,
         CorpusLoadStats, CorpusStats, DatasetStore, FileKind, LinkDef, LinkId, LongitudinalStore,
         NodeId, QueryEngine, QueryPlan, RowView, SegmentManifest, SegmentMeta, SegmentPolicy,
         TopologyEvent,

@@ -45,7 +45,7 @@ mod store;
 pub use codec::{
     decode_store, encode_store, CacheError, CorpusFingerprint, FingerprintEntry, CACHE_MAGIC,
 };
-pub use loader::{build_longitudinal, load_snapshots, CacheMode, CorpusLoadStats};
+pub use loader::{build_longitudinal, CacheMode, CorpusLoadStats};
 pub use longitudinal::{
     extract_longitudinal, ColumnarBuilder, LinkDef, LinkId, LinkSample, LongitudinalStore, NodeId,
     TopologyEvent,

@@ -84,19 +84,6 @@ impl CacheMode {
     }
 }
 
-/// Loads every YAML snapshot of `map`, sorted by `(timestamp, file
-/// order)` — the legacy materialised form, now behind the shared
-/// parallel loader.
-pub fn load_snapshots(
-    store: &DatasetStore,
-    map: MapKind,
-    threads: usize,
-) -> io::Result<(Vec<TopologySnapshot>, CorpusLoadStats)> {
-    let entries = store.entries_of(map, FileKind::Yaml)?;
-    let (snapshots, stats, _) = load_sorted(store, map, &entries, threads, false)?;
-    Ok((snapshots, stats))
-}
-
 /// Loads every YAML snapshot of `map` straight into a
 /// [`LongitudinalStore`] in one streaming pass — no intermediate
 /// `Vec<TopologySnapshot>`.
@@ -145,16 +132,15 @@ pub(crate) fn relative_path_string(map: MapKind, timestamp: Timestamp) -> String
 }
 
 /// Materialises `entries` as snapshots sorted by `(timestamp, entry
-/// order)`, like the legacy loader, optionally hashing file contents.
+/// order)`, with the content hash of every entry, in entry order.
 pub(crate) fn load_sorted(
     store: &DatasetStore,
     map: MapKind,
     entries: &[DatasetEntry],
     threads: usize,
-    hash: bool,
 ) -> io::Result<(Vec<TopologySnapshot>, CorpusLoadStats, Vec<u64>)> {
     let (sinks, stats, hashes) =
-        load_fold_entries::<Vec<(usize, TopologySnapshot)>>(store, map, entries, threads, hash)?;
+        load_fold_entries::<Vec<(usize, TopologySnapshot)>>(store, map, entries, threads, true)?;
     let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
     results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
     Ok((
@@ -341,13 +327,13 @@ mod tests {
             .write(MapKind::Europe, FileKind::Yaml, bad_t, b"not: [yaml")
             .unwrap();
 
-        let (serial, serial_stats) = load_snapshots(&store, MapKind::Europe, 1).unwrap();
-        assert_eq!(serial, written);
+        let (serial, serial_stats) = build_longitudinal(&store, MapKind::Europe, 1).unwrap();
+        assert_eq!(serial.snapshots().collect::<Vec<_>>(), written);
         assert_eq!(serial_stats.files, 14);
         assert_eq!(serial_stats.parsed, 13);
         assert_eq!(serial_stats.failed, 1);
         for threads in [2, 8] {
-            let (parallel, stats) = load_snapshots(&store, MapKind::Europe, threads).unwrap();
+            let (parallel, stats) = build_longitudinal(&store, MapKind::Europe, threads).unwrap();
             assert_eq!(parallel, serial, "{threads} threads");
             assert_eq!(stats, serial_stats, "{threads} threads");
         }
@@ -355,27 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn longitudinal_build_is_thread_invariant() {
-        let store = temp_store("columnar");
-        let written = write_corpus(&store, 11);
-        let (baseline, stats) = build_longitudinal(&store, MapKind::Europe, 1).unwrap();
-        assert_eq!(baseline.len(), written.len());
-        assert_eq!(stats.parsed, written.len());
-        for (i, snap) in written.iter().enumerate() {
-            assert_eq!(&baseline.snapshot(i), snap);
-        }
-        for threads in [2, 8] {
-            let (store2, stats2) = build_longitudinal(&store, MapKind::Europe, threads).unwrap();
-            assert_eq!(store2, baseline, "{threads} threads");
-            assert_eq!(stats2, stats, "{threads} threads");
-        }
-        std::fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
     fn empty_map_loads_empty() {
         let store = temp_store("empty");
-        let (snaps, stats) = load_snapshots(&store, MapKind::World, 4).unwrap();
+        let (snaps, stats) = build_longitudinal(&store, MapKind::World, 4).unwrap();
         assert!(snaps.is_empty());
         assert_eq!(stats, CorpusLoadStats::default());
         std::fs::remove_dir_all(store.root()).unwrap();

@@ -531,8 +531,7 @@ fn ensure_segments(
             })
             .cloned()
             .collect();
-        let (snapshots, fresh_stats, hashes) =
-            loader::load_sorted(store, map, &fresh, threads, true)?;
+        let (snapshots, fresh_stats, hashes) = loader::load_sorted(store, map, &fresh, threads)?;
         cache.snapshots_appended += fresh_stats.parsed as u64;
         let mut fresh_snaps: BTreeMap<i64, TopologySnapshot> = snapshots
             .into_iter()
@@ -671,7 +670,7 @@ fn load_segment_snapshots(
     // Repair: parse exactly this chunk, re-encode, write back. The
     // encoding is deterministic, so the repaired file is byte-identical
     // to the one originally written and the manifest needs no update.
-    let (snapshots, chunk_stats, hashes) = loader::load_sorted(store, map, chunk, threads, true)?;
+    let (snapshots, chunk_stats, hashes) = loader::load_sorted(store, map, chunk, threads)?;
     cache.segments_rebuilt += 1;
     cache.snapshots_appended += chunk_stats.parsed as u64;
     let meta = SegmentMeta {

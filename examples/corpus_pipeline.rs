@@ -57,25 +57,23 @@ fn main() {
 
     // Read-only consumers reopen the corpus with the strict constructor
     // (a typo'd path fails loudly instead of creating an empty tree) and
-    // load through the shared parallel loader.
+    // stream through the shared parallel loader straight into the
+    // columnar longitudinal store — no intermediate snapshot vector.
     let reader = DatasetStore::open_existing(&out_dir).expect("corpus exists");
-    let (snapshots, load_stats) =
-        load_snapshots(&reader, MapKind::Europe, 4).expect("load Europe corpus");
+    let (columnar, load_stats) =
+        build_longitudinal(&reader, MapKind::Europe, 4).expect("load Europe corpus");
     println!(
         "re-loaded Europe: {} files, {} parsed, {} failed",
         load_stats.files, load_stats.parsed, load_stats.failed
     );
-    let sample = snapshots.first().expect("some yaml stored");
+    assert!(!columnar.is_empty(), "some yaml stored");
+    let sample = columnar.snapshot(0);
     println!(
         "first snapshot {}: {} routers, {} links",
         sample.timestamp,
         sample.router_count(),
         sample.links.len()
     );
-
-    // The same files can stream straight into the columnar longitudinal
-    // store — no intermediate snapshot vector.
-    let (columnar, _) = build_longitudinal(&reader, MapKind::Europe, 4).expect("columnar build");
     println!(
         "columnar store: {} snapshots, {} nodes, {} link identities, {} topology events, ~{:.1} MiB",
         columnar.len(),
@@ -84,5 +82,4 @@ fn main() {
         columnar.events().len(),
         columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
     );
-    assert_eq!(columnar.snapshot(0), snapshots[0]);
 }

@@ -24,12 +24,12 @@ fn main() {
     // One suite scan produces every artifact below (series, change
     // events, degree CCDF, site growth) instead of one pass per figure.
     let min_step = (4.0 * scale).ceil() as usize;
-    let report = AnalysisSuite::run(
+    let (report, _) = AnalysisSuite::run_store(
         SuiteConfig {
             min_link_delta: min_step,
             ..SuiteConfig::default()
         },
-        &result.snapshots,
+        &LongitudinalStore::from_snapshots(&result.snapshots),
     );
 
     // --- Fig. 4a/4b: infrastructure series --------------------------------

@@ -1,13 +1,15 @@
-//! Single-pass suite equivalence: running all nine §5 analyses in one
-//! corpus scan over the columnar longitudinal store must produce exactly
-//! what the legacy pattern produced — one corpus load per analysis — and
-//! must not depend on the loader's thread count.
+//! Store-driven suite equivalence: running all nine §5 analyses in one
+//! scan of the columnar longitudinal store must produce exactly what
+//! the per-figure slice functions — the multi-pass reference, one pass
+//! per artifact — produce over the same YAML corpus, parsed file by file
+//! without the loader, and must depend neither on the loader's thread
+//! count nor on whether the store was loaded whole or windowed.
 
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
 use wm_analysis::{
-    coverage_segments, disabled_fraction, evolution_series, maintenance_windows, site_growth,
-    GapDistribution,
+    coverage_segments, detect_changes, disabled_fraction, evolution_series, maintenance_windows,
+    site_growth, EvolutionReport, GapDistribution, MaintenanceReport, TimeframeReport,
 };
 
 /// Materialises a two-map YAML corpus with injected faults: every third
@@ -69,44 +71,101 @@ fn corpus(tag: &str) -> (DatasetStore, Vec<MapKind>) {
     (store, maps)
 }
 
+/// The naive YAML reference: every file of `map` read and parsed on
+/// its own, in path order, unparsable files skipped.
+fn parse_each_file(store: &DatasetStore, map: MapKind) -> Vec<TopologySnapshot> {
+    store
+        .entries_of(map, FileKind::Yaml)
+        .expect("list yaml")
+        .iter()
+        .filter_map(|entry| {
+            let bytes = store
+                .read(map, FileKind::Yaml, entry.timestamp)
+                .expect("read yaml");
+            from_yaml_str(std::str::from_utf8(&bytes).ok()?).ok()
+        })
+        .collect()
+}
+
+/// The multi-pass reference report: every artifact computed by its own
+/// slice function over `snapshots`, Fig. 4c and Table 1 from the last.
+fn reference_report(snapshots: &[TopologySnapshot], config: &SuiteConfig) -> SuiteReport {
+    let times: Vec<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
+    let series = evolution_series(snapshots);
+    let mut hourly = HourlyLoads::new();
+    let mut load_cdf = LoadCdf::new();
+    let mut imbalance = ImbalanceCdf::new();
+    for s in snapshots {
+        hourly.add_snapshot(s);
+        load_cdf.add_snapshot(s);
+        imbalance.add_snapshot(s);
+    }
+    let last = snapshots.last();
+    SuiteReport {
+        snapshots: snapshots.len(),
+        timeframe: TimeframeReport {
+            segments: coverage_segments(&times, config.max_gap),
+            gaps: GapDistribution::new(&times),
+        },
+        evolution: EvolutionReport {
+            router_events: detect_changes(&series, |p| p.routers, config.min_router_delta),
+            internal_link_events: detect_changes(
+                &series,
+                |p| p.internal_links,
+                config.min_link_delta,
+            ),
+            series,
+        },
+        degree: last.map(DegreeAnalysis::of),
+        hourly,
+        load_cdf,
+        imbalance,
+        table1: table1(last.map(std::slice::from_ref).unwrap_or_default()),
+        sites: site_growth(snapshots),
+        maintenance: MaintenanceReport {
+            windows: maintenance_windows(snapshots),
+            observations: snapshots.iter().map(|s| s.links.len()).sum(),
+            disabled: snapshots
+                .iter()
+                .flat_map(|s| &s.links)
+                .filter(|l| l.is_disabled())
+                .count(),
+        },
+        upgrade: None,
+    }
+}
+
 #[test]
 fn single_pass_suite_equals_legacy_multi_pass() {
     let (store, maps) = corpus("legacy");
     let config = SuiteConfig::default();
+    let mut merged = Vec::new();
+    let mut per_map_last = Vec::new();
 
     for &map in &maps {
-        // Single pass: one streaming load into the columnar store, one
-        // suite scan over its reconstructed snapshots.
+        let snapshots = parse_each_file(&store, map);
         let (columnar, _) = build_longitudinal(&store, map, 4).expect("columnar build");
-        let report = AnalysisSuite::run(config.clone(), columnar.snapshots());
+        let (report, stats) = AnalysisSuite::run_store(config.clone(), &columnar);
+        assert_eq!(report.snapshots, snapshots.len());
+        assert_eq!(stats.snapshots_scanned, columnar.len() as u64);
+        assert_eq!(stats.rows_scanned, columnar.observations() as u64);
 
-        // Legacy pattern: every analysis pays its own corpus load.
-        let times: Vec<Timestamp> = load_snapshots(&store, map, 4)
-            .expect("load")
-            .0
-            .iter()
-            .map(|s| s.timestamp)
-            .collect();
+        let times: Vec<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
         assert_eq!(
             report.timeframe.segments,
             coverage_segments(&times, config.max_gap)
         );
         assert_eq!(report.timeframe.gaps, GapDistribution::new(&times));
-
-        let snapshots = load_snapshots(&store, map, 4).expect("load").0;
-        assert_eq!(report.snapshots, snapshots.len());
         assert_eq!(report.evolution.series, evolution_series(&snapshots));
 
-        let snapshots2 = load_snapshots(&store, map, 4).expect("load").0;
-        let last = snapshots2.last().expect("non-empty");
+        let last = snapshots.last().expect("non-empty");
         assert_eq!(report.degree, Some(DegreeAnalysis::of(last)));
         assert_eq!(report.table1, table1(std::slice::from_ref(last)));
 
-        let snapshots3 = load_snapshots(&store, map, 4).expect("load").0;
         let mut hourly = HourlyLoads::new();
         let mut cdf = LoadCdf::new();
         let mut imbalance = ImbalanceCdf::new();
-        for s in &snapshots3 {
+        for s in &snapshots {
             hourly.add_snapshot(s);
             cdf.add_snapshot(s);
             imbalance.add_snapshot(s);
@@ -115,27 +174,22 @@ fn single_pass_suite_equals_legacy_multi_pass() {
         assert_eq!(report.load_cdf, cdf);
         assert_eq!(report.imbalance, imbalance);
 
-        let snapshots4 = load_snapshots(&store, map, 4).expect("load").0;
-        assert_eq!(report.sites, site_growth(&snapshots4));
-        assert_eq!(report.maintenance.windows, maintenance_windows(&snapshots4));
+        assert_eq!(report.sites, site_growth(&snapshots));
+        assert_eq!(report.maintenance.windows, maintenance_windows(&snapshots));
         assert!(
-            (report.maintenance.disabled_fraction() - disabled_fraction(&snapshots4)).abs() < 1e-12
+            (report.maintenance.disabled_fraction() - disabled_fraction(&snapshots)).abs() < 1e-12
         );
         assert_eq!(report.upgrade, None);
-    }
 
-    // A merged multi-map stream assembles Table 1 from the last snapshot
-    // seen per map, exactly like handing the legacy function one
-    // same-date snapshot per map.
-    let mut merged = Vec::new();
-    let mut per_map_last = Vec::new();
-    for &map in &maps {
-        let snapshots = load_snapshots(&store, map, 4).expect("load").0;
-        per_map_last.push(snapshots.last().expect("non-empty").clone());
+        per_map_last.push(last.clone());
         merged.extend(snapshots);
     }
+
+    // A merged multi-map store assembles Table 1 from the last snapshot
+    // of each map, exactly like handing `table1` one snapshot per map.
     merged.sort_by_key(|s| (s.timestamp, s.map));
-    let merged_report = AnalysisSuite::run(SuiteConfig::default(), &merged);
+    let merged_store = LongitudinalStore::from_snapshots(&merged);
+    let (merged_report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &merged_store);
     assert_eq!(merged_report.table1, table1(&per_map_last));
     assert_eq!(merged_report.table1.rows.len(), maps.len());
 
@@ -148,46 +202,55 @@ fn store_driven_suite_is_byte_identical_to_legacy() {
     let config = SuiteConfig::default();
 
     for &map in &maps {
-        let (baseline_store, _) = build_longitudinal(&store, map, 1).expect("serial build");
-        let legacy = AnalysisSuite::run(config.clone(), baseline_store.snapshots());
-        let legacy_debug = format!("{legacy:?}");
-        let legacy_render = legacy.render();
+        let snapshots = parse_each_file(&store, map);
+        let reference = reference_report(&snapshots, &config);
+        let reference_debug = format!("{reference:?}");
+        let reference_render = reference.render();
 
-        // A mid-series cut exercises the range-aware path against the
-        // legacy suite's own range filter.
-        let mid = baseline_store.timestamps()[baseline_store.len() / 2];
-        let ranged_config = SuiteConfig {
-            range: Some(TimeRange::new(mid, TimeRange::ALL.end)),
-            ..SuiteConfig::default()
-        };
-        let legacy_ranged = AnalysisSuite::run(ranged_config.clone(), baseline_store.snapshots());
+        // A mid-series window: the windowed load alone restricts what
+        // the suite scans, against the reference over the same files.
+        let mid = snapshots[snapshots.len() / 2].timestamp;
+        let window = TimeRange::new(mid, TimeRange::ALL.end);
+        let windowed_snapshots: Vec<TopologySnapshot> = snapshots
+            .iter()
+            .filter(|s| window.contains(s.timestamp))
+            .cloned()
+            .collect();
+        let windowed_reference = reference_report(&windowed_snapshots, &config);
 
         for threads in [1usize, 2, 8] {
             let (columnar, _) = build_longitudinal(&store, map, threads).expect("build");
 
-            // The column-driven suite must be byte-identical to the
-            // reconstruction-driven one: same report, same debug form,
-            // same rendered text.
+            // Byte-identical, not merely structurally equal: same report,
+            // same debug form, same rendered text.
             let (report, stats) = AnalysisSuite::run_store(config.clone(), &columnar);
-            assert_eq!(report, legacy, "{map}, {threads} threads: report");
+            assert_eq!(report, reference, "{map}, {threads} threads: report");
             assert_eq!(
                 format!("{report:?}"),
-                legacy_debug,
+                reference_debug,
                 "{map}, {threads} threads: debug form"
             );
             assert_eq!(
                 report.render(),
-                legacy_render,
+                reference_render,
                 "{map}, {threads} threads: rendered text"
             );
             assert_eq!(stats.snapshots_scanned, columnar.len() as u64);
             assert_eq!(stats.rows_scanned, columnar.observations() as u64);
 
-            let (ranged, ranged_stats) = AnalysisSuite::run_store(ranged_config.clone(), &columnar);
-            assert_eq!(ranged, legacy_ranged, "{map}, {threads} threads: ranged");
+            let (windowed, _) =
+                build_longitudinal_windowed(&store, map, window, threads, CacheMode::Off)
+                    .expect("windowed build");
+            let (windowed_report, windowed_stats) =
+                AnalysisSuite::run_store(config.clone(), &windowed);
+            assert_eq!(
+                windowed_report, windowed_reference,
+                "{map}, {threads} threads: windowed report"
+            );
+            assert_eq!(windowed_report.render(), windowed_reference.render());
             assert!(
-                ranged_stats.snapshots_scanned < stats.snapshots_scanned,
-                "{map}: the range restriction must shrink the scan"
+                windowed_stats.snapshots_scanned < stats.snapshots_scanned,
+                "{map}: the window must shrink the scan"
             );
         }
     }
@@ -202,8 +265,8 @@ fn suite_is_thread_invariant() {
     for &map in &maps {
         let (baseline_store, baseline_stats) =
             build_longitudinal(&store, map, 1).expect("serial build");
-        let baseline_report =
-            AnalysisSuite::run(SuiteConfig::default(), baseline_store.snapshots());
+        let (baseline_report, _) =
+            AnalysisSuite::run_store(SuiteConfig::default(), &baseline_store);
         let baseline_debug = format!("{baseline_report:?}");
         let baseline_render = baseline_report.render();
 
@@ -211,7 +274,7 @@ fn suite_is_thread_invariant() {
             let (columnar, stats) = build_longitudinal(&store, map, threads).expect("build");
             assert_eq!(columnar, baseline_store, "{map}, {threads} threads: store");
             assert_eq!(stats, baseline_stats, "{map}, {threads} threads: stats");
-            let report = AnalysisSuite::run(SuiteConfig::default(), columnar.snapshots());
+            let (report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &columnar);
             assert_eq!(report, baseline_report, "{map}, {threads} threads: report");
             // Byte-identical, not merely structurally equal: the rendered
             // text and the full debug form must match the serial run.

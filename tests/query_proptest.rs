@@ -1,12 +1,18 @@
-//! Property tests for the vectorized query engine: every kernel must
+//! Property tests for the vectorized query engine and the §5 suite:
+//! every kernel, and every artifact of `AnalysisSuite::run_store`, must
 //! agree exactly — field for field — with a naive reference computed
-//! from per-snapshot reconstructions, on arbitrary fault-injected
-//! histories (absent links, disabled samples, reversed listings, empty
-//! and partial ranges, `k` larger than the link count), at more than
-//! one thread count.
+//! from the snapshots themselves, on arbitrary fault-injected two-map
+//! histories (absent links, disabled samples, reversed listings,
+//! parallel groups, several sites, a mid-history router addition, empty
+//! and partial ranges, `k` larger than the link count), the kernels at
+//! more than one thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use ovh_weather::analysis::{
+    site_counts, EvolutionReport, LinkKey, MaintenanceReport, MaintenanceWindow, SiteGrowth,
+    TimeframeReport, UpgradeOutcome, UpgradeTarget,
+};
 use ovh_weather::prelude::*;
 use proptest::prelude::*;
 
@@ -62,14 +68,22 @@ fn candidates(routers: &[String], peerings: &[String], parallels: usize) -> Vec<
     out
 }
 
-/// A fault-injected history: every 7th (link, snapshot) cell is a hole
-/// (the link is absent from the map), every 5th directed sample reads
-/// `0 %` (disabled), and every 3rd present link is listed in reversed
+fn router_names(count: usize) -> Vec<String> {
+    (0..count)
+        .map(|i| format!("{}-r{i}", SITES[i % SITES.len()]))
+        .collect()
+}
+
+/// A fault-injected history of two maps, in store order. Europe is
+/// drawn every 30 minutes, and its last router only joins halfway
+/// through. World is drawn 10 minutes after every other Europe slot,
+/// over the first two routers and one peering, so Table 1 has two rows
+/// sharing router names. Every 7th (link, snapshot) cell is a hole (the
+/// link is absent from the map), every 5th directed sample reads `0 %`
+/// (disabled), and every 3rd present link is listed in reversed
 /// orientation.
 fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec<TopologySnapshot> {
-    let routers: Vec<String> = (0..routers)
-        .map(|i| format!("{}-r{i}", SITES[i % SITES.len()]))
-        .collect();
+    let routers = router_names(routers);
     let peerings = vec!["ARELION".to_owned(), "GOOGLE".to_owned()];
     let cands = candidates(&routers, &peerings, parallels);
     let node = |name: &str| {
@@ -79,42 +93,52 @@ fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec
             Node::router(name)
         }
     };
-    (0..snapshots)
-        .map(|t| {
-            let ts = base() + Duration::from_minutes(30 * t as i64);
-            let mut s = TopologySnapshot::new(MapKind::Europe, ts);
-            for r in &routers {
-                s.nodes.push(Node::router(r.clone()));
+    let draw = |map: MapKind, ts: Timestamp, nodes: &[String]| {
+        let mut s = TopologySnapshot::new(map, ts);
+        s.nodes.extend(nodes.iter().map(|name| node(name)));
+        let present = |name: &String| nodes.contains(name);
+        for (li, c) in cands.iter().enumerate() {
+            let m = mix(seed, ts.unix() as u64, li as u64);
+            if m.is_multiple_of(7) || !present(&c.a) || !present(&c.b) {
+                continue;
             }
-            for p in &peerings {
-                s.nodes.push(Node::peering(p.clone()));
+            let la = if m.is_multiple_of(5) {
+                0
+            } else {
+                ((m >> 8) % 101) as u8
+            };
+            let lb = if (m >> 16).is_multiple_of(5) {
+                0
+            } else {
+                ((m >> 24) % 101) as u8
+            };
+            let end_a = LinkEnd::new(node(&c.a), c.label.clone(), Load::new(la).unwrap());
+            let end_b = LinkEnd::new(node(&c.b), c.label.clone(), Load::new(lb).unwrap());
+            if m.is_multiple_of(3) {
+                s.links.push(Link::new(end_b, end_a));
+            } else {
+                s.links.push(Link::new(end_a, end_b));
             }
-            for (li, c) in cands.iter().enumerate() {
-                let m = mix(seed, t as u64, li as u64);
-                if m.is_multiple_of(7) {
-                    continue;
-                }
-                let la = if m.is_multiple_of(5) {
-                    0
-                } else {
-                    ((m >> 8) % 101) as u8
-                };
-                let lb = if (m >> 16).is_multiple_of(5) {
-                    0
-                } else {
-                    ((m >> 24) % 101) as u8
-                };
-                let end_a = LinkEnd::new(node(&c.a), c.label.clone(), Load::new(la).unwrap());
-                let end_b = LinkEnd::new(node(&c.b), c.label.clone(), Load::new(lb).unwrap());
-                if m.is_multiple_of(3) {
-                    s.links.push(Link::new(end_b, end_a));
-                } else {
-                    s.links.push(Link::new(end_a, end_b));
-                }
-            }
-            s
-        })
-        .collect()
+        }
+        s
+    };
+    let mut all = Vec::new();
+    for t in 0..snapshots {
+        let ts = base() + Duration::from_minutes(30 * t as i64);
+        let joined = if 2 * t < snapshots {
+            routers.len() - 1
+        } else {
+            routers.len()
+        };
+        let europe: Vec<String> = routers[..joined].iter().chain(&peerings).cloned().collect();
+        all.push(draw(MapKind::Europe, ts, &europe));
+        if t % 2 == 1 {
+            let world: Vec<String> = routers[..2].iter().chain(&peerings[..1]).cloned().collect();
+            let at = ts + Duration::from_minutes(10);
+            all.push(draw(MapKind::World, at, &world));
+        }
+    }
+    all
 }
 
 /// Mirrors the store's canonical link orientation: ends ordered by
@@ -399,6 +423,139 @@ fn reference(all: &[TopologySnapshot], query: &Query) -> QueryOutput {
     }
 }
 
+/// The unordered-pair maintenance identity of a link: ends ordered by
+/// name, labels following their end, ties keeping the listed order.
+fn link_key(link: &Link) -> LinkKey {
+    let (a, b) = if link.b.node.name < link.a.node.name {
+        (&link.b, &link.a)
+    } else {
+        (&link.a, &link.b)
+    };
+    LinkKey {
+        a: a.node.name.to_string(),
+        b: b.node.name.to_string(),
+        label_a: a.label.clone(),
+        label_b: b.label.clone(),
+    }
+}
+
+/// Per-site growth: each site's counts where it is first and last seen,
+/// fastest link growth first, ties by name.
+fn naive_sites(all: &[TopologySnapshot]) -> Vec<SiteGrowth> {
+    let mut sites: BTreeMap<String, SiteGrowth> = BTreeMap::new();
+    for s in all {
+        for (site, counts) in site_counts(s) {
+            let growth = sites.entry(site.clone()).or_insert(SiteGrowth {
+                site,
+                first: counts,
+                last: counts,
+                first_seen: s.timestamp,
+                last_seen: s.timestamp,
+            });
+            growth.last = counts;
+            growth.last_seen = s.timestamp;
+        }
+    }
+    let mut out: Vec<SiteGrowth> = sites.into_values().collect();
+    out.sort_by(|x, y| {
+        y.link_growth()
+            .cmp(&x.link_growth())
+            .then(x.site.cmp(&y.site))
+    });
+    out
+}
+
+/// Maintenance windows as per-link runs of disabled observations; runs
+/// still open at the end are reported too.
+fn naive_maintenance(all: &[TopologySnapshot]) -> MaintenanceReport {
+    let mut open: BTreeMap<LinkKey, MaintenanceWindow> = BTreeMap::new();
+    let mut windows = Vec::new();
+    let (mut observations, mut disabled) = (0, 0);
+    for s in all {
+        for link in &s.links {
+            observations += 1;
+            let key = link_key(link);
+            if link.is_disabled() {
+                disabled += 1;
+                let run = open.entry(key.clone()).or_insert(MaintenanceWindow {
+                    link: key,
+                    start: s.timestamp,
+                    end: s.timestamp,
+                    snapshots: 0,
+                });
+                run.end = s.timestamp;
+                run.snapshots += 1;
+            } else if let Some(run) = open.remove(&key) {
+                windows.push(run);
+            }
+        }
+    }
+    windows.extend(open.into_values());
+    windows.sort_by(|x, y| (x.start, &x.link).cmp(&(y.start, &y.link)));
+    MaintenanceReport {
+        windows,
+        observations,
+        disabled,
+    }
+}
+
+/// The naive suite reference: the per-figure slice functions applied to
+/// the snapshots, plus the two folds above for the artifacts whose
+/// library functions share the suite's own accumulators.
+fn naive_suite(all: &[TopologySnapshot], config: &SuiteConfig) -> SuiteReport {
+    let times: Vec<Timestamp> = all.iter().map(|s| s.timestamp).collect();
+    let series = evolution_series(all);
+    let mut hourly = HourlyLoads::new();
+    let mut load_cdf = LoadCdf::new();
+    let mut imbalance = ImbalanceCdf::new();
+    for s in all {
+        hourly.add_snapshot(s);
+        load_cdf.add_snapshot(s);
+        imbalance.add_snapshot(s);
+    }
+    let mut finals: Vec<TopologySnapshot> = Vec::new();
+    for s in all.iter().rev() {
+        if finals.iter().all(|f| f.map != s.map) {
+            finals.push(s.clone());
+        }
+    }
+    let upgrade = config.upgrade.as_ref().map(|target| {
+        let observations: Vec<_> = all
+            .iter()
+            .filter_map(|s| observe_group(s, &target.from, &target.to))
+            .collect();
+        let report = detect_upgrade(&observations, &target.records);
+        UpgradeOutcome {
+            observations,
+            report,
+        }
+    });
+    SuiteReport {
+        snapshots: all.len(),
+        timeframe: TimeframeReport {
+            segments: coverage_segments(&times, config.max_gap),
+            gaps: GapDistribution::new(&times),
+        },
+        evolution: EvolutionReport {
+            router_events: detect_changes(&series, |p| p.routers, config.min_router_delta),
+            internal_link_events: detect_changes(
+                &series,
+                |p| p.internal_links,
+                config.min_link_delta,
+            ),
+            series,
+        },
+        degree: all.last().map(DegreeAnalysis::of),
+        hourly,
+        load_cdf,
+        imbalance,
+        table1: table1(&finals),
+        sites: naive_sites(all),
+        maintenance: naive_maintenance(all),
+        upgrade,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -455,5 +612,59 @@ proptest! {
                 "seed {} snapshots {} threads {}: {:?}", seed, snapshots, threads, query
             );
         }
+    }
+
+    /// Any suite configuration over any fault-injected two-map history,
+    /// with or without a Fig. 6 target (a parallel internal group, or an
+    /// external link, from either end): `run_store` over the columnar
+    /// store must equal the naive reference over the snapshots.
+    #[test]
+    fn suite_matches_the_naive_reference(
+        seed in 0u64..1_000,
+        snapshots in 0usize..12,
+        routers in 2usize..6,
+        parallels in 1usize..4,
+        max_gap_minutes in 5i64..45,
+        min_router_delta in 1usize..3,
+        min_link_delta in 1usize..6,
+        target_idx in 0usize..4,
+        record_slot in 0i64..12,
+        capacity in 1u32..800,
+    ) {
+        let all = history(seed, snapshots, routers, parallels);
+        let names = router_names(routers);
+        let upgrade = match target_idx {
+            1 => Some((names[0].clone(), names[1].clone())),
+            2 => Some((names[1].clone(), names[0].clone())),
+            3 => Some((names[0].clone(), "ARELION".to_owned())),
+            _ => None,
+        }
+        .map(|(from, to)| UpgradeTarget {
+            from,
+            to,
+            records: vec![
+                CapacityRecord {
+                    at: base() - Duration::from_days(30),
+                    total_capacity_gbps: 100,
+                },
+                CapacityRecord {
+                    at: base() + Duration::from_minutes(30 * record_slot),
+                    total_capacity_gbps: capacity,
+                },
+            ],
+        });
+        let config = SuiteConfig {
+            max_gap: Duration::from_minutes(max_gap_minutes),
+            min_router_delta,
+            min_link_delta,
+            upgrade,
+        };
+
+        let store = LongitudinalStore::from_snapshots(&all);
+        let (report, stats) = AnalysisSuite::run_store(config.clone(), &store);
+        prop_assert_eq!(&report, &naive_suite(&all, &config), "seed {} snapshots {}", seed, snapshots);
+        let links: usize = all.iter().map(|s| s.links.len()).sum();
+        prop_assert_eq!(stats.snapshots_scanned, all.len() as u64);
+        prop_assert_eq!(stats.rows_scanned, links as u64);
     }
 }

@@ -187,18 +187,17 @@ fn windowed_load_equals_restricted_fresh_build() {
                 );
                 assert_eq!(stats.cache.segments_rebuilt, 0, "{map}/{what}: no damage");
 
-                // The reports agree, and the suite's own range filter
-                // over the *full* store agrees with both.
-                let report = AnalysisSuite::run(SuiteConfig::default(), loaded.snapshots());
-                let reference_report =
-                    AnalysisSuite::run(SuiteConfig::default(), reference.snapshots());
-                assert_eq!(report, reference_report, "{map}/{what}: report");
-                let config = SuiteConfig {
-                    range: Some(range),
-                    ..SuiteConfig::default()
-                };
-                let filtered_report = AnalysisSuite::run(config, full.snapshots());
-                assert_eq!(report, filtered_report, "{map}/{what}: suite range filter");
+                // The reports agree with the suite over the full
+                // store's snapshots restricted to the window.
+                let (report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &loaded);
+                let restricted: Vec<TopologySnapshot> = full
+                    .snapshots()
+                    .filter(|s| range.contains(s.timestamp))
+                    .collect();
+                let restricted = LongitudinalStore::from_snapshots(&restricted);
+                let (restricted_report, _) =
+                    AnalysisSuite::run_store(SuiteConfig::default(), &restricted);
+                assert_eq!(report, restricted_report, "{map}/{what}: report");
             }
         }
 
