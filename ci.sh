@@ -11,7 +11,6 @@ cargo test -q --test segment_robustness
 cargo test -q --test segment_equivalence
 cargo test -q --test query_proptest
 cargo test -q --test query_equivalence
-cargo bench --no-run --workspace
 # The end-to-end benchmark is a separate Cargo workspace that
 # `--workspace` never compiles; build and test it so a change to the
 # public API cannot break it silently.

@@ -74,8 +74,6 @@ pub struct Pipeline {
     extract_config: ExtractConfig,
     /// Worker threads for batch extraction.
     pub threads: usize,
-    /// How batch work is distributed over the workers.
-    pub scheduling: Scheduling,
 }
 
 impl Pipeline {
@@ -86,7 +84,6 @@ impl Pipeline {
             simulation: Simulation::new(config),
             extract_config: ExtractConfig::default(),
             threads: std::thread::available_parallelism().map_or(4, usize::from),
-            scheduling: Scheduling::default(),
         }
     }
 
@@ -119,7 +116,7 @@ impl Pipeline {
             map,
             &self.extract_config,
             self.threads,
-            self.scheduling,
+            Scheduling::WorkStealing,
         );
         WindowResult {
             snapshots,
@@ -163,7 +160,7 @@ impl Pipeline {
             map,
             &self.extract_config,
             self.threads,
-            self.scheduling,
+            Scheduling::WorkStealing,
         );
         WindowResult {
             snapshots,
@@ -195,7 +192,7 @@ impl Pipeline {
             map,
             &self.extract_config,
             self.threads,
-            self.scheduling,
+            Scheduling::WorkStealing,
         );
         for snapshot in &snapshots {
             let emit_started = Instant::now();

@@ -28,14 +28,12 @@
 //! [`ColumnarBuilder`]s (a [`SnapshotSink`]) and merging them at join.
 //! The merge sorts the symbol tables and orders rows by `(timestamp,
 //! input index)`, so the result is byte-identical for any worker count
-//! and either scheduling policy — the same contract as the extraction
-//! batch runner.
+//! — the same contract as the extraction batch runner.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use wm_extract::{
-    extract_batch_sink, BatchInput, BatchMetrics, BatchStats, ExtractConfig, Scheduling,
-    SnapshotSink,
+    extract_batch_sink, BatchInput, BatchMetrics, BatchStats, ExtractConfig, SnapshotSink,
 };
 use wm_model::{
     Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, Timestamp,
@@ -697,18 +695,16 @@ impl LongitudinalStore {
 /// `Vec<TopologySnapshot>`.
 ///
 /// Determinism: inherits the batch runner's contract, so the store (and
-/// the stats' counters) are byte-identical for any `threads` value and
-/// either scheduling policy.
+/// the stats' counters) are byte-identical for any `threads` value.
 #[must_use]
 pub fn extract_longitudinal(
     inputs: &[BatchInput],
     map: MapKind,
     config: &ExtractConfig,
     threads: usize,
-    scheduling: Scheduling,
 ) -> (LongitudinalStore, BatchStats, BatchMetrics) {
     let (builders, stats, metrics) =
-        extract_batch_sink::<ColumnarBuilder>(inputs, map, config, threads, scheduling);
+        extract_batch_sink::<ColumnarBuilder>(inputs, map, config, threads);
     (ColumnarBuilder::finish(builders), stats, metrics)
 }
 

@@ -114,13 +114,13 @@ impl DatasetStore {
 
     /// Enumerates the entries of one map and kind, sorted by timestamp.
     pub fn entries_of(&self, map: MapKind, kind: FileKind) -> io::Result<Vec<DatasetEntry>> {
-        let mut entries: Vec<DatasetEntry> = self
+        // `entries` sorts by `(map, kind, timestamp)`; the filter keeps
+        // that order.
+        Ok(self
             .entries()?
             .into_iter()
             .filter(|e| e.map == map && e.kind == kind)
-            .collect();
-        entries.sort_by_key(|e| e.timestamp);
-        Ok(entries)
+            .collect())
     }
 
     /// Directory holding one map's segment files and manifest.
@@ -146,13 +146,7 @@ impl DatasetStore {
 
     /// Writes one segment file atomically (temporary sibling + rename).
     pub fn write_segment_file(&self, map: MapKind, name: &str, bytes: &[u8]) -> io::Result<()> {
-        let path = self.segment_path(map, name);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_file_name(format!("{name}.tmp"));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)
+        publish(&self.segment_path(map, name), bytes)
     }
 
     /// Reads one segment file; `Ok(None)` when it does not exist.
@@ -175,13 +169,7 @@ impl DatasetStore {
 
     /// Writes one map's segment manifest atomically.
     pub fn write_manifest_bytes(&self, map: MapKind, bytes: &[u8]) -> io::Result<()> {
-        let path = self.manifest_path(map);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_file_name("manifest.tmp");
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)
+        publish(&self.manifest_path(map), bytes)
     }
 
     /// Reads one map's segment manifest; `Ok(None)` when absent.
@@ -251,6 +239,19 @@ impl DatasetStore {
         }
         Ok(())
     }
+}
+
+/// Publishes `bytes` at `path` atomically: the bytes go to a temporary
+/// sibling (`<name>.tmp`) that is then renamed over the target, so a
+/// reader sees the old file or the new one, never a partial write.
+fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

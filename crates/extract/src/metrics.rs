@@ -432,8 +432,8 @@ impl BatchMetrics {
     /// The timing-free projection of these metrics.
     ///
     /// Two runs over the same corpus must produce equal totals no
-    /// matter the worker count or scheduling policy; this is what the
-    /// scheduling-equivalence tests compare.
+    /// matter the worker count or how files interleave across workers;
+    /// this is what the scheduling-equivalence tests compare.
     #[must_use]
     pub fn totals(&self) -> MetricsTotals {
         MetricsTotals {

@@ -4,8 +4,8 @@
 //! pure, results carry their input index so output order never depends
 //! on worker interleaving, and all aggregates (statistics, metrics) are
 //! order-independent sums kept in per-worker locals and merged at join.
-//! Consequently a run with any worker count and either scheduling
-//! policy is byte-for-byte identical to the serial run.
+//! Consequently a run with any worker count is byte-for-byte identical
+//! to the serial run.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -160,13 +160,13 @@ impl BatchStats {
 }
 
 /// How batch work is distributed over workers.
+///
+/// Work-stealing is the only policy. The enum and the matching
+/// parameter of [`extract_batch_with`] remain only because the
+/// end-to-end benchmark (`perfbench/`) passes `Scheduling::WorkStealing`
+/// explicitly; a change to that benchmark can drop both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scheduling {
-    /// Pre-split the input into one contiguous chunk per worker.
-    ///
-    /// Simple, but a worker that drew a chunk of slow files (large
-    /// maps, hostile rejects) finishes last while the others idle.
-    StaticChunk,
     /// Workers pull the next un-claimed file from a shared atomic
     /// cursor, so fast workers absorb the tail of a skewed corpus.
     #[default]
@@ -181,7 +181,7 @@ pub enum Scheduling {
 /// `accept` receives the input index alongside the snapshot: folding the
 /// index into the sink's state is what lets a downstream merge
 /// reconstruct input order (and thus stay byte-identical across thread
-/// counts and scheduling policies).
+/// counts).
 pub trait SnapshotSink: Send + Default {
     /// Folds the successfully extracted snapshot of input `index` into
     /// this worker's state. Called once per processed file, in the order
@@ -250,18 +250,17 @@ pub fn extract_batch(
     (snapshots, stats)
 }
 
-/// [`extract_batch`] with an explicit scheduling policy and full
-/// [`BatchMetrics`] returned alongside the stats.
+/// [`extract_batch`] with full [`BatchMetrics`] returned alongside the
+/// stats. `Scheduling` has a single variant (see its docs).
 pub fn extract_batch_with(
     inputs: &[BatchInput],
     map: MapKind,
     config: &ExtractConfig,
     threads: usize,
-    scheduling: Scheduling,
+    _scheduling: Scheduling,
 ) -> (Vec<TopologySnapshot>, BatchStats, BatchMetrics) {
-    let (sinks, stats, metrics) = extract_batch_sink::<Vec<(usize, TopologySnapshot)>>(
-        inputs, map, config, threads, scheduling,
-    );
+    let (sinks, stats, metrics) =
+        extract_batch_sink::<Vec<(usize, TopologySnapshot)>>(inputs, map, config, threads);
     let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
     results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
     let snapshots = results.into_iter().map(|(_, snapshot)| snapshot).collect();
@@ -276,15 +275,14 @@ pub fn extract_batch_with(
 /// `Vec<TopologySnapshot>`: a sink can intern, column-encode or discard
 /// each snapshot as it arrives. Determinism contract: per-file work is
 /// pure and each input index reaches exactly one sink exactly once, so a
-/// sink merge keyed on indices is byte-identical for any thread count
-/// and either scheduling policy. Statistics and metrics are merged here
-/// (they are order-independent sums).
+/// sink merge keyed on indices is byte-identical for any thread count.
+/// Statistics and metrics are merged here (they are order-independent
+/// sums).
 pub fn extract_batch_sink<S: SnapshotSink>(
     inputs: &[BatchInput],
     map: MapKind,
     config: &ExtractConfig,
     threads: usize,
-    scheduling: Scheduling,
 ) -> (Vec<S>, BatchStats, BatchMetrics) {
     let threads = threads.max(1).min(inputs.len().max(1));
     let started = Instant::now();
@@ -297,34 +295,29 @@ pub fn extract_batch_sink<S: SnapshotSink>(
         }
         vec![out]
     } else {
-        match scheduling {
-            Scheduling::WorkStealing => {
-                let cursor = AtomicUsize::new(0);
-                run_workers(threads, |_| {
-                    let mut out = WorkerOutput::default();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(input) = inputs.get(index) else {
-                            break;
-                        };
-                        out.process(index, input, map, config);
-                    }
-                    out
-                })
+        // Work-stealing: each worker claims the next file from a shared
+        // cursor, so fast workers absorb the tail of a skewed corpus.
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut out = WorkerOutput::default();
+            loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(input) = inputs.get(index) else {
+                    break;
+                };
+                out.process(index, input, map, config);
             }
-            Scheduling::StaticChunk => {
-                let chunk_size = inputs.len().div_ceil(threads).max(1);
-                run_workers(threads, |worker| {
-                    let mut out = WorkerOutput::default();
-                    let start = worker * chunk_size;
-                    let end = (start + chunk_size).min(inputs.len());
-                    for (index, input) in inputs.iter().enumerate().take(end).skip(start) {
-                        out.process(index, input, map, config);
-                    }
-                    out
-                })
-            }
-        }
+            out
+        };
+        // Outputs are collected in worker order, so the merge below never
+        // depends on finish order.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("batch worker panicked"))
+                .collect()
+        })
     };
 
     let mut sinks = Vec::with_capacity(outputs.len());
@@ -339,25 +332,6 @@ pub fn extract_batch_sink<S: SnapshotSink>(
     }
     metrics.set_wall_time(started.elapsed());
     (sinks, stats, metrics)
-}
-
-/// Runs `threads` scoped workers and collects their outputs in worker
-/// order (merge order therefore never depends on finish order).
-fn run_workers<S, F>(threads: usize, work: F) -> Vec<WorkerOutput<S>>
-where
-    S: SnapshotSink,
-    F: Fn(usize) -> WorkerOutput<S> + Sync,
-{
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -466,6 +440,8 @@ mod tests {
         assert_eq!(serial_stats.processed, inputs.len() - serial_stats.failed);
     }
 
+    /// The serial fast path and work-stealing agree exactly, and the
+    /// metrics cover every input.
     #[test]
     fn both_schedulings_match_and_meter_the_whole_corpus() {
         let sim = sim();
@@ -497,8 +473,8 @@ mod tests {
             &inputs,
             MapKind::NorthAmerica,
             &config,
-            4,
-            Scheduling::StaticChunk,
+            1,
+            Scheduling::WorkStealing,
         );
         assert_eq!(a, b);
         assert_eq!(a_stats, b_stats);

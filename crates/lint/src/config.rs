@@ -14,8 +14,9 @@ pub struct Config {
     /// Path prefixes whose files feed emitted bytes, reports, or the
     /// binary codec: the determinism rule applies here.
     pub det_paths: Vec<String>,
-    /// Path prefixes where wall-clock reads are legitimate (metrics
-    /// capture, benches, the criterion shim, CLI timing).
+    /// Path prefixes where wall-clock reads are legitimate in library
+    /// code (metrics capture, pipeline timing). Binaries, benches and
+    /// tests are exempt by class.
     pub wall_clock_allow: Vec<String>,
     /// Crate directories that must stay import-pure shims.
     pub shim_crates: Vec<String>,
@@ -56,16 +57,13 @@ impl Config {
                 "crates/analysis/src/",
                 "crates/simulator/src/",
                 "crates/extract/src/metrics.rs",
-                "crates/core/src/summary.rs",
             ]),
             wall_clock_allow: owned(&[
                 "crates/extract/src/metrics.rs",
                 "crates/extract/src/pipeline.rs",
                 "crates/core/src/pipeline.rs",
-                "crates/bench/",
-                "crates/criterion/",
             ]),
-            shim_crates: owned(&["crates/rand/", "crates/proptest/", "crates/criterion/"]),
+            shim_crates: owned(&["crates/rand/", "crates/proptest/"]),
             kernel_paths: owned(&[
                 "crates/dataset/src/query.rs",
                 "crates/dataset/src/longitudinal.rs",

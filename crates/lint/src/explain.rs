@@ -95,7 +95,7 @@ pub const EXPLANATIONS: [Explanation; 11] = [
     },
     Explanation {
         rule: "shim-purity",
-        summary: "the rand/proptest/criterion shims import nothing from the workspace",
+        summary: "the rand/proptest shims import nothing from the workspace",
         why: "The shims replace crates.io dependencies; if they reach into workspace crates \
               they stop being drop-in API surfaces and create dependency cycles.",
         bad: "use wm_model::Snapshot; // inside crates/rand/",

@@ -9,8 +9,8 @@
 //! those guarantees, so a stray `HashMap` iteration in an emit path or
 //! a fresh `unwrap()` in a parser fails CI before any corpus runs.
 //!
-//! Three layers, in the same in-repo-tooling spirit as the rand /
-//! proptest / criterion shims (std-only, dependency-free):
+//! Three layers, in the same in-repo-tooling spirit as the rand and
+//! proptest shims (std-only, dependency-free):
 //!
 //! 1. [`lexer`] + [`context`] + [`syntax`]: a lightweight Rust lexer
 //!    (raw strings, nested comments, lifetimes vs chars) with

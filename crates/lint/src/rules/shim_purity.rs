@@ -1,12 +1,12 @@
 //! `shim-purity`: the dependency shims must not import workspace
 //! crates.
 //!
-//! `crates/rand`, `crates/proptest`, and `crates/criterion` stand in
-//! for crates.io packages (PR 1); they keep the upstream names so
-//! source files need no import changes. The moment a shim reaches back
-//! into a `wm-*` crate, the dependency graph inverts and the shims can
-//! no longer be swapped for the real packages — so any `wm_*` or
-//! `ovh_weather` identifier inside a shim is a finding.
+//! `crates/rand` and `crates/proptest` stand in for crates.io
+//! packages; they keep the upstream names so source files need no
+//! import changes. The moment a shim reaches back into a `wm-*` crate,
+//! the dependency graph inverts and the shims can no longer be swapped
+//! for the real packages — so any `wm_*` or `ovh_weather` identifier
+//! inside a shim is a finding.
 
 use crate::config::Config;
 use crate::findings::Finding;

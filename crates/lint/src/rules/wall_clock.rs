@@ -3,9 +3,9 @@
 //!
 //! Wall-clock reads in an extraction or analysis path make output
 //! depend on when it ran — the exact failure the equivalence suites
-//! exist to prevent. Timing belongs in the metrics layer, the criterion
-//! shim, benches, and CLI front-ends; those paths are allowlisted in
-//! [`Config::wall_clock_allow`] and binaries/benches/tests are exempt
+//! exist to prevent. Timing belongs in the metrics layer and the CLI
+//! front-ends: library timing paths are allowlisted in
+//! [`Config::wall_clock_allow`], and binaries/benches/tests are exempt
 //! by class.
 
 use crate::config::Config;

@@ -73,3 +73,34 @@ fn workspace_scan_matches_committed_baseline() {
         cmp.stale
     );
 }
+
+/// Every path the workspace configuration names exists, so a deleted or
+/// renamed file cannot linger in a rule's scope (or allowlist) unseen.
+#[test]
+fn configured_paths_exist() {
+    let root = workspace_root();
+    let cfg = Config::workspace(root.clone());
+    let mut named = vec![
+        ("error_enum", &cfg.error_enum),
+        ("fault_matrix", &cfg.fault_matrix),
+    ];
+    for (name, paths) in [
+        ("det_paths", &cfg.det_paths),
+        ("wall_clock_allow", &cfg.wall_clock_allow),
+        ("shim_crates", &cfg.shim_crates),
+        ("kernel_paths", &cfg.kernel_paths),
+        ("arith_paths", &cfg.arith_paths),
+    ] {
+        named.extend(paths.iter().map(|path| (name, path)));
+    }
+    let missing: Vec<String> = named
+        .into_iter()
+        .filter(|(_, path)| !root.join(path).exists())
+        .map(|(name, path)| format!("{name}: {path}"))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "Config::workspace names paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}

@@ -1,9 +1,9 @@
 //! Scheduling equivalence: batch extraction must be a pure function of
-//! its inputs — worker count and scheduling policy may change wall
+//! its inputs — worker count and the broad-phase choice may change wall
 //! time, never results. This drives a skewed corpus (clean snapshots
-//! interleaved with ≥20% injected faults) through 1, 2 and 8 workers
-//! under both policies and demands identical snapshots, statistics and
-//! timing-free metrics totals, down to the emitted YAML bytes.
+//! interleaved with ≥20% injected faults) through 1, 2 and 8
+//! work-stealing workers and demands identical snapshots, statistics
+//! and timing-free metrics totals, down to the emitted YAML bytes.
 
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
@@ -67,20 +67,23 @@ fn thread_count_and_policy_never_change_results() {
     let base_yaml: Vec<String> = base_snapshots.iter().map(to_yaml_string).collect();
 
     for threads in [2usize, 8] {
-        for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunk] {
-            let (snapshots, stats, metrics) =
-                extract_batch_with(&inputs, MapKind::Europe, &config, threads, scheduling);
-            let label = format!("{threads} threads, {scheduling:?}");
-            assert_eq!(snapshots, base_snapshots, "{label}: snapshots differ");
-            assert_eq!(stats, base_stats, "{label}: stats differ");
-            assert_eq!(
-                metrics.totals(),
-                base_metrics.totals(),
-                "{label}: metrics totals differ"
-            );
-            let yaml: Vec<String> = snapshots.iter().map(to_yaml_string).collect();
-            assert_eq!(yaml, base_yaml, "{label}: emitted YAML differs from serial");
-        }
+        let (snapshots, stats, metrics) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            &config,
+            threads,
+            Scheduling::WorkStealing,
+        );
+        let label = format!("{threads} threads");
+        assert_eq!(snapshots, base_snapshots, "{label}: snapshots differ");
+        assert_eq!(stats, base_stats, "{label}: stats differ");
+        assert_eq!(
+            metrics.totals(),
+            base_metrics.totals(),
+            "{label}: metrics totals differ"
+        );
+        let yaml: Vec<String> = snapshots.iter().map(to_yaml_string).collect();
+        assert_eq!(yaml, base_yaml, "{label}: emitted YAML differs from serial");
     }
 }
 
@@ -119,46 +122,58 @@ fn metrics_totals_mirror_batch_stats() {
 
 #[test]
 fn spatial_index_never_changes_results() {
-    // The grid broad phase is a pure candidate filter: over a corpus with
-    // clean and corrupted files alike, disabling it must reproduce the
-    // exact same snapshots, statistics and YAML bytes.
-    let inputs = skewed_corpus();
+    // The grid broad phase is a pure candidate filter: disabling it must
+    // reproduce the exact same snapshots, statistics and YAML bytes. The
+    // skewed corpus covers clean and corrupted files alike; one
+    // full-scale snapshot of every map covers each map's real geometry.
+    let t = Timestamp::from_ymd_hms(2022, 9, 12, 12, 0, 0);
+    let sim = Simulation::new(SimulationConfig::scaled(42, 1.0));
+    let mut cases = vec![(MapKind::Europe, skewed_corpus())];
+    for map in [
+        MapKind::Europe,
+        MapKind::World,
+        MapKind::NorthAmerica,
+        MapKind::AsiaPacific,
+    ] {
+        let svg = sim.snapshot(map, t).svg;
+        cases.push((map, vec![BatchInput { timestamp: t, svg }]));
+    }
+
     let grid_config = ExtractConfig::default();
     assert!(grid_config.use_spatial_index, "grid is the default");
     let brute_config = ExtractConfig {
         use_spatial_index: false,
         ..ExtractConfig::default()
     };
+    for (map, inputs) in &cases {
+        let label = format!("{map}, {} files", inputs.len());
+        let (grid, grid_stats, grid_metrics) =
+            extract_batch_with(inputs, *map, &grid_config, 4, Scheduling::WorkStealing);
+        let (brute, brute_stats, brute_metrics) =
+            extract_batch_with(inputs, *map, &brute_config, 4, Scheduling::WorkStealing);
 
-    let (grid, grid_stats, grid_metrics) = extract_batch_with(
-        &inputs,
-        MapKind::Europe,
-        &grid_config,
-        4,
-        Scheduling::WorkStealing,
-    );
-    let (brute, brute_stats, brute_metrics) = extract_batch_with(
-        &inputs,
-        MapKind::Europe,
-        &brute_config,
-        4,
-        Scheduling::WorkStealing,
-    );
+        assert!(grid_stats.processed > 0, "{label}: nothing extracted");
+        assert_eq!(grid, brute, "{label}: snapshots must be identical");
+        assert_eq!(grid_stats, brute_stats, "{label}: stats must be identical");
+        let grid_yaml: Vec<String> = grid.iter().map(to_yaml_string).collect();
+        let brute_yaml: Vec<String> = brute.iter().map(to_yaml_string).collect();
+        assert_eq!(
+            grid_yaml, brute_yaml,
+            "{label}: emitted YAML must be byte-identical"
+        );
 
-    assert_eq!(grid, brute, "snapshots must be identical");
-    assert_eq!(grid_stats, brute_stats, "stats must be identical");
-    let grid_yaml: Vec<String> = grid.iter().map(to_yaml_string).collect();
-    let brute_yaml: Vec<String> = brute.iter().map(to_yaml_string).collect();
-    assert_eq!(grid_yaml, brute_yaml, "emitted YAML must be byte-identical");
-
-    // The work counters tell the two paths apart: same lines and
-    // baseline, but the grid exact-tests only a fraction of the boxes.
-    let g = grid_metrics.totals().broad_phase;
-    let b = brute_metrics.totals().broad_phase;
-    assert_eq!(g.lines, b.lines);
-    assert_eq!(g.rects_baseline, b.rects_baseline);
-    assert_eq!(b.rects_tested, b.rects_baseline);
-    assert!(g.rects_tested < b.rects_tested, "grid must cull candidates");
-    assert!(g.grid_builds > 0);
-    assert_eq!(b.grid_builds, 0);
+        // The work counters tell the two paths apart: same lines and
+        // baseline, but the grid exact-tests only a fraction of the boxes.
+        let g = grid_metrics.totals().broad_phase;
+        let b = brute_metrics.totals().broad_phase;
+        assert_eq!(g.lines, b.lines, "{label}");
+        assert_eq!(g.rects_baseline, b.rects_baseline, "{label}");
+        assert_eq!(b.rects_tested, b.rects_baseline, "{label}");
+        assert!(
+            g.rects_tested < b.rects_tested,
+            "{label}: grid must cull candidates"
+        );
+        assert!(g.grid_builds > 0, "{label}");
+        assert_eq!(b.grid_builds, 0, "{label}");
+    }
 }
