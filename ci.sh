@@ -4,13 +4,10 @@ set -eux
 
 cargo build --release --workspace
 cargo build --release --examples
-cargo test -q
-cargo test -q --test scheduling_equivalence
-cargo test -q --test analysis_equivalence
-cargo test -q --test segment_robustness
-cargo test -q --test segment_equivalence
-cargo test -q --test query_proptest
-cargo test -q --test query_equivalence
+# `cargo test` at the root runs only the root package's tests; the
+# crates' own property tests and unit-test modules need --workspace,
+# which also runs every root test.
+cargo test -q --workspace
 # The end-to-end benchmark is a separate Cargo workspace that
 # `--workspace` never compiles; build and test it so a change to the
 # public API cannot break it silently.

@@ -18,16 +18,30 @@
 //!
 //! # Broad phase
 //!
-//! The candidate collection of Lines 3–4 is the hot loop of the whole
+//! The candidate search of Lines 3–8 is the hot loop of the whole
 //! pipeline: naively it tests every router and label box against every
 //! link's carrier line, O(links × boxes) exact predicates per snapshot.
 //! When [`ExtractConfig::use_spatial_index`] is set (the default), boxes
-//! are bucketed into a [`GridIndex`] once per snapshot and each line only
-//! exact-tests the boxes in the cells it crosses. The grid is strictly a
-//! superset filter — every candidate is re-checked with the same
-//! [`wm_geometry::Rect::intersects_line`] predicate in the same ascending
-//! index order — so the output is byte-identical to brute force (pinned
-//! by the equivalence property tests).
+//! are bucketed into a [`GridIndex`] once per snapshot and each link end
+//! searches *nearest-first*: it visits the grid in rings of cells around
+//! the end, exact-tests the boxes it meets against the line, and stops
+//! as soon as the closest router and label found lie strictly closer
+//! than every box still unvisited. The carrier line is infinite, but the
+//! answer lies a few pixels from the end, so an end typically touches
+//! a handful of boxes (about four on a full-scale Europe map). An end
+//! that cannot settle within a ring budget (no label on the map, an end
+//! outside the boxes' bounding box, a grid that cannot bound distances)
+//! falls back to walking every cell the line crosses, once per link, and
+//! is counted in [`BroadPhaseStats::line_walks`].
+//!
+//! Both ends of a link share one deduplication and one list of the boxes
+//! found on the line, so every box is exact-tested at most once per
+//! link, as brute force does: end B ranks what end A found by its own
+//! distance and skips those boxes in its own search. All paths re-check
+//! boxes with the same [`wm_geometry::Rect::intersects_line`] predicate
+//! and break distance ties by the lowest index, so the output is
+//! byte-identical to brute force (pinned by the equivalence property
+//! tests).
 
 use wm_geometry::{GridIndex, GridScratch, Line, Point};
 use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp, TopologySnapshot};
@@ -75,8 +89,10 @@ impl Default for ExtractConfig {
 pub struct AttributionScratch {
     grid: GridIndex,
     grid_scratch: GridScratch,
-    candidate_routers: Vec<usize>,
-    candidate_labels: Vec<usize>,
+    /// Ids (routers `[0, R)`, labels `[R, R+B)`) of the boxes found on the
+    /// current link's line so far (Lines 3–4): the one list both ends
+    /// share. Complete once a line walk or brute force has filled it.
+    hits: Vec<usize>,
     labels_available: Vec<bool>,
     router_linked: Vec<bool>,
     /// One interned [`Node`] per router box; link ends clone these
@@ -143,7 +159,7 @@ pub fn algorithm2_with(
     );
 
     // Broad phase: one grid over routers [0, R) and labels [R, R+B),
-    // built per snapshot so a single cell walk serves both queries.
+    // built per snapshot so a single query serves both kinds of box.
     let total_rects = objects.routers.len() + objects.labels.len();
     let use_grid = config.use_spatial_index && total_rects > 0 && !objects.links.is_empty();
     if use_grid {
@@ -161,65 +177,56 @@ pub fn algorithm2_with(
     }
 
     for (link_index, raw) in objects.links.iter().enumerate() {
-        debug_assert_eq!(raw.arrows.len(), 2, "Algorithm 1 guarantees two arrows");
+        let ([arrow_a, arrow_b], &[load_a, load_b]) = (raw.arrows.as_slice(), raw.loads.as_slice())
+        else {
+            return Err(ExtractError::MalformedStructure {
+                detail: format!(
+                    "link {link_index} has {} arrows and {} loads, expected two of each",
+                    raw.arrows.len(),
+                    raw.loads.len()
+                ),
+            });
+        };
         // Line 2: the link's carrier line through the two arrow bases.
-        let basis_a = raw.arrows[0]
+        let basis_a = arrow_a
             .arrow_basis()
             .ok_or(ExtractError::InvalidSvg("arrow without a basis".into()))?;
-        let basis_b = raw.arrows[1]
+        let basis_b = arrow_b
             .arrow_basis()
             .ok_or(ExtractError::InvalidSvg("arrow without a basis".into()))?;
         let line = Line::through(basis_a, basis_b);
 
-        // Lines 3–4: candidates intersecting the line (within tolerance).
-        // Candidate lists stay ascending by index in both paths, so
-        // closest-candidate ties resolve identically to brute force.
+        // Lines 3–4: with the grid, each end searches outward for its
+        // own boxes, skipping those the other end already tested; without
+        // it (or when that search cannot settle), the link's candidates
+        // are completed once and shared by both ends.
         scratch.broad_phase.lines += 1;
         scratch.broad_phase.rects_baseline += total_rects as u64;
-        scratch.candidate_routers.clear();
-        scratch.candidate_labels.clear();
-        if use_grid {
-            scratch
-                .grid
-                .line_candidates(&line, &mut scratch.grid_scratch);
-            scratch.broad_phase.rects_tested += scratch.grid_scratch.out.len() as u64;
-            let routers = objects.routers.len();
-            for &id in &scratch.grid_scratch.out {
-                let id = id as usize;
-                if id < routers {
-                    if objects.routers[id]
-                        .rect
-                        .inflated(tol)
-                        .intersects_line(&line)
-                    {
-                        scratch.candidate_routers.push(id);
-                    }
-                } else {
-                    let i = id - routers;
-                    if scratch.labels_available[i]
-                        && objects.labels[i].rect.inflated(tol).intersects_line(&line)
-                    {
-                        scratch.candidate_labels.push(i);
-                    }
-                }
-            }
-        } else {
-            scratch.broad_phase.rects_tested += total_rects as u64;
-            scratch.candidate_routers.extend(
-                (0..objects.routers.len())
-                    .filter(|&i| objects.routers[i].rect.inflated(tol).intersects_line(&line)),
-            );
-            scratch
-                .candidate_labels
-                .extend((0..objects.labels.len()).filter(|&i| {
-                    scratch.labels_available[i]
-                        && objects.labels[i].rect.inflated(tol).intersects_line(&line)
-                }));
-        }
+        scratch.hits.clear();
+        scratch.grid_scratch.forget();
+        let mut complete = false;
 
         // Lines 5–9: attach each end to its closest router and label.
-        let end_a = attach_end(objects, scratch, config, link_index, basis_a, raw.loads[0])?;
-        let end_b = attach_end(objects, scratch, config, link_index, basis_b, raw.loads[1])?;
+        let closest_a = closest_to_end(
+            objects,
+            scratch,
+            tol,
+            &line,
+            basis_a,
+            use_grid,
+            &mut complete,
+        );
+        let end_a = attach_end(objects, scratch, config, link_index, closest_a, load_a)?;
+        let closest_b = closest_to_end(
+            objects,
+            scratch,
+            tol,
+            &line,
+            basis_b,
+            use_grid,
+            &mut complete,
+        );
+        let end_b = attach_end(objects, scratch, config, link_index, closest_b, load_b)?;
         if end_a.node.name == end_b.node.name {
             return Err(ExtractError::SelfLoop {
                 router: end_a.node.name.to_string(),
@@ -229,16 +236,16 @@ pub fn algorithm2_with(
     }
 
     // Node list: every parsed router/peering box, deduplicated by name.
-    for (i, router) in objects.routers.iter().enumerate() {
+    for (router, node) in objects.routers.iter().zip(&scratch.interned) {
         if snapshot.node(&router.name).is_none() {
-            snapshot.nodes.push(scratch.interned[i].clone());
+            snapshot.nodes.push(node.clone());
         }
     }
 
     // Completion check: each router is attributed at least one link.
     if config.require_all_routers_linked {
-        for (i, router) in objects.routers.iter().enumerate() {
-            if !scratch.router_linked[i] {
+        for (router, &linked) in objects.routers.iter().zip(&scratch.router_linked) {
+            if !linked {
                 return Err(ExtractError::UnlinkedRouter {
                     router: router.name.clone(),
                 });
@@ -249,74 +256,221 @@ pub fn algorithm2_with(
     Ok(snapshot)
 }
 
-/// Builds one link end: closest candidate router plus closest available
-/// label (consuming it), per the paper's Lines 5–9.
+/// The closest candidate router of one link end, and the closest
+/// still-available candidate label: the lexicographic minima of
+/// `(distance to the end, index)`.
+#[derive(Debug, Default)]
+struct Nearest {
+    router: Option<(f64, usize)>,
+    label: Option<(f64, usize)>,
+}
+
+impl Nearest {
+    /// Ranks the box `id` (found on the line) by its distance to `end`.
+    ///
+    /// Label availability is re-checked here: a label consumed by end A
+    /// (Line 9) is no longer available when end B of the same link
+    /// looks for its own label.
+    fn consider(&mut self, objects: &RawObjects, available: &[bool], end: Point, id: usize) {
+        match id.checked_sub(objects.routers.len()) {
+            None => {
+                if let Some(r) = objects.routers.get(id) {
+                    keep_min(&mut self.router, r.rect.distance_to_point(end), id);
+                }
+            }
+            Some(i) => {
+                if let Some(l) = objects.labels.get(i) {
+                    if available.get(i).copied().unwrap_or(false) {
+                        keep_min(&mut self.label, l.rect.distance_to_point(end), i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both minima exist and lie strictly below `bound`.
+    fn settled(&self, bound: f64) -> bool {
+        let below = |best: Option<(f64, usize)>| best.is_some_and(|(d, _)| d < bound);
+        below(self.router) && below(self.label)
+    }
+}
+
+/// Replaces `best` when `(distance, index)` is lexicographically smaller.
+///
+/// Over boxes in ascending index order this keeps the first of equal
+/// minima, as `min_by` does; in any other order it keeps the same box.
+fn keep_min(best: &mut Option<(f64, usize)>, distance: f64, index: usize) {
+    let smaller = best.is_none_or(|(d, i)| distance.total_cmp(&d).then(index.cmp(&i)).is_lt());
+    if smaller {
+        *best = Some((distance, index));
+    }
+}
+
+/// Whether box `id` (router or label) is a candidate of Lines 3–4: its
+/// inflated box intersects `line` and, for a label, it is still
+/// available.
+fn on_line(objects: &RawObjects, available: &[bool], tol: f64, line: &Line, id: usize) -> bool {
+    match id.checked_sub(objects.routers.len()) {
+        None => objects
+            .routers
+            .get(id)
+            .is_some_and(|r| r.rect.inflated(tol).intersects_line(line)),
+        Some(i) => {
+            available.get(i).copied().unwrap_or(false)
+                && objects
+                    .labels
+                    .get(i)
+                    .is_some_and(|l| l.rect.inflated(tol).intersects_line(line))
+        }
+    }
+}
+
+/// Finds the [`Nearest`] boxes of one link end.
+///
+/// With the grid, the nearest-first search answers for this end alone.
+/// Otherwise, or when that search cannot settle, the link's candidates
+/// are completed — by a line walk or by brute force, at most once per
+/// link (`complete`) — and the answer is ranked from them.
+fn closest_to_end(
+    objects: &RawObjects,
+    scratch: &mut AttributionScratch,
+    tol: f64,
+    line: &Line,
+    end: Point,
+    use_grid: bool,
+    complete: &mut bool,
+) -> Nearest {
+    if use_grid && !*complete {
+        if let Some(nearest) = nearest_first(objects, scratch, tol, line, end) {
+            return nearest;
+        }
+    }
+    let AttributionScratch {
+        grid,
+        grid_scratch,
+        hits,
+        labels_available,
+        broad_phase,
+        ..
+    } = scratch;
+    if !*complete {
+        if use_grid {
+            // Only the boxes the ring searches have not tested yet.
+            grid.line_unseen(line, grid_scratch);
+            broad_phase.rects_tested += grid_scratch.out.len() as u64;
+            hits.extend(
+                grid_scratch
+                    .out
+                    .iter()
+                    .map(|&id| id as usize)
+                    .filter(|&id| on_line(objects, labels_available, tol, line, id)),
+            );
+        } else {
+            let total = objects.routers.len() + objects.labels.len();
+            broad_phase.rects_tested += total as u64;
+            hits.extend((0..total).filter(|&id| on_line(objects, labels_available, tol, line, id)));
+        }
+        *complete = true;
+    }
+    if use_grid {
+        broad_phase.line_walks += 1;
+    }
+    let mut nearest = Nearest::default();
+    for &id in hits.iter() {
+        nearest.consider(objects, labels_available, end, id);
+    }
+    nearest
+}
+
+/// Nearest-first search for the [`Nearest`] boxes of one link end.
+///
+/// Starts from the boxes the link's other end already found on the line
+/// (`hits`), then visits the grid in rings around `end`, exact-testing
+/// only the boxes no earlier search of this link has tested. It stops
+/// once both minima lie strictly below the ring's bound on every box in
+/// an unvisited cell (inflated, so also un-inflated), or nothing is left
+/// unvisited: a box outside the visited cells either was tested by the
+/// other end — and is in `hits` if it is on the line — or lies beyond the
+/// bound, so it can neither be closer nor tie. Brute force takes the
+/// same lexicographic minimum (see [`keep_min`]), so both choose the
+/// same boxes.
+///
+/// Returns `None` when the search cannot settle within its ring budget
+/// (no box qualifies nearby, or the grid cannot bound distances); the
+/// boxes it found stay in `hits`.
+fn nearest_first(
+    objects: &RawObjects,
+    scratch: &mut AttributionScratch,
+    tol: f64,
+    line: &Line,
+    end: Point,
+) -> Option<Nearest> {
+    let AttributionScratch {
+        grid,
+        grid_scratch,
+        hits,
+        labels_available,
+        broad_phase,
+        ..
+    } = scratch;
+    let mut rings = grid.rings(end, grid_scratch)?;
+    let mut nearest = Nearest::default();
+    for &id in hits.iter() {
+        nearest.consider(objects, labels_available, end, id);
+    }
+    while let Some(bound) = rings.next(grid_scratch) {
+        broad_phase.rects_tested += grid_scratch.out.len() as u64;
+        for &id in &grid_scratch.out {
+            let id = id as usize;
+            if on_line(objects, labels_available, tol, line, id) {
+                hits.push(id);
+                nearest.consider(objects, labels_available, end, id);
+            }
+        }
+        if bound == f64::INFINITY || nearest.settled(bound) {
+            return Some(nearest);
+        }
+    }
+    None
+}
+
+/// Builds one link end from its closest router and label, per the
+/// paper's Lines 5–9, consuming the label.
 fn attach_end(
     objects: &RawObjects,
     scratch: &mut AttributionScratch,
     config: &ExtractConfig,
     link_index: usize,
-    end_pos: Point,
+    nearest: Nearest,
     load: Load,
 ) -> Result<LinkEnd, ExtractError> {
-    let router_idx = closest_router(&scratch.candidate_routers, objects, end_pos)
-        .ok_or(ExtractError::DanglingLink { link_index })?;
-    scratch.router_linked[router_idx] = true;
+    let Some((router_idx, node)) = nearest
+        .router
+        .and_then(|(_, i)| Some((i, scratch.interned.get(i)?.clone())))
+    else {
+        return Err(ExtractError::DanglingLink { link_index });
+    };
+    if let Some(linked) = scratch.router_linked.get_mut(router_idx) {
+        *linked = true;
+    }
 
-    let label = closest_label(
-        &scratch.candidate_labels,
-        &scratch.labels_available,
-        objects,
-        end_pos,
-    );
-    let label_text = match label {
-        Some((label_idx, distance)) => {
+    let label_text = match nearest.label {
+        Some((distance, label_idx)) => {
             if distance > config.label_distance_threshold {
                 return Err(ExtractError::LabelTooFar {
                     link_index,
                     distance,
                 });
             }
-            scratch.labels_available[label_idx] = false; // Line 9.
-            Some(objects.labels[label_idx].text.clone())
+            if let Some(available) = scratch.labels_available.get_mut(label_idx) {
+                *available = false; // Line 9.
+            }
+            objects.labels.get(label_idx).map(|l| l.text.clone())
         }
         None => None,
     };
 
-    Ok(LinkEnd::new(
-        scratch.interned[router_idx].clone(),
-        label_text,
-        load,
-    ))
-}
-
-/// Index of the candidate router whose box is closest to `end`.
-fn closest_router(candidates: &[usize], objects: &RawObjects, end: Point) -> Option<usize> {
-    candidates.iter().copied().min_by(|&a, &b| {
-        objects.routers[a]
-            .rect
-            .distance_to_point(end)
-            .total_cmp(&objects.routers[b].rect.distance_to_point(end))
-    })
-}
-
-/// Index and distance of the closest *still available* candidate label.
-///
-/// Candidates are computed once per link, but availability must be
-/// re-checked here: a label consumed by end A (Line 9) is no longer
-/// available when end B of the same link looks for its own label.
-fn closest_label(
-    candidates: &[usize],
-    available: &[bool],
-    objects: &RawObjects,
-    end: Point,
-) -> Option<(usize, f64)> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|&i| available[i])
-        .map(|i| (i, objects.labels[i].rect.distance_to_point(end)))
-        .min_by(|(_, da), (_, db)| da.total_cmp(db))
+    Ok(LinkEnd::new(node, label_text, load))
 }
 
 #[cfg(test)]
@@ -566,6 +720,30 @@ mod tests {
     }
 
     #[test]
+    fn link_with_fewer_than_two_arrows_is_malformed() {
+        let mut objects = scene();
+        objects.links[0].arrows.truncate(1);
+        let err =
+            algorithm2(&objects, MapKind::Europe, ts(), &ExtractConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, ExtractError::MalformedStructure { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn link_with_fewer_than_two_loads_is_malformed() {
+        let mut objects = scene();
+        objects.links[0].loads.clear();
+        let err =
+            algorithm2(&objects, MapKind::Europe, ts(), &ExtractConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, ExtractError::MalformedStructure { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn empty_objects_give_empty_snapshot() {
         let snapshot = algorithm2(
             &RawObjects::default(),
@@ -581,8 +759,8 @@ mod tests {
     /// are collected once per link (while the pool is still full), but
     /// availability must be re-checked per end. With a single label near
     /// end A, end B's candidate list still contains that label — if the
-    /// re-filter in `closest_label` were dropped, end B would pick the
-    /// consumed label ~190 px away and fail the distance check.
+    /// re-check in `Nearest::consider` were dropped, end B would pick
+    /// the consumed label ~190 px away and fail the distance check.
     #[test]
     fn consumed_label_is_not_reconsidered_by_the_other_end() {
         let mut objects = scene();
@@ -619,6 +797,7 @@ mod tests {
         assert_eq!(stats.grid_builds, 1);
         assert_eq!(stats.rects_baseline, 4); // 2 routers + 2 labels.
         assert!(stats.rects_tested <= stats.rects_baseline);
+        assert_eq!(stats.line_walks, 0, "both ends settle nearest-first");
         assert!(stats.grid_occupied_cells <= stats.grid_cells);
         // Draining resets the counters.
         assert_eq!(scratch.take_stats(), BroadPhaseStats::default());

@@ -184,7 +184,9 @@ impl Histogram {
 /// must be identical across equivalent runs. `rects_baseline` is what a
 /// brute-force scan *would* have tested, so `rects_tested /
 /// rects_baseline` is the surviving fraction after spatial culling (1.0
-/// when the spatial index is disabled).
+/// when the spatial index is disabled). The ratio never exceeds 1: both
+/// ends of a link share one search, which exact-tests each box at most
+/// once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BroadPhaseStats {
     /// Carrier lines queried (one per link).
@@ -199,6 +201,10 @@ pub struct BroadPhaseStats {
     pub grid_cells: u64,
     /// Grid cells holding at least one rectangle, across all builds.
     pub grid_occupied_cells: u64,
+    /// Link ends whose nearest-first search could not settle within its
+    /// ring budget and were answered by walking every grid cell the
+    /// carrier line crosses.
+    pub line_walks: u64,
 }
 
 impl BroadPhaseStats {
@@ -210,6 +216,7 @@ impl BroadPhaseStats {
         self.grid_builds += other.grid_builds;
         self.grid_cells += other.grid_cells;
         self.grid_occupied_cells += other.grid_occupied_cells;
+        self.line_walks += other.line_walks;
     }
 
     /// Fraction of the brute-force work that survived the broad phase
@@ -535,6 +542,12 @@ impl fmt::Display for BatchMetrics {
                     bp.grid_builds,
                     bp.occupancy() * 100.0,
                     bp.grid_cells / bp.grid_builds
+                )?;
+                writeln!(
+                    f,
+                    "               {} of {} link ends fell back to a line walk",
+                    bp.line_walks,
+                    2 * bp.lines
                 )?;
             }
         }

@@ -13,12 +13,22 @@
 //! candidate with the exact [`Rect::intersects_line`] predicate and get
 //! results identical to brute force (pinned by a property test).
 //!
+//! A second query, [`GridIndex::rings`], answers the local question
+//! Algorithm 2 actually asks — which boxes near this link end does the
+//! line cross? — by visiting cells in rings of growing Chebyshev radius
+//! around a point and reporting, after each ring, a lower bound on the
+//! distance to every rect not yet visited. Ring traversals and
+//! [`GridIndex::line_unseen`] share one deduplication until
+//! [`GridScratch::forget`], so several queries about the same line
+//! report each rect at most once between them.
+//!
 //! Both construction ([`GridIndex::rebuild`]) and queries
-//! ([`GridIndex::line_candidates`]) reuse their buffers: after warm-up a
-//! build-query cycle performs no heap allocation, which is what the
-//! extraction pipeline's per-worker scratch relies on.
+//! ([`GridIndex::line_candidates`], [`GridIndex::line_unseen`],
+//! [`GridIndex::rings`]) reuse their buffers: after warm-up a build-query cycle performs no heap
+//! allocation, which is what the extraction pipeline's per-worker
+//! scratch relies on.
 
-use crate::{Line, Rect};
+use crate::{Line, Point, Rect};
 
 /// Hard cap on grid resolution per axis, bounding memory for degenerate
 /// inputs (e.g. thousands of tiny boxes spread over a huge canvas).
@@ -60,19 +70,58 @@ pub struct GridIndex {
     row_cursors: Vec<u32>,
     /// Number of indexed rects.
     len: usize,
+    /// Far corner of the indexed rects' bounding box.
+    max_x: f64,
+    max_y: f64,
+    /// Rounding slack subtracted from every ring bound.
+    ring_slack: f64,
+    /// Whether ring queries may report bounds: every rect is finite and
+    /// a cell is far larger than the rounding of the coordinates.
+    rings_sound: bool,
 }
 
-/// Reusable query state for [`GridIndex::line_candidates`].
+/// Cells at least this fraction of the largest coordinate magnitude
+/// keep the rounding of cell lookups and distances (a few ulps of the
+/// coordinates, so at most 2⁻³⁰ of a cell) far below the ring bound's
+/// slack of 2⁻¹⁰ of a cell.
+const MIN_CELL_PER_MAGNITUDE: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// A nearest-first traversal of a [`GridIndex`] around a point, created
+/// by [`GridIndex::rings`]. Each [`Rings::next`] call visits one more
+/// ring of cells.
+#[derive(Debug, Clone)]
+pub struct Rings<'g> {
+    grid: &'g GridIndex,
+    p: Point,
+    /// Cell of the query point.
+    col: usize,
+    row: usize,
+    /// Radius of the next ring.
+    k: usize,
+    /// Cells visited so far, and the most the traversal may visit
+    /// before it gives up.
+    cells: usize,
+    budget: usize,
+    /// Every cell has been visited.
+    exhausted: bool,
+}
+
+/// Reusable query state for [`GridIndex::line_candidates`],
+/// [`GridIndex::line_unseen`] and [`GridIndex::rings`].
 ///
-/// Candidate deduplication uses generation stamps instead of clearing a
-/// bitmap per query, so a query costs only the cells it visits. One
-/// scratch may serve grids of any size; it grows monotonically and never
-/// shrinks, which is the point: steady-state queries allocate nothing.
+/// The scratch remembers which rects queries have reported since it
+/// last forgot ([`GridScratch::forget`]), and no query reports them
+/// again. Remembering uses generation stamps instead of clearing a
+/// bitmap, so forgetting is O(1) and a query costs only the cells it
+/// visits. One scratch may serve grids of any size; it grows
+/// monotonically and never shrinks, which is the point: steady-state
+/// queries allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct GridScratch {
     stamps: Vec<u32>,
     generation: u32,
-    /// Candidate rect indices of the last query, ascending.
+    /// Rect indices of the last query: ascending after a line walk, in
+    /// visit order after a ring.
     pub out: Vec<u32>,
 }
 
@@ -98,6 +147,7 @@ impl GridIndex {
         self.row_starts.clear();
         self.row_entries.clear();
         self.len = 0;
+        self.rings_sound = false;
 
         // Pass 1: bounding box and mean extents of the inflated rects.
         let mut min_x = f64::INFINITY;
@@ -107,8 +157,13 @@ impl GridIndex {
         let mut sum_w = 0.0;
         let mut sum_h = 0.0;
         let mut len = 0usize;
+        let mut finite = true;
         for rect in rects.clone() {
             let r = rect.inflated(inflate);
+            finite &= r.x.is_finite()
+                && r.y.is_finite()
+                && r.right().is_finite()
+                && r.bottom().is_finite();
             min_x = min_x.min(r.x);
             min_y = min_y.min(r.y);
             max_x = max_x.max(r.right());
@@ -139,6 +194,16 @@ impl GridIndex {
         self.cell_h = height / self.ny as f64;
         self.inv_cell_w = 1.0 / self.cell_w;
         self.inv_cell_h = 1.0 / self.cell_h;
+        self.max_x = max_x;
+        self.max_y = max_y;
+        let cell = self.cell_w.min(self.cell_h);
+        self.ring_slack = cell / 1024.0;
+        let magnitude = min_x
+            .abs()
+            .max(max_x.abs())
+            .max(min_y.abs())
+            .max(max_y.abs());
+        self.rings_sound = finite && cell.is_finite() && cell >= magnitude * MIN_CELL_PER_MAGNITUDE;
 
         // Pass 2: bucket sizes (shifted by one for the prefix sums),
         // counted for both layouts at once.
@@ -238,11 +303,22 @@ impl GridIndex {
     /// span, so floating-point rounding at cell boundaries can never
     /// drop a true intersection.
     pub fn line_candidates(&self, line: &Line, scratch: &mut GridScratch) {
+        scratch.forget();
+        self.line_unseen(line, scratch);
+        scratch.out.sort_unstable();
+    }
+
+    /// Like [`GridIndex::line_candidates`], but collects only the rects
+    /// not reported since `scratch` last forgot, in no particular order.
+    ///
+    /// After a ring traversal that gave up, this completes the line's
+    /// candidates without reporting a rect the traversal already did.
+    pub fn line_unseen(&self, line: &Line, scratch: &mut GridScratch) {
         scratch.out.clear();
         if self.len == 0 {
             return;
         }
-        scratch.begin(self.len);
+        scratch.reserve(self.len);
 
         // Sweep the axis the line is most aligned with: for each column
         // (resp. row), the line's span over the cross axis is the
@@ -297,7 +373,83 @@ impl GridIndex {
                 x0 = x1;
             }
         }
-        scratch.out.sort_unstable();
+    }
+
+    /// Starts a nearest-first traversal around `p`.
+    ///
+    /// Each [`Rings::next`] call writes into `scratch.out` the ids (in
+    /// no particular order) of the rects bucketed in the next ring of
+    /// cells — ring `k` is every cell at Chebyshev distance `k` from the
+    /// cell of `p` — and returns a lower bound on the distance from `p`
+    /// to every rect in a cell not yet visited: `f64::INFINITY` once
+    /// every cell has been visited.
+    ///
+    /// The traversal does not forget: it skips the rects that `scratch`
+    /// reported since it last forgot ([`GridScratch::forget`]), whether
+    /// by this traversal or by earlier queries. A caller that wants
+    /// every rect near `p` calls `forget` first; one that searches the
+    /// same line from two points keeps what the first search found.
+    ///
+    /// Returns `None` for an empty grid, a `p` outside the indexed rects'
+    /// bounding box (or not finite), and grids whose rounding the bound
+    /// cannot absorb (non-finite rects, or cells below 2⁻²⁰ of the
+    /// coordinate magnitude).
+    ///
+    /// # Why the bound holds
+    ///
+    /// Cell lookup maps `x` to column `⌊(x − min_x)/cell_w⌋` (clamped to
+    /// the grid), and a rect is bucketed in every cell of its column ×
+    /// row span. After rings `0..=k` around the cell `(c, r)` of `p`,
+    /// the visited cells form the block of columns `c − k ..= c + k` and
+    /// rows `r − k ..= r + k`, cut to the grid. A rect not yet visited
+    /// has its whole span outside that block on one side. Say its first
+    /// column exceeds `c + k`: then its left edge is at least
+    /// `min_x + (c + k + 1) · cell_w`, the block's right edge, so the
+    /// rect is at least as far from `p` as that edge is. The other three
+    /// sides are symmetric, and a side where the block reaches the
+    /// grid's edge hides no rect. So every unvisited rect is at least as
+    /// far from `p` as the nearest open side of the block. The lookups,
+    /// edges and distances are computed in floating point; with `p`
+    /// inside the bounding box and cells no smaller than 2⁻²⁰ of the
+    /// coordinate magnitude, their rounding stays below 2⁻³⁰ of a cell,
+    /// and the bound reported is that distance less 2⁻¹⁰ of a cell.
+    ///
+    /// The traversal stops (`next` returns `None`) once it has visited
+    /// about as many cells as one [`GridIndex::line_candidates`] walk,
+    /// so a caller that falls back to that walk at most doubles its cost.
+    pub fn rings(&self, p: Point, scratch: &mut GridScratch) -> Option<Rings<'_>> {
+        scratch.out.clear();
+        let inside =
+            (self.min_x..=self.max_x).contains(&p.x) && (self.min_y..=self.max_y).contains(&p.y);
+        if self.len == 0 || !self.rings_sound || !inside {
+            return None;
+        }
+        scratch.reserve(self.len);
+        Some(Rings {
+            grid: self,
+            p,
+            col: self.col_of(p.x),
+            row: self.row_of(p.y),
+            k: 0,
+            cells: 0,
+            // A line walk sweeps the longer axis, reading about three
+            // cells of the other per step.
+            budget: self.nx.max(self.ny) * self.nx.min(self.ny).min(3),
+            exhausted: false,
+        })
+    }
+
+    /// Pushes the entries of the cells `cols` of row `row` — one
+    /// contiguous run of the row-major buckets — deduplicating.
+    fn visit_row(&self, row: usize, cols: (usize, usize), scratch: &mut GridScratch) {
+        let base = row * self.nx;
+        let from = self.row_starts.get(base + cols.0).copied().unwrap_or(0);
+        let to = self
+            .row_starts
+            .get(base + cols.1 + 1)
+            .copied()
+            .unwrap_or(from);
+        Self::visit_span(&self.row_entries, from, to, scratch);
     }
 
     /// Pushes a contiguous run of bucket entries, deduplicating.
@@ -335,6 +487,61 @@ impl GridIndex {
     }
 }
 
+impl Rings<'_> {
+    /// Visits the next ring, writing its new rect ids into
+    /// `scratch.out`, and returns the lower bound on the distance to
+    /// every rect still unvisited (see [`GridIndex::rings`]). Returns
+    /// `None` when every cell has been visited or the cell budget is
+    /// spent.
+    ///
+    /// `scratch` must be the one passed to [`GridIndex::rings`] and not
+    /// used for another query in between.
+    pub fn next(&mut self, scratch: &mut GridScratch) -> Option<f64> {
+        scratch.out.clear();
+        if self.exhausted || self.cells >= self.budget {
+            return None;
+        }
+        let grid = self.grid;
+        let (k, col, row) = (self.k, self.col, self.row);
+        let (last_col, last_row) = (grid.nx - 1, grid.ny - 1);
+        let cols = (col.saturating_sub(k), (col + k).min(last_col));
+        let width = cols.1 - cols.0 + 1;
+        // Top and bottom rows of the ring: one contiguous run each.
+        if let Some(top) = row.checked_sub(k) {
+            grid.visit_row(top, cols, scratch);
+            self.cells += width;
+        }
+        if k > 0 && row + k <= last_row {
+            grid.visit_row(row + k, cols, scratch);
+            self.cells += width;
+        }
+        // The rows in between contribute their two side cells.
+        if k > 0 {
+            let left = col.checked_sub(k);
+            let right = (col + k <= last_col).then_some(col + k);
+            for r in row.saturating_sub(k - 1)..=(row + k - 1).min(last_row) {
+                for c in [left, right].into_iter().flatten() {
+                    grid.visit_row(r, (c, c), scratch);
+                    self.cells += 1;
+                }
+            }
+        }
+        self.k += 1;
+        // Distance from `p` to each side of the visited block that does
+        // not lie on the grid's edge (see `GridIndex::rings`).
+        let open = |is_open: bool, gap: f64| if is_open { gap } else { f64::INFINITY };
+        let edge_x = |c: usize| grid.min_x + c as f64 * grid.cell_w;
+        let edge_y = |r: usize| grid.min_y + r as f64 * grid.cell_h;
+        let p = self.p;
+        let gap = open(col > k, p.x - edge_x(col.saturating_sub(k)))
+            .min(open(col + k < last_col, edge_x(col + k + 1) - p.x))
+            .min(open(row > k, p.y - edge_y(row.saturating_sub(k))))
+            .min(open(row + k < last_row, edge_y(row + k + 1) - p.y));
+        self.exhausted = gap == f64::INFINITY;
+        Some(gap - grid.ring_slack)
+    }
+}
+
 impl GridScratch {
     /// Creates an empty scratch.
     #[must_use]
@@ -342,18 +549,28 @@ impl GridScratch {
         GridScratch::default()
     }
 
-    /// Starts a new query over `len` rects: bumps the generation and
-    /// grows the stamp table if this grid is larger than any before.
-    fn begin(&mut self, len: usize) {
-        if self.stamps.len() < len {
-            self.stamps.resize(len, 0);
-        }
+    /// Forgets which rects earlier queries reported, so the next query
+    /// may report any of them again. O(1): it bumps the generation.
+    pub fn forget(&mut self) {
         // On wrap-around every stale stamp could collide with the new
-        // generation; reset the table (once per ~4 billion queries).
+        // generation; reset the table (once per ~4 billion forgets).
         let (generation, wrapped) = self.generation.overflowing_add(1);
         self.generation = generation;
         if wrapped || generation == 0 {
             self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Grows the stamp table to cover a grid of `len` rects; the new
+    /// entries start unreported.
+    fn reserve(&mut self, len: usize) {
+        if self.stamps.len() < len {
+            self.stamps.resize(len, 0);
+        }
+        // Generation 0 is never current, so zeroed stamps read as
+        // unreported even before the first `forget`.
+        if self.generation == 0 {
             self.generation = 1;
         }
     }

@@ -31,7 +31,7 @@ mod polygon;
 mod rect;
 mod segment;
 
-pub use grid::{GridIndex, GridScratch};
+pub use grid::{GridIndex, GridScratch, Rings};
 pub use line::Line;
 pub use point::{Point, Vec2};
 pub use polygon::Polygon;

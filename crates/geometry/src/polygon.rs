@@ -63,7 +63,7 @@ impl Polygon {
         let first = *self.vertices.first()?;
         let mut min = first;
         let mut max = first;
-        for p in &self.vertices[1..] {
+        for p in self.vertices.iter().skip(1) {
             min.x = min.x.min(p.x);
             min.y = min.y.min(p.y);
             max.x = max.x.max(p.x);
@@ -79,8 +79,10 @@ impl Polygon {
         if n < 2 {
             return Vec::new();
         }
-        (0..n)
-            .map(|i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
+        self.vertices
+            .iter()
+            .zip(self.vertices.iter().cycle().skip(1))
+            .map(|(&p, &q)| Segment::new(p, q))
             .collect()
     }
 
@@ -93,9 +95,11 @@ impl Polygon {
             return 0.0;
         }
         let mut sum = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
+        for (p, q) in self
+            .vertices
+            .iter()
+            .zip(self.vertices.iter().cycle().skip(1))
+        {
             sum += p.x * q.y - q.x * p.y;
         }
         sum / 2.0
@@ -135,35 +139,40 @@ impl Polygon {
         v.normalized()
     }
 
-    /// Splits the vertices into the two extreme groups along the principal
-    /// axis: `(low-end vertices, high-end vertices)`, each being every
-    /// vertex within a small tolerance of its extreme projection.
-    fn axis_extremes(&self) -> Option<(Vec<Point>, Vec<Point>)> {
+    /// Summarises the two extreme groups of vertices along the principal
+    /// axis: `(low end, high end)`, each group being every vertex within
+    /// a small tolerance of its extreme projection.
+    ///
+    /// Allocation-free: the projections are computed once for the
+    /// extremes and again (the same float operations, so the same
+    /// values) for the grouping.
+    fn axis_extremes(&self) -> Option<(Extreme, Extreme)> {
         let axis = self.principal_axis()?;
         let c = self.centroid()?;
-        let ts: Vec<f64> = self.vertices.iter().map(|p| (*p - c).dot(axis)).collect();
-        let tmin = ts.iter().copied().fold(f64::INFINITY, f64::min);
-        let tmax = ts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let t = |p: &Point| (*p - c).dot(axis);
+        let tmin = self.vertices.iter().map(t).fold(f64::INFINITY, f64::min);
+        let tmax = self
+            .vertices
+            .iter()
+            .map(t)
+            .fold(f64::NEG_INFINITY, f64::max);
         let span = tmax - tmin;
         // Vertices within a small absolute distance of each extreme belong
         // to it. The tolerance must stay below the arrow-head length (the
         // neck vertices sit ~8 units from the tip) even for very long
         // arrows, so it is clamped rather than purely span-relative.
         let tol = (span * 0.01).clamp(0.5, 3.0).max(crate::EPSILON);
-        let low = self
-            .vertices
-            .iter()
-            .zip(&ts)
-            .filter(|(_, t)| (**t - tmin).abs() <= tol)
-            .map(|(p, _)| *p)
-            .collect();
-        let high = self
-            .vertices
-            .iter()
-            .zip(&ts)
-            .filter(|(_, t)| (tmax - **t).abs() <= tol)
-            .map(|(p, _)| *p)
-            .collect();
+        let mut low = Extreme::default();
+        let mut high = Extreme::default();
+        for p in &self.vertices {
+            let tp = t(p);
+            if (tp - tmin).abs() <= tol {
+                low.add(*p);
+            }
+            if (tmax - tp).abs() <= tol {
+                high.add(*p);
+            }
+        }
         Some((low, high))
     }
 
@@ -182,9 +191,9 @@ impl Polygon {
             return None;
         }
         let (low, high) = self.axis_extremes()?;
-        match low.len().cmp(&high.len()) {
-            std::cmp::Ordering::Less => Some(mean(&low)),
-            std::cmp::Ordering::Greater => Some(mean(&high)),
+        match low.count.cmp(&high.count) {
+            std::cmp::Ordering::Less => Some(low.mean()),
+            std::cmp::Ordering::Greater => Some(high.mean()),
             std::cmp::Ordering::Equal => {
                 let c = self.centroid()?;
                 self.vertices
@@ -209,16 +218,30 @@ impl Polygon {
             return None;
         }
         let (low, high) = self.axis_extremes()?;
-        match low.len().cmp(&high.len()) {
-            std::cmp::Ordering::Less => Some(mean(&high)),
-            std::cmp::Ordering::Greater => Some(mean(&low)),
+        match low.count.cmp(&high.count) {
+            std::cmp::Ordering::Less => Some(high.mean()),
+            std::cmp::Ordering::Greater => Some(low.mean()),
             std::cmp::Ordering::Equal => {
-                // Symmetric fallback: mean of vertices farthest from tip.
+                // Symmetric fallback: midpoint of the two vertices farthest
+                // from the tip, earlier vertices first among equals (what a
+                // stable descending sort would put in front).
                 let tip = self.arrow_tip()?;
-                let mut rest: Vec<Point> = self.vertices.clone();
-                rest.sort_by(|a, b| b.distance_squared(tip).total_cmp(&a.distance_squared(tip)));
-                match (rest.first(), rest.get(1)) {
-                    (Some(a), Some(b)) => Some(a.midpoint(*b)),
+                let mut first: Option<(Point, f64)> = None;
+                let mut second: Option<(Point, f64)> = None;
+                for &p in &self.vertices {
+                    let d = p.distance_squared(tip);
+                    let beats = |best: Option<(Point, f64)>| {
+                        best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_gt())
+                    };
+                    if beats(first) {
+                        second = first;
+                        first = Some((p, d));
+                    } else if beats(second) {
+                        second = Some((p, d));
+                    }
+                }
+                match (first, second) {
+                    (Some((a, _)), Some((b, _))) => Some(a.midpoint(b)),
                     _ => None,
                 }
             }
@@ -226,13 +249,26 @@ impl Polygon {
     }
 }
 
-/// Arithmetic mean of a non-empty point slice.
-fn mean(points: &[Point]) -> Point {
-    let n = points.len() as f64;
-    let (sx, sy) = points
-        .iter()
-        .fold((0.0, 0.0), |(sx, sy), p| (sx + p.x, sy + p.y));
-    Point::new(sx / n, sy / n)
+/// Running count and coordinate sums of one extreme group of vertices.
+#[derive(Debug, Clone, Copy, Default)]
+struct Extreme {
+    count: usize,
+    sx: f64,
+    sy: f64,
+}
+
+impl Extreme {
+    fn add(&mut self, p: Point) {
+        self.count += 1;
+        self.sx += p.x;
+        self.sy += p.y;
+    }
+
+    /// Arithmetic mean of the group (summed in vertex order).
+    fn mean(&self) -> Point {
+        let n = self.count as f64;
+        Point::new(self.sx / n, self.sy / n)
+    }
 }
 
 impl From<Vec<Point>> for Polygon {

@@ -28,7 +28,7 @@ mod parse;
 
 pub use build::Builder;
 pub use element::{Document, Element, Shape};
-pub use numbers::{parse_length, parse_points};
+pub use numbers::{parse_length, parse_points_into};
 pub use parse::ParseError;
 
 #[cfg(test)]

@@ -1,4 +1,12 @@
 //! Parsing SVG numeric attribute grammars.
+//!
+//! Weathermap SVGs are machine-written: every coordinate is a short
+//! decimal such as `338.61`. Such a number is parsed exactly by
+//! Clinger's fast path — its digits form an integer mantissa `m < 2^53`
+//! and it has `f ≤ 22` fraction digits, so both `m` and `10^f` are exact
+//! doubles and one IEEE division `m / 10^f` is the correctly rounded
+//! value, bit for bit what `str::parse::<f64>` returns. Anything else
+//! (exponents, long mantissas, `inf`, `nan`) falls back to `str::parse`.
 
 use wm_geometry::Point;
 
@@ -9,13 +17,19 @@ use wm_geometry::Point;
 /// Returns `None` for non-numeric input.
 #[must_use]
 pub fn parse_length(raw: &str) -> Option<f64> {
-    let trimmed = raw.trim();
+    let trimmed = raw.trim_start();
+    let bytes = trimmed.as_bytes();
+    // The numeric prefix: digits, signs, dots, and an `e`/`E` followed
+    // by a digit or sign. Every accepted byte is ASCII, so the prefix
+    // ends on a character boundary.
     let mut numeric_end = 0;
-    for (i, c) in trimmed.char_indices() {
-        let is_exponent_char = (c == 'e' || c == 'E')
-            && trimmed[i + 1..].starts_with(|n: char| n.is_ascii_digit() || n == '-' || n == '+');
-        if c.is_ascii_digit() || matches!(c, '.' | '-' | '+') || is_exponent_char {
-            numeric_end = i + c.len_utf8();
+    for (i, &b) in bytes.iter().enumerate() {
+        let is_exponent_char = matches!(b, b'e' | b'E')
+            && bytes
+                .get(i + 1)
+                .is_some_and(|n| n.is_ascii_digit() || matches!(n, b'-' | b'+'));
+        if b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+') || is_exponent_char {
+            numeric_end = i + 1;
         } else {
             break;
         }
@@ -23,39 +37,98 @@ pub fn parse_length(raw: &str) -> Option<f64> {
     if numeric_end == 0 {
         return None;
     }
-    let numeric = &trimmed[..numeric_end];
-    let value: f64 = numeric.parse().ok()?;
+    let value = parse_number(trimmed.get(..numeric_end)?)?;
     value.is_finite().then_some(value)
 }
 
 /// Parses an SVG `points` attribute (`polygon`/`polyline`): coordinate
 /// pairs separated by whitespace and/or commas, e.g. `"10,20 30,40"` or
-/// `"10 20, 30 40"`.
+/// `"10 20, 30 40"`. Appends `map(point)` for every pair to `out`, so a
+/// caller can transform the points straight into their final vector
+/// (pass `|p| p` to keep them as written).
 ///
 /// Returns `None` when the coordinate count is odd or a token is not a
 /// number — the extraction pipeline maps that to a malformed-SVG error.
-#[must_use]
-pub fn parse_points(raw: &str) -> Option<Vec<Point>> {
-    let mut coords = Vec::new();
-    for token in raw.split(|c: char| c.is_ascii_whitespace() || c == ',') {
-        if token.is_empty() {
+/// On `None`, `out` may hold the points parsed before the error.
+pub fn parse_points_into(
+    raw: &str,
+    out: &mut Vec<Point>,
+    mut map: impl FnMut(Point) -> Point,
+) -> Option<()> {
+    let bytes = raw.as_bytes();
+    let is_separator = |b: u8| b.is_ascii_whitespace() || b == b',';
+    let mut pending_x = None;
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes.get(i).is_some_and(|&b| is_separator(b)) {
+            i += 1;
             continue;
         }
-        let value: f64 = token.parse().ok()?;
+        let start = i;
+        while bytes.get(i).is_some_and(|&b| !is_separator(b)) {
+            i += 1;
+        }
+        // Separators are ASCII, so token bounds are character bounds.
+        let value = parse_number(raw.get(start..i)?)?;
         if !value.is_finite() {
             return None;
         }
-        coords.push(value);
+        match pending_x.take() {
+            None => pending_x = Some(value),
+            Some(x) => out.push(map(Point::new(x, value))),
+        }
     }
-    if coords.len() % 2 != 0 {
+    pending_x.is_none().then_some(())
+}
+
+/// Exact powers of ten up to the largest one a double holds exactly.
+const POWERS_OF_TEN: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The largest mantissa a double holds exactly.
+const MAX_EXACT_MANTISSA: u64 = 1 << 53;
+
+/// Parses a number exactly as `token.parse::<f64>()` does, taking
+/// Clinger's fast path for plain decimals (see the module docs).
+fn parse_number(token: &str) -> Option<f64> {
+    match fast_decimal(token.as_bytes()) {
+        Some(value) => Some(value),
+        None => token.parse().ok(),
+    }
+}
+
+/// `[+-]digits[.digits]` (either digit run may be empty, not both) with
+/// a mantissa of at most 2^53 and at most 22 fraction digits, as a
+/// correctly rounded double; `None` for anything else.
+fn fast_decimal(bytes: &[u8]) -> Option<f64> {
+    let (negative, digits) = match bytes.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        Some((b'+', rest)) => (false, rest),
+        _ => (false, bytes),
+    };
+    let mut mantissa = 0u64;
+    let mut seen_digit = false;
+    let mut seen_dot = false;
+    let mut fraction_digits = 0usize;
+    for &b in digits {
+        if b.is_ascii_digit() {
+            mantissa = mantissa.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            seen_digit = true;
+            fraction_digits += usize::from(seen_dot);
+        } else if b == b'.' && !seen_dot {
+            seen_dot = true;
+        } else {
+            return None;
+        }
+    }
+    if !seen_digit || mantissa > MAX_EXACT_MANTISSA {
         return None;
     }
-    Some(
-        coords
-            .chunks_exact(2)
-            .map(|c| Point::new(c[0], c[1]))
-            .collect(),
-    )
+    let scale = POWERS_OF_TEN.get(fraction_digits)?;
+    let magnitude = mantissa as f64 / scale;
+    Some(if negative { -magnitude } else { magnitude })
 }
 
 #[cfg(test)]
@@ -78,6 +151,12 @@ mod tests {
         assert_eq!(parse_length("abc"), None);
     }
 
+    fn parse_points(raw: &str) -> Option<Vec<Point>> {
+        let mut points = Vec::new();
+        parse_points_into(raw, &mut points, |p| p)?;
+        Some(points)
+    }
+
     #[test]
     fn points_with_commas_and_spaces() {
         let pts = parse_points("10,20 30,40").unwrap();
@@ -98,5 +177,57 @@ mod tests {
     fn negative_and_fractional_points() {
         let pts = parse_points("-1.5,2.25 0,-3").unwrap();
         assert_eq!(pts, vec![Point::new(-1.5, 2.25), Point::new(0.0, -3.0)]);
+    }
+
+    #[test]
+    fn points_into_applies_the_map_and_appends() {
+        let mut out = vec![Point::new(9.0, 9.0)];
+        parse_points_into("1,2 3,4", &mut out, |p| Point::new(p.x * 2.0, p.y + 1.0)).unwrap();
+        assert_eq!(
+            out,
+            vec![
+                Point::new(9.0, 9.0),
+                Point::new(2.0, 3.0),
+                Point::new(6.0, 5.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn fast_path_matches_str_parse_bit_for_bit() {
+        for token in [
+            "0",
+            "-0",
+            "+0",
+            "0.0",
+            "-0.0",
+            ".5",
+            "5.",
+            "-.5",
+            "+5.",
+            "007",
+            "0.1",
+            "0.3",
+            "338.61",
+            "-1855.5",
+            "123456789.123",
+            "9007199254740992",
+            "9007199254740993",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "1.7976931348623157",
+            "12345678901234567890",
+            ".",
+            "-",
+            "+",
+            "",
+            "1.2.3",
+            "1e5",
+            "--1",
+            "+-1",
+        ] {
+            let expected = token.parse::<f64>().ok().map(f64::to_bits);
+            assert_eq!(parse_number(token).map(f64::to_bits), expected, "{token:?}");
+        }
     }
 }

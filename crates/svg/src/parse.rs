@@ -6,7 +6,7 @@ use wm_geometry::{Point, Polygon, Rect, Segment};
 use wm_xml::{Event, Reader};
 
 use crate::element::{Document, Element, Shape};
-use crate::numbers::{parse_length, parse_points};
+use crate::numbers::{parse_length, parse_points_into};
 
 /// An error turning SVG text into a [`Document`].
 #[derive(Debug, Clone, PartialEq)]
@@ -184,6 +184,9 @@ impl Document {
         let mut open_text: Option<usize> = None;
         // Depth of an open element whose text content must be ignored.
         let mut skip_text_depth: Option<usize> = None;
+        // Transformed polygon points, parsed here and copied out at their
+        // exact size: one allocation per polygon.
+        let mut points: Vec<Point> = Vec::new();
 
         while let Some(event) = reader.next_event()? {
             match event {
@@ -233,11 +236,10 @@ impl Document {
                         "polygon" | "polyline" => {
                             let raw = attr("points")
                                 .ok_or_else(|| bad(name, "missing points attribute"))?;
-                            let pts = parse_points(raw)
+                            points.clear();
+                            parse_points_into(raw, &mut points, |p| transform.apply(p))
                                 .ok_or_else(|| bad(name, "unparsable points attribute"))?;
-                            let pts: Vec<Point> =
-                                pts.into_iter().map(|p| transform.apply(p)).collect();
-                            Some(Shape::Polygon(Polygon::new(pts)))
+                            Some(Shape::Polygon(Polygon::new(points.clone())))
                         }
                         "line" => {
                             let x1 = get("x1").unwrap_or(0.0);
