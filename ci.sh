@@ -73,4 +73,18 @@ target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op
     --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z | grep "snapshots," > /dev/null
 target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op percentiles --window 1 \
     --from 2022-02-01T06:00:00Z --to 2022-02-01T12:00:00Z --json | grep '"op":"percentiles"' > /dev/null
+# Append past a seal: the next day lands in the indexed corpus, so the
+# first cached load fills and seals the old tail and starts a new one
+# from decoded segments plus the fresh files. What it serves must equal
+# a build without the segment store, for the suite and for a query
+# whose window straddles the seal.
+target/release/ovh-weather generate --out "$smoke_dir" --from 2022-02-02 --to 2022-02-03 --map europe --scale 0.05
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache > "$smoke_dir/appended_cached.txt"
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 > "$smoke_dir/appended_plain.txt"
+diff "$smoke_dir/appended_plain.txt" "$smoke_dir/appended_cached.txt"
+target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op sites --json --cache \
+    --from 2022-02-01T18:00:00Z --to 2022-02-02T06:00:00Z > "$smoke_dir/appended_query_cached.json"
+target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op sites --json --cache=off \
+    --from 2022-02-01T18:00:00Z --to 2022-02-02T06:00:00Z > "$smoke_dir/appended_query_off.json"
+diff "$smoke_dir/appended_query_off.json" "$smoke_dir/appended_query_cached.json"
 rm -rf "$smoke_dir"

@@ -13,8 +13,8 @@
 //! * [`longitudinal`] — the columnar longitudinal store: interned
 //!   node/link symbol tables, per-link load time series and the topology
 //!   event log, built in one deterministic streaming pass;
-//! * [`loader`] — the shared parallel YAML corpus loader feeding either a
-//!   snapshot vector or the columnar store;
+//! * [`loader`] — the shared parallel YAML corpus loader feeding the
+//!   columnar store;
 //! * [`codec`] — the versioned, checksummed binary image of a built
 //!   store, the payload every segment file wraps;
 //! * [`query`] — the vectorized query engine: typed [`wm_model::Query`]

@@ -15,7 +15,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wm_extract::{from_yaml_str, CacheStats, SnapshotSink};
-use wm_model::{MapKind, Timestamp, TopologySnapshot};
+use wm_model::{MapKind, Timestamp};
 
 use crate::codec::{self, CorpusFingerprint, FingerprintEntry};
 use crate::longitudinal::{ColumnarBuilder, LongitudinalStore};
@@ -131,23 +131,17 @@ pub(crate) fn relative_path_string(map: MapKind, timestamp: Timestamp) -> String
     out
 }
 
-/// Materialises `entries` as snapshots sorted by `(timestamp, entry
-/// order)`, with the content hash of every entry, in entry order.
-pub(crate) fn load_sorted(
+/// Builds `entries` into one store, with the content hash of every
+/// entry, in entry order — what sealing a segment from YAML needs.
+pub(crate) fn load_store(
     store: &DatasetStore,
     map: MapKind,
     entries: &[DatasetEntry],
     threads: usize,
-) -> io::Result<(Vec<TopologySnapshot>, CorpusLoadStats, Vec<u64>)> {
-    let (sinks, stats, hashes) =
-        load_fold_entries::<Vec<(usize, TopologySnapshot)>>(store, map, entries, threads, true)?;
-    let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
-    results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
-    Ok((
-        results.into_iter().map(|(_, snapshot)| snapshot).collect(),
-        stats,
-        hashes,
-    ))
+) -> io::Result<(LongitudinalStore, CorpusLoadStats, Vec<u64>)> {
+    let (builders, stats, hashes) =
+        load_fold_entries::<ColumnarBuilder>(store, map, entries, threads, true)?;
+    Ok((ColumnarBuilder::finish(builders), stats, hashes))
 }
 
 /// The loader core: reads and parses the given YAML entries of `map`,
@@ -272,7 +266,7 @@ fn read_one<S: SnapshotSink>(
 mod tests {
     use super::*;
     use wm_extract::to_yaml_string;
-    use wm_model::{Duration, Link, LinkEnd, Load, Node};
+    use wm_model::{Duration, Link, LinkEnd, Load, Node, TopologySnapshot};
 
     fn temp_store(tag: &str) -> DatasetStore {
         let dir = std::env::temp_dir().join(format!("wm-loader-test-{tag}-{}", std::process::id()));

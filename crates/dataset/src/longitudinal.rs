@@ -21,22 +21,26 @@
 //!   rows, sorted by snapshot, giving [`LongitudinalStore::link_series`]
 //!   without scanning the whole corpus.
 //! * **Event log** — the structural [`wm_model::diff`] between each
-//!   consecutive snapshot pair, computed once at build time instead of
-//!   recomputed inside each analysis.
+//!   consecutive snapshot pair, computed once at build time on the id
+//!   columns instead of recomputed inside each analysis.
 //!
 //! The store is built by folding snapshots into per-worker
 //! [`ColumnarBuilder`]s (a [`SnapshotSink`]) and merging them at join.
 //! The merge sorts the symbol tables and orders rows by `(timestamp,
 //! input index)`, so the result is byte-identical for any worker count
-//! — the same contract as the extraction batch runner.
+//! — the same contract as the extraction batch runner. Finished stores
+//! merge the same way: [`LongitudinalStore::concat`] joins slices of
+//! time-ordered stores (decoded segments) without rebuilding a
+//! snapshot.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use wm_extract::{
     extract_batch_sink, BatchInput, BatchMetrics, BatchStats, ExtractConfig, SnapshotSink,
 };
 use wm_model::{
-    Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, Timestamp,
+    GroupDelta, Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, Timestamp,
     TopologySnapshot,
 };
 
@@ -153,29 +157,21 @@ struct PendingSnapshot {
     rows: Vec<LocalRow>,
 }
 
-/// Builder-local link identity (node ids are builder-local too).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct LocalDef {
-    a: u32,
-    b: u32,
-    label_a: Option<String>,
-    label_b: Option<String>,
-}
-
 /// Per-worker accumulator that folds snapshots into columns.
 ///
 /// Each worker interns nodes and link identities against its own local
-/// tables (first-seen order); [`ColumnarBuilder::finish`] merges any
-/// number of builders into one [`LongitudinalStore`], re-ranking all ids
-/// against the global sorted tables. Because ranking depends only on the
-/// set of values seen, the merged store is identical however the inputs
-/// were split across builders.
+/// tables (first-seen order; a local [`LinkDef`] names builder-local
+/// node ids); [`ColumnarBuilder::finish`] merges any number of builders
+/// into one [`LongitudinalStore`], re-ranking all ids against the
+/// global sorted tables. Because ranking depends only on the set of
+/// values seen, the merged store is identical however the inputs were
+/// split across builders.
 #[derive(Debug, Default)]
 pub struct ColumnarBuilder {
     nodes: Vec<Node>,
     node_ids: BTreeMap<Node, u32>,
-    defs: Vec<LocalDef>,
-    def_ids: BTreeMap<LocalDef, u32>,
+    defs: Vec<LinkDef>,
+    def_ids: BTreeMap<LinkDef, u32>,
     snaps: Vec<PendingSnapshot>,
 }
 
@@ -189,9 +185,15 @@ fn load_of(byte: Option<&u8>) -> Load {
 /// The half-open cell range of snapshot `index` in a CSR offset table.
 /// Out-of-range indices yield an empty range; inverted offsets (which a
 /// well-formed table never holds) clamp to empty instead of panicking.
-fn offset_span(offsets: &[u32], index: usize) -> std::ops::Range<usize> {
-    let start = offsets.get(index).map_or(0, |&o| o as usize);
-    let end = offsets.get(index + 1).map_or(start, |&o| o as usize);
+fn offset_span(offsets: &[u32], index: usize) -> Range<usize> {
+    offsets_between(offsets, index..index + 1)
+}
+
+/// The half-open cell range of the snapshots `range` in a CSR offset
+/// table, clamped like [`offset_span`].
+fn offsets_between(offsets: &[u32], range: Range<usize>) -> Range<usize> {
+    let start = offsets.get(range.start).map_or(0, |&o| o as usize);
+    let end = offsets.get(range.end).map_or(start, |&o| o as usize);
     start..end.max(start)
 }
 
@@ -203,10 +205,52 @@ fn rank_of(map: &[u32], id: usize) -> u32 {
     map.get(id).copied().unwrap_or(0)
 }
 
+/// The sorted union of several symbol tables, plus one dense rank map
+/// per input: `maps[k][id]` is the union rank of input `k`'s entry `id`.
+///
+/// `tables[k][id]` is `None` for an entry input `k` does not use; such
+/// an entry stays out of the union and its id maps to rank 0 (it is
+/// never looked up). Ranks depend only on the set of used values, never
+/// on how they were split across inputs — the one merge rule behind
+/// [`ColumnarBuilder::finish`] and [`LongitudinalStore::concat`].
+fn rank_union<T: Ord + Clone>(tables: &[Vec<Option<&T>>]) -> (Vec<T>, Vec<Vec<u32>>) {
+    let mut union: Vec<&T> = tables.iter().flatten().flatten().copied().collect();
+    // Inputs that are themselves sorted tables arrive as sorted runs,
+    // which the stable sort merges in linear passes.
+    union.sort();
+    union.dedup();
+    let maps = tables
+        .iter()
+        .map(|table| {
+            table
+                .iter()
+                .map(|value| {
+                    value
+                        .and_then(|v| union.binary_search(&v).ok())
+                        .map_or(0, |rank| rank as u32)
+                })
+                .collect()
+        })
+        .collect();
+    (union.into_iter().cloned().collect(), maps)
+}
+
 /// The total order on link ends that fixes each link's canonical
 /// orientation, independent of how the link was drawn.
 fn end_key(end: &LinkEnd) -> (&str, NodeKind, Option<&str>) {
     (end.node.name.as_str(), end.node.kind, end.label.as_deref())
+}
+
+impl LinkDef {
+    /// The same identity with both endpoints renumbered through `map`.
+    fn remapped(&self, map: &[u32]) -> LinkDef {
+        LinkDef {
+            a: NodeId(rank_of(map, self.a.index())),
+            b: NodeId(rank_of(map, self.b.index())),
+            label_a: self.label_a.clone(),
+            label_b: self.label_b.clone(),
+        }
+    }
 }
 
 impl ColumnarBuilder {
@@ -226,7 +270,7 @@ impl ColumnarBuilder {
         id
     }
 
-    fn intern_def(&mut self, def: LocalDef) -> u32 {
+    fn intern_def(&mut self, def: LinkDef) -> u32 {
         if let Some(&id) = self.def_ids.get(&def) {
             return id;
         }
@@ -253,9 +297,9 @@ impl ColumnarBuilder {
                 } else {
                     (&link.a, &link.b)
                 };
-                let def = LocalDef {
-                    a: self.intern_node(&first.node),
-                    b: self.intern_node(&second.node),
+                let def = LinkDef {
+                    a: NodeId(self.intern_node(&first.node)),
+                    b: NodeId(self.intern_node(&second.node)),
                     label_a: first.label.clone(),
                     label_b: second.label.clone(),
                 };
@@ -284,61 +328,21 @@ impl ColumnarBuilder {
     /// builders.
     #[must_use]
     pub fn finish(builders: Vec<ColumnarBuilder>) -> LongitudinalStore {
-        // Global node table: sorted distinct nodes; id = rank.
-        let mut node_set: BTreeSet<Node> = BTreeSet::new();
-        for builder in &builders {
-            node_set.extend(builder.nodes.iter().cloned());
-        }
-        let nodes: Vec<Node> = node_set.into_iter().collect();
-        let node_rank: BTreeMap<Node, u32> = nodes
+        let node_tables: Vec<Vec<Option<&Node>>> = builders
             .iter()
-            .enumerate()
-            .map(|(rank, node)| (node.clone(), rank as u32))
+            .map(|builder| builder.nodes.iter().map(Some).collect())
             .collect();
-        let node_maps: Vec<Vec<u32>> = builders
-            .iter()
-            .map(|builder| {
-                builder
-                    .nodes
-                    .iter()
-                    .map(|node| node_rank.get(node).copied().unwrap_or(0))
-                    .collect()
-            })
-            .collect();
-
-        // Global link-identity table, same construction.
-        let globalize = |def: &LocalDef, node_map: &[u32]| LinkDef {
-            a: NodeId(rank_of(node_map, def.a as usize)),
-            b: NodeId(rank_of(node_map, def.b as usize)),
-            label_a: def.label_a.clone(),
-            label_b: def.label_b.clone(),
-        };
-        let mut def_set: BTreeSet<LinkDef> = BTreeSet::new();
-        for (builder, node_map) in builders.iter().zip(&node_maps) {
-            def_set.extend(builder.defs.iter().map(|def| globalize(def, node_map)));
-        }
-        let defs: Vec<LinkDef> = def_set.into_iter().collect();
-        let def_rank: BTreeMap<LinkDef, u32> = defs
-            .iter()
-            .enumerate()
-            .map(|(rank, def)| (def.clone(), rank as u32))
-            .collect();
-        let def_maps: Vec<Vec<u32>> = builders
+        let (nodes, node_maps) = rank_union(&node_tables);
+        let global_defs: Vec<Vec<LinkDef>> = builders
             .iter()
             .zip(&node_maps)
-            .map(|(builder, node_map)| {
-                builder
-                    .defs
-                    .iter()
-                    .map(|def| {
-                        def_rank
-                            .get(&globalize(def, node_map))
-                            .copied()
-                            .unwrap_or(0)
-                    })
-                    .collect()
-            })
+            .map(|(builder, node_map)| builder.defs.iter().map(|d| d.remapped(node_map)).collect())
             .collect();
+        let def_tables: Vec<Vec<Option<&LinkDef>>> = global_defs
+            .iter()
+            .map(|defs| defs.iter().map(Some).collect())
+            .collect();
+        let (defs, def_maps) = rank_union(&def_tables);
 
         // Re-rank every pending snapshot, then order by (timestamp,
         // input index) — identical to the batch runner's output order.
@@ -359,22 +363,7 @@ impl ColumnarBuilder {
         snaps.sort_by_key(|snap| (snap.timestamp, snap.index));
 
         // Flatten into columns.
-        let mut store = LongitudinalStore {
-            nodes,
-            defs,
-            timestamps: Vec::with_capacity(snaps.len()),
-            maps: Vec::with_capacity(snaps.len()),
-            node_offsets: vec![0],
-            node_cells: Vec::new(),
-            link_offsets: vec![0],
-            link_cells: Vec::new(),
-            load_a: Vec::new(),
-            load_b: Vec::new(),
-            flipped: Vec::new(),
-            series_offsets: Vec::new(),
-            series_rows: Vec::new(),
-            events: Vec::new(),
-        };
+        let mut store = LongitudinalStore::with_tables(nodes, defs);
         for snap in &snaps {
             store.timestamps.push(snap.timestamp);
             store.maps.push(snap.map);
@@ -388,26 +377,143 @@ impl ColumnarBuilder {
             }
             store.link_offsets.push(store.link_cells.len() as u32);
         }
-
         store.rebuild_series_index();
 
         // Topology event log: one structural diff per consecutive pair.
-        if !store.timestamps.is_empty() {
-            let mut previous = store.snapshot(0);
-            for i in 1..store.timestamps.len() {
-                let current = store.snapshot(i);
-                let diff = wm_model::diff(&previous, &current);
-                if !diff.is_empty() {
-                    store.events.push(TopologyEvent {
-                        previous: previous.timestamp,
-                        at: current.timestamp,
-                        diff,
-                    });
-                }
-                previous = current;
+        let mut differ = RowDiffer::new(&store.nodes);
+        for newer in 1..store.len() {
+            if let Some(event) = differ.event(&store, newer) {
+                store.events.push(event);
             }
         }
         store
+    }
+}
+
+/// Structural diffs between consecutive snapshots of one store,
+/// computed on the id columns without reconstructing either snapshot.
+///
+/// The result equals [`wm_model::diff`] of the two reconstructed
+/// snapshots, which keys nodes on *names*, not on `(name, kind)`. So
+/// every node id maps to a *name class*: the smallest id with the same
+/// name. The node table is sorted by `(name, kind)`, so equal names are
+/// adjacent and class order is name order.
+/// * A node cell is added (removed) when its class is absent from the
+///   older (newer) row. Each such cell is reported, duplicates
+///   included, as its own [`Node`]; ids are ranks, so sorting ids sorts
+///   the nodes.
+/// * Parallel groups are keyed by the class pair of a link's endpoints,
+///   smaller first, exactly as [`wm_model::Link::endpoint_key`] orders
+///   the two names; a group changed when its per-row counts differ.
+struct RowDiffer {
+    /// Node id → name class.
+    class: Vec<u32>,
+    /// Per class, the generation that last saw it in a row.
+    seen: Vec<u64>,
+    generation: u64,
+}
+
+impl RowDiffer {
+    fn new(nodes: &[Node]) -> RowDiffer {
+        let mut class: Vec<u32> = Vec::with_capacity(nodes.len());
+        let mut previous: Option<&Node> = None;
+        for (id, node) in nodes.iter().enumerate() {
+            let same_name = previous.is_some_and(|p| p.name == node.name);
+            let own = class.last().copied().filter(|_| same_name);
+            class.push(own.unwrap_or(id as u32));
+            previous = Some(node);
+        }
+        RowDiffer {
+            seen: vec![0; nodes.len()],
+            class,
+            generation: 0,
+        }
+    }
+
+    fn class_of(&self, id: u32) -> u32 {
+        self.class.get(id as usize).copied().unwrap_or(id)
+    }
+
+    /// The event between snapshots `newer - 1` and `newer` of `store`,
+    /// or `None` when their structure is identical.
+    fn event(&mut self, store: &LongitudinalStore, newer: usize) -> Option<TopologyEvent> {
+        let older = newer.checked_sub(1)?;
+        let diff = self.diff(store, older, newer);
+        if diff.is_empty() {
+            return None;
+        }
+        Some(TopologyEvent {
+            previous: store.timestamps.get(older).copied()?,
+            at: store.timestamps.get(newer).copied()?,
+            diff,
+        })
+    }
+
+    fn diff(&mut self, store: &LongitudinalStore, older: usize, newer: usize) -> SnapshotDiff {
+        let (old_nodes, new_nodes) = (store.node_row(older), store.node_row(newer));
+        let (old_links, new_links) = (store.link_row(older), store.link_row(newer));
+        // Consecutive snapshots usually share their structure row for
+        // row: identical id rows cannot differ.
+        if old_nodes == new_nodes && old_links == new_links {
+            return SnapshotDiff::default();
+        }
+        let node_of = |id: u32| store.nodes.get(id as usize).cloned();
+        let added = self.missing(new_nodes, old_nodes);
+        let removed = self.missing(old_nodes, new_nodes);
+
+        let mut sizes: BTreeMap<(u32, u32), (usize, usize)> = BTreeMap::new();
+        for (links, after) in [(old_links, false), (new_links, true)] {
+            for def in links.iter().filter_map(|&def| store.defs.get(def as usize)) {
+                let (a, b) = (self.class_of(def.a.0), self.class_of(def.b.0));
+                let count = sizes.entry((a.min(b), a.max(b))).or_default();
+                if after {
+                    count.1 += 1;
+                } else {
+                    count.0 += 1;
+                }
+            }
+        }
+        let name_of = |class: u32| {
+            store
+                .nodes
+                .get(class as usize)
+                .map_or_else(String::new, |node| node.name.as_str().to_owned())
+        };
+        SnapshotDiff {
+            added_nodes: added.into_iter().filter_map(node_of).collect(),
+            removed_nodes: removed.into_iter().filter_map(node_of).collect(),
+            group_changes: sizes
+                .into_iter()
+                .filter(|(_, (before, after))| before != after)
+                .map(|((a, b), (before, after))| GroupDelta {
+                    a: name_of(a),
+                    b: name_of(b),
+                    before,
+                    after,
+                })
+                .collect(),
+        }
+    }
+
+    /// The cells of `row` whose name class does not occur in `other`,
+    /// sorted.
+    fn missing(&mut self, row: &[u32], other: &[u32]) -> Vec<u32> {
+        self.generation += 1;
+        for &id in other {
+            let class = self.class_of(id) as usize;
+            if let Some(slot) = self.seen.get_mut(class) {
+                *slot = self.generation;
+            }
+        }
+        let mut out: Vec<u32> = row
+            .iter()
+            .copied()
+            .filter(|&id| {
+                self.seen.get(self.class_of(id) as usize).copied() != Some(self.generation)
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -453,6 +559,217 @@ impl LongitudinalStore {
             builder.add_snapshot(index, snapshot);
         }
         ColumnarBuilder::finish(vec![builder])
+    }
+
+    /// A store with the given symbol tables and no snapshots.
+    fn with_tables(nodes: Vec<Node>, defs: Vec<LinkDef>) -> LongitudinalStore {
+        LongitudinalStore {
+            nodes,
+            defs,
+            timestamps: Vec::new(),
+            maps: Vec::new(),
+            node_offsets: vec![0],
+            node_cells: Vec::new(),
+            link_offsets: vec![0],
+            link_cells: Vec::new(),
+            load_a: Vec::new(),
+            load_b: Vec::new(),
+            flipped: Vec::new(),
+            series_offsets: Vec::new(),
+            series_rows: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// The snapshots `range` (indices, half-open, clamped to `0..len()`)
+    /// as a store of their own: exactly
+    /// [`LongitudinalStore::from_snapshots`] of the reconstructed
+    /// snapshots, without reconstructing any. The symbol tables keep
+    /// only the entries the slice uses, and the event log only the
+    /// events between two snapshots of the slice.
+    #[must_use]
+    pub fn slice(&self, range: Range<usize>) -> LongitudinalStore {
+        LongitudinalStore::concat(&[(self, range)])
+    }
+
+    /// Concatenates slices of time-ordered stores (each part a store and
+    /// a half-open snapshot index range, clamped like
+    /// [`LongitudinalStore::slice`]); every snapshot of a part must be no
+    /// older than those of the parts before it.
+    ///
+    /// The result equals [`LongitudinalStore::from_snapshots`] of the
+    /// concatenated snapshots and encodes to the same bytes. Symbol
+    /// tables merge through the sorted union and rank remap that
+    /// [`ColumnarBuilder::finish`] uses; a part's events are kept, and
+    /// only the pair straddling each boundary between parts is diffed,
+    /// on the id columns.
+    #[must_use]
+    pub fn concat(parts: &[(&LongitudinalStore, Range<usize>)]) -> LongitudinalStore {
+        let parts: Vec<(&LongitudinalStore, Range<usize>)> = parts
+            .iter()
+            .map(|(store, range)| {
+                let end = range.end.min(store.len());
+                (*store, range.start.min(end)..end)
+            })
+            .filter(|(_, range)| !range.is_empty())
+            .collect();
+
+        let used: Vec<(Vec<bool>, Vec<bool>)> = parts
+            .iter()
+            .map(|(store, range)| store.used_symbols(range.clone()))
+            .collect();
+        let node_tables: Vec<Vec<Option<&Node>>> = parts
+            .iter()
+            .zip(&used)
+            .map(|((store, _), (node_used, _))| {
+                store
+                    .nodes
+                    .iter()
+                    .zip(node_used)
+                    .map(|(node, &used)| used.then_some(node))
+                    .collect()
+            })
+            .collect();
+        let (nodes, node_maps) = rank_union(&node_tables);
+        let global_defs: Vec<Vec<Option<LinkDef>>> = parts
+            .iter()
+            .zip(&used)
+            .zip(&node_maps)
+            .map(|(((store, _), (_, def_used)), node_map)| {
+                store
+                    .defs
+                    .iter()
+                    .zip(def_used)
+                    .map(|(def, &used)| used.then(|| def.remapped(node_map)))
+                    .collect()
+            })
+            .collect();
+        let def_tables: Vec<Vec<Option<&LinkDef>>> = global_defs
+            .iter()
+            .map(|defs| defs.iter().map(Option::as_ref).collect())
+            .collect();
+        let (defs, def_maps) = rank_union(&def_tables);
+
+        // Columns: each part's rows, ids remapped.
+        let mut merged = LongitudinalStore::with_tables(nodes, defs);
+        for (((store, range), node_map), def_map) in parts.iter().zip(&node_maps).zip(&def_maps) {
+            merged
+                .timestamps
+                .extend_from_slice(store.timestamps.get(range.clone()).unwrap_or(&[]));
+            merged
+                .maps
+                .extend_from_slice(store.maps.get(range.clone()).unwrap_or(&[]));
+            for index in range.clone() {
+                let nodes = offset_span(&store.node_offsets, index);
+                let node_row = store.node_cells.get(nodes).unwrap_or(&[]);
+                merged
+                    .node_cells
+                    .extend(node_row.iter().map(|&id| rank_of(node_map, id as usize)));
+                merged.node_offsets.push(merged.node_cells.len() as u32);
+                let rows = offset_span(&store.link_offsets, index);
+                let link_row = store.link_cells.get(rows.clone()).unwrap_or(&[]);
+                merged
+                    .link_cells
+                    .extend(link_row.iter().map(|&def| rank_of(def_map, def as usize)));
+                merged.link_offsets.push(merged.link_cells.len() as u32);
+                merged
+                    .load_a
+                    .extend_from_slice(store.load_a.get(rows.clone()).unwrap_or(&[]));
+                merged
+                    .load_b
+                    .extend_from_slice(store.load_b.get(rows.clone()).unwrap_or(&[]));
+                merged
+                    .flipped
+                    .extend_from_slice(store.flipped.get(rows).unwrap_or(&[]));
+            }
+        }
+        merged.rebuild_series_index();
+
+        // Events: each part's own, plus one diff across each boundary.
+        let mut differ = RowDiffer::new(&merged.nodes);
+        let mut first = 0usize;
+        for (store, range) in &parts {
+            let end = first + range.len();
+            if let Some(event) = differ.event(&merged, first) {
+                merged.events.push(event);
+            }
+            match store.events_within(range) {
+                Some(events) => merged.events.extend_from_slice(events),
+                None => {
+                    for newer in first + 1..end {
+                        if let Some(event) = differ.event(&merged, newer) {
+                            merged.events.push(event);
+                        }
+                    }
+                }
+            }
+            first = end;
+        }
+        merged
+    }
+
+    /// Which symbol-table entries the snapshots `range` use, as
+    /// `(nodes, link identities)` masks: a node is used when a row lists
+    /// it or a used link ends at it, a link identity when a row holds it.
+    fn used_symbols(&self, range: Range<usize>) -> (Vec<bool>, Vec<bool>) {
+        let mut node_used = vec![false; self.nodes.len()];
+        let mut def_used = vec![false; self.defs.len()];
+        let node_cells = self
+            .node_cells
+            .get(offsets_between(&self.node_offsets, range.clone()))
+            .unwrap_or(&[]);
+        for &id in node_cells {
+            if let Some(used) = node_used.get_mut(id as usize) {
+                *used = true;
+            }
+        }
+        let link_cells = self
+            .link_cells
+            .get(offsets_between(&self.link_offsets, range))
+            .unwrap_or(&[]);
+        for &def in link_cells {
+            if let Some(used) = def_used.get_mut(def as usize) {
+                *used = true;
+            }
+        }
+        for (def, _) in self.defs.iter().zip(&def_used).filter(|(_, &used)| used) {
+            for end in [def.a, def.b] {
+                if let Some(used) = node_used.get_mut(end.index()) {
+                    *used = true;
+                }
+            }
+        }
+        (node_used, def_used)
+    }
+
+    /// The stored events between two snapshots of `range`, found by
+    /// timestamp; `None` when timestamps repeat, which makes an event's
+    /// pair ambiguous (the caller then diffs the slice's pairs itself).
+    fn events_within(&self, range: &Range<usize>) -> Option<&[TopologyEvent]> {
+        if !self.timestamps.is_sorted_by(|a, b| a < b) {
+            return None;
+        }
+        let first = *self.timestamps.get(range.start)?;
+        let last = *self.timestamps.get(range.end.checked_sub(1)?)?;
+        // Timestamps are strictly increasing, so the event of pair
+        // `(i - 1, i)` is the one `at` timestamp `i`.
+        let lo = self.events.partition_point(|event| event.at <= first);
+        let hi = self.events.partition_point(|event| event.at <= last);
+        self.events.get(lo..hi.max(lo))
+    }
+
+    /// The node-id row of snapshot `index` (empty when out of range).
+    fn node_row(&self, index: usize) -> &[u32] {
+        self.node_cells
+            .get(offset_span(&self.node_offsets, index))
+            .unwrap_or(&[])
+    }
+
+    /// The link-id row of snapshot `index` (empty when out of range).
+    fn link_row(&self, index: usize) -> &[u32] {
+        self.link_cells
+            .get(offset_span(&self.link_offsets, index))
+            .unwrap_or(&[])
     }
 
     /// Number of snapshots stored.

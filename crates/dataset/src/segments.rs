@@ -31,9 +31,10 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Range;
 
 use wm_extract::CacheStats;
-use wm_model::{MapKind, TimeRange, Timestamp, TopologySnapshot};
+use wm_model::{MapKind, TimeRange, Timestamp};
 
 use crate::codec::{self, CacheError, CorpusFingerprint, FingerprintEntry};
 use crate::loader::{self, CacheMode, CorpusLoadStats};
@@ -259,27 +260,29 @@ pub fn build_longitudinal_windowed_with(
         &mut cache,
     )?;
 
-    let mut builder = ColumnarBuilder::default();
-    let mut index = 0usize;
+    // Each touched segment contributes the slice of its snapshots that
+    // falls in the window; the slices concatenate into the result.
+    let mut touched: Vec<(LongitudinalStore, Range<usize>)> = Vec::new();
     for (meta, span) in manifest.segments.iter().zip(&spans) {
         if !range.intersects_closed(meta.t_min, meta.t_max) {
             continue;
         }
         cache.segments_touched += 1;
         let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (snapshots, from_cache) =
-            load_segment_snapshots(store, map, meta, chunk, threads, &mut cache)?;
-        for snapshot in &snapshots {
-            if range.contains(snapshot.timestamp) {
-                builder.add_snapshot(index, snapshot);
-                index += 1;
-                if from_cache {
-                    cache.snapshots_from_cache += 1;
-                }
-            }
+        let (seg_store, from_cache) = load_segment(store, map, meta, chunk, threads, &mut cache)?;
+        let times = seg_store.timestamps();
+        let window =
+            times.partition_point(|&t| t < range.start)..times.partition_point(|&t| t < range.end);
+        if from_cache {
+            cache.snapshots_from_cache += window.len() as u64;
         }
+        touched.push((seg_store, window));
     }
-    let merged = ColumnarBuilder::finish(vec![builder]);
+    let parts: Vec<(&LongitudinalStore, Range<usize>)> = touched
+        .iter()
+        .map(|(seg_store, window)| (seg_store, window.clone()))
+        .collect();
+    let merged = LongitudinalStore::concat(&parts);
 
     // Load counters derive from the windowed slice of the entry list,
     // exactly what the cache-less restricted build reports.
@@ -330,11 +333,10 @@ pub fn reindex_segments_with(
     for (meta, span) in manifest.segments.iter().zip(&spans) {
         cache.segments_touched += 1;
         let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (snapshots, from_cache) =
-            load_segment_snapshots(store, map, meta, chunk, threads, &mut cache)?;
-        parsed += snapshots.len();
+        let (seg_store, from_cache) = load_segment(store, map, meta, chunk, threads, &mut cache)?;
+        parsed += seg_store.len();
         if from_cache {
-            cache.snapshots_from_cache += snapshots.len() as u64;
+            cache.snapshots_from_cache += seg_store.len() as u64;
         }
     }
     let mut stats = CorpusLoadStats::default();
@@ -423,10 +425,9 @@ fn recover_manifest(store: &DatasetStore, map: MapKind) -> io::Result<SegmentMan
     Ok(SegmentManifest { segments })
 }
 
-/// What one rebuilt entry resolves to: a content hash plus the parsed
-/// snapshot when the file parses (reused from an old segment or parsed
-/// fresh from YAML).
-type Resolved = (u64, Option<TopologySnapshot>);
+/// A reusable old file: its size, its content hash and, when it parsed,
+/// its snapshot as `(source store, index)`.
+type PoolEntry = (u64, u64, Option<(usize, usize)>);
 
 /// Brings the partition in line with the corpus: keeps every sealed
 /// segment the entry list still dictates, rebuilds the changed suffix
@@ -498,7 +499,8 @@ fn ensure_segments(
         // that is exactly the old undersized tail.
         let rebuild_from = kept * capacity;
         let first_rebuilt = entries.get(rebuild_from).map(|e| e.timestamp);
-        let mut pool: BTreeMap<String, (u64, Resolved)> = BTreeMap::new();
+        let mut sources: Vec<LongitudinalStore> = Vec::new();
+        let mut pool: BTreeMap<String, PoolEntry> = BTreeMap::new();
         if !rebuild_all {
             for meta in old.segments.iter().skip(kept) {
                 if first_rebuilt.is_none_or(|t| meta.t_max < t) {
@@ -510,59 +512,72 @@ fn ensure_segments(
                 let Ok((_, seg_store, fingerprint, _)) = segment::decode_segment(&bytes) else {
                     continue;
                 };
-                let mut by_path: BTreeMap<String, TopologySnapshot> = seg_store
-                    .snapshots()
-                    .map(|s| (loader::relative_path_string(map, s.timestamp), s))
+                let source = sources.len();
+                let mut by_path: BTreeMap<String, usize> = seg_store
+                    .timestamps()
+                    .iter()
+                    .enumerate()
+                    .map(|(index, &t)| (loader::relative_path_string(map, t), index))
                     .collect();
                 for entry in &fingerprint.entries {
-                    let snapshot = by_path.remove(&entry.path);
-                    pool.insert(entry.path.clone(), (entry.size, (entry.hash, snapshot)));
+                    let snapshot = by_path.remove(&entry.path).map(|index| (source, index));
+                    pool.insert(entry.path.clone(), (entry.size, entry.hash, snapshot));
                 }
+                sources.push(seg_store);
             }
         }
 
-        // Parse from YAML only what the pool cannot supply.
+        // Parse from YAML only what the pool cannot supply, into one
+        // more source store.
         let rebuild = entries.get(rebuild_from..).unwrap_or(&[]);
         let fresh: Vec<DatasetEntry> = rebuild
             .iter()
             .filter(|e| {
                 let path = loader::relative_path_string(map, e.timestamp);
-                pool.get(&path).is_none_or(|(size, _)| *size != e.size)
+                pool.get(&path).is_none_or(|(size, _, _)| *size != e.size)
             })
             .cloned()
             .collect();
-        let (snapshots, fresh_stats, hashes) = loader::load_sorted(store, map, &fresh, threads)?;
+        let (fresh_store, fresh_stats, hashes) = loader::load_store(store, map, &fresh, threads)?;
         cache.snapshots_appended += fresh_stats.parsed as u64;
-        let mut fresh_snaps: BTreeMap<i64, TopologySnapshot> = snapshots
-            .into_iter()
-            .map(|s| (s.timestamp.unix(), s))
+        let fresh_source = sources.len();
+        let mut fresh_index: BTreeMap<i64, usize> = fresh_store
+            .timestamps()
+            .iter()
+            .enumerate()
+            .map(|(index, t)| (t.unix(), index))
             .collect();
+        sources.push(fresh_store);
         let fresh_hashes: BTreeMap<i64, u64> = fresh
             .iter()
             .zip(&hashes)
             .map(|(e, &h)| (e.timestamp.unix(), h))
             .collect();
 
+        // Each chunk is a concatenation of runs of consecutive source
+        // snapshots, in entry order.
         let old_coverage = old.segments.last().map(|m| m.t_max);
         for chunk in entries.chunks(capacity).skip(kept) {
             let Some(mut meta) = meta_of_chunk(map, chunk) else {
                 continue;
             };
-            let mut chunk_snapshots: Vec<TopologySnapshot> = Vec::new();
+            let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
             let mut fp = CorpusFingerprint::default();
             for entry in chunk {
                 let path = loader::relative_path_string(map, entry.timestamp);
                 let (hash, snapshot) = match pool.get(&path) {
-                    Some((size, (hash, snapshot))) if *size == entry.size => {
+                    Some(&(size, hash, snapshot)) if size == entry.size => {
                         reused_any = true;
-                        (*hash, snapshot.clone())
+                        (hash, snapshot)
                     }
                     _ => (
                         fresh_hashes
                             .get(&entry.timestamp.unix())
                             .copied()
                             .unwrap_or(0),
-                        fresh_snaps.remove(&entry.timestamp.unix()),
+                        fresh_index
+                            .remove(&entry.timestamp.unix())
+                            .map(|index| (fresh_source, index)),
                     ),
                 };
                 fp.entries.push(FingerprintEntry {
@@ -570,12 +585,20 @@ fn ensure_segments(
                     size: entry.size,
                     hash,
                 });
-                if let Some(snapshot) = snapshot {
-                    chunk_snapshots.push(snapshot);
+                if let Some((source, index)) = snapshot {
+                    match runs.last_mut() {
+                        Some((last, run)) if *last == source && run.end == index => run.end += 1,
+                        _ => runs.push((source, index..index + 1)),
+                    }
                 }
             }
-            meta.snapshots = chunk_snapshots.len() as u64;
-            let bytes = encode_chunk(&meta, chunk, &chunk_snapshots, &fp);
+            let parts: Vec<(&LongitudinalStore, Range<usize>)> = runs
+                .into_iter()
+                .filter_map(|(source, run)| Some((sources.get(source)?, run)))
+                .collect();
+            let chunk_store = LongitudinalStore::concat(&parts);
+            meta.snapshots = chunk_store.len() as u64;
+            let bytes = encode_chunk(&meta, chunk, &chunk_store, &fp);
             store.write_segment_file(map, &meta.name, &bytes)?;
             if old_coverage.is_some_and(|end| meta.t_min <= end) {
                 cache.segments_rebuilt += 1;
@@ -614,19 +637,18 @@ fn ensure_segments(
     Ok((manifest, spans))
 }
 
-/// Materialises one segment's snapshots: decodes the file when it is
-/// intact and still the segment the manifest promised, otherwise
-/// rebuilds exactly this chunk from YAML (counting the damage) and
-/// repairs the file in place. Returns the snapshots and whether they
-/// came from the segment file.
-fn load_segment_snapshots(
+/// One segment's store: the decoded file when it is intact and still
+/// the segment the manifest promised, otherwise exactly this chunk
+/// rebuilt from YAML (counting the damage), with the file repaired in
+/// place. Returns the store and whether it came from the segment file.
+fn load_segment(
     store: &DatasetStore,
     map: MapKind,
     meta: &SegmentMeta,
     chunk: &[DatasetEntry],
     threads: usize,
     cache: &mut CacheStats,
-) -> io::Result<(Vec<TopologySnapshot>, bool)> {
+) -> io::Result<(LongitudinalStore, bool)> {
     let decoded = match store.read_segment_file(map, &meta.name)? {
         None => {
             eprintln!(
@@ -664,23 +686,23 @@ fn load_segment_snapshots(
         },
     };
     if let Some(seg_store) = decoded {
-        return Ok((seg_store.snapshots().collect(), true));
+        return Ok((seg_store, true));
     }
 
     // Repair: parse exactly this chunk, re-encode, write back. The
     // encoding is deterministic, so the repaired file is byte-identical
     // to the one originally written and the manifest needs no update.
-    let (snapshots, chunk_stats, hashes) = loader::load_sorted(store, map, chunk, threads)?;
+    let (seg_store, chunk_stats, hashes) = loader::load_store(store, map, chunk, threads)?;
     cache.segments_rebuilt += 1;
     cache.snapshots_appended += chunk_stats.parsed as u64;
     let meta = SegmentMeta {
-        snapshots: snapshots.len() as u64,
+        snapshots: seg_store.len() as u64,
         ..meta.clone()
     };
     let fp = loader::fingerprint_from(map, chunk, &hashes);
-    let bytes = encode_chunk(&meta, chunk, &snapshots, &fp);
+    let bytes = encode_chunk(&meta, chunk, &seg_store, &fp);
     store.write_segment_file(map, &meta.name, &bytes)?;
-    Ok((snapshots, false))
+    Ok((seg_store, false))
 }
 
 /// Whether a decoded header is the segment the manifest row promises.
@@ -697,17 +719,12 @@ fn header_matches(header: &SegmentHeader, meta: &SegmentMeta) -> bool {
 fn encode_chunk(
     meta: &SegmentMeta,
     chunk: &[DatasetEntry],
-    snapshots: &[TopologySnapshot],
+    seg_store: &LongitudinalStore,
     fingerprint: &CorpusFingerprint,
 ) -> Vec<u8> {
-    let mut builder = ColumnarBuilder::default();
-    for (i, snapshot) in snapshots.iter().enumerate() {
-        builder.add_snapshot(i, snapshot);
-    }
-    let seg_store = ColumnarBuilder::finish(vec![builder]);
     let mut stats = CorpusLoadStats {
-        parsed: snapshots.len(),
-        failed: chunk.len() - snapshots.len(),
+        parsed: seg_store.len(),
+        failed: chunk.len() - seg_store.len(),
         ..CorpusLoadStats::default()
     };
     for entry in chunk {
@@ -721,7 +738,7 @@ fn encode_chunk(
         snapshots: meta.snapshots,
         meta_digest: meta.meta_digest,
     };
-    segment::encode_segment(&header, &seg_store, fingerprint, &stats)
+    segment::encode_segment(&header, seg_store, fingerprint, &stats)
 }
 
 #[cfg(test)]

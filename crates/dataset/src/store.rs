@@ -107,20 +107,41 @@ impl DatasetStore {
     /// never treats foreign files as corpus members).
     pub fn entries(&self) -> io::Result<Vec<DatasetEntry>> {
         let mut out = Vec::new();
-        self.walk(&self.root, &mut out)?;
+        if self.root.is_dir() {
+            self.walk(&self.root, &mut out)?;
+        }
         out.sort_by_key(|e| (e.map, e.kind, e.timestamp));
         Ok(out)
     }
 
-    /// Enumerates the entries of one map and kind, sorted by timestamp.
+    /// Enumerates the entries of one map and kind, sorted by timestamp:
+    /// exactly [`Self::entries`] filtered to `(map, kind)`, but walking
+    /// only `<root>/<map>/<kind>/`.
+    ///
+    /// The layout accepts any spelling of the map name that parses as
+    /// `map` (`eu` for Europe, say), so every such child of the root is
+    /// a map directory; only the root itself is listed beyond them.
     pub fn entries_of(&self, map: MapKind, kind: FileKind) -> io::Result<Vec<DatasetEntry>> {
-        // `entries` sorts by `(map, kind, timestamp)`; the filter keeps
-        // that order.
-        Ok(self
-            .entries()?
-            .into_iter()
-            .filter(|e| e.map == map && e.kind == kind)
-            .collect())
+        let mut out = Vec::new();
+        if !self.root.is_dir() {
+            return Ok(out);
+        }
+        for entry in fs::read_dir(&self.root)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else {
+                continue;
+            };
+            if name.starts_with('.') || name.parse::<MapKind>() != Ok(map) {
+                continue;
+            }
+            let kind_dir = entry.path().join(kind.as_str());
+            if kind_dir.is_dir() {
+                self.walk(&kind_dir, &mut out)?;
+            }
+        }
+        out.sort_by_key(|e| e.timestamp);
+        Ok(out)
     }
 
     /// Directory holding one map's segment files and manifest.
@@ -212,19 +233,21 @@ impl DatasetStore {
         }
     }
 
+    /// Collects the corpus files under directory `dir`, following
+    /// symlinked directories as [`Path::is_dir`] does.
     fn walk(&self, dir: &Path, out: &mut Vec<DatasetEntry>) -> io::Result<()> {
-        if !dir.is_dir() {
-            return Ok(());
-        }
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
-            let path = entry.path();
             // Dot-prefixed names (the cache file, editor droppings) are
             // never corpus members; skip them before any path parsing.
             if entry.file_name().to_string_lossy().starts_with('.') {
                 continue;
             }
-            if path.is_dir() {
+            let path = entry.path();
+            // The directory entry's own type costs no system call; only
+            // a symlink needs a stat to learn what it points to.
+            let file_type = entry.file_type()?;
+            if file_type.is_dir() || (file_type.is_symlink() && path.is_dir()) {
                 self.walk(&path, out)?;
             } else if let Ok(relative) = path.strip_prefix(&self.root) {
                 if let Some((map, kind, timestamp)) = parse_path(relative) {
@@ -297,6 +320,67 @@ mod tests {
         assert_eq!(europe.len(), 5);
         assert!(europe.windows(2).all(|w| w[0].timestamp < w[1].timestamp));
         assert_eq!(europe[0].size, 1);
+        fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn narrow_listing_equals_the_filtered_full_walk() {
+        let store = temp_store("narrow");
+        let t = Timestamp::from_ymd_hms(2022, 2, 1, 10, 0, 0);
+        let later = t + wm_model::Duration::from_minutes(5);
+        // Both kinds for Europe, YAML only for World (its SVG directory
+        // is missing), nothing for the other maps.
+        for (map, kind, at) in [
+            (MapKind::Europe, FileKind::Svg, t),
+            (MapKind::Europe, FileKind::Svg, later),
+            (MapKind::Europe, FileKind::Yaml, later),
+            (MapKind::World, FileKind::Yaml, t),
+        ] {
+            store.write(map, kind, at, b"snapshot").unwrap();
+        }
+        // Foreign files at every level, a dot-directory holding a
+        // well-formed layout, a map directory under an alias spelling,
+        // and a symlinked day directory.
+        let root = store.root();
+        fs::write(root.join("README.txt"), "x").unwrap();
+        fs::write(root.join("europe/notes.md"), "x").unwrap();
+        fs::write(root.join("europe/yaml/2022/02/01/1000.svg"), "x").unwrap();
+        fs::create_dir_all(root.join("europe/.segments/yaml/2022/02/01")).unwrap();
+        fs::write(root.join("europe/.segments/yaml/2022/02/01/1100.yaml"), "x").unwrap();
+        fs::create_dir_all(root.join(".hidden/europe/yaml/2022/02/01")).unwrap();
+        fs::write(root.join(".hidden/europe/yaml/2022/02/01/1200.yaml"), "x").unwrap();
+        fs::create_dir_all(root.join("eu/yaml/2022/02/02")).unwrap();
+        fs::write(root.join("eu/yaml/2022/02/02/0000.yaml"), "alias").unwrap();
+        fs::create_dir_all(root.join("elsewhere/03")).unwrap();
+        fs::write(root.join("elsewhere/03/0000.yaml"), "linked").unwrap();
+        #[cfg(unix)]
+        std::os::unix::fs::symlink(
+            root.join("elsewhere/03"),
+            root.join("world/yaml/2022/02/03"),
+        )
+        .unwrap();
+
+        let all = store.entries().unwrap();
+        assert!(all.iter().any(|e| e.size == 5), "alias directory listed");
+        #[cfg(unix)]
+        assert!(
+            all.iter().any(|e| e.size == 6),
+            "symlinked directory followed"
+        );
+        for map in MapKind::ALL {
+            for kind in FileKind::ALL {
+                let filtered: Vec<DatasetEntry> = all
+                    .iter()
+                    .filter(|e| e.map == map && e.kind == kind)
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    store.entries_of(map, kind).unwrap(),
+                    filtered,
+                    "{map} {kind:?}"
+                );
+            }
+        }
         fs::remove_dir_all(store.root()).unwrap();
     }
 

@@ -110,8 +110,10 @@ impl Affine {
 
 /// Parses a `transform` attribute value. Unknown operations (rotate, skew)
 /// are ignored — weathermaps never use them, and leniency here means a
-/// cosmetic oddity cannot make an entire snapshot unprocessable.
-fn parse_transform(raw: &str) -> Affine {
+/// cosmetic oddity cannot make an entire snapshot unprocessable. A
+/// non-finite argument (`nan`, `inf`) is refused: it would poison every
+/// coordinate under the element.
+fn parse_transform(raw: &str) -> Option<Affine> {
     let mut result = Affine::IDENTITY;
     let mut rest = raw;
     while let Some(open) = rest.find('(') {
@@ -124,6 +126,9 @@ fn parse_transform(raw: &str) -> Affine {
             .filter(|t| !t.is_empty())
             .filter_map(|t| t.parse().ok())
             .collect();
+        if !args.iter().all(|v: &f64| v.is_finite()) {
+            return None;
+        }
         let step = match (op, args.as_slice()) {
             ("translate", [tx]) => Some(Affine::translate(*tx, 0.0)),
             ("translate", [tx, ty]) => Some(Affine::translate(*tx, *ty)),
@@ -144,7 +149,13 @@ fn parse_transform(raw: &str) -> Affine {
         }
         rest = &rest[open + close + 1..];
     }
-    result
+    Some(result)
+}
+
+/// Whether a point survived its transform with finite coordinates (a
+/// finite transform can still overflow to infinity).
+fn finite(p: Point) -> bool {
+    p.x.is_finite() && p.y.is_finite()
 }
 
 impl Document {
@@ -208,7 +219,11 @@ impl Document {
                             .map(|a| a.value.as_ref())
                     };
                     let parent = stack.last().copied().unwrap_or(Affine::IDENTITY);
-                    let local = attr("transform").map_or(Affine::IDENTITY, parse_transform);
+                    let local = match attr("transform") {
+                        None => Affine::IDENTITY,
+                        Some(raw) => parse_transform(raw)
+                            .ok_or_else(|| bad(name, "non-finite transform argument"))?,
+                    };
                     let transform = parent.then(local);
 
                     if name == "svg" && stack.is_empty() {
@@ -226,11 +241,11 @@ impl Document {
                             let y = get("y").unwrap_or(0.0);
                             let w = get("width").unwrap_or(0.0);
                             let h = get("height").unwrap_or(0.0);
-                            if !(x.is_finite() && y.is_finite() && w.is_finite() && h.is_finite()) {
-                                return Err(bad(name, "non-finite rect coordinates"));
-                            }
                             let p1 = transform.apply(Point::new(x, y));
                             let p2 = transform.apply(Point::new(x + w, y + h));
+                            if !(finite(p1) && finite(p2)) {
+                                return Err(bad(name, "non-finite rect coordinates"));
+                            }
                             Some(Shape::Rect(Rect::from_corners(p1, p2)))
                         }
                         "polygon" | "polyline" => {
@@ -239,6 +254,9 @@ impl Document {
                             points.clear();
                             parse_points_into(raw, &mut points, |p| transform.apply(p))
                                 .ok_or_else(|| bad(name, "unparsable points attribute"))?;
+                            if !points.iter().all(|&p| finite(p)) {
+                                return Err(bad(name, "non-finite polygon points"));
+                            }
                             Some(Shape::Polygon(Polygon::new(points.clone())))
                         }
                         "line" => {
@@ -483,6 +501,49 @@ mod tests {
         assert_eq!(
             doc.elements[0].as_rect(),
             Some(&Rect::new(3.0, 4.0, 1.0, 1.0))
+        );
+    }
+
+    #[test]
+    fn non_finite_transforms_are_refused() {
+        let refused = |group: &str, shape: &str| {
+            let svg = format!(r#"<svg><g transform="{group}">{shape}</g></svg>"#);
+            match Document::parse(&svg) {
+                Err(ParseError::BadGeometry { .. }) => {}
+                other => panic!("{group} over {shape} should be refused, got {other:?}"),
+            }
+        };
+        let rect = r#"<rect x="1" y="1" width="2" height="2"/>"#;
+        let polygon = r#"<polygon points="0,0 2,0 1,2"/>"#;
+        for group in [
+            "scale(nan)",
+            "translate(inf)",
+            "translate(1, -inf)",
+            "matrix(1 0 0 1 inf 0)",
+            "matrix(1 0 0 NaN 0 0)",
+            "rotate(nan) translate(1,1)",
+        ] {
+            refused(group, rect);
+            refused(group, polygon);
+        }
+        // Finite arguments whose product overflows to infinity.
+        refused(
+            "scale(1e300)",
+            r#"<rect x="1e10" y="1" width="2" height="2"/>"#,
+        );
+        refused("scale(1e300)", r#"<polygon points="0,0 1e10,0 1,2"/>"#);
+        refused(
+            "scale(1e200) scale(1e200)",
+            r#"<rect x="0" y="0" width="2" height="2"/>"#,
+        );
+        // Large but finite geometry still parses.
+        let doc = Document::parse(
+            r#"<svg><g transform="scale(1e300)"><rect x="1" y="1" width="1" height="1"/></g></svg>"#,
+        )
+        .unwrap();
+        assert_eq!(
+            doc.elements[0].as_rect(),
+            Some(&Rect::new(1e300, 1e300, 1e300, 1e300))
         );
     }
 

@@ -174,6 +174,28 @@ fn structured_hostile_documents_are_classified() {
     assert!(snapshot.nodes.is_empty() && snapshot.links.is_empty());
 }
 
+/// A transform that makes geometry non-finite (a `nan`/`inf` argument,
+/// or finite factors that overflow) refuses the file as `invalid-svg`
+/// instead of yielding boxes that "intersect" every carrier line.
+#[test]
+fn non_finite_transforms_are_invalid_svg() {
+    let config = ExtractConfig::default();
+    let t = Timestamp::from_unix(0);
+    for transform in [
+        "scale(nan)",
+        "translate(inf)",
+        "matrix(1 0 0 1 0 inf)",
+        "scale(1e300) scale(1e300)",
+    ] {
+        let doc = format!(
+            r#"<svg><g transform="{transform}"><rect class="node" x="1" y="1" width="2" height="2"/></g></svg>"#
+        );
+        let err = extract_svg(&doc, MapKind::Europe, t, &config)
+            .expect_err("non-finite geometry must be refused");
+        assert_eq!(err.kind(), "invalid-svg", "{transform}: {err}");
+    }
+}
+
 /// Every `ExtractError::kind()` string the library can construct is
 /// documented here and reachable through `failures_by_kind`. The
 /// `error-exhaustiveness` lint rule cross-checks this list against the
