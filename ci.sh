@@ -58,6 +58,42 @@ target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > "$smoke_dir/rebuilt.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/cached.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/rebuilt.txt"
+# Reshaped YAML: the schema reader takes whatever the grammar allows.
+# In a copy of the corpus every `name:`, `a:` and `b:` value is quoted
+# and full-line and trailing comments are added; one file gets CRLF
+# line ends and another lists `links:` above `nodes:`. Read fresh and
+# through a rebuilt segment store, the copy reports what the original
+# does.
+reshaped_dir="$(mktemp -d)"
+mkdir -p "$reshaped_dir/europe"
+cp -R "$smoke_dir/europe/yaml" "$reshaped_dir/europe/"
+for file in $(find "$reshaped_dir/europe/yaml" -name '*.yaml'); do
+    awk '
+        /^(nodes|links):/ { print "# the " $1 " block follows" }
+        /^ *(- )?(name|a|b): [^"]/ { sub(/: /, ": \""); $0 = $0 "\"" }
+        /^ *(- )?kind: / { $0 = $0 "  # trailing comment" }
+        { print }
+    ' "$file" > "$file.tmp"
+    mv "$file.tmp" "$file"
+done
+set -- $(find "$reshaped_dir/europe/yaml" -name '*.yaml' | sort)
+awk '{ printf "%s\r\n", $0 }' "$1" > "$1.tmp"
+mv "$1.tmp" "$1"
+awk '
+    /^# the nodes/ || /^nodes:/ { block = "nodes" }
+    /^# the links/ || /^links:/ { block = "links" }
+    block == "" { print; next }
+    block == "nodes" { nodes = nodes $0 "\n"; next }
+    { links = links $0 "\n" }
+    END { printf "%s%s", links, nodes }
+' "$2" > "$2.tmp"
+mv "$2.tmp" "$2"
+grep -q '^links:' "$2"
+target/release/ovh-weather analyze --in "$reshaped_dir" --map europe --threads 2 > "$reshaped_dir/plain.txt"
+target/release/ovh-weather analyze --in "$reshaped_dir" --map europe --threads 2 --cache=rebuild > "$reshaped_dir/rebuilt.txt"
+diff "$smoke_dir/plain.txt" "$reshaped_dir/plain.txt"
+diff "$smoke_dir/plain.txt" "$reshaped_dir/rebuilt.txt"
+rm -rf "$reshaped_dir"
 # Serve a six-hour window from only the segments it intersects; the
 # windowed report is the same with and without the segment store.
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics \

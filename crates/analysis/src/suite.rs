@@ -130,8 +130,8 @@ impl AnalysisSuite {
                     LinkKind::External => external_links += 1,
                 }
 
-                let first = f64::from(row.first_load());
-                let second = f64::from(row.second_load());
+                let first = row.first_load();
+                let second = row.second_load();
                 suite.hourly.push(hour, first);
                 suite.hourly.push(hour, second);
                 suite.load_cdf.push(row.kind, first);

@@ -5,16 +5,17 @@
 //! each example — walked the tree and parsed YAML with its own loop.
 //! This is the one canonical path. Workers claim files from a shared
 //! cursor (same work-stealing shape as the extraction batch runner) and
-//! fold parsed snapshots into per-worker [`SnapshotSink`]s; the merge is
-//! keyed on file order, so results are byte-identical for any thread
-//! count. Files that fail to parse are counted and skipped, like the
-//! paper's scripts leaving a handful of unprocessed files per map; I/O
-//! errors abort the load.
+//! parse each file straight into a per-worker [`ColumnarBuilder`]
+//! ([`ColumnarBuilder::add_yaml`]: no value tree, no snapshot); the
+//! merge is keyed on file order, so results are byte-identical for any
+//! thread count. Files that fail to parse are counted and skipped, like
+//! the paper's scripts leaving a handful of unprocessed files per map;
+//! I/O errors abort the load.
 
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wm_extract::{from_yaml_str, CacheStats, SnapshotSink};
+use wm_extract::CacheStats;
 use wm_model::{MapKind, Timestamp};
 
 use crate::codec::{self, CorpusFingerprint, FingerprintEntry};
@@ -93,8 +94,7 @@ pub fn build_longitudinal(
     threads: usize,
 ) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
     let entries = store.entries_of(map, FileKind::Yaml)?;
-    let (builders, stats, _) =
-        load_fold_entries::<ColumnarBuilder>(store, map, &entries, threads, false)?;
+    let (builders, stats, _) = load_fold_entries(store, map, &entries, threads, false)?;
     Ok((ColumnarBuilder::finish(builders), stats))
 }
 
@@ -139,29 +139,28 @@ pub(crate) fn load_store(
     entries: &[DatasetEntry],
     threads: usize,
 ) -> io::Result<(LongitudinalStore, CorpusLoadStats, Vec<u64>)> {
-    let (builders, stats, hashes) =
-        load_fold_entries::<ColumnarBuilder>(store, map, entries, threads, true)?;
+    let (builders, stats, hashes) = load_fold_entries(store, map, entries, threads, true)?;
     Ok((ColumnarBuilder::finish(builders), stats, hashes))
 }
 
-/// The loader core: reads and parses the given YAML entries of `map`,
-/// folding snapshots into one [`SnapshotSink`] per worker (returned in
-/// worker order, never finish order). With `hash` set, also returns the
-/// FNV-1a content hash of every entry, in entry order — the combined
+/// The loader core: reads and parses the given YAML entries of `map`
+/// into one [`ColumnarBuilder`] per worker (returned in worker order,
+/// never finish order). With `hash` set, also returns the FNV-1a
+/// content hash of every entry, in entry order — the combined
 /// parse-and-fingerprint pass that seals a segment, which avoids
 /// reading each file twice.
-pub(crate) fn load_fold_entries<S: SnapshotSink>(
+pub(crate) fn load_fold_entries(
     store: &DatasetStore,
     map: MapKind,
     entries: &[DatasetEntry],
     threads: usize,
     hash: bool,
-) -> io::Result<(Vec<S>, CorpusLoadStats, Vec<u64>)> {
+) -> io::Result<(Vec<ColumnarBuilder>, CorpusLoadStats, Vec<u64>)> {
     let threads = threads.max(1).min(entries.len().max(1));
 
     if threads == 1 {
         // Serial fast path, same code per file.
-        let mut sink = S::default();
+        let mut sink = ColumnarBuilder::default();
         let mut stats = CorpusLoadStats::default();
         let mut hashes = Vec::new();
         for (index, entry) in entries.iter().enumerate() {
@@ -181,14 +180,14 @@ pub(crate) fn load_fold_entries<S: SnapshotSink>(
         return Ok((vec![sink], stats, hashes));
     }
 
-    type WorkerOut<S> = (S, CorpusLoadStats, Vec<(usize, u64)>);
+    type WorkerOut = (ColumnarBuilder, CorpusLoadStats, Vec<(usize, u64)>);
     let cursor = AtomicUsize::new(0);
     let (cursor, entries) = (&cursor, entries);
-    let outcomes: Vec<io::Result<WorkerOut<S>>> = std::thread::scope(|scope| {
+    let outcomes: Vec<io::Result<WorkerOut>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut sink = S::default();
+                    let mut sink = ColumnarBuilder::default();
                     let mut stats = CorpusLoadStats::default();
                     let mut hashes = Vec::new();
                     loop {
@@ -215,7 +214,11 @@ pub(crate) fn load_fold_entries<S: SnapshotSink>(
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("corpus loader worker panicked"))
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|_| Err(io::Error::other("corpus loader worker panicked")))
+            })
             .collect()
     });
 
@@ -231,19 +234,21 @@ pub(crate) fn load_fold_entries<S: SnapshotSink>(
         sinks.push(sink);
         stats.merge(worker_stats);
         for (index, h) in worker_hashes {
-            hashes[index] = h;
+            if let Some(slot) = hashes.get_mut(index) {
+                *slot = h;
+            }
         }
     }
     Ok((sinks, stats, hashes))
 }
 
 #[allow(clippy::too_many_arguments)]
-fn read_one<S: SnapshotSink>(
+fn read_one(
     store: &DatasetStore,
     map: MapKind,
     timestamp: Timestamp,
     index: usize,
-    sink: &mut S,
+    sink: &mut ColumnarBuilder,
     stats: &mut CorpusLoadStats,
     hash: bool,
 ) -> io::Result<u64> {
@@ -252,11 +257,8 @@ fn read_one<S: SnapshotSink>(
     stats.bytes += bytes.len() as u64;
     let h = if hash { codec::fnv1a(&bytes) } else { 0 };
     let text = String::from_utf8_lossy(&bytes);
-    match from_yaml_str(&text) {
-        Ok(snapshot) => {
-            stats.parsed += 1;
-            sink.accept(index, snapshot);
-        }
+    match sink.add_yaml(index, &text) {
+        Ok(()) => stats.parsed += 1,
         Err(_) => stats.failed += 1,
     }
     Ok(h)

@@ -24,8 +24,10 @@
 //!   consecutive snapshot pair, computed once at build time on the id
 //!   columns instead of recomputed inside each analysis.
 //!
-//! The store is built by folding snapshots into per-worker
-//! [`ColumnarBuilder`]s (a [`SnapshotSink`]) and merging them at join.
+//! The store is built by folding snapshot files into per-worker
+//! [`ColumnarBuilder`]s — straight from YAML text
+//! ([`ColumnarBuilder::add_yaml`]), or from extracted snapshots (a
+//! [`SnapshotSink`]) — and merging them at join.
 //! The merge sorts the symbol tables and orders rows by `(timestamp,
 //! input index)`, so the result is byte-identical for any worker count
 //! — the same contract as the extraction batch runner. Finished stores
@@ -37,11 +39,12 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use wm_extract::{
-    extract_batch_sink, BatchInput, BatchMetrics, BatchStats, ExtractConfig, SnapshotSink,
+    extract_batch_sink, read_snapshot, BatchInput, BatchMetrics, BatchStats, EndRef, ExtractConfig,
+    SchemaError, SnapshotSink, SnapshotVisitor,
 };
 use wm_model::{
-    GroupDelta, Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, SnapshotDiff, Timestamp,
-    TopologySnapshot,
+    GroupDelta, Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, NodeName, SnapshotDiff,
+    Timestamp, TopologySnapshot,
 };
 
 /// Stable identifier of a distinct node within one store.
@@ -147,32 +150,58 @@ struct LocalRow {
     flipped: bool,
 }
 
-/// A snapshot accepted by a builder, awaiting the merge.
+/// A snapshot accepted by a builder, awaiting the merge. Its cells are
+/// ranges of the builder's flat `node_cells` and `rows`.
 #[derive(Debug, Clone)]
 struct PendingSnapshot {
     index: usize,
     map: MapKind,
     timestamp: Timestamp,
-    nodes: Vec<u32>,
-    rows: Vec<LocalRow>,
+    nodes: Range<usize>,
+    rows: Range<usize>,
 }
+
+/// The local id slot of an absent entry (no node of that kind, no
+/// label).
+const NO_ID: u32 = u32::MAX;
+
+/// A builder-local link identity: `(a, b, label_a, label_b)` as local
+/// ids, labels [`NO_ID`] when absent.
+type DefKey = [u32; 4];
 
 /// Per-worker accumulator that folds snapshots into columns.
 ///
-/// Each worker interns nodes and link identities against its own local
-/// tables (first-seen order; a local [`LinkDef`] names builder-local
-/// node ids); [`ColumnarBuilder::finish`] merges any number of builders
-/// into one [`LongitudinalStore`], re-ranking all ids against the
-/// global sorted tables. Because ranking depends only on the set of
-/// values seen, the merged store is identical however the inputs were
-/// split across builders.
+/// Each worker interns nodes, labels and link identities against its
+/// own local tables (first-seen order; a local [`LinkDef`] names
+/// builder-local node ids); [`ColumnarBuilder::finish`] merges any
+/// number of builders into one [`LongitudinalStore`], re-ranking all
+/// ids against the global sorted tables. Because ranking depends only
+/// on the set of values seen, the merged store is identical however the
+/// inputs were split across builders.
+///
+/// Snapshots arrive as YAML text ([`ColumnarBuilder::add_yaml`], the
+/// loader's path) or as [`TopologySnapshot`]s
+/// ([`ColumnarBuilder::add_snapshot`]); both go through the one
+/// interning core, which looks every name and label up by borrowed key.
 #[derive(Debug, Default)]
 pub struct ColumnarBuilder {
+    /// Local node id → node.
     nodes: Vec<Node>,
-    node_ids: BTreeMap<Node, u32>,
+    /// Node name → local id per [`NodeKind`] (`NO_ID` when unseen).
+    node_ids: BTreeMap<NodeName, [u32; 2]>,
+    /// Label text → local label id.
+    label_ids: BTreeMap<String, u32>,
+    /// Local link identities, in local id order.
     defs: Vec<LinkDef>,
-    def_ids: BTreeMap<LinkDef, u32>,
+    def_ids: BTreeMap<DefKey, u32>,
     snaps: Vec<PendingSnapshot>,
+    /// Node-id cells of every pending snapshot, back to back.
+    node_cells: Vec<u32>,
+    /// Link rows of every pending snapshot, back to back.
+    rows: Vec<LocalRow>,
+    /// Local ids of the listed nodes of the snapshot being added, in
+    /// list order (scratch, reused across snapshots).
+    listed: Vec<u32>,
 }
 
 /// A stored load byte as a [`Load`]. Stored bytes come from
@@ -237,8 +266,19 @@ fn rank_union<T: Ord + Clone>(tables: &[Vec<Option<&T>>]) -> (Vec<T>, Vec<Vec<u3
 
 /// The total order on link ends that fixes each link's canonical
 /// orientation, independent of how the link was drawn.
-fn end_key(end: &LinkEnd) -> (&str, NodeKind, Option<&str>) {
-    (end.node.name.as_str(), end.node.kind, end.label.as_deref())
+fn end_key<'e>(end: &EndRef<'e>) -> (&'e str, NodeKind, Option<&'e str>) {
+    (end.name, end.kind, end.label)
+}
+
+/// A [`TopologySnapshot`] link end as the interning core reads it.
+fn end_ref(end: &LinkEnd) -> EndRef<'_> {
+    EndRef {
+        name: end.node.name.as_str(),
+        kind: end.node.kind,
+        listed: None,
+        label: end.label.as_deref(),
+        load: end.egress_load,
+    }
 }
 
 impl LinkDef {
@@ -260,63 +300,119 @@ impl ColumnarBuilder {
         ColumnarBuilder::default()
     }
 
-    fn intern_node(&mut self, node: &Node) -> u32 {
-        if let Some(&id) = self.node_ids.get(node) {
-            return id;
-        }
-        let id = self.nodes.len() as u32;
-        self.nodes.push(node.clone());
-        self.node_ids.insert(node.clone(), id);
-        id
-    }
-
-    fn intern_def(&mut self, def: LinkDef) -> u32 {
-        if let Some(&id) = self.def_ids.get(&def) {
-            return id;
-        }
-        let id = self.defs.len() as u32;
-        self.defs.push(def.clone());
-        self.def_ids.insert(def, id);
-        id
+    /// Folds one snapshot file (input position `index`), given as YAML
+    /// text, straight into the columns — no value tree, no
+    /// [`TopologySnapshot`]. A file the schema reader rejects leaves the
+    /// builder exactly as it was: the reader hands a file over only
+    /// once all of it has validated, and the snapshot is committed only
+    /// then.
+    pub fn add_yaml(&mut self, index: usize, text: &str) -> Result<(), SchemaError> {
+        let mut file = FileVisitor::new(self);
+        read_snapshot(text, &mut file)?;
+        file.commit(index);
+        Ok(())
     }
 
     /// Folds one snapshot (input position `index`) into the columns.
     pub fn add_snapshot(&mut self, index: usize, snapshot: &TopologySnapshot) {
-        let nodes = snapshot
-            .nodes
-            .iter()
-            .map(|node| self.intern_node(node))
-            .collect();
-        let rows = snapshot
-            .links
-            .iter()
-            .map(|link| {
-                let flipped = end_key(&link.b) < end_key(&link.a);
-                let (first, second) = if flipped {
-                    (&link.b, &link.a)
-                } else {
-                    (&link.a, &link.b)
+        let mut file = FileVisitor::new(self);
+        file.header(snapshot.map, snapshot.timestamp);
+        for node in &snapshot.nodes {
+            file.node(&node.name, node.kind);
+        }
+        for link in &snapshot.links {
+            file.link(&end_ref(&link.a), &end_ref(&link.b));
+        }
+        file.commit(index);
+    }
+
+    /// The local id of node `(name, kind)`, interning it if new.
+    fn intern_node(&mut self, name: &str, kind: NodeKind) -> u32 {
+        let slot = kind as usize;
+        let next = self.nodes.len() as u32;
+        let node = match self.node_ids.get_mut(name) {
+            Some(ids) => {
+                let Some(id) = ids.get_mut(slot) else {
+                    return 0; // two kinds, two slots: cannot miss
                 };
-                let def = LinkDef {
-                    a: NodeId(self.intern_node(&first.node)),
-                    b: NodeId(self.intern_node(&second.node)),
-                    label_a: first.label.clone(),
-                    label_b: second.label.clone(),
-                };
-                LocalRow {
-                    def: self.intern_def(def),
-                    load_a: first.egress_load.percent(),
-                    load_b: second.egress_load.percent(),
-                    flipped,
+                if *id != NO_ID {
+                    return *id;
                 }
-            })
-            .collect();
-        self.snaps.push(PendingSnapshot {
-            index,
-            map: snapshot.map,
-            timestamp: snapshot.timestamp,
-            nodes,
-            rows,
+                *id = next;
+                // The name is known under the other kind: share its text.
+                let other = ids.iter().copied().find(|&id| id != NO_ID);
+                let shared = other.and_then(|id| self.nodes.get(id as usize));
+                Node {
+                    name: shared.map_or_else(|| name.into(), |node| node.name.clone()),
+                    kind,
+                }
+            }
+            None => {
+                let mut ids = [NO_ID; 2];
+                if let Some(id) = ids.get_mut(slot) {
+                    *id = next;
+                }
+                let node = Node {
+                    name: name.into(),
+                    kind,
+                };
+                self.node_ids.insert(node.name.clone(), ids);
+                node
+            }
+        };
+        self.nodes.push(node);
+        next
+    }
+
+    /// The local id of a label, interning it if new.
+    fn intern_label(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.label_ids.get(label) {
+            return id;
+        }
+        let id = self.label_ids.len() as u32;
+        self.label_ids.insert(label.to_owned(), id);
+        id
+    }
+
+    /// The local id of a link end's node: the listed node it resolved to,
+    /// or `(name, kind)` interned.
+    fn end_node(&mut self, end: &EndRef<'_>) -> u32 {
+        match end.listed.and_then(|i| self.listed.get(i)) {
+            Some(&id) => id,
+            None => self.intern_node(end.name, end.kind),
+        }
+    }
+
+    /// Appends one link row, interning its identity.
+    fn push_link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>) {
+        let flipped = end_key(b) < end_key(a);
+        let (first, second) = if flipped { (b, a) } else { (a, b) };
+        let key = [
+            self.end_node(first),
+            self.end_node(second),
+            first.label.map_or(NO_ID, |label| self.intern_label(label)),
+            second.label.map_or(NO_ID, |label| self.intern_label(label)),
+        ];
+        let def = match self.def_ids.get(&key) {
+            Some(&id) => id,
+            None => {
+                let id = self.defs.len() as u32;
+                let [a, b, _, _] = key;
+                self.defs.push(LinkDef {
+                    a: NodeId(a),
+                    b: NodeId(b),
+                    label_a: first.label.map(str::to_owned),
+                    label_b: second.label.map(str::to_owned),
+                });
+                self.def_ids.insert(key, id);
+                id
+            }
+        };
+        self.rows.push(LocalRow {
+            def,
+            load_a: first.load.percent(),
+            load_b: second.load.percent(),
+            flipped,
         });
     }
 
@@ -344,33 +440,45 @@ impl ColumnarBuilder {
             .collect();
         let (defs, def_maps) = rank_union(&def_tables);
 
-        // Re-rank every pending snapshot, then order by (timestamp,
-        // input index) — identical to the batch runner's output order.
-        let mut snaps: Vec<PendingSnapshot> = Vec::new();
-        for ((mut builder, node_map), def_map) in
-            builders.into_iter().zip(&node_maps).zip(&def_maps)
-        {
-            for snap in &mut builder.snaps {
-                for node in &mut snap.nodes {
-                    *node = rank_of(node_map, *node as usize);
-                }
-                for row in &mut snap.rows {
-                    row.def = rank_of(def_map, row.def as usize);
-                }
-            }
-            snaps.append(&mut builder.snaps);
-        }
-        snaps.sort_by_key(|snap| (snap.timestamp, snap.index));
-
-        // Flatten into columns.
+        // Order every pending snapshot by (timestamp, input index) —
+        // identical to the batch runner's output order — then flatten
+        // into columns, re-ranking ids on the way.
+        let mut order: Vec<(Timestamp, usize, usize, usize)> = builders
+            .iter()
+            .enumerate()
+            .flat_map(|(k, builder)| {
+                builder
+                    .snaps
+                    .iter()
+                    .enumerate()
+                    .map(move |(j, snap)| (snap.timestamp, snap.index, k, j))
+            })
+            .collect();
+        order.sort_unstable();
         let mut store = LongitudinalStore::with_tables(nodes, defs);
-        for snap in &snaps {
+        store
+            .node_cells
+            .reserve(builders.iter().map(|b| b.node_cells.len()).sum());
+        let row_count: usize = builders.iter().map(|b| b.rows.len()).sum();
+        store.link_cells.reserve(row_count);
+        for (_, _, k, j) in order {
+            let (Some(builder), Some(node_map), Some(def_map)) =
+                (builders.get(k), node_maps.get(k), def_maps.get(k))
+            else {
+                continue;
+            };
+            let Some(snap) = builder.snaps.get(j) else {
+                continue;
+            };
             store.timestamps.push(snap.timestamp);
             store.maps.push(snap.map);
-            store.node_cells.extend_from_slice(&snap.nodes);
+            let node_row = builder.node_cells.get(snap.nodes.clone()).unwrap_or(&[]);
+            store
+                .node_cells
+                .extend(node_row.iter().map(|&id| rank_of(node_map, id as usize)));
             store.node_offsets.push(store.node_cells.len() as u32);
-            for row in &snap.rows {
-                store.link_cells.push(row.def);
+            for row in builder.rows.get(snap.rows.clone()).unwrap_or(&[]) {
+                store.link_cells.push(rank_of(def_map, row.def as usize));
                 store.load_a.push(row.load_a);
                 store.load_b.push(row.load_b);
                 store.flipped.push(row.flipped);
@@ -387,6 +495,62 @@ impl ColumnarBuilder {
             }
         }
         store
+    }
+}
+
+/// One snapshot being folded into a [`ColumnarBuilder`]: the
+/// [`SnapshotVisitor`] the schema reader feeds, and the path
+/// [`ColumnarBuilder::add_snapshot`] drives by hand. Cells go straight
+/// into the builder's flat columns; [`FileVisitor::commit`] records the
+/// snapshot that owns them.
+struct FileVisitor<'b> {
+    builder: &'b mut ColumnarBuilder,
+    header: Option<(MapKind, Timestamp)>,
+    nodes_from: usize,
+    rows_from: usize,
+}
+
+impl<'b> FileVisitor<'b> {
+    fn new(builder: &'b mut ColumnarBuilder) -> FileVisitor<'b> {
+        builder.listed.clear();
+        FileVisitor {
+            nodes_from: builder.node_cells.len(),
+            rows_from: builder.rows.len(),
+            header: None,
+            builder,
+        }
+    }
+
+    /// Records the snapshot whose cells were appended since
+    /// [`FileVisitor::new`] (nothing, when no header arrived).
+    fn commit(self, index: usize) {
+        let Some((map, timestamp)) = self.header else {
+            return;
+        };
+        let builder = self.builder;
+        builder.snaps.push(PendingSnapshot {
+            index,
+            map,
+            timestamp,
+            nodes: self.nodes_from..builder.node_cells.len(),
+            rows: self.rows_from..builder.rows.len(),
+        });
+    }
+}
+
+impl SnapshotVisitor for FileVisitor<'_> {
+    fn header(&mut self, map: MapKind, timestamp: Timestamp) {
+        self.header = Some((map, timestamp));
+    }
+
+    fn node(&mut self, name: &str, kind: NodeKind) {
+        let id = self.builder.intern_node(name, kind);
+        self.builder.listed.push(id);
+        self.builder.node_cells.push(id);
+    }
+
+    fn link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>) {
+        self.builder.push_link(a, b);
     }
 }
 

@@ -219,7 +219,7 @@ pub fn build_longitudinal_windowed_with(
             .filter(|e| range.contains(e.timestamp))
             .collect();
         let (builders, stats, _) =
-            loader::load_fold_entries::<ColumnarBuilder>(store, map, &filtered, threads, false)?;
+            loader::load_fold_entries(store, map, &filtered, threads, false)?;
         return Ok((ColumnarBuilder::finish(builders), stats));
     }
 
@@ -250,7 +250,7 @@ pub fn build_longitudinal_windowed_with(
     }
 
     let entries = store.entries_of(map, FileKind::Yaml)?;
-    let (manifest, spans) = ensure_segments(
+    let ensured = ensure_segments(
         store,
         map,
         &entries,
@@ -261,15 +261,21 @@ pub fn build_longitudinal_windowed_with(
     )?;
 
     // Each touched segment contributes the slice of its snapshots that
-    // falls in the window; the slices concatenate into the result.
+    // falls in the window; the slices concatenate into the result. A
+    // segment written just now is served from the store that was
+    // encoded, not read back.
     let mut touched: Vec<(LongitudinalStore, Range<usize>)> = Vec::new();
-    for (meta, span) in manifest.segments.iter().zip(&spans) {
+    let segments = ensured.manifest.segments.iter().zip(&ensured.spans);
+    for ((meta, span), built) in segments.zip(ensured.built) {
         if !range.intersects_closed(meta.t_min, meta.t_max) {
             continue;
         }
         cache.segments_touched += 1;
         let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (seg_store, from_cache) = load_segment(store, map, meta, chunk, threads, &mut cache)?;
+        let (seg_store, from_cache) = match built {
+            Some(seg_store) => (seg_store, false),
+            None => load_segment(store, map, meta, chunk, threads, &mut cache)?,
+        };
         let times = seg_store.timestamps();
         let window =
             times.partition_point(|&t| t < range.start)..times.partition_point(|&t| t < range.end);
@@ -320,7 +326,11 @@ pub fn reindex_segments_with(
 ) -> io::Result<(SegmentManifest, CorpusLoadStats)> {
     let entries = store.entries_of(map, FileKind::Yaml)?;
     let mut cache = CacheStats::default();
-    let (manifest, spans) = ensure_segments(
+    let Ensured {
+        manifest,
+        spans,
+        built,
+    } = ensure_segments(
         store,
         map,
         &entries,
@@ -330,10 +340,14 @@ pub fn reindex_segments_with(
         &mut cache,
     )?;
     let mut parsed = 0usize;
-    for (meta, span) in manifest.segments.iter().zip(&spans) {
+    for ((meta, span), built) in manifest.segments.iter().zip(&spans).zip(built) {
         cache.segments_touched += 1;
         let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (seg_store, from_cache) = load_segment(store, map, meta, chunk, threads, &mut cache)?;
+        // A segment written just now was validated by being built.
+        let (seg_store, from_cache) = match built {
+            Some(seg_store) => (seg_store, false),
+            None => load_segment(store, map, meta, chunk, threads, &mut cache)?,
+        };
         parsed += seg_store.len();
         if from_cache {
             cache.snapshots_from_cache += seg_store.len() as u64;
@@ -429,12 +443,20 @@ fn recover_manifest(store: &DatasetStore, map: MapKind) -> io::Result<SegmentMan
 /// its snapshot as `(source store, index)`.
 type PoolEntry = (u64, u64, Option<(usize, usize)>);
 
+/// What [`ensure_segments`] leaves: the manifest, and per segment its
+/// entry span and, when this call wrote it, the store it encoded.
+struct Ensured {
+    manifest: SegmentManifest,
+    spans: Vec<(usize, usize)>,
+    built: Vec<Option<LongitudinalStore>>,
+}
+
 /// Brings the partition in line with the corpus: keeps every sealed
 /// segment the entry list still dictates, rebuilds the changed suffix
 /// (reusing decoded old segments where `(path, size)` still matches so
 /// a pure append never re-parses history), rewrites the manifest and
-/// garbage-collects stray files. Returns the manifest and the entry
-/// span of each segment.
+/// garbage-collects stray files. Returns the manifest, the entry span
+/// of each segment and the store of each segment written here.
 #[allow(clippy::too_many_arguments)]
 fn ensure_segments(
     store: &DatasetStore,
@@ -444,7 +466,7 @@ fn ensure_segments(
     policy: SegmentPolicy,
     rebuild_all: bool,
     cache: &mut CacheStats,
-) -> io::Result<(SegmentManifest, Vec<(usize, usize)>)> {
+) -> io::Result<Ensured> {
     let capacity = policy.chunk();
 
     // The old manifest, if usable; `intact` means the file itself was
@@ -491,6 +513,8 @@ fn ensure_segments(
     let mut manifest = SegmentManifest {
         segments: old.segments.iter().take(kept).cloned().collect(),
     };
+    let mut built: Vec<Option<LongitudinalStore>> =
+        manifest.segments.iter().map(|_| None).collect();
 
     let mut reused_any = false;
     if !structurally_clean {
@@ -604,6 +628,7 @@ fn ensure_segments(
                 cache.segments_rebuilt += 1;
             }
             manifest.segments.push(meta);
+            built.push(Some(chunk_store));
         }
     }
 
@@ -634,7 +659,11 @@ fn ensure_segments(
         spans.push((start, end));
         start = end;
     }
-    Ok((manifest, spans))
+    Ok(Ensured {
+        manifest,
+        spans,
+        built,
+    })
 }
 
 /// One segment's store: the decoded file when it is intact and still

@@ -50,6 +50,7 @@ pub use pipeline::{
     extract_svg_with, BatchInput, BatchStats, ExtractScratch, Scheduling, SnapshotSink,
 };
 pub use snapshot_yaml::{
-    from_yaml_str, snapshot_from_yaml, snapshot_to_yaml, to_yaml_string, SchemaError, SCHEMA_ID,
+    from_yaml_str, read_snapshot, snapshot_to_yaml, to_yaml_string, EndRef, SchemaError,
+    SnapshotVisitor, SCHEMA_ID,
 };
 pub use validate::{validate, Finding, Severity, ValidationReport};

@@ -20,9 +20,19 @@
 //!     b_label: "#1"
 //!     b_load: 9
 //! ```
+//!
+//! Writing goes through a [`Value`] tree ([`to_yaml_string`]). Reading
+//! does not: [`read_snapshot`] walks the borrowed `wm-yaml` event
+//! stream, validates the whole file and only then hands its header,
+//! nodes and link ends to a [`SnapshotVisitor`]. [`from_yaml_str`] is
+//! the visitor that assembles a [`TopologySnapshot`]; the columnar
+//! builder in `wm-dataset` is the other, and interns straight from the
+//! borrowed names.
+
+use std::borrow::Cow;
 
 use wm_model::{Link, LinkEnd, Load, MapKind, Node, NodeKind, Timestamp, TopologySnapshot};
-use wm_yaml::Value;
+use wm_yaml::{Event, Scalar, Value};
 
 /// The schema identifier embedded in every file.
 pub const SCHEMA_ID: &str = "ovh-weather/1";
@@ -96,92 +106,494 @@ pub fn to_yaml_string(snapshot: &TopologySnapshot) -> String {
     wm_yaml::to_string(&snapshot_to_yaml(snapshot))
 }
 
-/// Reads a snapshot back from its YAML value tree.
-pub fn snapshot_from_yaml(value: &Value) -> Result<TopologySnapshot, SchemaError> {
-    let schema = value
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SchemaError::new("missing schema field"))?;
-    if schema != SCHEMA_ID {
-        return Err(SchemaError::new(format!("unsupported schema {schema:?}")));
-    }
-    let map: MapKind = value
-        .get("map")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SchemaError::new("missing map field"))?
-        .parse()
-        .map_err(SchemaError::new)?;
-    let timestamp = Timestamp::parse_iso8601(
-        value
-            .get("timestamp")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SchemaError::new("missing timestamp field"))?,
-    )
-    .map_err(SchemaError::new)?;
+/// Receives one snapshot file from [`read_snapshot`], in file order:
+/// the header, every listed node, then every link.
+///
+/// A visitor sees a file only after the whole file has validated, so a
+/// rejected file never reaches it.
+pub trait SnapshotVisitor {
+    /// The file's map and capture instant; called first.
+    fn header(&mut self, map: MapKind, timestamp: Timestamp);
+    /// One listed node (the `n`-th call is node `n`).
+    fn node(&mut self, name: &str, kind: NodeKind);
+    /// One link, its ends as written (`a`, then `b`).
+    fn link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>);
+}
 
-    let mut snapshot = TopologySnapshot::new(map, timestamp);
-    let nodes = value
-        .get("nodes")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| SchemaError::new("missing nodes sequence"))?;
-    for node in nodes {
-        let name = node
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SchemaError::new("node without a name"))?;
-        let kind: NodeKind = node
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SchemaError::new("node without a kind"))?
-            .parse()
-            .map_err(SchemaError::new)?;
-        snapshot.nodes.push(Node {
+/// One link end as read from a snapshot file, borrowed from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EndRef<'a> {
+    /// The end's node name.
+    pub name: &'a str,
+    /// The end's node kind: that of the first listed node with this
+    /// name, else [`Node::from_name`]'s classification.
+    pub kind: NodeKind,
+    /// The position of the first listed node with this name, if any.
+    pub listed: Option<usize>,
+    /// The `#n` label, when the file gives it as a string.
+    pub label: Option<&'a str>,
+    /// The egress load.
+    pub load: Load,
+}
+
+/// Reads one snapshot file straight from the YAML event stream and
+/// hands it to `visitor` — no value tree, no [`TopologySnapshot`].
+///
+/// The file must be valid YAML (a syntax error is reported first, like
+/// a parse into a tree would) and follow the schema in the module
+/// docs. Keys may come in any order and unknown keys are ignored; a
+/// label that is absent, `null` or not a string reads as no label;
+/// loads must be integers in `0..=100`. When several checks fail, the
+/// one reported is the first in this order: `schema`, `map`,
+/// `timestamp`, `nodes` (then each node in turn: name, kind), `links`
+/// (then each link in turn: `a`, `a_load`, `b`, `b_load`). The visitor
+/// is called only once all of them passed.
+pub fn read_snapshot<V: SnapshotVisitor>(text: &str, visitor: &mut V) -> Result<(), SchemaError> {
+    let mut reader = Reader::default();
+    wm_yaml::parse_events(text, &mut reader).map_err(|e| SchemaError::new(e.to_string()))?;
+    let (map, timestamp) = reader.validate()?;
+
+    visitor.header(map, timestamp);
+    for node in &reader.nodes {
+        visitor.node(&node.name, node.kind);
+    }
+    // Node positions sorted by name; the sort is stable, so among equal
+    // names the first listed comes first.
+    let nodes = &reader.nodes;
+    let mut by_name: Vec<usize> = (0..nodes.len()).collect();
+    by_name.sort_by(|&x, &y| name_at(nodes, x).cmp(name_at(nodes, y)));
+    let resolve = |name: &str| -> (NodeKind, Option<usize>) {
+        let at = by_name.partition_point(|&i| name_at(nodes, i) < name);
+        match by_name.get(at).copied() {
+            Some(i) if name_at(nodes, i) == name => {
+                (nodes.get(i).map_or(NodeKind::Router, |n| n.kind), Some(i))
+            }
+            _ => (NodeKind::classify(name), None),
+        }
+    };
+    // Parallel links repeat both ends: remember the last resolution of
+    // each side.
+    let (mut last_a, mut last_b) = (None, None);
+    for [a, b] in &reader.links {
+        let (a_kind, a_listed) = memoized(&mut last_a, &a.name, resolve);
+        let (b_kind, b_listed) = memoized(&mut last_b, &b.name, resolve);
+        visitor.link(&a.as_ref(a_kind, a_listed), &b.as_ref(b_kind, b_listed));
+    }
+    Ok(())
+}
+
+/// `resolve(name)`, answered from `last` when `name` repeats.
+fn memoized<'n>(
+    last: &mut Option<(&'n str, (NodeKind, Option<usize>))>,
+    name: &'n str,
+    resolve: impl Fn(&str) -> (NodeKind, Option<usize>),
+) -> (NodeKind, Option<usize>) {
+    match *last {
+        Some((seen, resolved)) if seen == name => resolved,
+        _ => {
+            let resolved = resolve(name);
+            *last = Some((name, resolved));
+            resolved
+        }
+    }
+}
+
+/// Parses a snapshot from YAML text.
+pub fn from_yaml_str(text: &str) -> Result<TopologySnapshot, SchemaError> {
+    let mut assembler = Assembler(TopologySnapshot::new(
+        MapKind::Europe,
+        Timestamp::from_unix(0),
+    ));
+    read_snapshot(text, &mut assembler)?;
+    Ok(assembler.0)
+}
+
+/// The [`SnapshotVisitor`] behind [`from_yaml_str`].
+struct Assembler(TopologySnapshot);
+
+impl SnapshotVisitor for Assembler {
+    fn header(&mut self, map: MapKind, timestamp: Timestamp) {
+        self.0.map = map;
+        self.0.timestamp = timestamp;
+    }
+
+    fn node(&mut self, name: &str, kind: NodeKind) {
+        self.0.nodes.push(Node {
             name: name.into(),
             kind,
         });
     }
 
-    let links = value
-        .get("links")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| SchemaError::new("missing links sequence"))?;
-    for link in links {
-        let end =
-            |name_key: &str, label_key: &str, load_key: &str| -> Result<LinkEnd, SchemaError> {
-                let name = link
-                    .get(name_key)
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| SchemaError::new(format!("link without {name_key:?}")))?;
-                let node = snapshot
-                    .node(name)
-                    .cloned()
-                    .unwrap_or_else(|| Node::from_name(name));
-                let label = link
-                    .get(label_key)
-                    .and_then(Value::as_str)
-                    .map(str::to_owned);
-                let load_value = link
-                    .get(load_key)
-                    .and_then(Value::as_i64)
-                    .ok_or_else(|| SchemaError::new(format!("link without {load_key:?}")))?;
-                let load = u8::try_from(load_value)
-                    .ok()
-                    .and_then(Load::new)
-                    .ok_or_else(|| SchemaError::new(format!("load out of range: {load_value}")))?;
-                Ok(LinkEnd::new(node, label, load))
-            };
-        snapshot.links.push(Link::new(
-            end("a", "a_label", "a_load")?,
-            end("b", "b_label", "b_load")?,
-        ));
+    fn link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>) {
+        let end = |end: &EndRef<'_>| {
+            let node = end
+                .listed
+                .and_then(|i| self.0.nodes.get(i).cloned())
+                .unwrap_or_else(|| Node {
+                    name: end.name.into(),
+                    kind: end.kind,
+                });
+            LinkEnd::new(node, end.label.map(str::to_owned), end.load)
+        };
+        let link = Link::new(end(a), end(b));
+        self.0.links.push(link);
     }
-    Ok(snapshot)
 }
 
-/// Parses a snapshot from YAML text.
-pub fn from_yaml_str(text: &str) -> Result<TopologySnapshot, SchemaError> {
-    let value = wm_yaml::parse(text).map_err(|e| SchemaError::new(e.to_string()))?;
-    snapshot_from_yaml(&value)
+fn name_at<'n>(nodes: &'n [NodeRecord<'_>], i: usize) -> &'n str {
+    nodes.get(i).map_or("", |n| n.name.as_ref())
+}
+
+/// A validated node of the file being read.
+#[derive(Debug)]
+struct NodeRecord<'a> {
+    name: Cow<'a, str>,
+    kind: NodeKind,
+}
+
+/// A validated link end of the file being read.
+#[derive(Debug)]
+struct EndRecord<'a> {
+    name: Cow<'a, str>,
+    label: Option<Cow<'a, str>>,
+    load: Load,
+}
+
+impl EndRecord<'_> {
+    fn as_ref(&self, kind: NodeKind, listed: Option<usize>) -> EndRef<'_> {
+        EndRef {
+            name: &self.name,
+            kind,
+            listed,
+            label: self.label.as_deref(),
+            load: self.load,
+        }
+    }
+}
+
+/// The root key whose value is being read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Section {
+    #[default]
+    Other,
+    Schema,
+    Map,
+    Timestamp,
+    Nodes,
+    Links,
+}
+
+/// The item key whose value is being read (`end` 0 is `a`, 1 is `b`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Field {
+    #[default]
+    Other,
+    Name,
+    Kind,
+    End(usize),
+    Label(usize),
+    Load(usize),
+}
+
+/// The string-valued fields of one sequence item, as far as read.
+#[derive(Debug, Default)]
+struct ItemFields<'a> {
+    /// Node `name` / `kind`.
+    name: Option<Cow<'a, str>>,
+    kind: Option<Cow<'a, str>>,
+    /// Link `a`/`b`, `a_label`/`b_label` and `a_load`/`b_load`.
+    ends: [Option<Cow<'a, str>>; 2],
+    labels: [Option<Cow<'a, str>>; 2],
+    loads: [Option<i64>; 2],
+}
+
+/// The schema walk over the event stream: tracks where in the document
+/// each event falls, keeps the fields the schema reads, and records the
+/// first failure of each section without stopping (a later YAML error
+/// must still win, as it would for a parse into a tree).
+///
+/// Depth 1 is the root mapping, depth 2 the `nodes`/`links` sequences,
+/// depth 3 their items; deeper blocks are only counted.
+#[derive(Debug)]
+struct Reader<'a> {
+    /// Depth of the innermost open block (0 before the root opens).
+    depth: usize,
+    /// Whether the next event is a value rather than an entry or an end.
+    pending: bool,
+    /// The open depth-1 block is a mapping (the root must be one).
+    root_map: bool,
+    section: Section,
+    /// The open depth-2 block is the `nodes` or `links` sequence
+    /// (`Other` for anything else).
+    list: Section,
+    /// The open depth-3 block is a mapping.
+    item_map: bool,
+    field: Field,
+    item: ItemFields<'a>,
+    schema: Option<Cow<'a, str>>,
+    map: Option<Cow<'a, str>>,
+    timestamp: Option<Cow<'a, str>>,
+    nodes_seq: bool,
+    links_seq: bool,
+    nodes: Vec<NodeRecord<'a>>,
+    /// Each link's ends, `a` then `b`.
+    links: Vec<[EndRecord<'a>; 2]>,
+    node_error: Option<SchemaError>,
+    link_error: Option<SchemaError>,
+}
+
+impl Default for Reader<'_> {
+    fn default() -> Self {
+        Reader {
+            depth: 0,
+            pending: true,
+            root_map: false,
+            section: Section::Other,
+            list: Section::Other,
+            item_map: false,
+            field: Field::Other,
+            item: ItemFields::default(),
+            schema: None,
+            map: None,
+            timestamp: None,
+            nodes_seq: false,
+            links_seq: false,
+            nodes: Vec::new(),
+            links: Vec::new(),
+            node_error: None,
+            link_error: None,
+        }
+    }
+}
+
+impl<'a> wm_yaml::Handler<'a> for Reader<'a> {
+    fn event(&mut self, _line: usize, event: Event<'a>) {
+        match event {
+            Event::Key(key) => {
+                self.entry(true);
+                match self.depth {
+                    1 => {
+                        self.section = match key.as_ref() {
+                            "schema" => Section::Schema,
+                            "map" => Section::Map,
+                            "timestamp" => Section::Timestamp,
+                            "nodes" => Section::Nodes,
+                            "links" => Section::Links,
+                            _ => Section::Other,
+                        }
+                    }
+                    3 => self.field = field_of(self.list, &key),
+                    _ => {}
+                }
+            }
+            Event::Item => {
+                self.entry(false);
+                if self.depth == 1 {
+                    self.section = Section::Other;
+                } else if self.depth == 2 && self.list != Section::Other {
+                    self.item = ItemFields::default();
+                }
+            }
+            Event::Scalar(scalar) => {
+                match self.depth {
+                    1 => self.section_scalar(scalar),
+                    2 => self.finish_item(),
+                    3 if self.item_map => self.field_scalar(scalar),
+                    _ => {}
+                }
+                self.pending = false;
+            }
+            Event::End => {
+                if self.depth == 3 {
+                    self.finish_item();
+                }
+                self.depth = self.depth.saturating_sub(1);
+                self.pending = false;
+            }
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A key or an item: the first entry of a block opens it one level
+    /// deeper; either way a value is now pending.
+    fn entry(&mut self, mapping: bool) {
+        if self.pending {
+            self.depth += 1;
+            match self.depth {
+                1 => self.root_map = mapping,
+                2 => {
+                    self.list = Section::Other;
+                    if self.root_map && !mapping {
+                        match self.section {
+                            Section::Nodes => {
+                                self.nodes_seq = true;
+                                self.list = Section::Nodes;
+                            }
+                            Section::Links => {
+                                self.links_seq = true;
+                                self.list = Section::Links;
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                3 => {
+                    self.item_map = mapping;
+                    self.field = Field::Other;
+                }
+                _ => {}
+            }
+        }
+        self.pending = true;
+    }
+
+    /// A scalar value of a root key.
+    fn section_scalar(&mut self, scalar: Scalar<'a>) {
+        if !self.root_map {
+            return;
+        }
+        match (self.section, scalar) {
+            (Section::Schema, Scalar::Str(s)) => self.schema = Some(s),
+            (Section::Map, Scalar::Str(s)) => self.map = Some(s),
+            (Section::Timestamp, Scalar::Str(s)) => self.timestamp = Some(s),
+            (Section::Nodes, Scalar::EmptySeq) => self.nodes_seq = true,
+            (Section::Links, Scalar::EmptySeq) => self.links_seq = true,
+            _ => {}
+        }
+    }
+
+    /// A scalar value of an item key.
+    fn field_scalar(&mut self, scalar: Scalar<'a>) {
+        let item = &mut self.item;
+        match (self.field, scalar) {
+            (Field::Name, Scalar::Str(s)) => item.name = Some(s),
+            (Field::Kind, Scalar::Str(s)) => item.kind = Some(s),
+            (Field::End(e), Scalar::Str(s)) => set(&mut item.ends, e, s),
+            (Field::Label(e), Scalar::Str(s)) => set(&mut item.labels, e, s),
+            (Field::Load(e), Scalar::Int(load)) => set(&mut item.loads, e, load),
+            _ => {}
+        }
+    }
+
+    /// The current `nodes` or `links` item is complete: check it, keep
+    /// it, or record the first failure of its section.
+    fn finish_item(&mut self) {
+        let item = &mut self.item;
+        match self.list {
+            Section::Nodes if self.node_error.is_none() => match node_of(item) {
+                Ok(node) => self.nodes.push(node),
+                Err(err) => self.node_error = Some(err),
+            },
+            Section::Links if self.link_error.is_none() => match ends_of(item) {
+                Ok(ends) => self.links.push(ends),
+                Err(err) => self.link_error = Some(err),
+            },
+            _ => {}
+        }
+        *item = ItemFields::default();
+    }
+
+    /// The whole document has parsed: apply the checks in schema order.
+    fn validate(&self) -> Result<(MapKind, Timestamp), SchemaError> {
+        let schema = self
+            .schema
+            .as_deref()
+            .ok_or_else(|| SchemaError::new("missing schema field"))?;
+        if schema != SCHEMA_ID {
+            return Err(SchemaError::new(format!("unsupported schema {schema:?}")));
+        }
+        let map: MapKind = self
+            .map
+            .as_deref()
+            .ok_or_else(|| SchemaError::new("missing map field"))?
+            .parse()
+            .map_err(SchemaError::new)?;
+        let timestamp = Timestamp::parse_iso8601(
+            self.timestamp
+                .as_deref()
+                .ok_or_else(|| SchemaError::new("missing timestamp field"))?,
+        )
+        .map_err(SchemaError::new)?;
+        if !self.nodes_seq {
+            return Err(SchemaError::new("missing nodes sequence"));
+        }
+        if let Some(err) = &self.node_error {
+            return Err(err.clone());
+        }
+        if !self.links_seq {
+            return Err(SchemaError::new("missing links sequence"));
+        }
+        if let Some(err) = &self.link_error {
+            return Err(err.clone());
+        }
+        Ok((map, timestamp))
+    }
+}
+
+/// Stores `value` in slot `at` of a two-slot field.
+fn set<T>(slots: &mut [Option<T>; 2], at: usize, value: T) {
+    if let Some(slot) = slots.get_mut(at) {
+        *slot = Some(value);
+    }
+}
+
+/// The item field a key names within `list`.
+fn field_of(list: Section, key: &str) -> Field {
+    match (list, key) {
+        (Section::Nodes, "name") => Field::Name,
+        (Section::Nodes, "kind") => Field::Kind,
+        (Section::Links, "a") => Field::End(0),
+        (Section::Links, "b") => Field::End(1),
+        (Section::Links, "a_label") => Field::Label(0),
+        (Section::Links, "b_label") => Field::Label(1),
+        (Section::Links, "a_load") => Field::Load(0),
+        (Section::Links, "b_load") => Field::Load(1),
+        _ => Field::Other,
+    }
+}
+
+/// A `nodes` item, checked (its fields are taken).
+fn node_of<'a>(item: &mut ItemFields<'a>) -> Result<NodeRecord<'a>, SchemaError> {
+    let name = item
+        .name
+        .take()
+        .ok_or_else(|| SchemaError::new("node without a name"))?;
+    let kind: NodeKind = item
+        .kind
+        .as_deref()
+        .ok_or_else(|| SchemaError::new("node without a kind"))?
+        .parse()
+        .map_err(SchemaError::new)?;
+    Ok(NodeRecord { name, kind })
+}
+
+/// A `links` item's two ends, checked, `a` fully before `b` (its fields
+/// are taken).
+fn ends_of<'a>(item: &mut ItemFields<'a>) -> Result<[EndRecord<'a>; 2], SchemaError> {
+    let [a, b] = &mut item.ends;
+    let [a_label, b_label] = &mut item.labels;
+    let [a_load, b_load] = item.loads;
+    Ok([
+        end_of(a.take(), a_label.take(), a_load, ("a", "a_load"))?,
+        end_of(b.take(), b_label.take(), b_load, ("b", "b_load"))?,
+    ])
+}
+
+/// One link end, checked: its name, then its load.
+fn end_of<'a>(
+    name: Option<Cow<'a, str>>,
+    label: Option<Cow<'a, str>>,
+    load: Option<i64>,
+    (name_key, load_key): (&str, &str),
+) -> Result<EndRecord<'a>, SchemaError> {
+    let name = name.ok_or_else(|| SchemaError::new(format!("link without {name_key:?}")))?;
+    let load_value = load.ok_or_else(|| SchemaError::new(format!("link without {load_key:?}")))?;
+    let load = u8::try_from(load_value)
+        .ok()
+        .and_then(Load::new)
+        .ok_or_else(|| SchemaError::new(format!("load out of range: {load_value}")))?;
+    Ok(EndRecord { name, label, load })
 }
 
 #[cfg(test)]

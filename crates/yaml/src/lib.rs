@@ -15,9 +15,11 @@
 //! flow collections (`[a, b]`, `{a: b}`), block scalars (`|`, `>`), and
 //! tags. Snapshot files never use them.
 //!
-//! The data model is the ordered, dynamically-typed [`Value`]; the
-//! higher-level typed snapshot schema lives in `wm-extract`, which converts
-//! between `Value` and its domain types.
+//! Parsing is one borrowed event stream ([`parse_events`], a
+//! [`Handler`] per consumer). [`parse`] assembles the ordered,
+//! dynamically-typed [`Value`] from it; the typed snapshot schema in
+//! `wm-extract` reads the same stream without building a tree, and
+//! writes through `Value` and [`to_string`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +31,7 @@ mod value;
 
 pub use emit::to_string;
 pub use error::{Error, Result};
-pub use parse::parse;
+pub use parse::{parse, parse_events, Event, Handler, Scalar};
 pub use value::Value;
 
 #[cfg(test)]

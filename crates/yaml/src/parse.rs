@@ -1,18 +1,39 @@
-//! Parsing YAML text into [`Value`] trees.
+//! Parsing YAML text: one borrowed event stream and its consumers.
 //!
-//! The parser works line-wise over the input bytes. The hot paths are
-//! byte-level: line splitting and comment detection use a SWAR
-//! `memchr`-style scan (eight bytes per step, `std`-only), significant
-//! lines borrow from the input instead of being copied, `key: value`
-//! splitting returns borrowed slices, and plain scalars dispatch on
-//! their first byte into a manual integer parse that skips the generic
-//! `from_str` route. Every fast path is behaviour-equivalent to the
-//! straightforward code it replaces — pinned by the unit tests here and
-//! the property tests in `tests/proptest_fastpath.rs`.
+//! [`parse_events`] walks the input line by line and hands a
+//! [`Handler`] a stream of [`Event`]s — a mapping key, a sequence item,
+//! a scalar, the end of a block — each with a 1-based line number.
+//! What an event carries borrows from the input; only a quoted key or
+//! scalar whose escapes must be decoded is copied. [`parse`] is the
+//! consumer that assembles a [`Value`] tree; the snapshot schema reader
+//! in `wm-extract` is another, so every consumer shares one grammar.
+//!
+//! The stream is well nested. A value is either one [`Event::Scalar`]
+//! or a block: a run of entries closed by [`Event::End`], where every
+//! entry is a [`Event::Key`] (mapping) or an [`Event::Item`]
+//! (sequence) followed by exactly one value. A block is never empty;
+//! its first entry opens it. The flow forms `[]` and `{}` arrive as
+//! [`Scalar::EmptySeq`] and [`Scalar::EmptyMap`]. A document is exactly
+//! one value (an empty document is a [`Scalar::Null`]).
+//!
+//! The hot paths are byte-level: line splitting and comment detection
+//! use a SWAR `memchr`-style scan (eight bytes per step, `std`-only),
+//! lines are read lazily and borrowed, `key: value` splitting returns
+//! borrowed slices, and plain scalars dispatch on their first byte into
+//! a manual integer parse that skips the generic `from_str` route.
+//! Every fast path is behaviour-equivalent to the straightforward code
+//! it replaces — pinned by the unit tests here and the property tests
+//! in `tests/proptest_fastpath.rs`.
 
 use std::borrow::Cow;
 
 use crate::{Error, Result, Value};
+
+/// The deepest block nesting accepted. Parsing recurses once per
+/// level, so an input nested without bound (a line of ten thousand
+/// `- `) would otherwise exhaust the stack; the snapshot schema needs
+/// three levels.
+const MAX_DEPTH: usize = 512;
 
 /// Finds the first occurrence of `needle`, scanning eight bytes per
 /// step (SWAR over `u64`, the classic zero-byte trick).
@@ -48,77 +69,174 @@ pub(crate) fn memchr_byte(needle: u8, haystack: &[u8]) -> Option<usize> {
         .map(|p| i + p)
 }
 
+/// A typed scalar, borrowed from the input unless escapes were decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null` / `~` / an absent value.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A 64-bit signed integer.
+    Int(i64),
+    /// A floating-point number.
+    Float(f64),
+    /// A string, plain or quoted.
+    Str(Cow<'a, str>),
+    /// The flow form `[]`.
+    EmptySeq,
+    /// The flow form `{}`.
+    EmptyMap,
+}
+
+impl Scalar<'_> {
+    /// The scalar as an owned [`Value`].
+    #[must_use]
+    pub fn into_value(self) -> Value {
+        match self {
+            Scalar::Null => Value::Null,
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Str(s) => Value::Str(s.into_owned()),
+            Scalar::EmptySeq => Value::Seq(Vec::new()),
+            Scalar::EmptyMap => Value::Map(Vec::new()),
+        }
+    }
+}
+
+/// One step of the event stream (see the module docs for its shape).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event<'a> {
+    /// A mapping key; its value follows. The first key of a block opens
+    /// a mapping. Keys are unique within their mapping.
+    Key(Cow<'a, str>),
+    /// A sequence item; its value follows. The first item of a block
+    /// opens a sequence.
+    Item,
+    /// A scalar value.
+    Scalar(Scalar<'a>),
+    /// The innermost open block ends.
+    End,
+}
+
+/// A consumer of the event stream.
+///
+/// Events arrive in document order until the parse ends or fails; a
+/// consumer that needs the whole document to be valid must hold its
+/// conclusions until [`parse_events`] returns `Ok`.
+pub trait Handler<'a> {
+    /// Takes one event. `line` is the 1-based line it came from; a
+    /// block's [`Event::End`] carries the line that closed it (the next
+    /// significant line, or the last line of the input).
+    fn event(&mut self, line: usize, event: Event<'a>);
+}
+
 /// Parses a YAML document into a [`Value`].
 ///
 /// An empty (or comment-only) document parses as [`Value::Null`], matching
 /// how the snapshot tooling treats empty files.
 pub fn parse(text: &str) -> Result<Value> {
-    let lines = tokenize(text);
-    if lines.is_empty() {
-        return Ok(Value::Null);
-    }
-    let mut cursor = Cursor { lines, pos: 0 };
-    // `lines` was checked non-empty above; fall back to Null rather
-    // than panic if that invariant ever breaks.
-    let root_indent = match cursor.current() {
-        Some(first) => first.indent,
-        None => return Ok(Value::Null),
-    };
-    let value = parse_value(&mut cursor, root_indent)?;
-    if let Some(line) = cursor.current() {
-        return Err(Error::new(line.number, "content after the document root"));
-    }
-    Ok(value)
+    let mut tree = TreeBuilder::default();
+    parse_events(text, &mut tree)?;
+    Ok(tree.root.unwrap_or(Value::Null))
 }
 
-/// One significant input line.
+/// Parses a YAML document into events, handing each to `handler`.
 ///
-/// `text` borrows from the input in the common case; only lines
-/// rewritten by [`Cursor::reinject`] over already-owned text allocate.
-#[derive(Debug, Clone)]
+/// On error, the handler has seen a prefix of the stream; the error
+/// names the line at fault.
+pub fn parse_events<'a, H: Handler<'a>>(text: &'a str, handler: &mut H) -> Result<()> {
+    let cursor = Cursor::new(text);
+    let Some(first) = cursor.current else {
+        handler.event(cursor.number, Event::Scalar(Scalar::Null));
+        return Ok(());
+    };
+    let mut parser = Parser {
+        cursor,
+        keys: Vec::new(),
+        handler,
+    };
+    parser.value(first.indent, 0)?;
+    if let Some(line) = parser.cursor.current {
+        return Err(Error::new(line.number, "content after the document root"));
+    }
+    Ok(())
+}
+
+/// One significant input line, borrowed from the input.
+#[derive(Debug, Clone, Copy)]
 struct Line<'a> {
     /// 1-based source line number.
     number: usize,
     /// Leading spaces.
     indent: usize,
     /// Content with indent and trailing comment stripped.
-    text: Cow<'a, str>,
+    text: &'a str,
 }
 
-/// Splits input into significant lines, dropping blanks and comments.
-///
-/// Lines are carved out with the SWAR newline scan and borrowed, never
-/// copied.
-fn tokenize(text: &str) -> Vec<Line<'_>> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut start = 0;
-    let mut number = 0;
-    while start < bytes.len() {
-        let end = memchr_byte(b'\n', &bytes[start..]).map_or(bytes.len(), |i| start + i);
-        number += 1;
-        let mut raw = &text[start..end];
-        if let Some(stripped) = raw.strip_suffix('\r') {
-            raw = stripped;
-        }
-        start = end + 1;
+/// A lazy reader of significant lines: blanks, comments and a leading
+/// `---` are skipped, lines are carved out with the SWAR newline scan.
+/// The current line can be rewritten in place (to parse compact
+/// `- key: value` sequence items).
+struct Cursor<'a> {
+    text: &'a str,
+    /// Byte offset of the first unread line.
+    next: usize,
+    /// Lines read so far.
+    number: usize,
+    /// Whether a significant line has been read (a `---` is skipped only
+    /// before the first one).
+    started: bool,
+    current: Option<Line<'a>>,
+}
 
-        let without_indent = raw.trim_start_matches(' ');
-        let indent = raw.len() - without_indent.len();
-        let content = strip_comment(without_indent).trim_end();
-        if content.is_empty() {
-            continue;
-        }
-        if content == "---" && out.is_empty() {
-            continue; // Tolerate a leading document marker.
-        }
-        out.push(Line {
-            number,
-            indent,
-            text: Cow::Borrowed(content),
-        });
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Cursor<'a> {
+        let mut cursor = Cursor {
+            text,
+            next: 0,
+            number: 0,
+            started: false,
+            current: None,
+        };
+        cursor.advance();
+        cursor
     }
-    out
+
+    /// Moves to the next significant line (`current` is `None` at the
+    /// end of the input).
+    fn advance(&mut self) {
+        self.current = None;
+        let bytes = self.text.as_bytes();
+        while self.next < bytes.len() {
+            let start = self.next;
+            let rest = bytes.get(start..).unwrap_or_default();
+            let end = memchr_byte(b'\n', rest).map_or(bytes.len(), |i| start + i);
+            self.next = end + 1;
+            self.number += 1;
+            let raw = self.text.get(start..end).unwrap_or_default();
+            let raw = raw.strip_suffix('\r').unwrap_or(raw);
+            let without_indent = raw.trim_start_matches(' ');
+            let indent = raw.len() - without_indent.len();
+            let content = strip_comment(without_indent).trim_end();
+            if content.is_empty() || (content == "---" && !self.started) {
+                continue;
+            }
+            self.started = true;
+            self.current = Some(Line {
+                number: self.number,
+                indent,
+                text: content,
+            });
+            return;
+        }
+    }
+
+    /// The line that closes a block: the current line, or the last line
+    /// read at the end of the input.
+    fn closing_line(&self) -> usize {
+        self.current.map_or(self.number, |line| line.number)
+    }
 }
 
 /// Removes a trailing ` # comment`, respecting double-quoted spans.
@@ -131,155 +249,240 @@ fn strip_comment(line: &str) -> &str {
     }
     let mut in_quotes = false;
     let mut escaped = false;
+    // A `#` starts a comment at the start of the line or after
+    // whitespace.
+    let mut after_space = true;
     for (i, &b) in bytes.iter().enumerate() {
         if escaped {
             escaped = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_quotes => escaped = true,
-            b'"' => in_quotes = !in_quotes,
-            b'#' if !in_quotes && (i == 0 || bytes[i - 1].is_ascii_whitespace()) => {
-                return &line[..i];
+        } else {
+            match b {
+                b'\\' if in_quotes => escaped = true,
+                b'"' => in_quotes = !in_quotes,
+                b'#' if !in_quotes && after_space => return line.get(..i).unwrap_or(line),
+                _ => {}
             }
-            _ => {}
         }
+        after_space = b.is_ascii_whitespace();
     }
     line
 }
 
-/// A cursor over the significant lines, allowing in-place rewriting of the
-/// current line (used to parse compact `- key: value` sequence items).
-struct Cursor<'a> {
-    lines: Vec<Line<'a>>,
-    pos: usize,
+/// Whether a line is a `- item` sequence entry.
+fn is_item(text: &str) -> bool {
+    text == "-" || text.starts_with("- ")
 }
 
-impl<'a> Cursor<'a> {
-    fn current(&self) -> Option<&Line<'a>> {
-        self.lines.get(self.pos)
+/// The recursive-descent walk that turns lines into events.
+struct Parser<'a, 'h, H> {
+    cursor: Cursor<'a>,
+    /// Keys of every open mapping, innermost last (duplicate detection).
+    keys: Vec<Cow<'a, str>>,
+    handler: &'h mut H,
+}
+
+impl<'a, H: Handler<'a>> Parser<'a, '_, H> {
+    fn emit(&mut self, line: usize, event: Event<'a>) {
+        self.handler.event(line, event);
     }
 
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-
-    /// Replaces the current line with `text` re-indented at `indent`.
-    fn reinject(&mut self, indent: usize, text: Cow<'a, str>) {
-        let number = self.lines[self.pos].number;
-        self.lines[self.pos] = Line {
-            number,
-            indent,
-            text,
+    /// Parses the block value starting at the current line, expected at
+    /// `indent` columns and `depth` blocks deep.
+    fn value(&mut self, indent: usize, depth: usize) -> Result<()> {
+        let Some(line) = self.cursor.current else {
+            let number = self.cursor.number;
+            self.emit(number, Event::Scalar(Scalar::Null));
+            return Ok(());
         };
-    }
-}
-
-/// Parses the block value starting at the current line, expected at
-/// `indent` columns.
-fn parse_value(cursor: &mut Cursor<'_>, indent: usize) -> Result<Value> {
-    let line = match cursor.current() {
-        Some(line) => line.clone(),
-        None => return Ok(Value::Null),
-    };
-    if line.indent != indent {
-        return Err(Error::new(
-            line.number,
-            format!(
-                "expected indentation of {} columns, found {}",
-                indent, line.indent
-            ),
-        ));
-    }
-    if line.text == "-" || line.text.starts_with("- ") {
-        parse_sequence(cursor, indent)
-    } else if find_mapping_colon(&line.text, line.number)?.is_some() {
-        parse_mapping(cursor, indent)
-    } else {
-        cursor.advance();
-        parse_scalar(&line.text, line.number)
-    }
-}
-
-/// Parses consecutive `- item` lines at `indent`.
-fn parse_sequence<'a>(cursor: &mut Cursor<'a>, indent: usize) -> Result<Value> {
-    let mut items = Vec::new();
-    while let Some(line) = cursor.current() {
-        if line.indent != indent || !(line.text == "-" || line.text.starts_with("- ")) {
-            break;
+        if line.indent != indent {
+            return Err(Error::new(
+                line.number,
+                format!(
+                    "expected indentation of {} columns, found {}",
+                    indent, line.indent
+                ),
+            ));
         }
-        // Carve the text after `-` out of the stored line; when the line
-        // still borrows the document the item text does too, so compact
-        // items cost no copy.
-        let rest: Cow<'a, str> = match &cursor.lines[cursor.pos].text {
-            Cow::Borrowed(s) => {
-                let s: &'a str = s;
-                Cow::Borrowed(s[1..].trim_start())
-            }
-            Cow::Owned(s) => Cow::Owned(s[1..].trim_start().to_owned()),
-        };
-        if rest.is_empty() {
-            // `-` alone: the item is the nested block on following lines.
-            cursor.advance();
-            match cursor.current() {
-                Some(next) if next.indent > indent => {
-                    let child_indent = next.indent;
-                    items.push(parse_value(cursor, child_indent)?);
-                }
-                _ => items.push(Value::Null),
-            }
+        if depth >= MAX_DEPTH {
+            return Err(Error::new(
+                line.number,
+                format!("blocks nested deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        if is_item(line.text) {
+            self.sequence(indent, depth)
+        } else if let Some(entry) = find_mapping_colon(line.text, line.number)? {
+            self.mapping(indent, depth, entry)
         } else {
-            // Compact item: re-parse the rest as a virtual line two columns
-            // deeper (the column where `rest` actually starts).
-            let item_indent = indent + 2;
-            cursor.reinject(item_indent, rest);
-            let item = parse_value(cursor, item_indent)?;
-            items.push(item);
+            self.cursor.advance();
+            let scalar = parse_scalar(line.text, line.number)?;
+            self.emit(line.number, Event::Scalar(scalar));
+            Ok(())
         }
     }
-    Ok(Value::Seq(items))
+
+    /// Parses consecutive `- item` lines at `indent`.
+    fn sequence(&mut self, indent: usize, depth: usize) -> Result<()> {
+        while let Some(line) = self.cursor.current {
+            if line.indent != indent || !is_item(line.text) {
+                break;
+            }
+            self.emit(line.number, Event::Item);
+            let rest = line.text.get(1..).unwrap_or_default().trim_start();
+            if rest.is_empty() {
+                // `-` alone: the item is the nested block on following lines.
+                self.cursor.advance();
+                match self.cursor.current {
+                    Some(next) if next.indent > indent => self.value(next.indent, depth + 1)?,
+                    _ => self.emit(line.number, Event::Scalar(Scalar::Null)),
+                }
+            } else {
+                // Compact item: re-parse the rest as a virtual line two
+                // columns deeper (the column where `rest` actually starts).
+                let item_indent = indent + 2;
+                self.cursor.current = Some(Line {
+                    number: line.number,
+                    indent: item_indent,
+                    text: rest,
+                });
+                self.value(item_indent, depth + 1)?;
+            }
+        }
+        let closing = self.cursor.closing_line();
+        self.emit(closing, Event::End);
+        Ok(())
+    }
+
+    /// Parses consecutive `key: value` lines at `indent`, the first of
+    /// which (the current line) splits into `first`.
+    fn mapping(
+        &mut self,
+        indent: usize,
+        depth: usize,
+        first: (Cow<'a, str>, &'a str),
+    ) -> Result<()> {
+        let first_key = self.keys.len();
+        let mut split = Some(first);
+        while let Some(line) = self.cursor.current {
+            let (key, rest) = match split.take() {
+                Some(entry) => entry,
+                None => {
+                    if line.indent != indent || is_item(line.text) {
+                        break;
+                    }
+                    match find_mapping_colon(line.text, line.number)? {
+                        Some(entry) => entry,
+                        None => break,
+                    }
+                }
+            };
+            let open = self.keys.get(first_key..).unwrap_or_default();
+            if open.contains(&key) {
+                return Err(Error::new(
+                    line.number,
+                    format!("duplicate mapping key {key:?}"),
+                ));
+            }
+            self.cursor.advance();
+            self.keys.push(key.clone());
+            self.emit(line.number, Event::Key(key));
+            if rest.is_empty() {
+                // Value is the nested block, if any is indented deeper.
+                match self.cursor.current {
+                    Some(next) if next.indent > indent => self.value(next.indent, depth + 1)?,
+                    _ => self.emit(line.number, Event::Scalar(Scalar::Null)),
+                }
+            } else {
+                let scalar = parse_scalar(rest, line.number)?;
+                self.emit(line.number, Event::Scalar(scalar));
+            }
+        }
+        self.keys.truncate(first_key);
+        let closing = self.cursor.closing_line();
+        self.emit(closing, Event::End);
+        Ok(())
+    }
 }
 
-/// Parses consecutive `key: value` lines at `indent`.
-fn parse_mapping(cursor: &mut Cursor<'_>, indent: usize) -> Result<Value> {
-    let mut pairs: Vec<(String, Value)> = Vec::new();
-    loop {
-        // Clone the line (cheap while it borrows the document) so the
-        // key/value slices below stay valid across cursor mutation.
-        let line = match cursor.current() {
-            Some(line) if line.indent == indent => line.clone(),
-            _ => break,
-        };
-        if line.text == "-" || line.text.starts_with("- ") {
-            break;
+/// The [`Handler`] behind [`parse`]: assembles the value tree.
+#[derive(Debug, Default)]
+struct TreeBuilder {
+    /// Open blocks, innermost last.
+    stack: Vec<Frame>,
+    root: Option<Value>,
+}
+
+/// An open block of a [`TreeBuilder`].
+#[derive(Debug)]
+enum Frame {
+    /// A sequence; `open` while an item's value is pending.
+    Seq { items: Vec<Value>, open: bool },
+    /// A mapping; `key` holds the key whose value is pending.
+    Map {
+        pairs: Vec<(String, Value)>,
+        key: Option<String>,
+    },
+}
+
+impl TreeBuilder {
+    /// Whether the next event is a value (rather than the next entry of
+    /// the innermost block, or its end).
+    fn expects_value(&self) -> bool {
+        match self.stack.last() {
+            None => self.root.is_none(),
+            Some(Frame::Seq { open, .. }) => *open,
+            Some(Frame::Map { key, .. }) => key.is_some(),
         }
-        let number = line.number;
-        let Some((key, rest)) = find_mapping_colon(&line.text, number)? else {
-            break;
-        };
-        if pairs.iter().any(|(k, _)| k.as_str() == key.as_ref()) {
-            return Err(Error::new(number, format!("duplicate mapping key {key:?}")));
-        }
-        cursor.advance();
-        let value = if rest.is_empty() {
-            // Value is the nested block, if any is indented deeper.
-            match cursor.current() {
-                Some(next) if next.indent > indent => {
-                    let child_indent = next.indent;
-                    parse_value(cursor, child_indent)?
-                }
-                _ => Value::Null,
-            }
-        } else if rest == "[]" {
-            Value::Seq(Vec::new())
-        } else if rest == "{}" {
-            Value::Map(Vec::new())
-        } else {
-            parse_scalar(rest, number)?
-        };
-        pairs.push((key.into_owned(), value));
     }
-    Ok(Value::Map(pairs))
+
+    /// Delivers a finished value to the innermost block (or the root).
+    fn deliver(&mut self, value: Value) {
+        match self.stack.last_mut() {
+            None => self.root = Some(value),
+            Some(Frame::Seq { items, open }) => {
+                items.push(value);
+                *open = false;
+            }
+            Some(Frame::Map { pairs, key }) => {
+                if let Some(key) = key.take() {
+                    pairs.push((key, value));
+                }
+            }
+        }
+    }
+}
+
+impl<'a> Handler<'a> for TreeBuilder {
+    fn event(&mut self, _line: usize, event: Event<'a>) {
+        match event {
+            Event::Key(name) => {
+                let name = name.into_owned();
+                match self.stack.last_mut() {
+                    Some(Frame::Map { key, .. }) if key.is_none() => *key = Some(name),
+                    _ => self.stack.push(Frame::Map {
+                        pairs: Vec::new(),
+                        key: Some(name),
+                    }),
+                }
+            }
+            Event::Item => {
+                if self.expects_value() {
+                    self.stack.push(Frame::Seq {
+                        items: Vec::new(),
+                        open: true,
+                    });
+                } else if let Some(Frame::Seq { open, .. }) = self.stack.last_mut() {
+                    *open = true;
+                }
+            }
+            Event::Scalar(scalar) => self.deliver(scalar.into_value()),
+            Event::End => match self.stack.pop() {
+                Some(Frame::Seq { items, .. }) => self.deliver(Value::Seq(items)),
+                Some(Frame::Map { pairs, .. }) => self.deliver(Value::Map(pairs)),
+                None => {}
+            },
+        }
+    }
 }
 
 /// Splits `key: value` at the first structural colon. Returns the decoded
@@ -303,15 +506,17 @@ fn find_mapping_colon<'t>(
             match c {
                 '\\' => escaped = true,
                 '"' => {
-                    let after = &stripped[i + 1..];
+                    let after = stripped.get(i + 1..).unwrap_or_default();
                     let Some(after_colon) = after.strip_prefix(':') else {
                         return Ok(None);
                     };
                     if !after_colon.is_empty() && !after_colon.starts_with(' ') {
                         return Ok(None);
                     }
-                    let key = unquote(&text[..i + 2], line_number)?;
-                    return Ok(Some((Cow::Owned(key), after_colon.trim())));
+                    // The key with both quotes: `"` + `stripped[..i]` + `"`.
+                    let quoted = text.get(..i + 2).unwrap_or_default();
+                    let key = unquote(quoted, line_number)?;
+                    return Ok(Some((key, after_colon.trim())));
                 }
                 _ => {}
             }
@@ -321,14 +526,15 @@ fn find_mapping_colon<'t>(
     // Plain key: first `:` that is followed by space or end-of-line.
     let bytes = text.as_bytes();
     let mut from = 0;
-    while let Some(offset) = memchr_byte(b':', &bytes[from..]) {
+    while let Some(offset) = memchr_byte(b':', bytes.get(from..).unwrap_or_default()) {
         let i = from + offset;
-        if i + 1 == bytes.len() || bytes[i + 1] == b' ' {
-            let key = text[..i].trim();
+        if matches!(bytes.get(i + 1), None | Some(b' ')) {
+            let key = text.get(..i).unwrap_or_default().trim();
             if key.is_empty() {
                 return Err(Error::new(line_number, "empty mapping key"));
             }
-            return Ok(Some((Cow::Borrowed(key), text[i + 1..].trim())));
+            let value = text.get(i + 1..).unwrap_or_default().trim();
+            return Ok(Some((Cow::Borrowed(key), value)));
         }
         from = i + 1;
     }
@@ -336,15 +542,15 @@ fn find_mapping_colon<'t>(
 }
 
 /// Parses a scalar token: quoted string or typed plain scalar.
-fn parse_scalar(text: &str, line_number: usize) -> Result<Value> {
+fn parse_scalar(text: &str, line_number: usize) -> Result<Scalar<'_>> {
     if text == "[]" {
-        return Ok(Value::Seq(Vec::new()));
+        return Ok(Scalar::EmptySeq);
     }
     if text == "{}" {
-        return Ok(Value::Map(Vec::new()));
+        return Ok(Scalar::EmptyMap);
     }
     if text.starts_with('"') {
-        return unquote(text, line_number).map(Value::Str);
+        return unquote(text, line_number).map(Scalar::Str);
     }
     if text.starts_with('\'') {
         // Single-quoted: only the '' escape exists.
@@ -352,7 +558,11 @@ fn parse_scalar(text: &str, line_number: usize) -> Result<Value> {
             .strip_prefix('\'')
             .and_then(|t| t.strip_suffix('\''))
             .ok_or_else(|| Error::new(line_number, "unterminated single-quoted scalar"))?;
-        return Ok(Value::Str(inner.replace("''", "'")));
+        return Ok(Scalar::Str(if inner.contains("''") {
+            Cow::Owned(inner.replace("''", "'"))
+        } else {
+            Cow::Borrowed(inner)
+        }));
     }
     Ok(plain_scalar(text))
 }
@@ -365,33 +575,33 @@ fn parse_scalar(text: &str, line_number: usize) -> Result<Value> {
 /// `str::parse::<i64>` or `::<f64>` accepts either starts with
 /// `[0-9+-.]` or is an `inf`/`nan` spelling, which the old code routed
 /// to [`Value::Str`] anyway.
-fn plain_scalar(text: &str) -> Value {
+fn plain_scalar(text: &str) -> Scalar<'_> {
     let bytes = text.as_bytes();
     match bytes.first() {
         Some(b'0'..=b'9' | b'+' | b'-' | b'.') => {
             match text {
-                ".nan" => return Value::Float(f64::NAN),
-                ".inf" => return Value::Float(f64::INFINITY),
-                "-.inf" => return Value::Float(f64::NEG_INFINITY),
+                ".nan" => return Scalar::Float(f64::NAN),
+                ".inf" => return Scalar::Float(f64::INFINITY),
+                "-.inf" => return Scalar::Float(f64::NEG_INFINITY),
                 _ => {}
             }
             if let Some(i) = parse_int(bytes) {
-                return Value::Int(i);
+                return Scalar::Int(i);
             }
             // Only treat as float if it looks numeric; parse::<f64> accepts
             // "inf"/"nan" spellings which must stay strings.
             if !contains_inf_ignore_case(bytes) {
                 if let Ok(f) = text.parse::<f64>() {
-                    return Value::Float(f);
+                    return Scalar::Float(f);
                 }
             }
-            Value::Str(text.to_owned())
+            Scalar::Str(Cow::Borrowed(text))
         }
         _ => match text {
-            "null" | "~" => Value::Null,
-            "true" => Value::Bool(true),
-            "false" => Value::Bool(false),
-            _ => Value::Str(text.to_owned()),
+            "null" | "~" => Scalar::Null,
+            "true" => Scalar::Bool(true),
+            "false" => Scalar::Bool(false),
+            _ => Scalar::Str(Cow::Borrowed(text)),
         },
     }
 }
@@ -401,9 +611,9 @@ fn plain_scalar(text: &str) -> Value {
 /// `str::parse::<i64>` accepts. Accumulates on the negative side so
 /// `i64::MIN`, whose magnitude has no positive representation, parses.
 fn parse_int(bytes: &[u8]) -> Option<i64> {
-    let (negative, digits) = match bytes.first()? {
-        b'-' => (true, &bytes[1..]),
-        b'+' => (false, &bytes[1..]),
+    let (negative, digits) = match bytes.split_first()? {
+        (b'-', rest) => (true, rest),
+        (b'+', rest) => (false, rest),
         _ => (false, bytes),
     };
     if digits.is_empty() {
@@ -429,20 +639,21 @@ fn parse_int(bytes: &[u8]) -> Option<i64> {
 /// without allocating: `x | 0x20 == b'i'` holds exactly for `I`/`i`,
 /// and likewise for `n` and `f`.
 fn contains_inf_ignore_case(bytes: &[u8]) -> bool {
-    bytes
-        .windows(3)
-        .any(|w| (w[0] | 0x20) == b'i' && (w[1] | 0x20) == b'n' && (w[2] | 0x20) == b'f')
+    bytes.windows(3).any(|w| {
+        matches!(w, &[i, n, f] if (i | 0x20) == b'i' && (n | 0x20) == b'n' && (f | 0x20) == b'f')
+    })
 }
 
-/// Decodes a double-quoted scalar with escapes.
-fn unquote(text: &str, line_number: usize) -> Result<String> {
+/// Decodes a double-quoted scalar with escapes; borrows when there are
+/// none.
+fn unquote(text: &str, line_number: usize) -> Result<Cow<'_, str>> {
     let inner = text
         .strip_prefix('"')
         .and_then(|t| t.strip_suffix('"'))
         .ok_or_else(|| Error::new(line_number, "unterminated double-quoted scalar"))?;
     // Fast path: no backslash means the quoted content is literal.
     if memchr_byte(b'\\', inner.as_bytes()).is_none() {
-        return Ok(inner.to_owned());
+        return Ok(Cow::Borrowed(inner));
     }
     let mut out = String::with_capacity(inner.len());
     let mut chars = inner.chars();
@@ -463,7 +674,7 @@ fn unquote(text: &str, line_number: usize) -> Result<String> {
             None => return Err(Error::new(line_number, "dangling escape at end of scalar")),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -628,6 +839,92 @@ mod tests {
     fn colon_without_space_is_part_of_scalar() {
         // "ab:cd" has no structural colon.
         assert_eq!(parse("ab:cd").unwrap(), Value::from("ab:cd"));
+    }
+
+    /// Records the event stream as `(line, event)` pairs.
+    #[derive(Default)]
+    struct Recorder(Vec<(usize, Event<'static>)>);
+
+    impl Handler<'_> for Recorder {
+        fn event(&mut self, line: usize, event: Event<'_>) {
+            let owned = match event {
+                Event::Key(key) => Event::Key(Cow::Owned(key.into_owned())),
+                Event::Scalar(Scalar::Str(s)) => {
+                    Event::Scalar(Scalar::Str(Cow::Owned(s.into_owned())))
+                }
+                Event::Scalar(Scalar::Null) => Event::Scalar(Scalar::Null),
+                Event::Scalar(Scalar::Int(i)) => Event::Scalar(Scalar::Int(i)),
+                Event::Scalar(Scalar::EmptySeq) => Event::Scalar(Scalar::EmptySeq),
+                Event::Item => Event::Item,
+                Event::End => Event::End,
+                other => panic!("unexpected event {other:?}"),
+            };
+            self.0.push((line, owned));
+        }
+    }
+
+    #[test]
+    fn event_stream_shape() {
+        let mut rec = Recorder::default();
+        parse_events("a: 1\nb:\n  - x: y\n  -\nc: []\n", &mut rec).unwrap();
+        let key = |k: &str| Event::Key(Cow::Owned(k.to_owned()));
+        let text = |s: &str| Event::Scalar(Scalar::Str(Cow::Owned(s.to_owned())));
+        assert_eq!(
+            rec.0,
+            vec![
+                (1, key("a")),
+                (1, Event::Scalar(Scalar::Int(1))),
+                (2, key("b")),
+                (3, Event::Item),
+                (3, key("x")),
+                (3, text("y")),
+                (4, Event::End),
+                (4, Event::Item),
+                (4, Event::Scalar(Scalar::Null)),
+                (5, Event::End),
+                (5, key("c")),
+                (5, Event::Scalar(Scalar::EmptySeq)),
+                (5, Event::End),
+            ]
+        );
+    }
+
+    #[test]
+    fn events_borrow_unescaped_text() {
+        struct Borrowed(bool);
+        impl Handler<'_> for Borrowed {
+            fn event(&mut self, _line: usize, event: Event<'_>) {
+                match event {
+                    Event::Key(Cow::Owned(_)) | Event::Scalar(Scalar::Str(Cow::Owned(_))) => {
+                        self.0 = false;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut all = Borrowed(true);
+        parse_events("\"k\": \"#1\"\nname: 'x'\n", &mut all).unwrap();
+        assert!(all.0);
+        let mut escaped = Borrowed(true);
+        parse_events("k: \"a\\nb\"\n", &mut escaped).unwrap();
+        assert!(!escaped.0);
+    }
+
+    #[test]
+    fn empty_document_is_one_null_event() {
+        let mut rec = Recorder::default();
+        parse_events("# nothing\n", &mut rec).unwrap();
+        assert_eq!(rec.0, vec![(1, Event::Scalar(Scalar::Null))]);
+    }
+
+    #[test]
+    fn unbounded_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "- ".repeat(10_000) + "x\n";
+        let err = parse(&deep).unwrap_err();
+        assert!(err.message().contains("nested deeper"), "{err}");
+        assert_eq!(err.line(), 1);
+        let fine = "- ".repeat(100) + "x\n";
+        assert!(parse(&fine).is_ok());
     }
 
     #[test]
