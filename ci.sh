@@ -48,6 +48,18 @@ done
 # the first match closes the pipe mid-print.)
 smoke_dir="$(mktemp -d)"
 target/release/ovh-weather generate --out "$smoke_dir" --from 2022-02-01 --to 2022-02-02 --map europe --scale 0.05
+# Extraction reproduces the generator's YAML byte for byte at one thread
+# and at two: a copy of the smoke corpus's SVGs is extracted each time
+# and its YAML tree must equal the one the generator wrote.
+extract_dir="$(mktemp -d)"
+mkdir -p "$extract_dir/europe"
+cp -R "$smoke_dir/europe/svg" "$extract_dir/europe/"
+for threads in 1 2; do
+    rm -rf "$extract_dir/europe/yaml"
+    target/release/ovh-weather extract --in "$extract_dir" --map europe --threads "$threads" > /dev/null
+    diff -r "$smoke_dir/europe/yaml" "$extract_dir/europe/yaml"
+done
+rm -rf "$extract_dir"
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep "segments:" > /dev/null

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use wm_extract::{
         extract_batch, extract_batch_with, extract_svg, from_yaml_str, to_yaml_string, BatchInput,
         BatchMetrics, BatchStats, CacheStats, ExtractConfig, KernelStats, MetricsTotals,
-        Scheduling, SnapshotSink, Stage,
+        Scheduling, Stage,
     };
     pub use wm_model::{
         Duration, HeatmapCell, HeatmapGrid, HotLink, Link, LinkEnd, LinkFilter, LinkKind, Load,

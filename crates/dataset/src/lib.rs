@@ -47,8 +47,7 @@ pub use codec::{
 };
 pub use loader::{build_longitudinal, CacheMode, CorpusLoadStats};
 pub use longitudinal::{
-    extract_longitudinal, ColumnarBuilder, LinkDef, LinkId, LinkSample, LongitudinalStore, NodeId,
-    TopologyEvent,
+    ColumnarBuilder, LinkDef, LinkId, LinkSample, LongitudinalStore, NodeId, TopologyEvent,
 };
 pub use paths::{parse_path, relative_path, FileKind};
 pub use query::{query_windowed, QueryEngine, QueryPlan, RowView};

@@ -30,7 +30,9 @@ pub struct CorpusLoadStats {
     pub files: usize,
     /// Files successfully parsed into snapshots.
     pub parsed: usize,
-    /// Files rejected by the YAML schema parser (counted, skipped).
+    /// Files rejected (counted, skipped): bytes that are not UTF-8, or
+    /// text the YAML schema reader refuses. A file with one bad byte is
+    /// refused whole, never read with a replacement character.
     pub failed: usize,
     /// Total bytes read.
     pub bytes: u64,
@@ -256,10 +258,11 @@ fn read_one(
     stats.files += 1;
     stats.bytes += bytes.len() as u64;
     let h = if hash { codec::fnv1a(&bytes) } else { 0 };
-    let text = String::from_utf8_lossy(&bytes);
-    match sink.add_yaml(index, &text) {
-        Ok(()) => stats.parsed += 1,
-        Err(_) => stats.failed += 1,
+    let parsed = std::str::from_utf8(&bytes).is_ok_and(|text| sink.add_yaml(index, text).is_ok());
+    if parsed {
+        stats.parsed += 1;
+    } else {
+        stats.failed += 1;
     }
     Ok(h)
 }
@@ -333,6 +336,25 @@ mod tests {
             assert_eq!(parallel, serial, "{threads} threads");
             assert_eq!(stats, serial_stats, "{threads} threads");
         }
+        std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn non_utf8_files_fail() {
+        let store = temp_store("utf8");
+        let t = Timestamp::from_ymd(2021, 5, 1);
+        let mut snap = snapshot(t, 7);
+        snap.nodes[1] = Node::from_name("PEER");
+        snap.links[0].b.node = Node::from_name("PEER");
+        let mut bytes = to_yaml_string(&snap).into_bytes();
+        let at = bytes.windows(4).position(|w| w == b"PEER").unwrap();
+        bytes[at + 2] = 0xFF;
+        store
+            .write(MapKind::Europe, FileKind::Yaml, t, &bytes)
+            .unwrap();
+        let (loaded, stats) = build_longitudinal(&store, MapKind::Europe, 1).unwrap();
+        assert_eq!((stats.files, stats.parsed, stats.failed), (1, 0, 1));
+        assert!(loaded.is_empty());
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 

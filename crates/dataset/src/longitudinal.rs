@@ -26,8 +26,8 @@
 //!
 //! The store is built by folding snapshot files into per-worker
 //! [`ColumnarBuilder`]s — straight from YAML text
-//! ([`ColumnarBuilder::add_yaml`]), or from extracted snapshots (a
-//! [`SnapshotSink`]) — and merging them at join.
+//! ([`ColumnarBuilder::add_yaml`]), or from in-memory snapshots
+//! ([`ColumnarBuilder::add_snapshot`]) — and merging them at join.
 //! The merge sorts the symbol tables and orders rows by `(timestamp,
 //! input index)`, so the result is byte-identical for any worker count
 //! — the same contract as the extraction batch runner. Finished stores
@@ -38,13 +38,10 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use wm_extract::{
-    extract_batch_sink, read_snapshot, BatchInput, BatchMetrics, BatchStats, EndRef, ExtractConfig,
-    SchemaError, SnapshotSink, SnapshotVisitor,
-};
+use wm_extract::{read_snapshot, EndRef, SchemaError, SnapshotVisitor};
 use wm_model::{
-    GroupDelta, Link, LinkEnd, LinkKind, Load, MapKind, Node, NodeKind, NodeName, SnapshotDiff,
-    Timestamp, TopologySnapshot,
+    GroupDelta, Link, LinkEnd, Load, MapKind, Node, NodeKind, NodeName, SnapshotDiff, Timestamp,
+    TopologySnapshot,
 };
 
 /// Stable identifier of a distinct node within one store.
@@ -681,12 +678,6 @@ impl RowDiffer {
     }
 }
 
-impl SnapshotSink for ColumnarBuilder {
-    fn accept(&mut self, index: usize, snapshot: TopologySnapshot) {
-        self.add_snapshot(index, &snapshot);
-    }
-}
-
 /// One map's snapshot history in columnar form. See the module docs.
 ///
 /// Fields are `pub(crate)` so the binary cache codec ([`crate::codec`])
@@ -994,23 +985,6 @@ impl LongitudinalStore {
         (0..self.defs.len() as u32).map(LinkId)
     }
 
-    /// Internal when both endpoints are OVH routers, external otherwise
-    /// (an unknown id is external: it names no router pair).
-    #[must_use]
-    pub fn link_kind(&self, id: LinkId) -> LinkKind {
-        let Some(def) = self.link_def(id) else {
-            return LinkKind::External;
-        };
-        let (Some(a), Some(b)) = (self.node(def.a), self.node(def.b)) else {
-            return LinkKind::External;
-        };
-        if a.is_router() && b.is_router() {
-            LinkKind::Internal
-        } else {
-            LinkKind::External
-        }
-    }
-
     /// Total number of link observations (rows) across all snapshots.
     #[must_use]
     pub fn observations(&self) -> usize {
@@ -1168,25 +1142,6 @@ impl LongitudinalStore {
             + (self.series_offsets.len() + self.series_rows.len()) * size_of::<u32>()
             + self.events.len() * size_of::<TopologyEvent>()
     }
-}
-
-/// Extracts a batch of SVG files straight into a [`LongitudinalStore`]
-/// in one streaming pass — snapshots flow from the extraction workers
-/// into per-worker [`ColumnarBuilder`]s without ever materialising a
-/// `Vec<TopologySnapshot>`.
-///
-/// Determinism: inherits the batch runner's contract, so the store (and
-/// the stats' counters) are byte-identical for any `threads` value.
-#[must_use]
-pub fn extract_longitudinal(
-    inputs: &[BatchInput],
-    map: MapKind,
-    config: &ExtractConfig,
-    threads: usize,
-) -> (LongitudinalStore, BatchStats, BatchMetrics) {
-    let (builders, stats, metrics) =
-        extract_batch_sink::<ColumnarBuilder>(inputs, map, config, threads);
-    (ColumnarBuilder::finish(builders), stats, metrics)
 }
 
 #[cfg(test)]

@@ -67,7 +67,16 @@ pub fn parse_path(path: &Path) -> Option<(MapKind, FileKind, Timestamp)> {
         _ => return None,
     };
     let (stem, ext) = file.split_once('.')?;
-    if ext != kind.as_str() || stem.len() != 4 {
+    // Exactly the digits `relative_path` writes: a path listed under a
+    // timestamp must be the one that timestamp reads back, and four
+    // ASCII digits keep the stem slices below on char boundaries.
+    let digits = |s: &str, n: usize| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
+    if ext != kind.as_str()
+        || !digits(year, 4)
+        || !digits(month, 2)
+        || !digits(day, 2)
+        || !digits(stem, 4)
+    {
         return None;
     }
     let year: i32 = year.parse().ok()?;
@@ -123,6 +132,11 @@ mod tests {
             "europe/svg/2021/03/05/2505.svg",  // bad hour
             "europe/svg/2021/03/1005.svg",     // missing component
             "europe/svg/2021/03/05/105.svg",   // short stem
+            "europe/yaml/2022/02/01/1é1.yaml", // four bytes, not four digits
+            "europe/svg/2021/03/05/+105.svg",  // sign, not a digit
+            "europe/svg/2021/3/05/1005.svg",   // unpadded month
+            "europe/svg/2021/03/5/1005.svg",   // unpadded day
+            "europe/svg/+2021/03/05/1005.svg", // signed year
         ] {
             assert!(
                 parse_path(Path::new(bad)).is_none(),

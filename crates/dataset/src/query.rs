@@ -347,15 +347,6 @@ impl<'a> QueryEngine<'a> {
         start..end.max(start)
     }
 
-    /// The catalog's link kind for `id`.
-    #[must_use]
-    pub fn kind_of(&self, id: LinkId) -> LinkKind {
-        self.kinds
-            .get(id.index())
-            .copied()
-            .unwrap_or(LinkKind::External)
-    }
-
     /// Rank of the link's unordered endpoint-name pair.
     #[must_use]
     pub fn pair_of(&self, id: LinkId) -> usize {

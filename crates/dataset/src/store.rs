@@ -340,9 +340,11 @@ mod tests {
         }
         // Foreign files at every level, a dot-directory holding a
         // well-formed layout, a map directory under an alias spelling,
-        // and a symlinked day directory.
+        // a file whose four-byte stem is not four digits, and a
+        // symlinked day directory.
         let root = store.root();
         fs::write(root.join("README.txt"), "x").unwrap();
+        fs::write(root.join("europe/yaml/2022/02/01/1é1.yaml"), "not digits").unwrap();
         fs::write(root.join("europe/notes.md"), "x").unwrap();
         fs::write(root.join("europe/yaml/2022/02/01/1000.svg"), "x").unwrap();
         fs::create_dir_all(root.join("europe/.segments/yaml/2022/02/01")).unwrap();
@@ -362,6 +364,7 @@ mod tests {
 
         let all = store.entries().unwrap();
         assert!(all.iter().any(|e| e.size == 5), "alias directory listed");
+        assert!(all.iter().all(|e| e.size != 10), "non-digit stem skipped");
         #[cfg(unix)]
         assert!(
             all.iter().any(|e| e.size == 6),

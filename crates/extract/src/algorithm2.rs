@@ -31,8 +31,9 @@
 //! a handful of boxes (about four on a full-scale Europe map). An end
 //! that cannot settle within a ring budget (no label on the map, an end
 //! outside the boxes' bounding box, a grid that cannot bound distances)
-//! falls back to walking every cell the line crosses, once per link, and
-//! is counted in [`BroadPhaseStats::line_walks`].
+//! falls back to exact-testing every box no search of its link has
+//! tested yet ([`GridIndex::unseen`]), once per link, and is counted in
+//! [`BroadPhaseStats::completions`].
 //!
 //! Both ends of a link share one deduplication and one list of the boxes
 //! found on the line, so every box is exact-tested at most once per
@@ -91,7 +92,7 @@ pub struct AttributionScratch {
     grid_scratch: GridScratch,
     /// Ids (routers `[0, R)`, labels `[R, R+B)`) of the boxes found on the
     /// current link's line so far (Lines 3–4): the one list both ends
-    /// share. Complete once a line walk or brute force has filled it.
+    /// share. Complete once a full scan has filled it.
     hits: Vec<usize>,
     labels_available: Vec<bool>,
     router_linked: Vec<bool>,
@@ -198,8 +199,8 @@ pub fn algorithm2_with(
 
         // Lines 3–4: with the grid, each end searches outward for its
         // own boxes, skipping those the other end already tested; without
-        // it (or when that search cannot settle), the link's candidates
-        // are completed once and shared by both ends.
+        // it (or when that search cannot settle), a full scan completes
+        // the link's candidates once and both ends share them.
         scratch.broad_phase.lines += 1;
         scratch.broad_phase.rects_baseline += total_rects as u64;
         scratch.hits.clear();
@@ -328,9 +329,11 @@ fn on_line(objects: &RawObjects, available: &[bool], tol: f64, line: &Line, id: 
 /// Finds the [`Nearest`] boxes of one link end.
 ///
 /// With the grid, the nearest-first search answers for this end alone.
-/// Otherwise, or when that search cannot settle, the link's candidates
-/// are completed — by a line walk or by brute force, at most once per
-/// link (`complete`) — and the answer is ranked from them.
+/// Otherwise, or when that search cannot settle, a full scan completes
+/// the link's candidates, at most once per link (`complete`), and the
+/// answer is ranked from them. With the grid the scan skips the boxes
+/// the ring searches already tested, so it exact-tests exactly what
+/// brute force does, less what the rings did.
 fn closest_to_end(
     objects: &RawObjects,
     scratch: &mut AttributionScratch,
@@ -356,7 +359,7 @@ fn closest_to_end(
     if !*complete {
         if use_grid {
             // Only the boxes the ring searches have not tested yet.
-            grid.line_unseen(line, grid_scratch);
+            grid.unseen(grid_scratch);
             broad_phase.rects_tested += grid_scratch.out.len() as u64;
             hits.extend(
                 grid_scratch
@@ -373,7 +376,7 @@ fn closest_to_end(
         *complete = true;
     }
     if use_grid {
-        broad_phase.line_walks += 1;
+        broad_phase.completions += 1;
     }
     let mut nearest = Nearest::default();
     for &id in hits.iter() {
@@ -797,7 +800,7 @@ mod tests {
         assert_eq!(stats.grid_builds, 1);
         assert_eq!(stats.rects_baseline, 4); // 2 routers + 2 labels.
         assert!(stats.rects_tested <= stats.rects_baseline);
-        assert_eq!(stats.line_walks, 0, "both ends settle nearest-first");
+        assert_eq!(stats.completions, 0, "both ends settle nearest-first");
         assert!(stats.grid_occupied_cells <= stats.grid_cells);
         // Draining resets the counters.
         assert_eq!(scratch.take_stats(), BroadPhaseStats::default());

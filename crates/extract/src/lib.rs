@@ -46,8 +46,8 @@ pub use metrics::{
     BatchMetrics, BroadPhaseStats, CacheStats, Histogram, KernelStats, MetricsTotals, Stage,
 };
 pub use pipeline::{
-    extract_batch, extract_batch_sink, extract_batch_with, extract_svg, extract_svg_instrumented,
-    extract_svg_with, BatchInput, BatchStats, ExtractScratch, Scheduling, SnapshotSink,
+    extract_batch, extract_batch_with, extract_svg, extract_svg_instrumented, extract_svg_with,
+    BatchInput, BatchStats, ExtractScratch, Scheduling,
 };
 pub use snapshot_yaml::{
     from_yaml_str, read_snapshot, snapshot_to_yaml, to_yaml_string, EndRef, SchemaError,

@@ -202,9 +202,8 @@ pub struct BroadPhaseStats {
     /// Grid cells holding at least one rectangle, across all builds.
     pub grid_occupied_cells: u64,
     /// Link ends whose nearest-first search could not settle within its
-    /// ring budget and were answered by walking every grid cell the
-    /// carrier line crosses.
-    pub line_walks: u64,
+    /// ring budget and were answered by a full scan of the boxes.
+    pub completions: u64,
 }
 
 impl BroadPhaseStats {
@@ -216,7 +215,7 @@ impl BroadPhaseStats {
         self.grid_builds += other.grid_builds;
         self.grid_cells += other.grid_cells;
         self.grid_occupied_cells += other.grid_occupied_cells;
-        self.line_walks += other.line_walks;
+        self.completions += other.completions;
     }
 
     /// Fraction of the brute-force work that survived the broad phase
@@ -545,8 +544,8 @@ impl fmt::Display for BatchMetrics {
                 )?;
                 writeln!(
                     f,
-                    "               {} of {} link ends fell back to a line walk",
-                    bp.line_walks,
+                    "               {} of {} link ends fell back to a full scan",
+                    bp.completions,
                     2 * bp.lines
                 )?;
             }

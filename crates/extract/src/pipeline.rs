@@ -173,42 +173,19 @@ pub enum Scheduling {
     WorkStealing,
 }
 
-/// Where successfully extracted snapshots flow during a batch run.
-///
-/// One sink lives per worker, accumulating that worker's share of the
-/// batch; the coordinator collects the sinks in worker order at join, so
-/// any merge a caller performs over them is independent of thread timing.
-/// `accept` receives the input index alongside the snapshot: folding the
-/// index into the sink's state is what lets a downstream merge
-/// reconstruct input order (and thus stay byte-identical across thread
-/// counts).
-pub trait SnapshotSink: Send + Default {
-    /// Folds the successfully extracted snapshot of input `index` into
-    /// this worker's state. Called once per processed file, in the order
-    /// this worker claimed them.
-    fn accept(&mut self, index: usize, snapshot: TopologySnapshot);
-}
-
-/// The trivial sink: collect `(index, snapshot)` pairs for a later sort.
-impl SnapshotSink for Vec<(usize, TopologySnapshot)> {
-    fn accept(&mut self, index: usize, snapshot: TopologySnapshot) {
-        self.push((index, snapshot));
-    }
-}
-
 /// A worker's private accumulator, merged by the coordinator at join.
 #[derive(Default)]
-struct WorkerOutput<S: SnapshotSink> {
-    /// Snapshots flow here together with their input index, so output
-    /// order is reconstructed from the inputs, never from worker timing.
-    sink: S,
+struct WorkerOutput {
+    /// Snapshots with their input index, so output order is
+    /// reconstructed from the inputs, never from worker timing.
+    snapshots: Vec<(usize, TopologySnapshot)>,
     stats: BatchStats,
     metrics: BatchMetrics,
     /// Buffers reused across every file this worker processes.
     scratch: ExtractScratch,
 }
 
-impl<S: SnapshotSink> WorkerOutput<S> {
+impl WorkerOutput {
     fn process(&mut self, index: usize, input: &BatchInput, map: MapKind, config: &ExtractConfig) {
         self.metrics.record_input(input.svg.len());
         match extract_svg_instrumented(
@@ -222,7 +199,7 @@ impl<S: SnapshotSink> WorkerOutput<S> {
             Ok(snapshot) => {
                 self.stats.processed += 1;
                 self.metrics.record_success();
-                self.sink.accept(index, snapshot);
+                self.snapshots.push((index, snapshot));
             }
             Err(error) => {
                 self.stats.record_failure(&error);
@@ -252,6 +229,12 @@ pub fn extract_batch(
 
 /// [`extract_batch`] with full [`BatchMetrics`] returned alongside the
 /// stats. `Scheduling` has a single variant (see its docs).
+///
+/// Determinism contract: per-file work is pure and each input index is
+/// extracted exactly once, by one worker; the snapshots are sorted by
+/// `(timestamp, input index)` and the statistics and metrics are
+/// order-independent sums, so the result is identical for any thread
+/// count.
 pub fn extract_batch_with(
     inputs: &[BatchInput],
     map: MapKind,
@@ -259,35 +242,10 @@ pub fn extract_batch_with(
     threads: usize,
     _scheduling: Scheduling,
 ) -> (Vec<TopologySnapshot>, BatchStats, BatchMetrics) {
-    let (sinks, stats, metrics) =
-        extract_batch_sink::<Vec<(usize, TopologySnapshot)>>(inputs, map, config, threads);
-    let mut results: Vec<(usize, TopologySnapshot)> = sinks.into_iter().flatten().collect();
-    results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
-    let snapshots = results.into_iter().map(|(_, snapshot)| snapshot).collect();
-    (snapshots, stats, metrics)
-}
-
-/// The streaming core of the batch runner: extracts every input and
-/// folds the successful snapshots into one [`SnapshotSink`] per worker,
-/// returned in worker order (never in finish order).
-///
-/// This is how large corpora are consumed without materialising a
-/// `Vec<TopologySnapshot>`: a sink can intern, column-encode or discard
-/// each snapshot as it arrives. Determinism contract: per-file work is
-/// pure and each input index reaches exactly one sink exactly once, so a
-/// sink merge keyed on indices is byte-identical for any thread count.
-/// Statistics and metrics are merged here (they are order-independent
-/// sums).
-pub fn extract_batch_sink<S: SnapshotSink>(
-    inputs: &[BatchInput],
-    map: MapKind,
-    config: &ExtractConfig,
-    threads: usize,
-) -> (Vec<S>, BatchStats, BatchMetrics) {
     let threads = threads.max(1).min(inputs.len().max(1));
     let started = Instant::now();
 
-    let mut outputs: Vec<WorkerOutput<S>> = if threads == 1 {
+    let outputs: Vec<WorkerOutput> = if threads == 1 {
         // Serial fast path: no spawn overhead, same code path per file.
         let mut out = WorkerOutput::default();
         for (index, input) in inputs.iter().enumerate() {
@@ -309,8 +267,6 @@ pub fn extract_batch_sink<S: SnapshotSink>(
             }
             out
         };
-        // Outputs are collected in worker order, so the merge below never
-        // depends on finish order.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
             handles
@@ -320,18 +276,18 @@ pub fn extract_batch_sink<S: SnapshotSink>(
         })
     };
 
-    let mut sinks = Vec::with_capacity(outputs.len());
+    let mut results = Vec::with_capacity(inputs.len());
     let mut stats = BatchStats::default();
     let mut metrics = BatchMetrics::default();
-    for output in &mut outputs {
-        stats.merge(std::mem::take(&mut output.stats));
-        metrics.merge(&output.metrics);
-    }
     for output in outputs {
-        sinks.push(output.sink);
+        stats.merge(output.stats);
+        metrics.merge(&output.metrics);
+        results.extend(output.snapshots);
     }
+    results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
+    let snapshots = results.into_iter().map(|(_, snapshot)| snapshot).collect();
     metrics.set_wall_time(started.elapsed());
-    (sinks, stats, metrics)
+    (snapshots, stats, metrics)
 }
 
 #[cfg(test)]

@@ -246,11 +246,11 @@ fn both(
     assert_eq!(stats.rects_baseline, brute_stats.rects_baseline);
     // Both ends share one deduplication: no box is tested twice per link.
     assert!(stats.rects_tested <= stats.rects_baseline, "{stats:?}");
-    assert_eq!(brute_stats.line_walks, 0, "brute force walks no grid");
+    assert_eq!(brute_stats.completions, 0, "brute force walks no grid");
     // Reusing the scratch for a second run changes nothing.
     let again = algorithm2_with(objects, MapKind::Europe, t(), config, &mut scratch);
     assert_eq!(again, got, "scratch reuse");
-    (got, stats.line_walks)
+    (got, stats.completions)
 }
 
 proptest! {
@@ -272,10 +272,10 @@ fn generated_scenes_reach_every_outcome() {
     let (mut walked, mut settled) = (0usize, 0usize);
     for seed in 0..2000 {
         let (objects, config) = scene(seed);
-        let (result, line_walks) = both(&objects, &config);
+        let (result, completions) = both(&objects, &config);
         let kind = result.as_ref().map_or_else(ExtractError::kind, |_| "ok");
         *kinds.entry(kind).or_insert(0usize) += 1;
-        if line_walks > 0 {
+        if completions > 0 {
             walked += 1;
         } else if result.is_ok() {
             settled += 1;
@@ -327,13 +327,16 @@ fn label_less_maps_finish_with_a_line_walk() {
     // No label ever qualifies, so no end can prove "no label" nearby:
     // each finishes with the line walk, and the answer is still exact.
     let objects = label_less_zig_zag();
-    let (result, line_walks) = both(&objects, &ExtractConfig::default());
+    let (result, completions) = both(&objects, &ExtractConfig::default());
     let snapshot = result.expect("label-less links attribute cleanly");
     assert!(snapshot
         .links
         .iter()
         .all(|l| l.a.label.is_none() && l.b.label.is_none()));
-    assert!(line_walks > 0, "label-less ends must fall back to the walk");
+    assert!(
+        completions > 0,
+        "label-less ends must fall back to the walk"
+    );
 }
 
 #[test]
@@ -372,11 +375,11 @@ fn exact_ties_go_to_the_lowest_index() {
         require_all_routers_linked: false,
         ..ExtractConfig::default()
     };
-    let (result, line_walks) = both(&objects, &config);
+    let (result, completions) = both(&objects, &config);
     let snapshot = result.expect("ties attribute cleanly");
     let link = &snapshot.links[0];
     assert_eq!(link.a.node.name, "first");
     assert_eq!(link.a.label.as_deref(), Some("#first"));
     assert_eq!(link.b.label.as_deref(), Some("#far"));
-    assert_eq!(line_walks, 0, "both ends settle nearest-first");
+    assert_eq!(completions, 0, "both ends settle nearest-first");
 }

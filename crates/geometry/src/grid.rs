@@ -1,47 +1,41 @@
-//! A uniform-grid spatial index for line-vs-rectangle broad-phase queries.
+//! A uniform-grid spatial index for nearest-first box queries.
 //!
-//! Algorithm 2 asks, for every link, "which router and label boxes does
-//! this carrier line cross?". Testing every box against every line is
-//! O(links × boxes); a full-scale Europe snapshot pays ~1 200 × ~1 700
-//! exact intersection tests. [`GridIndex`] cuts that down with a classic
-//! broad phase: boxes are bucketed into the cells of a uniform grid at
-//! construction, and a line query walks only the cells the line crosses,
-//! returning the union of their buckets as *candidates*.
+//! Algorithm 2 asks, for each link end, "which router and label boxes
+//! closest to this end does the link's carrier line cross?". Testing
+//! every box against every line is O(links × boxes); a full-scale Europe
+//! snapshot pays ~1 200 × ~1 700 exact intersection tests. [`GridIndex`]
+//! buckets the boxes into the cells of a uniform grid, and
+//! [`GridIndex::rings`] visits cells in rings of growing Chebyshev radius
+//! around a point, reporting after each ring a lower bound on the
+//! distance to every rect not yet visited, so a caller can stop as soon
+//! as its answer lies strictly inside that bound.
 //!
-//! The broad phase is deliberately conservative — it may return boxes the
-//! line misses, never the other way around — so callers re-check every
-//! candidate with the exact [`Rect::intersects_line`] predicate and get
-//! results identical to brute force (pinned by a property test).
+//! A search that cannot settle finishes with [`GridIndex::unseen`]: every
+//! rect it has not reported yet, in ascending order. Ring traversals and
+//! `unseen` share one deduplication until [`GridScratch::forget`], so
+//! several queries about the same line report each rect at most once
+//! between them. Queries only select rects; callers exact-test what they
+//! report and get results identical to brute force (pinned by property
+//! tests).
 //!
-//! A second query, [`GridIndex::rings`], answers the local question
-//! Algorithm 2 actually asks — which boxes near this link end does the
-//! line cross? — by visiting cells in rings of growing Chebyshev radius
-//! around a point and reporting, after each ring, a lower bound on the
-//! distance to every rect not yet visited. Ring traversals and
-//! [`GridIndex::line_unseen`] share one deduplication until
-//! [`GridScratch::forget`], so several queries about the same line
-//! report each rect at most once between them.
-//!
-//! Both construction ([`GridIndex::rebuild`]) and queries
-//! ([`GridIndex::line_candidates`], [`GridIndex::line_unseen`],
-//! [`GridIndex::rings`]) reuse their buffers: after warm-up a build-query cycle performs no heap
+//! Both construction ([`GridIndex::rebuild`]) and queries reuse their
+//! buffers: after warm-up a build-query cycle performs no heap
 //! allocation, which is what the extraction pipeline's per-worker
 //! scratch relies on.
 
-use crate::{Line, Point, Rect};
+use crate::{Point, Rect};
 
 /// Hard cap on grid resolution per axis, bounding memory for degenerate
 /// inputs (e.g. thousands of tiny boxes spread over a huge canvas).
 const MAX_CELLS_PER_AXIS: usize = 512;
 
-/// A uniform grid over axis-aligned rectangles answering "which rects may
-/// intersect this infinite line?".
+/// A uniform grid over axis-aligned rectangles answering "which rects
+/// lie near this point?".
 ///
 /// Build it with [`GridIndex::rebuild`] (reusable, allocation-free after
-/// warm-up) and query with [`GridIndex::line_candidates`]. Indices into
-/// the original rect slice are returned in ascending order, so a caller
-/// that filters them with an exact predicate visits rects in exactly the
-/// order a brute-force scan would.
+/// warm-up) and query it with [`GridIndex::rings`], completed if need be
+/// by [`GridIndex::unseen`]. Rects are identified by their index in the
+/// slice the grid was built from.
 #[derive(Debug, Clone, Default)]
 pub struct GridIndex {
     /// Bounding box of all indexed (inflated) rects.
@@ -55,21 +49,17 @@ pub struct GridIndex {
     inv_cell_h: f64,
     nx: usize,
     ny: usize,
-    /// CSR buckets in column-major order (cell `col · ny + row`): the
-    /// cells of one column are adjacent, so a near-horizontal query
-    /// reads each column's row span as ONE contiguous entry range.
-    col_starts: Vec<u32>,
-    col_entries: Vec<u32>,
-    /// The same buckets in row-major order (cell `row · nx + col`), for
-    /// near-vertical queries. Duplicating the layout costs a few dozen
-    /// kilobytes and removes all per-cell lookup overhead from queries.
-    row_starts: Vec<u32>,
-    row_entries: Vec<u32>,
+    /// CSR buckets in row-major order (cell `row · nx + col`): the cells
+    /// of one row are adjacent, so a ring's row reads ONE contiguous
+    /// entry range.
+    starts: Vec<u32>,
+    entries: Vec<u32>,
     /// Reusable bucket-fill cursors (see `rebuild`).
-    col_cursors: Vec<u32>,
-    row_cursors: Vec<u32>,
+    cursors: Vec<u32>,
     /// Number of indexed rects.
     len: usize,
+    /// Cells holding at least one rect.
+    occupied: usize,
     /// Far corner of the indexed rects' bounding box.
     max_x: f64,
     max_y: f64,
@@ -106,13 +96,13 @@ pub struct Rings<'g> {
     exhausted: bool,
 }
 
-/// Reusable query state for [`GridIndex::line_candidates`],
-/// [`GridIndex::line_unseen`] and [`GridIndex::rings`].
+/// Reusable query state for [`GridIndex::rings`] and
+/// [`GridIndex::unseen`].
 ///
 /// The scratch remembers which rects queries have reported since it
 /// last forgot ([`GridScratch::forget`]), and no query reports them
 /// again. Remembering uses generation stamps instead of clearing a
-/// bitmap, so forgetting is O(1) and a query costs only the cells it
+/// bitmap, so forgetting is O(1) and a ring costs only the cells it
 /// visits. One scratch may serve grids of any size; it grows
 /// monotonically and never shrinks, which is the point: steady-state
 /// queries allocate nothing.
@@ -120,8 +110,8 @@ pub struct Rings<'g> {
 pub struct GridScratch {
     stamps: Vec<u32>,
     generation: u32,
-    /// Rect indices of the last query: ascending after a line walk, in
-    /// visit order after a ring.
+    /// Rect indices of the last query: ascending after
+    /// [`GridIndex::unseen`], in visit order after a ring.
     pub out: Vec<u32>,
 }
 
@@ -142,11 +132,10 @@ impl GridIndex {
     where
         I: Iterator<Item = Rect> + Clone,
     {
-        self.col_starts.clear();
-        self.col_entries.clear();
-        self.row_starts.clear();
-        self.row_entries.clear();
+        self.starts.clear();
+        self.entries.clear();
         self.len = 0;
+        self.occupied = 0;
         self.rings_sound = false;
 
         // Pass 1: bounding box and mean extents of the inflated rects.
@@ -182,8 +171,8 @@ impl GridIndex {
         self.min_y = min_y;
 
         // Cell size: twice the mean box extent keeps most boxes within
-        // one or two cells while a line crossing the canvas visits only
-        // O(nx + ny) cells. Guard against zero-extent degenerate input.
+        // one or two cells, so a ring holds a handful of boxes. Guard
+        // against zero-extent degenerate input.
         let width = (max_x - min_x).max(crate::EPSILON);
         let height = (max_y - min_y).max(crate::EPSILON);
         let target_w = (2.0 * sum_w / len as f64).max(crate::EPSILON);
@@ -206,58 +195,37 @@ impl GridIndex {
         self.rings_sound = finite && cell.is_finite() && cell >= magnitude * MIN_CELL_PER_MAGNITUDE;
 
         // Pass 2: bucket sizes (shifted by one for the prefix sums),
-        // counted for both layouts at once.
+        // then the prefix sums, counting the occupied cells on the way.
         let cells = self.nx * self.ny;
-        self.col_starts.resize(cells + 1, 0);
-        self.row_starts.resize(cells + 1, 0);
+        self.starts.resize(cells + 1, 0);
         for rect in rects.clone() {
             let (c0, c1, r0, r1) = self.cell_span(&rect.inflated(inflate));
             for row in r0..=r1 {
                 for col in c0..=c1 {
-                    if let Some(slot) = self.col_starts.get_mut(col * self.ny + row + 1) {
-                        *slot += 1;
-                    }
-                    if let Some(slot) = self.row_starts.get_mut(row * self.nx + col + 1) {
+                    if let Some(slot) = self.starts.get_mut(row * self.nx + col + 1) {
                         *slot += 1;
                     }
                 }
             }
         }
-        let mut col_sum = 0u32;
-        for slot in &mut self.col_starts {
-            col_sum += *slot;
-            *slot = col_sum;
-        }
-        let mut row_sum = 0u32;
-        for slot in &mut self.row_starts {
-            row_sum += *slot;
-            *slot = row_sum;
+        let mut sum = 0u32;
+        for slot in &mut self.starts {
+            self.occupied += usize::from(*slot > 0);
+            sum += *slot;
+            *slot = sum;
         }
 
-        // Pass 3: fill both bucket sets, advancing per-bucket cursors.
-        let total = self.col_starts.last().map_or(0, |&t| t as usize);
-        self.col_entries.resize(total, 0);
-        self.row_entries.resize(total, 0);
-        self.col_cursors.clear();
-        self.col_cursors
-            .extend_from_slice(self.col_starts.get(..cells).unwrap_or(&[]));
-        self.row_cursors.clear();
-        self.row_cursors
-            .extend_from_slice(self.row_starts.get(..cells).unwrap_or(&[]));
+        // Pass 3: fill the buckets, advancing per-bucket cursors.
+        self.entries.resize(sum as usize, 0);
+        self.cursors.clear();
+        self.cursors
+            .extend_from_slice(self.starts.get(..cells).unwrap_or(&[]));
         for (index, rect) in rects.enumerate() {
             let (c0, c1, r0, r1) = self.cell_span(&rect.inflated(inflate));
             for row in r0..=r1 {
                 for col in c0..=c1 {
-                    let cm = col * self.ny + row;
-                    if let Some(cursor) = self.col_cursors.get_mut(cm) {
-                        if let Some(slot) = self.col_entries.get_mut(*cursor as usize) {
-                            *slot = index as u32;
-                        }
-                        *cursor += 1;
-                    }
-                    let rm = row * self.nx + col;
-                    if let Some(cursor) = self.row_cursors.get_mut(rm) {
-                        if let Some(slot) = self.row_entries.get_mut(*cursor as usize) {
+                    if let Some(cursor) = self.cursors.get_mut(row * self.nx + col) {
+                        if let Some(slot) = self.entries.get_mut(*cursor as usize) {
                             *slot = index as u32;
                         }
                         *cursor += 1;
@@ -285,92 +253,26 @@ impl GridIndex {
         self.nx * self.ny
     }
 
-    /// Number of cells holding at least one rect.
+    /// Number of cells holding at least one rect (counted by `rebuild`).
     #[must_use]
     pub fn occupied_cells(&self) -> usize {
-        self.row_starts
-            .windows(2)
-            .filter(|pair| matches!(**pair, [from, to] if to > from))
-            .count()
+        self.occupied
     }
 
-    /// Collects into `scratch.out` the indices (ascending, deduplicated)
-    /// of every rect whose cells the line crosses.
+    /// Writes into `scratch.out`, ascending, every indexed rect not
+    /// reported since `scratch` last forgot, and marks them reported.
     ///
-    /// This is a superset of the rects actually intersecting the line;
-    /// callers must re-check candidates with an exact predicate. The
-    /// walk is padded by one cell on each side of the line's row/column
-    /// span, so floating-point rounding at cell boundaries can never
-    /// drop a true intersection.
-    pub fn line_candidates(&self, line: &Line, scratch: &mut GridScratch) {
-        scratch.forget();
-        self.line_unseen(line, scratch);
-        scratch.out.sort_unstable();
-    }
-
-    /// Like [`GridIndex::line_candidates`], but collects only the rects
-    /// not reported since `scratch` last forgot, in no particular order.
-    ///
-    /// After a ring traversal that gave up, this completes the line's
-    /// candidates without reporting a rect the traversal already did.
-    pub fn line_unseen(&self, line: &Line, scratch: &mut GridScratch) {
+    /// After ring traversals that gave up, this completes a search
+    /// without reporting a rect they already did: between two forgets,
+    /// the queries report each rect exactly once. It costs O(rects).
+    pub fn unseen(&self, scratch: &mut GridScratch) {
         scratch.out.clear();
-        if self.len == 0 {
-            return;
-        }
         scratch.reserve(self.len);
-
-        // Sweep the axis the line is most aligned with: for each column
-        // (resp. row), the line's span over the cross axis is the
-        // interval between its values at the two cell edges. The cells
-        // of that span are adjacent in the matching CSR layout, so the
-        // whole span is scanned as one contiguous entry range — the
-        // per-cell lookup cost of a naive grid walk disappears.
-        let d = line.direction();
-        if d.x.abs() >= d.y.abs() {
-            // More horizontal: for column i over x ∈ [x0, x1], visit the
-            // rows covering [min, max] of y(x0), y(x1). A line this flat
-            // always has a y(x) (its normal's y component dominates), and
-            // y advances by a constant per column, so the sweep is pure
-            // adds — no division in the loop. The incremental drift is
-            // orders of magnitude below the ±1-row padding.
-            let (Some(first), Some(second)) =
-                (line.y_at(self.min_x), line.y_at(self.min_x + self.cell_w))
-            else {
-                return;
-            };
-            let dy = second - first;
-            let mut y0 = first;
-            for col in 0..self.nx {
-                let y1 = y0 + dy;
-                let (ymin, ymax) = if y0 <= y1 { (y0, y1) } else { (y1, y0) };
-                let lo = self.row_of(ymin).saturating_sub(1);
-                let hi = (self.row_of(ymax) + 1).min(self.ny - 1);
-                let base = col * self.ny;
-                let from = self.col_starts.get(base + lo).copied().unwrap_or(0);
-                let to = self.col_starts.get(base + hi + 1).copied().unwrap_or(from);
-                Self::visit_span(&self.col_entries, from, to, scratch);
-                y0 = y1;
-            }
-        } else {
-            // More vertical: sweep rows, spanning columns via x(y).
-            let (Some(first), Some(second)) =
-                (line.x_at(self.min_y), line.x_at(self.min_y + self.cell_h))
-            else {
-                return;
-            };
-            let dx = second - first;
-            let mut x0 = first;
-            for row in 0..self.ny {
-                let x1 = x0 + dx;
-                let (xmin, xmax) = if x0 <= x1 { (x0, x1) } else { (x1, x0) };
-                let lo = self.col_of(xmin).saturating_sub(1);
-                let hi = (self.col_of(xmax) + 1).min(self.nx - 1);
-                let base = row * self.nx;
-                let from = self.row_starts.get(base + lo).copied().unwrap_or(0);
-                let to = self.row_starts.get(base + hi + 1).copied().unwrap_or(from);
-                Self::visit_span(&self.row_entries, from, to, scratch);
-                x0 = x1;
+        let generation = scratch.generation;
+        for (index, stamp) in scratch.stamps.iter_mut().take(self.len).enumerate() {
+            if *stamp != generation {
+                *stamp = generation;
+                scratch.out.push(index as u32);
             }
         }
     }
@@ -414,9 +316,9 @@ impl GridIndex {
     /// coordinate magnitude, their rounding stays below 2⁻³⁰ of a cell,
     /// and the bound reported is that distance less 2⁻¹⁰ of a cell.
     ///
-    /// The traversal stops (`next` returns `None`) once it has visited
-    /// about as many cells as one [`GridIndex::line_candidates`] walk,
-    /// so a caller that falls back to that walk at most doubles its cost.
+    /// The traversal gives up (`next` returns `None`) once it has
+    /// visited about `max(nx, ny) · min(nx, ny, 3)` cells, leaving the
+    /// rest to [`GridIndex::unseen`].
     pub fn rings(&self, p: Point, scratch: &mut GridScratch) -> Option<Rings<'_>> {
         scratch.out.clear();
         let inside =
@@ -432,30 +334,22 @@ impl GridIndex {
             row: self.row_of(p.y),
             k: 0,
             cells: 0,
-            // A line walk sweeps the longer axis, reading about three
-            // cells of the other per step.
+            // Caps the cells an unsettled search visits before the
+            // caller's O(rects) scan of `unseen`: without it, an end that
+            // can never settle (a map with no label) would sweep the
+            // whole grid, about 38k cells on a full-scale Europe map.
             budget: self.nx.max(self.ny) * self.nx.min(self.ny).min(3),
             exhausted: false,
         })
     }
 
     /// Pushes the entries of the cells `cols` of row `row` — one
-    /// contiguous run of the row-major buckets — deduplicating.
+    /// contiguous run of the buckets — deduplicating.
     fn visit_row(&self, row: usize, cols: (usize, usize), scratch: &mut GridScratch) {
         let base = row * self.nx;
-        let from = self.row_starts.get(base + cols.0).copied().unwrap_or(0);
-        let to = self
-            .row_starts
-            .get(base + cols.1 + 1)
-            .copied()
-            .unwrap_or(from);
-        Self::visit_span(&self.row_entries, from, to, scratch);
-    }
-
-    /// Pushes a contiguous run of bucket entries, deduplicating.
-    fn visit_span(entries: &[u32], from: u32, to: u32, scratch: &mut GridScratch) {
-        let span = entries.get(from as usize..to as usize).unwrap_or(&[]);
-        for &index in span {
+        let from = self.starts.get(base + cols.0).copied().unwrap_or(0) as usize;
+        let to = self.starts.get(base + cols.1 + 1).copied().unwrap_or(0) as usize;
+        for &index in self.entries.get(from..to).unwrap_or(&[]) {
             let Some(stamp) = scratch.stamps.get_mut(index as usize) else {
                 continue;
             };
@@ -579,28 +473,6 @@ impl GridScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Point;
-
-    /// Brute-force reference: indices of rects intersecting the line.
-    fn brute(rects: &[Rect], line: &Line, inflate: f64) -> Vec<u32> {
-        (0..rects.len() as u32)
-            .filter(|&i| rects[i as usize].inflated(inflate).intersects_line(line))
-            .collect()
-    }
-
-    /// Grid result after the exact re-check — must equal `brute`.
-    fn grid(rects: &[Rect], line: &Line, inflate: f64) -> Vec<u32> {
-        let mut index = GridIndex::new();
-        index.rebuild(rects.iter().copied(), inflate);
-        let mut scratch = GridScratch::new();
-        index.line_candidates(line, &mut scratch);
-        scratch
-            .out
-            .iter()
-            .copied()
-            .filter(|&i| rects[i as usize].inflated(inflate).intersects_line(line))
-            .collect()
-    }
 
     fn row_of_boxes() -> Vec<Rect> {
         (0..20)
@@ -608,73 +480,60 @@ mod tests {
             .collect()
     }
 
+    /// Every id the traversal around `p` reports, ring by ring, with the
+    /// bound after each ring; the scratch forgets first.
+    fn all_rings(index: &GridIndex, p: Point, scratch: &mut GridScratch) -> Vec<(Vec<u32>, f64)> {
+        scratch.forget();
+        let mut rings = Vec::new();
+        if let Some(mut traversal) = index.rings(p, scratch) {
+            while let Some(bound) = traversal.next(scratch) {
+                let mut ids = scratch.out.clone();
+                ids.sort_unstable();
+                rings.push((ids, bound));
+            }
+        }
+        rings
+    }
+
     #[test]
-    fn empty_grid_returns_no_candidates() {
+    fn empty_grid_reports_nothing() {
         let index = GridIndex::new();
         let mut scratch = GridScratch::new();
-        let line = Line::through(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        index.line_candidates(&line, &mut scratch);
+        scratch.forget();
+        index.unseen(&mut scratch);
         assert!(scratch.out.is_empty());
+        assert!(index.rings(Point::new(0.0, 0.0), &mut scratch).is_none());
         assert!(index.is_empty());
         assert_eq!(index.cell_count(), 0);
-    }
-
-    #[test]
-    fn horizontal_line_matches_brute_force() {
-        let rects = row_of_boxes();
-        let line = Line::through(Point::new(-10.0, 46.0), Point::new(2000.0, 46.0));
-        assert_eq!(grid(&rects, &line, 0.0), brute(&rects, &line, 0.0));
-        assert!(!brute(&rects, &line, 0.0).is_empty());
-    }
-
-    #[test]
-    fn vertical_line_matches_brute_force() {
-        let rects = row_of_boxes();
-        let line = Line::through(Point::new(105.0, -5.0), Point::new(105.0, 500.0));
-        assert_eq!(grid(&rects, &line, 0.0), brute(&rects, &line, 0.0));
-        assert!(!brute(&rects, &line, 0.0).is_empty());
-    }
-
-    #[test]
-    fn diagonal_line_matches_brute_force_across_tolerances() {
-        let rects = row_of_boxes();
-        let line = Line::through(Point::new(0.0, 0.0), Point::new(950.0, 170.0));
-        for inflate in [0.0, 0.25, 2.0, 25.0] {
-            assert_eq!(
-                grid(&rects, &line, inflate),
-                brute(&rects, &line, inflate),
-                "inflate {inflate}"
-            );
-        }
-    }
-
-    #[test]
-    fn line_through_shared_corner_is_not_missed() {
-        // Four boxes meeting at (100, 100); the diagonal through the
-        // corner must report all four (corner contact intersects).
-        let rects = vec![
-            Rect::new(80.0, 80.0, 20.0, 20.0),
-            Rect::new(100.0, 80.0, 20.0, 20.0),
-            Rect::new(80.0, 100.0, 20.0, 20.0),
-            Rect::new(100.0, 100.0, 20.0, 20.0),
-        ];
-        let line = Line::through(Point::new(0.0, 200.0), Point::new(200.0, 0.0));
-        assert_eq!(grid(&rects, &line, 0.0), brute(&rects, &line, 0.0));
-        assert_eq!(brute(&rects, &line, 0.0).len(), 4);
+        assert_eq!(index.occupied_cells(), 0);
     }
 
     #[test]
     fn degenerate_inputs_are_handled() {
-        // Zero-size rects, coincident rects, a degenerate line.
-        let rects = vec![
+        // Zero-size and coincident rects: the rings still cover them all.
+        let rects = [
             Rect::new(5.0, 5.0, 0.0, 0.0),
             Rect::new(5.0, 5.0, 0.0, 0.0),
             Rect::new(5.0, 5.0, 1.0, 1.0),
         ];
-        let line = Line::through(Point::new(5.5, 5.5), Point::new(5.5, 5.5));
-        assert_eq!(grid(&rects, &line, 0.0), brute(&rects, &line, 0.0));
-        let far = Line::through(Point::new(0.0, 50.0), Point::new(10.0, 50.0));
-        assert_eq!(grid(&rects, &far, 0.0), brute(&rects, &far, 0.0));
+        let mut index = GridIndex::new();
+        index.rebuild(rects.iter().copied(), 0.0);
+        let mut scratch = GridScratch::new();
+        let rings = all_rings(&index, Point::new(5.5, 5.5), &mut scratch);
+        let mut seen: Vec<u32> = rings.iter().flat_map(|(ids, _)| ids.clone()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1, 2]);
+        assert_eq!(rings.last().map(|r| r.1), Some(f64::INFINITY));
+        index.unseen(&mut scratch);
+        assert!(scratch.out.is_empty(), "the rings reported every rect");
+
+        // All rects on one point: cells too small to bound distances, so
+        // the rings decline and `unseen` alone reports everything.
+        index.rebuild(rects.iter().take(2).copied(), 0.0);
+        scratch.forget();
+        assert!(index.rings(Point::new(5.0, 5.0), &mut scratch).is_none());
+        index.unseen(&mut scratch);
+        assert_eq!(scratch.out, [0, 1]);
     }
 
     #[test]
@@ -682,60 +541,78 @@ mod tests {
         let mut index = GridIndex::new();
         index.rebuild(row_of_boxes().iter().copied(), 0.0);
         assert_eq!(index.len(), 20);
-        let occupied = index.occupied_cells();
-        assert!(occupied > 0 && occupied <= index.cell_count());
+        let nonempty = index
+            .starts
+            .windows(2)
+            .filter(|pair| matches!(**pair, [from, to] if to > from))
+            .count();
+        assert_eq!(index.occupied_cells(), nonempty);
+        assert!(nonempty > 0 && nonempty <= index.cell_count());
 
         index.rebuild(std::iter::once(Rect::new(0.0, 0.0, 10.0, 10.0)), 0.0);
         assert_eq!(index.len(), 1);
+        assert_eq!(index.occupied_cells(), 1);
         let mut scratch = GridScratch::new();
-        let line = Line::through(Point::new(-1.0, 5.0), Point::new(20.0, 5.0));
-        index.line_candidates(&line, &mut scratch);
+        let rings = all_rings(&index, Point::new(5.0, 5.0), &mut scratch);
+        assert_eq!(rings, [(vec![0], f64::INFINITY)]);
+        scratch.forget();
+        index.unseen(&mut scratch);
         assert_eq!(scratch.out, [0]);
     }
 
     #[test]
-    fn candidates_are_ascending_and_deduplicated() {
-        // One big box spanning many cells must appear exactly once.
+    fn unseen_is_ascending_and_skips_what_rings_reported() {
+        // One big box spanning many cells is reported exactly once.
         let mut rects = row_of_boxes();
         rects.push(Rect::new(0.0, 0.0, 1000.0, 200.0));
-        let line = Line::through(Point::new(0.0, 100.0), Point::new(1000.0, 90.0));
         let mut index = GridIndex::new();
         index.rebuild(rects.iter().copied(), 0.0);
         let mut scratch = GridScratch::new();
-        index.line_candidates(&line, &mut scratch);
-        let mut sorted = scratch.out.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(scratch.out, sorted, "ascending and unique");
-        assert!(scratch.out.contains(&20));
+        scratch.forget();
+        let mut traversal = index.rings(Point::new(510.0, 45.0), &mut scratch).unwrap();
+        traversal.next(&mut scratch).unwrap();
+        let ring = scratch.out.clone();
+        assert!(ring.contains(&20));
+        index.unseen(&mut scratch);
+        assert!(
+            scratch.out.windows(2).all(|w| w[0] < w[1]),
+            "ascending and unique"
+        );
+        assert!(scratch.out.iter().all(|id| !ring.contains(id)));
+        assert_eq!(ring.len() + scratch.out.len(), rects.len());
     }
 
     #[test]
-    fn broad_phase_prunes_most_of_a_spread_scene() {
-        // Boxes on a wide grid; an axis-aligned line crosses one row.
+    fn rings_prune_most_of_a_spread_scene() {
+        // Boxes on a wide lattice: the first rings around one box hold a
+        // handful of boxes, and the bound already exceeds the distance
+        // to that box.
         let rects: Vec<Rect> = (0..30)
             .flat_map(|i| {
                 (0..30)
                     .map(move |j| Rect::new(f64::from(i) * 100.0, f64::from(j) * 100.0, 40.0, 16.0))
             })
             .collect();
-        let line = Line::through(Point::new(-5.0, 208.0), Point::new(3000.0, 208.0));
         let mut index = GridIndex::new();
         index.rebuild(rects.iter().copied(), 0.25);
         let mut scratch = GridScratch::new();
-        index.line_candidates(&line, &mut scratch);
+        scratch.forget();
+        let p = Point::new(1220.0, 1208.0);
+        let mut traversal = index.rings(p, &mut scratch).unwrap();
+        let mut visited = Vec::new();
+        let mut bound = 0.0;
+        for _ in 0..2 {
+            bound = traversal.next(&mut scratch).unwrap();
+            visited.extend_from_slice(&scratch.out);
+        }
         assert!(
-            scratch.out.len() * 3 < rects.len(),
-            "broad phase should prune: {} of {}",
-            scratch.out.len(),
+            visited.len() * 30 < rects.len(),
+            "rings should prune: {} of {}",
+            visited.len(),
             rects.len()
         );
-        let exact: Vec<u32> = scratch
-            .out
-            .iter()
-            .copied()
-            .filter(|&i| rects[i as usize].inflated(0.25).intersects_line(&line))
-            .collect();
-        assert_eq!(exact, brute(&rects, &line, 0.25));
+        let inside = (12 * 30 + 12) as u32;
+        assert!(visited.contains(&inside));
+        assert!(bound > rects[inside as usize].distance_to_point(p));
     }
 }

@@ -13,7 +13,8 @@
 //! * [`Segment`] — the finite line joining the two arrow bases of a link,
 //! * [`Line`] — the infinite carrier line of a segment,
 //! * [`Polygon`] — arrow heads as drawn by the weathermap renderer,
-//! * [`GridIndex`] — a uniform-grid broad phase over many rectangles,
+//! * [`GridIndex`] — a uniform grid over many rectangles, searched
+//!   nearest-first around a point,
 //! * intersection and distance predicates connecting them.
 //!
 //! All coordinates are `f64` in SVG user units (pixels). The crate is

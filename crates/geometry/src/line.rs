@@ -1,6 +1,6 @@
 //! Infinite lines in implicit form.
 
-use crate::{Point, Vec2};
+use crate::Point;
 
 /// An infinite line in the plane, stored in implicit (normal) form
 /// `a*x + b*y + c = 0` with `(a, b)` normalised to unit length.
@@ -39,12 +39,6 @@ impl Line {
         }
     }
 
-    /// Creates a line from a point and a direction vector.
-    #[must_use]
-    pub fn from_point_direction(p: Point, direction: Vec2) -> Self {
-        Self::through(p, p + direction)
-    }
-
     /// Signed distance from `p` to the line.
     ///
     /// The sign indicates the side of the line on which `p` lies; the
@@ -68,56 +62,6 @@ impl Line {
     pub fn project(&self, p: Point) -> Point {
         let d = self.signed_side(p);
         Point::new(p.x - self.a * d, p.y - self.b * d)
-    }
-
-    /// A unit vector along the line.
-    #[inline]
-    #[must_use]
-    pub fn direction(&self) -> Vec2 {
-        Vec2::new(-self.b, self.a)
-    }
-
-    /// The `y` coordinate of the line at `x`, or `None` when the line is
-    /// (near-)vertical and has no single value there.
-    #[inline]
-    #[must_use]
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        if self.b.abs() <= crate::EPSILON {
-            None
-        } else {
-            Some(-(self.a * x + self.c) / self.b)
-        }
-    }
-
-    /// The `x` coordinate of the line at `y`, or `None` when the line is
-    /// (near-)horizontal and has no single value there.
-    #[inline]
-    #[must_use]
-    pub fn x_at(&self, y: f64) -> Option<f64> {
-        if self.a.abs() <= crate::EPSILON {
-            None
-        } else {
-            Some(-(self.b * y + self.c) / self.a)
-        }
-    }
-
-    /// Intersection point with another line, or `None` when parallel.
-    #[must_use]
-    pub fn intersection(&self, other: &Line) -> Option<Point> {
-        let denom = self.a * other.b - other.a * self.b;
-        if denom.abs() <= crate::EPSILON {
-            return None;
-        }
-        let x = (self.b * other.c - other.b * self.c) / denom;
-        let y = (other.a * self.c - self.a * other.c) / denom;
-        Some(Point::new(x, y))
-    }
-
-    /// Returns `true` when `p` lies on the line within `tolerance`.
-    #[inline]
-    #[must_use]
-    pub fn contains_with_tolerance(&self, p: Point, tolerance: f64) -> bool {
-        self.distance_to_point(p) <= tolerance
     }
 }
 
@@ -158,40 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn line_intersection() {
-        let l1 = Line::through(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
-        let l2 = Line::through(Point::new(0.0, 10.0), Point::new(10.0, 0.0));
-        let p = l1.intersection(&l2).unwrap();
-        assert!(p.approx_eq(Point::new(5.0, 5.0)));
-    }
-
-    #[test]
-    fn parallel_lines_never_intersect() {
-        let l1 = Line::through(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        let l2 = Line::through(Point::new(0.0, 4.0), Point::new(10.0, 4.0));
-        assert!(l1.intersection(&l2).is_none());
-    }
-
-    #[test]
     fn degenerate_line_falls_back_to_horizontal() {
         let l = Line::through(Point::new(3.0, 4.0), Point::new(3.0, 4.0));
         assert!(approx_eq(l.distance_to_point(Point::new(100.0, 4.0)), 0.0));
         assert!(approx_eq(l.distance_to_point(Point::new(3.0, 9.0)), 5.0));
-    }
-
-    #[test]
-    fn direction_is_parallel_to_defining_points() {
-        let p = Point::new(1.0, 2.0);
-        let q = Point::new(4.0, 6.0);
-        let l = Line::through(p, q);
-        let d = l.direction();
-        assert!(approx_eq((q - p).cross(d), 0.0));
-    }
-
-    #[test]
-    fn contains_with_tolerance() {
-        let l = Line::through(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        assert!(l.contains_with_tolerance(Point::new(5.0, 0.5), 1.0));
-        assert!(!l.contains_with_tolerance(Point::new(5.0, 1.5), 1.0));
     }
 }

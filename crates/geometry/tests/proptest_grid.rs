@@ -1,10 +1,9 @@
-//! Property-based equivalence: the grid broad phase followed by the
-//! exact intersection re-check must select exactly the rectangles the
-//! brute-force scan selects, for any rectangle soup, any carrier line
-//! and any inflation tolerance (including zero).
+//! Property tests of the grid's bookkeeping: a rebuilt index answers
+//! exactly like a fresh one, and `unseen` completes any partial ring
+//! search with every rect it has not reported, ascending and once each.
 
 use proptest::prelude::*;
-use wm_geometry::{GridIndex, GridScratch, Line, Point, Rect};
+use wm_geometry::{GridIndex, GridScratch, Point, Rect};
 
 /// Coordinates in the range real weathermaps use (a few thousand user
 /// units), plus negatives to exercise the grid origin handling.
@@ -20,90 +19,83 @@ fn rect() -> impl Strategy<Value = Rect> {
     (coord(), coord(), 0.0f64..200.0, 0.0f64..200.0).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
 }
 
-fn line() -> impl Strategy<Value = Line> {
-    (coord(), coord(), coord(), coord())
-        .prop_map(|(x0, y0, x1, y1)| Line::through(Point::new(x0, y0), Point::new(x1, y1)))
-}
-
-/// Exact candidate set via brute force, ascending by index.
-fn brute_force(rects: &[Rect], line: &Line, tol: f64) -> Vec<u32> {
-    rects
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.inflated(tol).intersects_line(line))
-        .map(|(i, _)| i as u32)
-        .collect()
-}
-
-/// Grid broad phase + exact re-check, ascending by index.
-fn via_grid(
+/// Everything a search around `p` reports: each ring's ids (sorted) and
+/// bound, then what `unseen` completes. The scratch forgets first.
+fn search(
     grid: &GridIndex,
     scratch: &mut GridScratch,
-    rects: &[Rect],
-    line: &Line,
-    tol: f64,
-) -> Vec<u32> {
-    grid.line_candidates(line, scratch);
-    scratch
-        .out
-        .iter()
-        .copied()
-        .filter(|&i| rects[i as usize].inflated(tol).intersects_line(line))
-        .collect()
+    p: Point,
+) -> (Vec<(Vec<u32>, f64)>, Vec<u32>) {
+    scratch.forget();
+    let mut rings = Vec::new();
+    if let Some(mut traversal) = grid.rings(p, scratch) {
+        while let Some(bound) = traversal.next(scratch) {
+            let mut ids = scratch.out.clone();
+            ids.sort_unstable();
+            rings.push((ids, bound));
+        }
+    }
+    grid.unseen(scratch);
+    (rings, scratch.out.clone())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn grid_equals_brute_force(
-        rects in prop::collection::vec(rect(), 0..40),
-        lines in prop::collection::vec(line(), 1..8),
-        tol in prop_oneof![Just(0.0), Just(0.25), 0.0f64..4.0],
-    ) {
-        let mut grid = GridIndex::new();
-        grid.rebuild(rects.iter().copied(), tol);
-        prop_assert_eq!(grid.len(), rects.len());
-        let mut scratch = GridScratch::new();
-        for line in &lines {
-            let expected = brute_force(&rects, line, tol);
-            let got = via_grid(&grid, &mut scratch, &rects, line, tol);
-            prop_assert_eq!(&got, &expected, "tol={} line={:?}", tol, line);
-        }
-    }
-
-    #[test]
     fn rebuild_reuse_matches_fresh_index(
         first in prop::collection::vec(rect(), 0..30),
         second in prop::collection::vec(rect(), 0..30),
-        line in line(),
+        x in coord(),
+        y in coord(),
     ) {
         // A reused (rebuilt) index must answer exactly like a fresh one.
+        let p = Point::new(x, y);
         let mut reused = GridIndex::new();
         reused.rebuild(first.iter().copied(), 0.25);
         let mut scratch = GridScratch::new();
-        reused.line_candidates(&line, &mut scratch); // Warm the scratch.
+        search(&reused, &mut scratch, p); // Warm the scratch.
         reused.rebuild(second.iter().copied(), 0.25);
 
         let mut fresh = GridIndex::new();
         fresh.rebuild(second.iter().copied(), 0.25);
         let mut fresh_scratch = GridScratch::new();
 
-        reused.line_candidates(&line, &mut scratch);
-        fresh.line_candidates(&line, &mut fresh_scratch);
-        prop_assert_eq!(&scratch.out, &fresh_scratch.out);
+        prop_assert_eq!(reused.occupied_cells(), fresh.occupied_cells());
+        prop_assert_eq!(search(&reused, &mut scratch, p), search(&fresh, &mut fresh_scratch, p));
     }
 
     #[test]
-    fn candidates_are_sorted_and_unique(
+    fn unseen_is_sorted_and_unique(
         rects in prop::collection::vec(rect(), 0..40),
-        line in line(),
+        x in coord(),
+        y in coord(),
+        rings in 0usize..4,
     ) {
         let mut grid = GridIndex::new();
         grid.rebuild(rects.iter().copied(), 0.25);
         let mut scratch = GridScratch::new();
-        grid.line_candidates(&line, &mut scratch);
+        scratch.forget();
+        let mut reported = vec![false; rects.len()];
+        if let Some(mut traversal) = grid.rings(Point::new(x, y), &mut scratch) {
+            for _ in 0..rings {
+                if traversal.next(&mut scratch).is_none() {
+                    break;
+                }
+                for &id in &scratch.out {
+                    reported[id as usize] = true;
+                }
+            }
+        }
+        grid.unseen(&mut scratch);
         prop_assert!(scratch.out.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!(scratch.out.iter().all(|&i| (i as usize) < rects.len()));
+        for &id in &scratch.out {
+            prop_assert!(!reported[id as usize], "id {} reported twice", id);
+            reported[id as usize] = true;
+        }
+        prop_assert!(reported.iter().all(|&r| r), "a rect was never reported");
+        // Once complete, nothing is left unseen until the next forget.
+        grid.unseen(&mut scratch);
+        prop_assert!(scratch.out.is_empty());
     }
 }

@@ -2,7 +2,8 @@
 //! rect not yet visited lies at least the reported bound away from the
 //! query point, ids are never repeated, and an infinite bound means
 //! every rect has been visited. Queries between two forgets share one
-//! deduplication: together they report each rect at most once.
+//! deduplication: together they report each rect exactly once, so every
+//! box the line crosses is reported.
 
 use proptest::prelude::*;
 use wm_geometry::{GridIndex, GridScratch, Line, Point, Rect};
@@ -69,8 +70,9 @@ proptest! {
         rings_per_end in 0usize..4,
     ) {
         // Two partial ring searches from the ends of a line, then the
-        // walk that completes them: no rect is reported twice, and the
-        // rects the line crosses are all reported by one of them.
+        // `unseen` scan that completes them: no rect is reported twice,
+        // and every rect, the ones the line crosses included, is
+        // reported by one of them.
         let mut grid = GridIndex::new();
         grid.rebuild(rects.iter().copied(), 0.25);
         let mut scratch = GridScratch::new();
@@ -95,13 +97,14 @@ proptest! {
                 }
             }
         }
-        grid.line_unseen(&line, &mut scratch);
+        grid.unseen(&mut scratch);
         record(&scratch.out)?;
         for (i, r) in rects.iter().enumerate() {
             if r.inflated(0.25).intersects_line(&line) {
                 prop_assert!(seen[i], "rect {} on the line never reported", i);
             }
         }
+        prop_assert!(seen.iter().all(|&s| s), "a rect was never reported");
     }
 }
 

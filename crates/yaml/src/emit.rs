@@ -163,13 +163,16 @@ fn needs_quoting(s: &str) -> bool {
     if s.trim() != s {
         return true;
     }
-    // Characters with structural meaning anywhere relevant.
+    // Characters with structural meaning anywhere relevant. The parser
+    // reads every `"` on a line as opening or closing a quoted span when
+    // it looks for a comment, so a plain scalar must not hold one.
     if s.starts_with([
-        '-', '?', '[', ']', '{', '}', '&', '*', '!', '|', '>', '\'', '"', '%', '@',
+        '-', '?', '[', ']', '{', '}', '&', '*', '!', '|', '>', '\'', '%', '@',
     ]) || s.contains(": ")
         || s.ends_with(':')
         || s.contains(" #")
         || s.contains('\n')
+        || s.contains('"')
     {
         return true;
     }

@@ -70,3 +70,14 @@ proptest! {
         prop_assert_eq!(parsed, Value::Str(s));
     }
 }
+
+#[test]
+fn quote_in_a_plain_key_does_not_open_a_span() {
+    // Left plain, the key's `"` opens a quoted span for the parser's
+    // comment search, the value's closing quote opens another, and
+    // ` #y"` reads as a comment: "unterminated double-quoted scalar".
+    let value = Value::Map(vec![("ab\"c".into(), Value::Str("x #y".into()))]);
+    let text = to_string(&value);
+    let parsed = parse(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
+    assert_eq!(parsed, value, "text was:\n{text}");
+}
