@@ -70,6 +70,15 @@ target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > "$smoke_dir/rebuilt.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/cached.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/rebuilt.txt"
+# A copy of the map's tree under an alias spelling (`eu/` for Europe)
+# is not the map's directory: listing and reading both use the slug
+# alone, so the copy changes no report, with or without the store.
+cp -R "$smoke_dir/europe" "$smoke_dir/eu"
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 > "$smoke_dir/alias_plain.txt"
+target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > "$smoke_dir/alias_rebuilt.txt"
+diff "$smoke_dir/plain.txt" "$smoke_dir/alias_plain.txt"
+diff "$smoke_dir/plain.txt" "$smoke_dir/alias_rebuilt.txt"
+rm -rf "$smoke_dir/eu"
 # Reshaped YAML: the schema reader takes whatever the grammar allows.
 # In a copy of the corpus every `name:`, `a:` and `b:` value is quoted
 # and full-line and trailing comments are added; one file gets CRLF

@@ -344,12 +344,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
                 continue;
             }
             println!(
-                "{:<15} {} snapshots, {} nodes, {} link identities, {} topology events [{}]",
+                "{:<15} {} snapshots, {} nodes, {} link identities [{}]",
                 map.display_name(),
                 columnar.len(),
                 columnar.nodes().len(),
                 columnar.link_defs().len(),
-                columnar.events().len(),
                 cache_outcome(&load_stats.cache),
             );
         }
@@ -464,12 +463,11 @@ fn print_load_metrics(load_stats: &CorpusLoadStats, columnar: &LongitudinalStore
         }
     }
     println!(
-        "columnar store: {} snapshots, {} nodes, {} link identities, {} load rows, {} topology events, ~{:.1} MiB",
+        "columnar store: {} snapshots, {} nodes, {} link identities, {} load rows, ~{:.1} MiB",
         columnar.len(),
         columnar.nodes().len(),
         columnar.link_defs().len(),
         columnar.observations(),
-        columnar.events().len(),
         columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
     );
 }

@@ -68,7 +68,6 @@ pub mod prelude {
         query_windowed, reindex_segments, CacheError, CacheMode, CorpusFingerprint,
         CorpusLoadStats, CorpusStats, DatasetStore, FileKind, LinkDef, LinkId, LongitudinalStore,
         NodeId, QueryEngine, QueryPlan, RowView, SegmentManifest, SegmentMeta, SegmentPolicy,
-        TopologyEvent,
     };
     pub use wm_extract::{
         extract_batch, extract_batch_with, extract_svg, from_yaml_str, to_yaml_string, BatchInput,

@@ -11,12 +11,13 @@
 //! * [`CorpusStats`] — the per-map file-count/size aggregation reported in
 //!   the paper's Table 2;
 //! * [`longitudinal`] — the columnar longitudinal store: interned
-//!   node/link symbol tables, per-link load time series and the topology
-//!   event log, built in one deterministic streaming pass;
+//!   node/link symbol tables and per-snapshot node and load columns,
+//!   built in one deterministic streaming pass;
 //! * [`loader`] — the shared parallel YAML corpus loader feeding the
 //!   columnar store;
-//! * [`codec`] — the versioned, checksummed binary image of a built
-//!   store, the payload every segment file wraps;
+//! * [`codec`] — the checksummed binary image of a built store, the
+//!   payload every segment file wraps (the segment header carries its
+//!   version);
 //! * [`query`] — the vectorized query engine: typed [`wm_model::Query`]
 //!   plans compiled to per-column kernels (scan, top-k, windowed
 //!   percentiles, site loads, heatmap bucketing) that run directly over
@@ -42,13 +43,9 @@ pub mod segments;
 mod stats;
 mod store;
 
-pub use codec::{
-    decode_store, encode_store, CacheError, CorpusFingerprint, FingerprintEntry, CACHE_MAGIC,
-};
+pub use codec::{decode_store, encode_store, CacheError, CorpusFingerprint, FingerprintEntry};
 pub use loader::{build_longitudinal, CacheMode, CorpusLoadStats};
-pub use longitudinal::{
-    ColumnarBuilder, LinkDef, LinkId, LinkSample, LongitudinalStore, NodeId, TopologyEvent,
-};
+pub use longitudinal::{ColumnarBuilder, LinkDef, LinkId, LongitudinalStore, NodeId};
 pub use paths::{parse_path, relative_path, FileKind};
 pub use query::{query_windowed, QueryEngine, QueryPlan, RowView};
 pub use segment::{

@@ -17,12 +17,11 @@
 //!   [`LongitudinalStore::snapshot`] reconstructs the original
 //!   [`TopologySnapshot`] *exactly*, so every existing analysis runs
 //!   unchanged on top of the store.
-//! * **Per-link series** — an inverted index from [`LinkId`] to its
-//!   rows, sorted by snapshot, giving [`LongitudinalStore::link_series`]
-//!   without scanning the whole corpus.
-//! * **Event log** — the structural [`wm_model::diff`] between each
-//!   consecutive snapshot pair, computed once at build time on the id
-//!   columns instead of recomputed inside each analysis.
+//!
+//! Nothing derived is stored beside the columns. The §5 suite and the
+//! query kernels read counts, loads and final states from the columns
+//! (or from reconstructed snapshots), and a structural diff between two
+//! snapshots is [`wm_model::diff`] of their reconstructions.
 //!
 //! The store is built by folding snapshot files into per-worker
 //! [`ColumnarBuilder`]s — straight from YAML text
@@ -40,8 +39,7 @@ use std::ops::Range;
 
 use wm_extract::{read_snapshot, EndRef, SchemaError, SnapshotVisitor};
 use wm_model::{
-    GroupDelta, Link, LinkEnd, Load, MapKind, Node, NodeKind, NodeName, SnapshotDiff, Timestamp,
-    TopologySnapshot,
+    Link, LinkEnd, Load, MapKind, Node, NodeKind, NodeName, Timestamp, TopologySnapshot,
 };
 
 /// Stable identifier of a distinct node within one store.
@@ -100,40 +98,6 @@ pub struct LinkDef {
     pub label_a: Option<String>,
     /// Label at the second endpoint, when drawn.
     pub label_b: Option<String>,
-}
-
-/// One observation of a link in one snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkSample {
-    /// Index of the snapshot (into [`LongitudinalStore::timestamps`]).
-    pub snapshot: usize,
-    /// The snapshot instant.
-    pub timestamp: Timestamp,
-    /// Egress load of the canonical first endpoint.
-    pub load_a: Load,
-    /// Egress load of the canonical second endpoint.
-    pub load_b: Load,
-}
-
-impl LinkSample {
-    /// `true` when the link read `0 %` in both directions — the
-    /// weathermap's signature of a disabled link.
-    #[must_use]
-    pub fn disabled(&self) -> bool {
-        self.load_a.is_disabled() && self.load_b.is_disabled()
-    }
-}
-
-/// One entry of the topology event log: the structural change between
-/// two consecutive snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyEvent {
-    /// The older snapshot of the pair.
-    pub previous: Timestamp,
-    /// The newer snapshot — when the change was first observed.
-    pub at: Timestamp,
-    /// What changed (non-empty by construction).
-    pub diff: SnapshotDiff,
 }
 
 /// A per-snapshot row still carrying builder-local ids.
@@ -482,15 +446,6 @@ impl ColumnarBuilder {
             }
             store.link_offsets.push(store.link_cells.len() as u32);
         }
-        store.rebuild_series_index();
-
-        // Topology event log: one structural diff per consecutive pair.
-        let mut differ = RowDiffer::new(&store.nodes);
-        for newer in 1..store.len() {
-            if let Some(event) = differ.event(&store, newer) {
-                store.events.push(event);
-            }
-        }
         store
     }
 }
@@ -551,133 +506,6 @@ impl SnapshotVisitor for FileVisitor<'_> {
     }
 }
 
-/// Structural diffs between consecutive snapshots of one store,
-/// computed on the id columns without reconstructing either snapshot.
-///
-/// The result equals [`wm_model::diff`] of the two reconstructed
-/// snapshots, which keys nodes on *names*, not on `(name, kind)`. So
-/// every node id maps to a *name class*: the smallest id with the same
-/// name. The node table is sorted by `(name, kind)`, so equal names are
-/// adjacent and class order is name order.
-/// * A node cell is added (removed) when its class is absent from the
-///   older (newer) row. Each such cell is reported, duplicates
-///   included, as its own [`Node`]; ids are ranks, so sorting ids sorts
-///   the nodes.
-/// * Parallel groups are keyed by the class pair of a link's endpoints,
-///   smaller first, exactly as [`wm_model::Link::endpoint_key`] orders
-///   the two names; a group changed when its per-row counts differ.
-struct RowDiffer {
-    /// Node id → name class.
-    class: Vec<u32>,
-    /// Per class, the generation that last saw it in a row.
-    seen: Vec<u64>,
-    generation: u64,
-}
-
-impl RowDiffer {
-    fn new(nodes: &[Node]) -> RowDiffer {
-        let mut class: Vec<u32> = Vec::with_capacity(nodes.len());
-        let mut previous: Option<&Node> = None;
-        for (id, node) in nodes.iter().enumerate() {
-            let same_name = previous.is_some_and(|p| p.name == node.name);
-            let own = class.last().copied().filter(|_| same_name);
-            class.push(own.unwrap_or(id as u32));
-            previous = Some(node);
-        }
-        RowDiffer {
-            seen: vec![0; nodes.len()],
-            class,
-            generation: 0,
-        }
-    }
-
-    fn class_of(&self, id: u32) -> u32 {
-        self.class.get(id as usize).copied().unwrap_or(id)
-    }
-
-    /// The event between snapshots `newer - 1` and `newer` of `store`,
-    /// or `None` when their structure is identical.
-    fn event(&mut self, store: &LongitudinalStore, newer: usize) -> Option<TopologyEvent> {
-        let older = newer.checked_sub(1)?;
-        let diff = self.diff(store, older, newer);
-        if diff.is_empty() {
-            return None;
-        }
-        Some(TopologyEvent {
-            previous: store.timestamps.get(older).copied()?,
-            at: store.timestamps.get(newer).copied()?,
-            diff,
-        })
-    }
-
-    fn diff(&mut self, store: &LongitudinalStore, older: usize, newer: usize) -> SnapshotDiff {
-        let (old_nodes, new_nodes) = (store.node_row(older), store.node_row(newer));
-        let (old_links, new_links) = (store.link_row(older), store.link_row(newer));
-        // Consecutive snapshots usually share their structure row for
-        // row: identical id rows cannot differ.
-        if old_nodes == new_nodes && old_links == new_links {
-            return SnapshotDiff::default();
-        }
-        let node_of = |id: u32| store.nodes.get(id as usize).cloned();
-        let added = self.missing(new_nodes, old_nodes);
-        let removed = self.missing(old_nodes, new_nodes);
-
-        let mut sizes: BTreeMap<(u32, u32), (usize, usize)> = BTreeMap::new();
-        for (links, after) in [(old_links, false), (new_links, true)] {
-            for def in links.iter().filter_map(|&def| store.defs.get(def as usize)) {
-                let (a, b) = (self.class_of(def.a.0), self.class_of(def.b.0));
-                let count = sizes.entry((a.min(b), a.max(b))).or_default();
-                if after {
-                    count.1 += 1;
-                } else {
-                    count.0 += 1;
-                }
-            }
-        }
-        let name_of = |class: u32| {
-            store
-                .nodes
-                .get(class as usize)
-                .map_or_else(String::new, |node| node.name.as_str().to_owned())
-        };
-        SnapshotDiff {
-            added_nodes: added.into_iter().filter_map(node_of).collect(),
-            removed_nodes: removed.into_iter().filter_map(node_of).collect(),
-            group_changes: sizes
-                .into_iter()
-                .filter(|(_, (before, after))| before != after)
-                .map(|((a, b), (before, after))| GroupDelta {
-                    a: name_of(a),
-                    b: name_of(b),
-                    before,
-                    after,
-                })
-                .collect(),
-        }
-    }
-
-    /// The cells of `row` whose name class does not occur in `other`,
-    /// sorted.
-    fn missing(&mut self, row: &[u32], other: &[u32]) -> Vec<u32> {
-        self.generation += 1;
-        for &id in other {
-            let class = self.class_of(id) as usize;
-            if let Some(slot) = self.seen.get_mut(class) {
-                *slot = self.generation;
-            }
-        }
-        let mut out: Vec<u32> = row
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.seen.get(self.class_of(id) as usize).copied() != Some(self.generation)
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-}
-
 /// One map's snapshot history in columnar form. See the module docs.
 ///
 /// Fields are `pub(crate)` so the binary cache codec ([`crate::codec`])
@@ -696,9 +524,6 @@ pub struct LongitudinalStore {
     pub(crate) load_a: Vec<u8>,
     pub(crate) load_b: Vec<u8>,
     pub(crate) flipped: Vec<bool>,
-    pub(crate) series_offsets: Vec<u32>,
-    pub(crate) series_rows: Vec<u32>,
-    pub(crate) events: Vec<TopologyEvent>,
 }
 
 impl LongitudinalStore {
@@ -730,9 +555,6 @@ impl LongitudinalStore {
             load_a: Vec::new(),
             load_b: Vec::new(),
             flipped: Vec::new(),
-            series_offsets: Vec::new(),
-            series_rows: Vec::new(),
-            events: Vec::new(),
         }
     }
 
@@ -740,8 +562,7 @@ impl LongitudinalStore {
     /// as a store of their own: exactly
     /// [`LongitudinalStore::from_snapshots`] of the reconstructed
     /// snapshots, without reconstructing any. The symbol tables keep
-    /// only the entries the slice uses, and the event log only the
-    /// events between two snapshots of the slice.
+    /// only the entries the slice uses.
     #[must_use]
     pub fn slice(&self, range: Range<usize>) -> LongitudinalStore {
         LongitudinalStore::concat(&[(self, range)])
@@ -755,9 +576,8 @@ impl LongitudinalStore {
     /// The result equals [`LongitudinalStore::from_snapshots`] of the
     /// concatenated snapshots and encodes to the same bytes. Symbol
     /// tables merge through the sorted union and rank remap that
-    /// [`ColumnarBuilder::finish`] uses; a part's events are kept, and
-    /// only the pair straddling each boundary between parts is diffed,
-    /// on the id columns.
+    /// [`ColumnarBuilder::finish`] uses, and each part's rows are copied
+    /// with their ids remapped.
     #[must_use]
     pub fn concat(parts: &[(&LongitudinalStore, Range<usize>)]) -> LongitudinalStore {
         let parts: Vec<(&LongitudinalStore, Range<usize>)> = parts
@@ -838,28 +658,6 @@ impl LongitudinalStore {
                     .extend_from_slice(store.flipped.get(rows).unwrap_or(&[]));
             }
         }
-        merged.rebuild_series_index();
-
-        // Events: each part's own, plus one diff across each boundary.
-        let mut differ = RowDiffer::new(&merged.nodes);
-        let mut first = 0usize;
-        for (store, range) in &parts {
-            let end = first + range.len();
-            if let Some(event) = differ.event(&merged, first) {
-                merged.events.push(event);
-            }
-            match store.events_within(range) {
-                Some(events) => merged.events.extend_from_slice(events),
-                None => {
-                    for newer in first + 1..end {
-                        if let Some(event) = differ.event(&merged, newer) {
-                            merged.events.push(event);
-                        }
-                    }
-                }
-            }
-            first = end;
-        }
         merged
     }
 
@@ -895,36 +693,6 @@ impl LongitudinalStore {
             }
         }
         (node_used, def_used)
-    }
-
-    /// The stored events between two snapshots of `range`, found by
-    /// timestamp; `None` when timestamps repeat, which makes an event's
-    /// pair ambiguous (the caller then diffs the slice's pairs itself).
-    fn events_within(&self, range: &Range<usize>) -> Option<&[TopologyEvent]> {
-        if !self.timestamps.is_sorted_by(|a, b| a < b) {
-            return None;
-        }
-        let first = *self.timestamps.get(range.start)?;
-        let last = *self.timestamps.get(range.end.checked_sub(1)?)?;
-        // Timestamps are strictly increasing, so the event of pair
-        // `(i - 1, i)` is the one `at` timestamp `i`.
-        let lo = self.events.partition_point(|event| event.at <= first);
-        let hi = self.events.partition_point(|event| event.at <= last);
-        self.events.get(lo..hi.max(lo))
-    }
-
-    /// The node-id row of snapshot `index` (empty when out of range).
-    fn node_row(&self, index: usize) -> &[u32] {
-        self.node_cells
-            .get(offset_span(&self.node_offsets, index))
-            .unwrap_or(&[])
-    }
-
-    /// The link-id row of snapshot `index` (empty when out of range).
-    fn link_row(&self, index: usize) -> &[u32] {
-        self.link_cells
-            .get(offset_span(&self.link_offsets, index))
-            .unwrap_or(&[])
     }
 
     /// Number of snapshots stored.
@@ -971,18 +739,6 @@ impl LongitudinalStore {
     #[must_use]
     pub fn link_defs(&self) -> &[LinkDef] {
         &self.defs
-    }
-
-    /// The link identity behind an id, or `None` for an id this store
-    /// never issued.
-    #[must_use]
-    pub fn link_def(&self, id: LinkId) -> Option<&LinkDef> {
-        self.defs.get(id.index())
-    }
-
-    /// All link ids, in rank order.
-    pub fn link_ids(&self) -> impl Iterator<Item = LinkId> {
-        (0..self.defs.len() as u32).map(LinkId)
     }
 
     /// Total number of link observations (rows) across all snapshots.
@@ -1039,83 +795,9 @@ impl LongitudinalStore {
         (0..self.len()).map(|index| self.snapshot(index))
     }
 
-    /// Iterates the load time series of one link, sorted by snapshot,
-    /// without materialising a vector.
-    ///
-    /// Links sharing a canonical identity (label collisions) contribute
-    /// one sample each per snapshot they appear in. An unknown id yields
-    /// an empty iterator.
-    pub fn link_samples(&self, id: LinkId) -> impl Iterator<Item = LinkSample> + '_ {
-        let span = offset_span(&self.series_offsets, id.index());
-        self.series_rows
-            .get(span)
-            .unwrap_or(&[])
-            .iter()
-            .map(|&row| {
-                let row = row as usize;
-                // The snapshot owning `row`: offsets are non-decreasing
-                // (duplicates where a snapshot has no links), so count
-                // how many snapshot starts are at or before the row.
-                let snapshot = self
-                    .link_offsets
-                    .partition_point(|&offset| offset as usize <= row)
-                    .saturating_sub(1);
-                LinkSample {
-                    snapshot,
-                    timestamp: self.timestamps.get(snapshot).copied().unwrap_or_default(),
-                    load_a: load_of(self.load_a.get(row)),
-                    load_b: load_of(self.load_b.get(row)),
-                }
-            })
-    }
-
-    /// The load time series of one link as an owned vector; delegates to
-    /// [`LongitudinalStore::link_samples`].
-    #[must_use]
-    pub fn link_series(&self, id: LinkId) -> Vec<LinkSample> {
-        self.link_samples(id).collect()
-    }
-
-    /// The topology event log: the non-empty structural diffs between
-    /// consecutive snapshots, computed once at build time.
-    #[must_use]
-    pub fn events(&self) -> &[TopologyEvent] {
-        &self.events
-    }
-
-    /// Rebuilds the inverted link-series index from the link columns by
-    /// counting sort (rows are visited in snapshot order, so each link's
-    /// slice stays sorted). Deterministic: depends only on the columns.
-    pub(crate) fn rebuild_series_index(&mut self) {
-        let mut offsets = vec![0u32; self.defs.len() + 1];
-        for &def in &self.link_cells {
-            if let Some(slot) = offsets.get_mut(def as usize + 1) {
-                *slot += 1;
-            }
-        }
-        let mut sum = 0u32;
-        for slot in &mut offsets {
-            sum += *slot;
-            *slot = sum;
-        }
-        let mut cursors = offsets.clone();
-        let mut series_rows = vec![0u32; self.link_cells.len()];
-        for (row, &def) in self.link_cells.iter().enumerate() {
-            let Some(cursor) = cursors.get_mut(def as usize) else {
-                continue;
-            };
-            if let Some(slot) = series_rows.get_mut(*cursor as usize) {
-                *slot = row as u32;
-            }
-            *cursor += 1;
-        }
-        self.series_offsets = offsets;
-        self.series_rows = series_rows;
-    }
-
     /// Approximate resident size of the columns and tables, in bytes
-    /// (cell payloads only; allocator overhead and the event log's
-    /// string contents are estimated, not measured).
+    /// (cell payloads and symbol text; allocator overhead is not
+    /// counted).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -1139,8 +821,6 @@ impl LongitudinalStore {
             + self.load_a.len()
             + self.load_b.len()
             + self.flipped.len()
-            + (self.series_offsets.len() + self.series_rows.len()) * size_of::<u32>()
-            + self.events.len() * size_of::<TopologyEvent>()
     }
 }
 
@@ -1228,53 +908,10 @@ mod tests {
     }
 
     #[test]
-    fn link_series_is_sorted_and_complete() {
-        let snaps = series();
-        let store = LongitudinalStore::from_snapshots(&snaps);
-        let total: usize = store
-            .link_ids()
-            .map(|id| store.link_samples(id).count())
-            .sum();
-        assert_eq!(total, store.observations());
-        for id in store.link_ids() {
-            let samples: Vec<LinkSample> = store.link_samples(id).collect();
-            assert_eq!(samples, store.link_series(id), "owned API delegates");
-            assert!(samples.windows(2).all(|w| w[0].snapshot < w[1].snapshot));
-            for sample in &samples {
-                assert_eq!(sample.timestamp, store.timestamps()[sample.snapshot]);
-            }
-        }
-        // The #1 parallel link was disabled in snapshot 1 only.
-        let disabled: Vec<LinkId> = store
-            .link_ids()
-            .filter(|&id| store.link_samples(id).any(|s| s.disabled()))
-            .collect();
-        assert_eq!(disabled.len(), 1);
-        let samples = store.link_series(disabled[0]);
-        assert_eq!(samples.len(), 3);
-        assert!(!samples[0].disabled() && samples[1].disabled() && !samples[2].disabled());
-    }
-
-    #[test]
-    fn event_log_matches_pairwise_diff() {
-        let snaps = series();
-        let store = LongitudinalStore::from_snapshots(&snaps);
-        // s0 -> s1 changes only loads; s1 -> s2 adds a node and a group.
-        assert_eq!(store.events().len(), 1);
-        let event = &store.events()[0];
-        assert_eq!(event.previous, snaps[1].timestamp);
-        assert_eq!(event.at, snaps[2].timestamp);
-        assert_eq!(event.diff, wm_model::diff(&snaps[1], &snaps[2]));
-        assert_eq!(event.diff.added_nodes, vec![Node::from_name("sbg-g2")]);
-        assert_eq!(event.diff.link_delta(), 1);
-    }
-
-    #[test]
     fn empty_store() {
         let store = LongitudinalStore::from_snapshots(std::iter::empty());
         assert!(store.is_empty());
         assert_eq!(store.len(), 0);
-        assert!(store.events().is_empty());
         assert_eq!(store.observations(), 0);
         assert!(store.approx_bytes() > 0); // offset sentinels
     }

@@ -54,13 +54,18 @@ pub fn relative_path(map: MapKind, kind: FileKind, t: Timestamp) -> PathBuf {
 
 /// Recovers `(map, kind, timestamp)` from a relative path, or `None` when
 /// the path does not follow the layout.
+///
+/// The map directory must be the map's [`MapKind::slug`], the one
+/// spelling [`relative_path`] writes: a path listed under a map must be
+/// the one every later read of that map opens. An alias such as `eu`
+/// names no map here, however `MapKind`'s parser reads it.
 #[must_use]
 pub fn parse_path(path: &Path) -> Option<(MapKind, FileKind, Timestamp)> {
     let parts: Vec<&str> = path.iter().map(|c| c.to_str()).collect::<Option<_>>()?;
     let [map, kind, year, month, day, file] = parts.as_slice() else {
         return None;
     };
-    let map: MapKind = map.parse().ok()?;
+    let map = MapKind::ALL.into_iter().find(|m| m.slug() == *map)?;
     let kind = match *kind {
         "svg" => FileKind::Svg,
         "yaml" => FileKind::Yaml,
@@ -68,8 +73,7 @@ pub fn parse_path(path: &Path) -> Option<(MapKind, FileKind, Timestamp)> {
     };
     let (stem, ext) = file.split_once('.')?;
     // Exactly the digits `relative_path` writes: a path listed under a
-    // timestamp must be the one that timestamp reads back, and four
-    // ASCII digits keep the stem slices below on char boundaries.
+    // timestamp must be the one that timestamp reads back.
     let digits = |s: &str, n: usize| s.len() == n && s.bytes().all(|b| b.is_ascii_digit());
     if ext != kind.as_str()
         || !digits(year, 4)
@@ -82,8 +86,8 @@ pub fn parse_path(path: &Path) -> Option<(MapKind, FileKind, Timestamp)> {
     let year: i32 = year.parse().ok()?;
     let month: u8 = month.parse().ok()?;
     let day: u8 = day.parse().ok()?;
-    let hour: u8 = stem[..2].parse().ok()?;
-    let minute: u8 = stem[2..].parse().ok()?;
+    let hour: u8 = stem.get(..2)?.parse().ok()?;
+    let minute: u8 = stem.get(2..)?.parse().ok()?;
     // Validate ranges by round-tripping through the ISO form.
     let iso = format!("{year:04}-{month:02}-{day:02}T{hour:02}:{minute:02}:00Z");
     let t = Timestamp::parse_iso8601(&iso).ok()?;
@@ -128,6 +132,8 @@ mod tests {
             "europe/svg/2021/03/05/1005.yaml", // extension mismatch
             "europe/png/2021/03/05/1005.png",  // unknown kind
             "mars/svg/2021/03/05/1005.svg",    // unknown map
+            "eu/svg/2021/03/05/1005.svg",      // alias, not the slug
+            "Europe/svg/2021/03/05/1005.svg",  // display name, not the slug
             "europe/svg/2021/13/05/1005.svg",  // bad month
             "europe/svg/2021/03/05/2505.svg",  // bad hour
             "europe/svg/2021/03/1005.svg",     // missing component

@@ -4,7 +4,9 @@
 //! 56-byte header (magic, format version, CRC-protected time span and
 //! counts) followed by a complete [`crate::codec`] image of the slice —
 //! its own corpus-fingerprint section, section table and per-section
-//! CRC-32s. Sealed segments hold exactly `SegmentPolicy::capacity`
+//! CRC-32s. The header's [`SEGMENT_FORMAT_VERSION`] is the one version
+//! of the whole file, codec image included: a file of any other version
+//! is rejected as stale and rebuilt, never migrated. Sealed segments hold exactly `SegmentPolicy::capacity`
 //! snapshot files and never change once written; the youngest segment
 //! is the *active tail* and is rewritten in place as the corpus grows,
 //! so append cost is bounded by the tail, not the history.
@@ -27,8 +29,9 @@ use crate::longitudinal::LongitudinalStore;
 /// First bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"OVHWMSG\n";
 
-/// Bumped on any incompatible change to the segment layout.
-pub const SEGMENT_FORMAT_VERSION: u32 = 1;
+/// Bumped on any incompatible change to the segment layout or to the
+/// codec image it wraps.
+pub const SEGMENT_FORMAT_VERSION: u32 = 2;
 
 /// Fixed size of the segment header preceding the payload image.
 pub const SEGMENT_HEADER_LEN: usize = 56;
@@ -308,6 +311,29 @@ mod tests {
             decode_segment(&relabelled),
             Err(CacheError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_is_rejected() {
+        let (header, store, fp, stats) = sample();
+        let bytes = encode_segment(&header, &store, &fp, &stats);
+        // Decoding returns a `CacheError` and never panics. Every byte is
+        // checked by the magic, the version, the header CRC, the section
+        // table or a section CRC, so no flip decodes either.
+        for len in 0..bytes.len() {
+            assert!(
+                decode_segment(&bytes[..len]).is_err(),
+                "truncation to {len} bytes must not decode"
+            );
+        }
+        for pos in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0xFF;
+            assert!(
+                decode_segment(&flipped).is_err(),
+                "a flip at byte {pos} must not decode"
+            );
+        }
     }
 
     #[test]

@@ -89,9 +89,12 @@ impl DatasetStore {
         fs::write(path, contents)
     }
 
-    /// Reads a snapshot file.
+    /// Reads a snapshot file. An error keeps its kind and names the
+    /// file.
     pub fn read(&self, map: MapKind, kind: FileKind, t: Timestamp) -> io::Result<Vec<u8>> {
-        fs::read(self.path_of(map, kind, t))
+        let path = self.path_of(map, kind, t);
+        fs::read(&path)
+            .map_err(|err| io::Error::new(err.kind(), format!("reading {}: {err}", path.display())))
     }
 
     /// Whether a snapshot file exists.
@@ -116,29 +119,13 @@ impl DatasetStore {
 
     /// Enumerates the entries of one map and kind, sorted by timestamp:
     /// exactly [`Self::entries`] filtered to `(map, kind)`, but walking
-    /// only `<root>/<map>/<kind>/`.
-    ///
-    /// The layout accepts any spelling of the map name that parses as
-    /// `map` (`eu` for Europe, say), so every such child of the root is
-    /// a map directory; only the root itself is listed beyond them.
+    /// only `<root>/<slug>/<kind>/`, the one directory [`parse_path`]
+    /// accepts for them.
     pub fn entries_of(&self, map: MapKind, kind: FileKind) -> io::Result<Vec<DatasetEntry>> {
         let mut out = Vec::new();
-        if !self.root.is_dir() {
-            return Ok(out);
-        }
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else {
-                continue;
-            };
-            if name.starts_with('.') || name.parse::<MapKind>() != Ok(map) {
-                continue;
-            }
-            let kind_dir = entry.path().join(kind.as_str());
-            if kind_dir.is_dir() {
-                self.walk(&kind_dir, &mut out)?;
-            }
+        let kind_dir = self.root.join(map.slug()).join(kind.as_str());
+        if kind_dir.is_dir() {
+            self.walk(&kind_dir, &mut out)?;
         }
         out.sort_by_key(|e| e.timestamp);
         Ok(out)
@@ -363,7 +350,10 @@ mod tests {
         .unwrap();
 
         let all = store.entries().unwrap();
-        assert!(all.iter().any(|e| e.size == 5), "alias directory listed");
+        assert!(
+            all.iter().all(|e| e.size != 5),
+            "alias directory not listed"
+        );
         assert!(all.iter().all(|e| e.size != 10), "non-digit stem skipped");
         #[cfg(unix)]
         assert!(
@@ -517,7 +507,13 @@ mod tests {
     fn missing_file_read_errors() {
         let store = temp_store("missing");
         let t = Timestamp::from_unix(0);
-        assert!(store.read(MapKind::World, FileKind::Svg, t).is_err());
+        let err = store.read(MapKind::World, FileKind::Svg, t).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let path = store.path_of(MapKind::World, FileKind::Svg, t);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "the error names the file: {err}"
+        );
         assert!(!store.contains(MapKind::World, FileKind::Svg, t));
         fs::remove_dir_all(store.root()).unwrap();
     }

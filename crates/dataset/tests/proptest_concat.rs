@@ -3,8 +3,7 @@
 //! reference build — a random history cut into segments at random
 //! boundaries, any half-open window of it, concatenated from per-segment
 //! slices, must equal `LongitudinalStore::from_snapshots` of the window
-//! (tables, columns, series index and event log) and encode to the same
-//! bytes.
+//! (tables and columns) and encode to the same bytes.
 
 use proptest::collection::vec;
 use proptest::prelude::*;

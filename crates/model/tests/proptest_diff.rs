@@ -1,10 +1,9 @@
 //! Property-based checks of the structural diff's ordering guarantees.
 //!
-//! The longitudinal store's topology event log is built from
-//! [`wm_model::diff`] outputs, and its determinism (byte-identical at
-//! any thread count) relies on the diff being a pure function of the
-//! snapshots' *structure* — never of the order nodes or links happen to
-//! be listed in. These tests pin that contract down.
+//! The `diff` command prints [`wm_model::diff`] of two snapshot files,
+//! and its output must be a pure function of the snapshots'
+//! *structure* — never of the order nodes or links happen to be listed
+//! in. These tests pin that contract down.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -62,8 +61,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Reordering either snapshot's node and link lists must not change
-    /// the diff at all — the event log would otherwise depend on file
-    /// parse order.
+    /// the diff at all — it would otherwise depend on file parse order.
     #[test]
     fn diff_is_invariant_under_reordering(
         old_codes in vec(0u32..25, 0..16),
@@ -184,8 +182,7 @@ fn tie_breaking_is_exact() {
 }
 
 /// The same series diffed pairwise after a global reordering of every
-/// snapshot's internals yields an identical event sequence — the exact
-/// shape the longitudinal event log consumes.
+/// snapshot's internals yields an identical sequence of diffs.
 #[test]
 fn pairwise_event_sequence_is_reorder_proof() {
     let series: Vec<TopologySnapshot> = [

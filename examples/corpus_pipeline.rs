@@ -75,11 +75,11 @@ fn main() {
         sample.links.len()
     );
     println!(
-        "columnar store: {} snapshots, {} nodes, {} link identities, {} topology events, ~{:.1} MiB",
+        "columnar store: {} snapshots, {} nodes, {} link identities, {} load rows, ~{:.1} MiB",
         columnar.len(),
         columnar.nodes().len(),
         columnar.link_defs().len(),
-        columnar.events().len(),
+        columnar.observations(),
         columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
     );
 }
