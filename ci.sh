@@ -62,6 +62,18 @@ done
 rm -rf "$extract_dir"
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
+# A segment written under another format version (bytes 8..12 of the
+# file) is rebuilt from YAML, and `index` names it stale instead of
+# calling the load a cache hit; the next `index` hits.
+segment="$(find "$smoke_dir/europe/.segments" -name 'seg-*.seg' | sort | head -n 1)"
+printf '\001\000\000\000' | dd of="$segment" bs=1 seek=8 count=4 conv=notrunc 2> /dev/null
+target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 > "$smoke_dir/index_stale.txt"
+grep "stale" "$smoke_dir/index_stale.txt" > /dev/null
+if grep "cache hit" "$smoke_dir/index_stale.txt"; then
+    echo "index calls a load that rebuilt a stale segment a cache hit" >&2
+    exit 1
+fi
+target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 | grep "cache hit" > /dev/null
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep "segments:" > /dev/null
 # The report does not depend on where the store came from: no cache,
 # the warm segment store, and a forced rebuild print identical output.

@@ -75,29 +75,6 @@ pub fn detect_changes(
     events
 }
 
-/// Classifies a pair of consecutive change events per §5's reading:
-/// *increase then decrease* suggests a make-before-break upgrade,
-/// *decrease then increase* a maintenance/failure window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventPattern {
-    /// Capacity added before old equipment is retired.
-    MakeBeforeBreak,
-    /// Equipment temporarily withdrawn, then restored.
-    MaintenanceDip,
-    /// Monotonic growth or shrinkage.
-    Monotonic,
-}
-
-/// Classifies two consecutive events.
-#[must_use]
-pub fn classify_pair(first: &ChangeEvent, second: &ChangeEvent) -> EventPattern {
-    match (first.delta() > 0, second.delta() > 0) {
-        (true, false) => EventPattern::MakeBeforeBreak,
-        (false, true) => EventPattern::MaintenanceDip,
-        _ => EventPattern::Monotonic,
-    }
-}
-
 /// The finished evolution artifact: the Fig. 4a/4b series plus the
 /// change events §5 narrates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,23 +198,6 @@ mod tests {
             .collect();
         let series = evolution_series(&snaps);
         assert!(detect_changes(&series, |p| p.internal_links, 3).is_empty());
-    }
-
-    #[test]
-    fn pattern_classification() {
-        let up = ChangeEvent {
-            at: Timestamp::from_unix(0),
-            before: 10,
-            after: 14,
-        };
-        let down = ChangeEvent {
-            at: Timestamp::from_unix(600),
-            before: 14,
-            after: 11,
-        };
-        assert_eq!(classify_pair(&up, &down), EventPattern::MakeBeforeBreak);
-        assert_eq!(classify_pair(&down, &up), EventPattern::MaintenanceDip);
-        assert_eq!(classify_pair(&up, &up), EventPattern::Monotonic);
     }
 
     #[test]

@@ -356,14 +356,18 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One-word description of what the cache-aware load did.
+/// One-word description of what the cache-aware load did. A rebuild of
+/// stale or damaged files is named first: the partition can still match
+/// (a hit) while every segment it names is rebuilt from YAML.
 fn cache_outcome(cache: &CacheStats) -> &'static str {
-    if cache.hits > 0 {
+    if cache.stale > 0 {
+        "cache stale, rebuilt"
+    } else if cache.corrupt > 0 {
+        "cache corrupt, rebuilt"
+    } else if cache.hits > 0 {
         "cache hit"
     } else if cache.appends > 0 {
         "cache append"
-    } else if cache.corrupt > 0 {
-        "cache corrupt, rebuilt"
     } else if cache.misses > 0 {
         "cache miss, rebuilt"
     } else {
@@ -868,12 +872,8 @@ fn json_escape(text: &str) -> String {
     out
 }
 
-/// The deterministic kernel-counter line of `--metrics`, routed through
-/// the shared [`MetricsTotals`] projection like every other counter.
-fn kernel_metrics_line(stats: &KernelStats) -> String {
-    let mut metrics = BatchMetrics::default();
-    metrics.query.merge(stats);
-    let q = metrics.totals().query;
+/// The deterministic kernel-counter line of `--metrics`.
+fn kernel_metrics_line(q: &KernelStats) -> String {
     format!(
         "queries: {} run, {} kernel passes; {} snapshots, {} rows, {} samples scanned",
         q.queries, q.kernels, q.snapshots_scanned, q.rows_scanned, q.samples

@@ -6,7 +6,8 @@
 //! every [`crate::segment`] file and is never written on its own, so it
 //! carries no magic or version of its own: the segment header does
 //! ([`crate::segment::SEGMENT_FORMAT_VERSION`]), and any change to this
-//! layout bumps that version.
+//! layout bumps that version. The magic, version and CRC-32 frame of
+//! segment headers and manifests is one `frame`/`unframe` pair here.
 //!
 //! # Layout
 //!
@@ -165,6 +166,49 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+// ---------------------------------------------------------------------------
+// The file frame shared by segment headers and manifests.
+// ---------------------------------------------------------------------------
+
+/// Frames `body` as `[ 8-byte magic | u32 version | u32 CRC-32 of body |
+/// body ]`, the layout of every segment header and manifest.
+#[must_use]
+pub(crate) fn frame(magic: &[u8; 8], version: u32, body: &[u8]) -> Vec<u8> {
+    let mut w = Writer { buf: Vec::new() };
+    w.bytes(magic);
+    w.u32(version);
+    w.u32(crc32(body));
+    w.bytes(body);
+    w.buf
+}
+
+/// Checks a [`frame`] and returns its body, every byte after the
+/// 16-byte prefix. `what` names the file in the error: a wrong magic,
+/// an unsupported version, a short prefix or a CRC mismatch.
+pub(crate) fn unframe<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+    what: &'static str,
+) -> Result<&'a [u8], CacheError> {
+    let mut r = Reader::new(bytes);
+    if r.take(8, what)? != &magic[..] {
+        return Err(CacheError::BadMagic);
+    }
+    let found = r.u32(what)?;
+    if found != version {
+        return Err(CacheError::UnsupportedVersion(found));
+    }
+    let crc = r.u32(what)?;
+    let body = bytes.get(16..).unwrap_or(&[]);
+    if crc32(body) != crc {
+        return Err(CacheError::ChecksumMismatch {
+            section: what.to_owned(),
+        });
+    }
+    Ok(body)
 }
 
 // ---------------------------------------------------------------------------

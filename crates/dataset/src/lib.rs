@@ -54,8 +54,8 @@ pub use segment::{
 };
 pub use segments::{
     build_longitudinal_windowed, build_longitudinal_windowed_with, decode_manifest,
-    encode_manifest, reindex_segments, reindex_segments_with, segment_name, write_manifest,
-    SegmentManifest, SegmentMeta, SegmentPolicy, MANIFEST_FORMAT_VERSION, MANIFEST_MAGIC,
+    encode_manifest, reindex_segments, reindex_segments_with, segment_name, SegmentManifest,
+    SegmentMeta, SegmentPolicy, MANIFEST_FORMAT_VERSION, MANIFEST_MAGIC,
 };
 pub use stats::{CellStats, CorpusStats};
 pub use store::{DatasetEntry, DatasetStore};

@@ -16,7 +16,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wm_extract::CacheStats;
-use wm_model::{MapKind, Timestamp};
+use wm_model::{MapKind, TimeRange, Timestamp};
 
 use crate::codec::{self, CorpusFingerprint, FingerprintEntry};
 use crate::longitudinal::{ColumnarBuilder, LongitudinalStore};
@@ -95,9 +95,22 @@ pub fn build_longitudinal(
     map: MapKind,
     threads: usize,
 ) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
-    let entries = store.entries_of(map, FileKind::Yaml)?;
-    let (builders, stats, _) = load_fold_entries(store, map, &entries, threads, false)?;
-    Ok((ColumnarBuilder::finish(builders), stats))
+    build_fresh(store, map, TimeRange::ALL, threads)
+}
+
+/// The fresh build: the YAML files of `map` inside `range`, parsed into
+/// one store with no segment read or written. It is
+/// [`build_longitudinal`] and the `CacheMode::Off` load.
+pub(crate) fn build_fresh(
+    store: &DatasetStore,
+    map: MapKind,
+    range: TimeRange,
+    threads: usize,
+) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
+    let mut entries = store.entries_of(map, FileKind::Yaml)?;
+    entries.retain(|e| range.contains(e.timestamp));
+    let (fresh, stats, _) = load_store(store, map, &entries, threads, false)?;
+    Ok((fresh, stats))
 }
 
 /// The corpus fingerprint from enumerated entries plus per-file hashes.
@@ -133,31 +146,19 @@ pub(crate) fn relative_path_string(map: MapKind, timestamp: Timestamp) -> String
     out
 }
 
-/// Builds `entries` into one store, with the content hash of every
-/// entry, in entry order — what sealing a segment from YAML needs.
+/// The loader core: reads and parses the given YAML entries of `map`
+/// into one [`ColumnarBuilder`] per worker, finished in worker order
+/// (never finish order) into one store. With `hash` set, also returns
+/// the FNV-1a content hash of every entry, in entry order — the
+/// combined parse-and-fingerprint pass that seals a segment, which
+/// avoids reading each file twice.
 pub(crate) fn load_store(
     store: &DatasetStore,
     map: MapKind,
     entries: &[DatasetEntry],
     threads: usize,
-) -> io::Result<(LongitudinalStore, CorpusLoadStats, Vec<u64>)> {
-    let (builders, stats, hashes) = load_fold_entries(store, map, entries, threads, true)?;
-    Ok((ColumnarBuilder::finish(builders), stats, hashes))
-}
-
-/// The loader core: reads and parses the given YAML entries of `map`
-/// into one [`ColumnarBuilder`] per worker (returned in worker order,
-/// never finish order). With `hash` set, also returns the FNV-1a
-/// content hash of every entry, in entry order — the combined
-/// parse-and-fingerprint pass that seals a segment, which avoids
-/// reading each file twice.
-pub(crate) fn load_fold_entries(
-    store: &DatasetStore,
-    map: MapKind,
-    entries: &[DatasetEntry],
-    threads: usize,
     hash: bool,
-) -> io::Result<(Vec<ColumnarBuilder>, CorpusLoadStats, Vec<u64>)> {
+) -> io::Result<(LongitudinalStore, CorpusLoadStats, Vec<u64>)> {
     let threads = threads.max(1).min(entries.len().max(1));
 
     if threads == 1 {
@@ -179,7 +180,7 @@ pub(crate) fn load_fold_entries(
                 hashes.push(h);
             }
         }
-        return Ok((vec![sink], stats, hashes));
+        return Ok((ColumnarBuilder::finish(vec![sink]), stats, hashes));
     }
 
     type WorkerOut = (ColumnarBuilder, CorpusLoadStats, Vec<(usize, u64)>);
@@ -241,7 +242,7 @@ pub(crate) fn load_fold_entries(
             }
         }
     }
-    Ok((sinks, stats, hashes))
+    Ok((ColumnarBuilder::finish(sinks), stats, hashes))
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -6,10 +6,11 @@
 //! its own corpus-fingerprint section, section table and per-section
 //! CRC-32s. The header's [`SEGMENT_FORMAT_VERSION`] is the one version
 //! of the whole file, codec image included: a file of any other version
-//! is rejected as stale and rebuilt, never migrated. Sealed segments hold exactly `SegmentPolicy::capacity`
-//! snapshot files and never change once written; the youngest segment
-//! is the *active tail* and is rewritten in place as the corpus grows,
-//! so append cost is bounded by the tail, not the history.
+//! is rejected as stale and rebuilt, never migrated. Sealed segments
+//! hold exactly `SegmentPolicy::capacity` snapshot files and never
+//! change once written; the youngest segment is the *active tail* and
+//! is rewritten in place as the corpus grows, so append cost is bounded
+//! by the tail, not the history.
 //!
 //! The header duplicates just enough of the payload (span, counts, the
 //! identity digest of the fingerprint slice) that a manifest can be
@@ -104,32 +105,20 @@ pub fn encode_segment(
     body.u64(header.entries);
     body.u64(header.snapshots);
     body.u64(header.meta_digest);
-    let mut w = codec::Writer { buf: Vec::new() };
-    w.bytes(&SEGMENT_MAGIC);
-    w.u32(SEGMENT_FORMAT_VERSION);
-    w.u32(codec::crc32(&body.buf));
-    w.bytes(&body.buf);
-    w.bytes(&codec::encode_store(store, fingerprint, stats));
-    w.buf
+    let mut bytes = codec::frame(&SEGMENT_MAGIC, SEGMENT_FORMAT_VERSION, &body.buf);
+    bytes.extend_from_slice(&codec::encode_store(store, fingerprint, stats));
+    bytes
 }
 
 /// Decodes and validates a segment header without touching the payload.
 pub fn decode_segment_header(bytes: &[u8]) -> Result<SegmentHeader, CacheError> {
-    let mut r = codec::Reader::new(bytes);
-    if r.take(8, "segment magic")? != &SEGMENT_MAGIC[..] {
-        return Err(CacheError::BadMagic);
-    }
-    let version = r.u32("segment version")?;
-    if version != SEGMENT_FORMAT_VERSION {
-        return Err(CacheError::UnsupportedVersion(version));
-    }
-    let crc = r.u32("segment header crc")?;
-    let body = r.take(SEGMENT_HEADER_LEN - 16, "segment header")?;
-    if codec::crc32(body) != crc {
-        return Err(CacheError::ChecksumMismatch {
-            section: "segment header".to_owned(),
-        });
-    }
+    let framed = bytes.get(..SEGMENT_HEADER_LEN).unwrap_or(bytes);
+    let body = codec::unframe(
+        framed,
+        &SEGMENT_MAGIC,
+        SEGMENT_FORMAT_VERSION,
+        "segment header",
+    )?;
     let mut b = codec::Reader::new(body);
     let t_min = Timestamp::from_unix(b.i64("segment t_min")?);
     let t_max = Timestamp::from_unix(b.i64("segment t_max")?);

@@ -28,6 +28,12 @@
 //! wrong-magic or wrong-version segment file is rebuilt from exactly
 //! its own YAML slice at decode time; a damaged manifest is recovered
 //! from the segment headers without re-encoding anything.
+//!
+//! Every cached load is one serve: one manifest read (which alone
+//! answers a gap window inside indexed history), one listing, then one
+//! visit per segment the window intersects with its in-window index
+//! range. A windowed load concatenates the visits; `index`
+//! ([`reindex_segments`]) serves [`TimeRange::ALL`] and keeps nothing.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -38,7 +44,7 @@ use wm_model::{MapKind, TimeRange, Timestamp};
 
 use crate::codec::{self, CacheError, CorpusFingerprint, FingerprintEntry};
 use crate::loader::{self, CacheMode, CorpusLoadStats};
-use crate::longitudinal::{ColumnarBuilder, LongitudinalStore};
+use crate::longitudinal::LongitudinalStore;
 use crate::paths::FileKind;
 use crate::segment::{self, SegmentHeader};
 use crate::store::{DatasetEntry, DatasetStore};
@@ -112,31 +118,12 @@ pub fn encode_manifest(manifest: &SegmentManifest) -> Vec<u8> {
         body.u64(seg.snapshots);
         body.u64(seg.meta_digest);
     }
-    let mut w = codec::Writer { buf: Vec::new() };
-    w.bytes(&MANIFEST_MAGIC);
-    w.u32(MANIFEST_FORMAT_VERSION);
-    w.u32(codec::crc32(&body.buf));
-    w.bytes(&body.buf);
-    w.buf
+    codec::frame(&MANIFEST_MAGIC, MANIFEST_FORMAT_VERSION, &body.buf)
 }
 
 /// Decodes and validates a manifest: spans ordered, disjoint, sane.
 pub fn decode_manifest(bytes: &[u8]) -> Result<SegmentManifest, CacheError> {
-    let mut r = codec::Reader::new(bytes);
-    if r.take(8, "manifest magic")? != &MANIFEST_MAGIC[..] {
-        return Err(CacheError::BadMagic);
-    }
-    let version = r.u32("manifest version")?;
-    if version != MANIFEST_FORMAT_VERSION {
-        return Err(CacheError::UnsupportedVersion(version));
-    }
-    let crc = r.u32("manifest crc")?;
-    let body = r.take(bytes.len().saturating_sub(16), "manifest body")?;
-    if codec::crc32(body) != crc {
-        return Err(CacheError::ChecksumMismatch {
-            section: "manifest".to_owned(),
-        });
-    }
+    let body = codec::unframe(bytes, &MANIFEST_MAGIC, MANIFEST_FORMAT_VERSION, "manifest")?;
     let mut b = codec::Reader::new(body);
     let count = b.checked_len("manifest segment count")?;
     let mut segments = Vec::with_capacity(count);
@@ -172,15 +159,6 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<SegmentManifest, CacheError> {
     Ok(SegmentManifest { segments })
 }
 
-/// Writes a manifest through the store's atomic path.
-pub fn write_manifest(
-    store: &DatasetStore,
-    map: MapKind,
-    manifest: &SegmentManifest,
-) -> io::Result<()> {
-    store.write_manifest_bytes(map, &encode_manifest(manifest))
-}
-
 /// Loads one map's history restricted to `range`, touching only the
 /// segments the range intersects, with the default [`SegmentPolicy`].
 ///
@@ -209,99 +187,28 @@ pub fn build_longitudinal_windowed_with(
 ) -> io::Result<(LongitudinalStore, CorpusLoadStats)> {
     // An empty window holds nothing by definition: no disk is touched.
     if range.is_empty() {
-        return Ok((empty_store(), CorpusLoadStats::default()));
+        return Ok((LongitudinalStore::concat(&[]), CorpusLoadStats::default()));
     }
-
     if mode == CacheMode::Off {
-        let filtered: Vec<DatasetEntry> = store
-            .entries_of(map, FileKind::Yaml)?
-            .into_iter()
-            .filter(|e| range.contains(e.timestamp))
-            .collect();
-        let (builders, stats, _) =
-            loader::load_fold_entries(store, map, &filtered, threads, false)?;
-        return Ok((ColumnarBuilder::finish(builders), stats));
+        return loader::build_fresh(store, map, range, threads);
     }
-
-    let mut cache = CacheStats::default();
-
-    // Gap fast path: when an intact manifest proves the window falls
-    // inside indexed history yet intersects no segment, the answer is
-    // empty and only the manifest was read.
-    if mode == CacheMode::Auto {
-        if let Some(bytes) = store.read_manifest_bytes(map)? {
-            if let Ok(manifest) = decode_manifest(&bytes) {
-                if let Some(last) = manifest.segments.last() {
-                    let touched = manifest
-                        .segments
-                        .iter()
-                        .any(|m| range.intersects_closed(m.t_min, m.t_max));
-                    if !touched && range.end <= last.t_max {
-                        cache.hits += 1;
-                        let stats = CorpusLoadStats {
-                            cache,
-                            ..CorpusLoadStats::default()
-                        };
-                        return Ok((empty_store(), stats));
-                    }
-                }
-            }
-        }
-    }
-
-    let entries = store.entries_of(map, FileKind::Yaml)?;
-    let ensured = ensure_segments(
+    let mut touched: Vec<(LongitudinalStore, Range<usize>)> = Vec::new();
+    let (_, stats) = serve(
         store,
         map,
-        &entries,
+        range,
         threads,
+        mode,
         policy,
-        mode == CacheMode::Rebuild,
-        &mut cache,
+        |seg_store, window| {
+            touched.push((seg_store, window));
+        },
     )?;
-
-    // Each touched segment contributes the slice of its snapshots that
-    // falls in the window; the slices concatenate into the result. A
-    // segment written just now is served from the store that was
-    // encoded, not read back.
-    let mut touched: Vec<(LongitudinalStore, Range<usize>)> = Vec::new();
-    let segments = ensured.manifest.segments.iter().zip(&ensured.spans);
-    for ((meta, span), built) in segments.zip(ensured.built) {
-        if !range.intersects_closed(meta.t_min, meta.t_max) {
-            continue;
-        }
-        cache.segments_touched += 1;
-        let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        let (seg_store, from_cache) = match built {
-            Some(seg_store) => (seg_store, false),
-            None => load_segment(store, map, meta, chunk, threads, &mut cache)?,
-        };
-        let times = seg_store.timestamps();
-        let window =
-            times.partition_point(|&t| t < range.start)..times.partition_point(|&t| t < range.end);
-        if from_cache {
-            cache.snapshots_from_cache += window.len() as u64;
-        }
-        touched.push((seg_store, window));
-    }
     let parts: Vec<(&LongitudinalStore, Range<usize>)> = touched
         .iter()
         .map(|(seg_store, window)| (seg_store, window.clone()))
         .collect();
-    let merged = LongitudinalStore::concat(&parts);
-
-    // Load counters derive from the windowed slice of the entry list,
-    // exactly what the cache-less restricted build reports.
-    let in_range = entries.iter().filter(|e| range.contains(e.timestamp));
-    let mut stats = CorpusLoadStats::default();
-    for entry in in_range {
-        stats.files += 1;
-        stats.bytes += entry.size;
-    }
-    stats.parsed = merged.len();
-    stats.failed = stats.files - stats.parsed;
-    stats.cache = cache;
-    Ok((merged, stats))
+    Ok((LongitudinalStore::concat(&parts), stats))
 }
 
 /// Brings one map's segment store in line with the corpus and validates
@@ -316,7 +223,8 @@ pub fn reindex_segments(
     reindex_segments_with(store, map, threads, mode, SegmentPolicy::default())
 }
 
-/// [`reindex_segments`] with an explicit sizing policy.
+/// [`reindex_segments`] with an explicit sizing policy: a serve of the
+/// whole history that keeps nothing it is handed.
 pub fn reindex_segments_with(
     store: &DatasetStore,
     map: MapKind,
@@ -324,49 +232,98 @@ pub fn reindex_segments_with(
     mode: CacheMode,
     policy: SegmentPolicy,
 ) -> io::Result<(SegmentManifest, CorpusLoadStats)> {
-    let entries = store.entries_of(map, FileKind::Yaml)?;
+    serve(store, map, TimeRange::ALL, threads, mode, policy, |_, _| {})
+}
+
+/// The one serve path of the segment store. Reads the manifest once
+/// (not at all under `Rebuild`): a window inside indexed history that
+/// intersects no segment is answered from it alone. Otherwise lists the
+/// map once, brings the segments in line with the corpus
+/// ([`ensure_segments`]) and hands `visit` each segment the range
+/// intersects — the store just written, or the decoded or repaired
+/// file — with the index range of its in-window snapshots. Returns the
+/// manifest and the window's load counters, exactly those of a fresh
+/// build of the window.
+fn serve(
+    store: &DatasetStore,
+    map: MapKind,
+    range: TimeRange,
+    threads: usize,
+    mode: CacheMode,
+    policy: SegmentPolicy,
+    mut visit: impl FnMut(LongitudinalStore, Range<usize>),
+) -> io::Result<(SegmentManifest, CorpusLoadStats)> {
+    let rebuild_all = mode == CacheMode::Rebuild;
+    let old = if rebuild_all {
+        None
+    } else {
+        store
+            .read_manifest_bytes(map)?
+            .map(|bytes| decode_manifest(&bytes))
+    };
+    if let Some(Ok(manifest)) = &old {
+        let segments = &manifest.segments;
+        let indexed = segments.last().is_some_and(|last| range.end <= last.t_max);
+        let touched = segments
+            .iter()
+            .any(|m| range.intersects_closed(m.t_min, m.t_max));
+        if indexed && !touched {
+            let cache = CacheStats {
+                hits: 1,
+                ..CacheStats::default()
+            };
+            let stats = CorpusLoadStats {
+                cache,
+                ..CorpusLoadStats::default()
+            };
+            return Ok((manifest.clone(), stats));
+        }
+    }
+
     let mut cache = CacheStats::default();
-    let Ensured {
-        manifest,
-        spans,
-        built,
-    } = ensure_segments(
+    let entries = store.entries_of(map, FileKind::Yaml)?;
+    let (manifest, built) = ensure_segments(
         store,
         map,
         &entries,
         threads,
         policy,
-        mode == CacheMode::Rebuild,
+        old,
+        rebuild_all,
         &mut cache,
     )?;
-    let mut parsed = 0usize;
-    for ((meta, span), built) in manifest.segments.iter().zip(&spans).zip(built) {
+    let mut stats = CorpusLoadStats::default();
+    let mut chunks = entries.as_slice();
+    for (meta, built) in manifest.segments.iter().zip(built) {
+        let (chunk, rest) = chunks.split_at(chunks.len().min(meta.entries as usize));
+        chunks = rest;
+        if !range.intersects_closed(meta.t_min, meta.t_max) {
+            continue;
+        }
         cache.segments_touched += 1;
-        let chunk = entries.get(span.0..span.1).unwrap_or(&[]);
-        // A segment written just now was validated by being built.
         let (seg_store, from_cache) = match built {
             Some(seg_store) => (seg_store, false),
             None => load_segment(store, map, meta, chunk, threads, &mut cache)?,
         };
-        parsed += seg_store.len();
+        let times = seg_store.timestamps();
+        let window =
+            times.partition_point(|&t| t < range.start)..times.partition_point(|&t| t < range.end);
         if from_cache {
-            cache.snapshots_from_cache += seg_store.len() as u64;
+            cache.snapshots_from_cache += window.len() as u64;
         }
+        stats.parsed += window.len();
+        visit(seg_store, window);
     }
-    let mut stats = CorpusLoadStats::default();
-    for entry in &entries {
+
+    // Load counters derive from the windowed slice of the entry list,
+    // exactly what the cache-less restricted build reports.
+    for entry in entries.iter().filter(|e| range.contains(e.timestamp)) {
         stats.files += 1;
         stats.bytes += entry.size;
     }
-    stats.parsed = parsed;
     stats.failed = stats.files - stats.parsed;
     stats.cache = cache;
     Ok((manifest, stats))
-}
-
-/// An empty store through the same builder path every load uses.
-fn empty_store() -> LongitudinalStore {
-    ColumnarBuilder::finish(vec![ColumnarBuilder::default()])
 }
 
 /// The manifest row the current corpus dictates for one entry chunk.
@@ -429,34 +386,23 @@ fn recover_manifest(store: &DatasetStore, map: MapKind) -> io::Result<SegmentMan
         });
     }
     metas.sort_by_key(|m| m.t_min);
-    // Drop rows whose spans overlap a predecessor (stale leftovers).
-    let mut segments: Vec<SegmentMeta> = Vec::new();
-    for meta in metas {
-        if segments.last().is_none_or(|prev| prev.t_max < meta.t_min) {
-            segments.push(meta);
-        }
-    }
-    Ok(SegmentManifest { segments })
+    // Drop rows whose spans overlap a kept predecessor (stale leftovers).
+    metas.dedup_by(|meta, prev| meta.t_min <= prev.t_max);
+    Ok(SegmentManifest { segments: metas })
 }
 
 /// A reusable old file: its size, its content hash and, when it parsed,
 /// its snapshot as `(source store, index)`.
 type PoolEntry = (u64, u64, Option<(usize, usize)>);
 
-/// What [`ensure_segments`] leaves: the manifest, and per segment its
-/// entry span and, when this call wrote it, the store it encoded.
-struct Ensured {
-    manifest: SegmentManifest,
-    spans: Vec<(usize, usize)>,
-    built: Vec<Option<LongitudinalStore>>,
-}
-
 /// Brings the partition in line with the corpus: keeps every sealed
 /// segment the entry list still dictates, rebuilds the changed suffix
 /// (reusing decoded old segments where `(path, size)` still matches so
 /// a pure append never re-parses history), rewrites the manifest and
-/// garbage-collects stray files. Returns the manifest, the entry span
-/// of each segment and the store of each segment written here.
+/// garbage-collects stray files. `old` is the manifest file as
+/// [`serve`] read and decoded it (`None` when absent or ignored): a
+/// damaged one is recovered from the segment headers. Returns the
+/// manifest and, per segment, the store this call wrote for it.
 #[allow(clippy::too_many_arguments)]
 fn ensure_segments(
     store: &DatasetStore,
@@ -464,38 +410,30 @@ fn ensure_segments(
     entries: &[DatasetEntry],
     threads: usize,
     policy: SegmentPolicy,
+    old: Option<Result<SegmentManifest, CacheError>>,
     rebuild_all: bool,
     cache: &mut CacheStats,
-) -> io::Result<Ensured> {
+) -> io::Result<(SegmentManifest, Vec<Option<LongitudinalStore>>)> {
     let capacity = policy.chunk();
 
-    // The old manifest, if usable; `intact` means the file itself was
-    // present and decoded (a recovered manifest must be rewritten even
-    // when nothing else changed).
-    let mut intact = false;
-    let old = if rebuild_all {
-        SegmentManifest::default()
-    } else {
-        match store.read_manifest_bytes(map)? {
-            None => SegmentManifest::default(),
-            Some(bytes) => match decode_manifest(&bytes) {
-                Ok(manifest) => {
-                    intact = true;
-                    manifest
-                }
-                Err(err) => {
-                    eprintln!(
-                        "warning: discarding segment manifest for {}: {err}; recovering from segment headers",
-                        map.slug()
-                    );
-                    if matches!(err, CacheError::UnsupportedVersion(_)) {
-                        cache.stale += 1;
-                    } else {
-                        cache.corrupt += 1;
-                    }
-                    recover_manifest(store, map)?
-                }
-            },
+    // `intact` means the manifest file was present and decoded (a
+    // recovered manifest must be rewritten even when nothing else
+    // changed).
+    let intact = matches!(old, Some(Ok(_)));
+    let old = match old {
+        None => SegmentManifest::default(),
+        Some(Ok(manifest)) => manifest,
+        Some(Err(err)) => {
+            eprintln!(
+                "warning: discarding segment manifest for {}: {err}; recovering from segment headers",
+                map.slug()
+            );
+            if matches!(err, CacheError::UnsupportedVersion(_)) {
+                cache.stale += 1;
+            } else {
+                cache.corrupt += 1;
+            }
+            recover_manifest(store, map)?
         }
     };
 
@@ -562,7 +500,8 @@ fn ensure_segments(
             })
             .cloned()
             .collect();
-        let (fresh_store, fresh_stats, hashes) = loader::load_store(store, map, &fresh, threads)?;
+        let (fresh_store, fresh_stats, hashes) =
+            loader::load_store(store, map, &fresh, threads, true)?;
         cache.snapshots_appended += fresh_stats.parsed as u64;
         let fresh_source = sources.len();
         let mut fresh_index: BTreeMap<i64, usize> = fresh_store
@@ -622,8 +561,7 @@ fn ensure_segments(
                 .collect();
             let chunk_store = LongitudinalStore::concat(&parts);
             meta.snapshots = chunk_store.len() as u64;
-            let bytes = encode_chunk(&meta, chunk, &chunk_store, &fp);
-            store.write_segment_file(map, &meta.name, &bytes)?;
+            write_chunk(store, map, &meta, chunk, &chunk_store, &fp)?;
             if old_coverage.is_some_and(|end| meta.t_min <= end) {
                 cache.segments_rebuilt += 1;
             }
@@ -641,7 +579,7 @@ fn ensure_segments(
     }
 
     if !(structurally_clean && intact) {
-        write_manifest(store, map, &manifest)?;
+        store.write_manifest_bytes(map, &encode_manifest(&manifest))?;
         // Stray files (an old tail under a superseded name, leftovers
         // of a shrunk corpus) would confuse manifest recovery: drop
         // everything the manifest no longer references.
@@ -652,18 +590,7 @@ fn ensure_segments(
         }
     }
 
-    let mut spans = Vec::with_capacity(manifest.segments.len());
-    let mut start = 0usize;
-    for meta in &manifest.segments {
-        let end = start + meta.entries as usize;
-        spans.push((start, end));
-        start = end;
-    }
-    Ok(Ensured {
-        manifest,
-        spans,
-        built,
-    })
+    Ok((manifest, built))
 }
 
 /// One segment's store: the decoded file when it is intact and still
@@ -678,59 +605,39 @@ fn load_segment(
     threads: usize,
     cache: &mut CacheStats,
 ) -> io::Result<(LongitudinalStore, bool)> {
-    let decoded = match store.read_segment_file(map, &meta.name)? {
-        None => {
-            eprintln!(
-                "warning: segment {} of {} is missing; rebuilding it from YAML",
-                meta.name,
-                map.slug()
-            );
-            cache.corrupt += 1;
-            None
-        }
+    let name = &meta.name;
+    let slug = map.slug();
+    let (damage, stale) = match store.read_segment_file(map, name)? {
+        None => (format!("segment {name} of {slug} is missing"), false),
         Some(bytes) => match segment::decode_segment(&bytes) {
-            Ok((header, seg_store, _, _)) if header_matches(&header, meta) => Some(seg_store),
-            Ok(_) => {
-                eprintln!(
-                    "warning: segment {} of {} does not match its manifest row; rebuilding it from YAML",
-                    meta.name,
-                    map.slug()
-                );
-                cache.corrupt += 1;
-                None
+            Ok((header, seg_store, _, _)) if header_matches(&header, meta) => {
+                return Ok((seg_store, true));
             }
-            Err(err) => {
-                eprintln!(
-                    "warning: discarding segment {} of {}: {err}; rebuilding it from YAML",
-                    meta.name,
-                    map.slug()
-                );
-                if matches!(err, CacheError::UnsupportedVersion(_)) {
-                    cache.stale += 1;
-                } else {
-                    cache.corrupt += 1;
-                }
-                None
-            }
+            Ok(_) => (
+                format!("segment {name} of {slug} does not match its manifest row"),
+                false,
+            ),
+            Err(err) => (
+                format!("discarding segment {name} of {slug}: {err}"),
+                matches!(err, CacheError::UnsupportedVersion(_)),
+            ),
         },
     };
-    if let Some(seg_store) = decoded {
-        return Ok((seg_store, true));
+    eprintln!("warning: {damage}; rebuilding it from YAML");
+    if stale {
+        cache.stale += 1;
+    } else {
+        cache.corrupt += 1;
     }
 
     // Repair: parse exactly this chunk, re-encode, write back. The
     // encoding is deterministic, so the repaired file is byte-identical
     // to the one originally written and the manifest needs no update.
-    let (seg_store, chunk_stats, hashes) = loader::load_store(store, map, chunk, threads)?;
+    let (seg_store, chunk_stats, hashes) = loader::load_store(store, map, chunk, threads, true)?;
     cache.segments_rebuilt += 1;
     cache.snapshots_appended += chunk_stats.parsed as u64;
-    let meta = SegmentMeta {
-        snapshots: seg_store.len() as u64,
-        ..meta.clone()
-    };
     let fp = loader::fingerprint_from(map, chunk, &hashes);
-    let bytes = encode_chunk(&meta, chunk, &seg_store, &fp);
-    store.write_segment_file(map, &meta.name, &bytes)?;
+    write_chunk(store, map, meta, chunk, &seg_store, &fp)?;
     Ok((seg_store, false))
 }
 
@@ -742,15 +649,18 @@ fn header_matches(header: &SegmentHeader, meta: &SegmentMeta) -> bool {
         && header.meta_digest == meta.meta_digest
 }
 
-/// Encodes one chunk as a segment file. Load counters are derived from
-/// the entry list (not from what this call happened to read), so both
-/// the build and the repair path emit byte-identical files.
-fn encode_chunk(
+/// Encodes one chunk as a segment file and writes it. The snapshot
+/// count and the load counters derive from the store and the entry
+/// list (not from what this call happened to read), so both the build
+/// and the repair path write byte-identical files.
+fn write_chunk(
+    store: &DatasetStore,
+    map: MapKind,
     meta: &SegmentMeta,
     chunk: &[DatasetEntry],
     seg_store: &LongitudinalStore,
     fingerprint: &CorpusFingerprint,
-) -> Vec<u8> {
+) -> io::Result<()> {
     let mut stats = CorpusLoadStats {
         parsed: seg_store.len(),
         failed: chunk.len() - seg_store.len(),
@@ -764,10 +674,11 @@ fn encode_chunk(
         t_min: meta.t_min,
         t_max: meta.t_max,
         entries: meta.entries,
-        snapshots: meta.snapshots,
+        snapshots: seg_store.len() as u64,
         meta_digest: meta.meta_digest,
     };
-    segment::encode_segment(&header, seg_store, fingerprint, &stats)
+    let bytes = segment::encode_segment(&header, seg_store, fingerprint, &stats);
+    store.write_segment_file(map, &meta.name, &bytes)
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
 //! Property-based checks of the time-sharded segment store: the
 //! manifest always partitions the corpus (no gaps, no overlaps, canonical
 //! chunking), history round-trips exactly through seal/append/compact at
-//! any capacity, and empty-window queries are answered from the manifest
-//! alone.
+//! any capacity, a reindex counts what a whole-history load counts, and
+//! empty-window queries are answered from the manifest alone.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use wm_dataset::segments::{decode_manifest, SegmentPolicy};
 use wm_dataset::{
-    build_longitudinal_windowed_with, segment_name, CacheMode, DatasetStore, FileKind,
-    LongitudinalStore,
+    build_longitudinal_windowed_with, reindex_segments_with, segment_name, CacheMode, DatasetStore,
+    FileKind, LongitudinalStore,
 };
 use wm_extract::to_yaml_string;
 use wm_model::{
@@ -144,6 +144,16 @@ proptest! {
             covered += meta.entries as usize;
         }
         prop_assert_eq!(covered, total, "partition must cover every entry");
+
+        // Both callers of the one serve path count alike: a reindex
+        // reports the load counters and touched segments of a
+        // whole-history load at the same capacity.
+        let (_, loaded) = load_all(&store, CacheMode::Auto, capacity);
+        let (_, reindexed) =
+            reindex_segments_with(&store, MAP, 2, CacheMode::Auto, SegmentPolicy { capacity })
+                .expect("reindex");
+        prop_assert_eq!(reindexed.base(), loaded.base());
+        prop_assert_eq!(reindexed.cache.segments_touched, loaded.cache.segments_touched);
 
         std::fs::remove_dir_all(store.root()).expect("cleanup");
     }

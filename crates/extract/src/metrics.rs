@@ -244,13 +244,17 @@ impl BroadPhaseStats {
 /// Counters of the segment-store load path.
 ///
 /// All fields are exact event counts, independent of timing, worker
-/// count and scheduling — like [`BroadPhaseStats`] they ride inside
-/// [`MetricsTotals`] and must be identical across equivalent runs. A
-/// plain `analyze` without caching leaves them all zero.
+/// count and scheduling — they ride inside each load's counters
+/// (`wm_dataset::CorpusLoadStats::cache`) and must be identical across
+/// equivalent runs. A plain `analyze` without caching leaves them all
+/// zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Loads whose manifest matched the corpus partition exactly (no
-    /// YAML was parsed to bring the store up to date).
+    /// Loads whose manifest matched the corpus partition exactly, or
+    /// that a coverage gap answered from the manifest alone. Segments
+    /// the load then finds damaged or stale are still rebuilt from
+    /// YAML and counted in `corrupt`/`stale` and `segments_rebuilt`,
+    /// so a hit means the partition held, not that nothing was parsed.
     pub hits: u64,
     /// Loads that reused nothing: no manifest, no matching segment, or a
     /// forced rebuild — every segment was built from YAML.
@@ -304,9 +308,8 @@ impl CacheStats {
 /// Counters of the vectorized query engine's kernels.
 ///
 /// All fields are exact counts of work performed, independent of timing
-/// and thread count — like [`BroadPhaseStats`] and [`CacheStats`] they
-/// ride inside [`MetricsTotals`] and must be identical across
-/// equivalent runs. A run that never queries leaves them all zero.
+/// and thread count, and must be identical across equivalent runs. A
+/// run that never queries leaves them all zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Queries executed (one compiled plan each).
@@ -319,23 +322,6 @@ pub struct KernelStats {
     pub rows_scanned: u64,
     /// Directed load samples that passed the filter and fed a kernel.
     pub samples: u64,
-}
-
-impl KernelStats {
-    /// Sums another set of counters into this one.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.queries += other.queries;
-        self.kernels += other.kernels;
-        self.snapshots_scanned += other.snapshots_scanned;
-        self.rows_scanned += other.rows_scanned;
-        self.samples += other.samples;
-    }
-
-    /// `true` when no query activity was recorded at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == KernelStats::default()
-    }
 }
 
 /// Metrics of one batch extraction run.
@@ -357,10 +343,6 @@ pub struct BatchMetrics {
     pub failures_by_kind: BTreeMap<String, u64>,
     /// Broad-phase work counters from Algorithm 2.
     pub broad_phase: BroadPhaseStats,
-    /// Longitudinal-cache counters (zero unless a cache-aware load ran).
-    pub cache: CacheStats,
-    /// Query-kernel counters (zero unless the query engine ran).
-    pub query: KernelStats,
     /// Wall-clock span of the whole batch, nanoseconds; 0 until set.
     pub wall_ns: u64,
 }
@@ -411,8 +393,6 @@ impl BatchMetrics {
             *self.failures_by_kind.entry(kind.clone()).or_default() += n;
         }
         self.broad_phase.merge(&other.broad_phase);
-        self.cache.merge(&other.cache);
-        self.query.merge(&other.query);
     }
 
     /// Input throughput over the run's wall time, bytes per second.
@@ -448,8 +428,6 @@ impl BatchMetrics {
             snapshots_out: self.snapshots_out,
             failures_by_kind: self.failures_by_kind.clone(),
             broad_phase: self.broad_phase,
-            cache: self.cache,
-            query: self.query,
             stage_samples: [
                 self.stages[0].count(),
                 self.stages[1].count(),
@@ -473,10 +451,6 @@ pub struct MetricsTotals {
     pub failures_by_kind: BTreeMap<String, u64>,
     /// Broad-phase work counters (exact counts, timing-free).
     pub broad_phase: BroadPhaseStats,
-    /// Longitudinal-cache counters (exact counts, timing-free).
-    pub cache: CacheStats,
-    /// Query-kernel counters (exact counts, timing-free).
-    pub query: KernelStats,
     /// Timing-sample counts per stage, in [`Stage::ALL`] order.
     pub stage_samples: [u64; 4],
 }
@@ -549,39 +523,6 @@ impl fmt::Display for BatchMetrics {
                     2 * bp.lines
                 )?;
             }
-        }
-        if !self.cache.is_empty() {
-            let c = &self.cache;
-            writeln!(
-                f,
-                "  cache:     {} hit, {} miss, {} append, {} corrupt, {} stale",
-                c.hits, c.misses, c.appends, c.corrupt, c.stale
-            )?;
-            writeln!(
-                f,
-                "             {} snapshots from cache, {} appended from YAML",
-                c.snapshots_from_cache, c.snapshots_appended
-            )?;
-            if c.segments_touched > 0 || c.segments_rebuilt > 0 {
-                writeln!(
-                    f,
-                    "  segments:  {} touched, {} rebuilt",
-                    c.segments_touched, c.segments_rebuilt
-                )?;
-            }
-        }
-        if !self.query.is_empty() {
-            let q = &self.query;
-            writeln!(
-                f,
-                "  queries:   {} run, {} kernel passes",
-                q.queries, q.kernels
-            )?;
-            writeln!(
-                f,
-                "             {} snapshots, {} rows, {} samples scanned",
-                q.snapshots_scanned, q.rows_scanned, q.samples
-            )?;
         }
         if self.failures_by_kind.is_empty() {
             writeln!(f, "  failures:  none")?;

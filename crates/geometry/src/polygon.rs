@@ -86,25 +86,6 @@ impl Polygon {
             .collect()
     }
 
-    /// Signed area via the shoelace formula (positive for counter-clockwise
-    /// order in a y-up frame; SVG's y-down frame flips the sign).
-    #[must_use]
-    pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
-        if n < 3 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for (p, q) in self
-            .vertices
-            .iter()
-            .zip(self.vertices.iter().cycle().skip(1))
-        {
-            sum += p.x * q.y - q.x * p.y;
-        }
-        sum / 2.0
-    }
-
     /// The unit direction of the polygon's principal axis.
     ///
     /// Weathermap arrows are elongated along the link direction; the
@@ -327,17 +308,6 @@ mod tests {
     fn bounding_box_covers_vertices() {
         let bb = right_arrow().bounding_box().unwrap();
         assert_eq!(bb, Rect::new(0.0, -4.0, 10.0, 8.0));
-    }
-
-    #[test]
-    fn shoelace_area_of_square() {
-        let p = Polygon::new(vec![
-            Point::new(0.0, 0.0),
-            Point::new(4.0, 0.0),
-            Point::new(4.0, 4.0),
-            Point::new(0.0, 4.0),
-        ]);
-        assert_eq!(p.signed_area().abs(), 16.0);
     }
 
     #[test]

@@ -98,12 +98,6 @@ impl Link {
         }
     }
 
-    /// `true` when `other` connects the same unordered node pair.
-    #[must_use]
-    pub fn is_parallel_to(&self, other: &Link) -> bool {
-        self.endpoint_key() == other.endpoint_key()
-    }
-
     /// Returns `true` when both ends attach to the same node — forbidden
     /// by the extraction sanity checks ("a link is not connected to two
     /// (distinct) routers").
@@ -192,8 +186,6 @@ mod tests {
         let l1 = link("fra-fr5", 1, "rbx-g1", 2);
         let l2 = link("rbx-g1", 9, "fra-fr5", 8);
         assert_eq!(l1.endpoint_key(), l2.endpoint_key());
-        assert!(l1.is_parallel_to(&l2));
-        assert!(!l1.is_parallel_to(&link("fra-fr5", 1, "sbg-g1", 2)));
     }
 
     #[test]

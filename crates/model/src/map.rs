@@ -51,14 +51,6 @@ impl MapKind {
             MapKind::AsiaPacific => "asia-pacific",
         }
     }
-
-    /// Whether this map contains peering (external) links at all.
-    ///
-    /// The World map connects intercontinental OVH routers only.
-    #[must_use]
-    pub fn has_peerings(self) -> bool {
-        !matches!(self, MapKind::World)
-    }
 }
 
 /// Europe — the largest and longest-observed map, the natural default
@@ -107,14 +99,6 @@ mod tests {
         assert_eq!(MapKind::NorthAmerica.display_name(), "North America");
         assert_eq!(MapKind::NorthAmerica.slug(), "north-america");
         assert_eq!(MapKind::AsiaPacific.to_string(), "Asia Pacific");
-    }
-
-    #[test]
-    fn only_world_lacks_peerings() {
-        assert!(!MapKind::World.has_peerings());
-        assert!(MapKind::Europe.has_peerings());
-        assert!(MapKind::NorthAmerica.has_peerings());
-        assert!(MapKind::AsiaPacific.has_peerings());
     }
 
     #[test]

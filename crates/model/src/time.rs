@@ -66,13 +66,6 @@ impl Duration {
         self.seconds
     }
 
-    /// The length in fractional hours.
-    #[inline]
-    #[must_use]
-    pub fn as_hours_f64(self) -> f64 {
-        self.seconds as f64 / SECS_PER_HOUR as f64
-    }
-
     /// The length in fractional days.
     #[inline]
     #[must_use]
@@ -621,7 +614,6 @@ mod tests {
             Duration::from_hours(1) - Duration::from_hours(2),
             Duration::from_hours(-1)
         );
-        assert!((Duration::from_minutes(90).as_hours_f64() - 1.5).abs() < 1e-12);
         assert!((Duration::from_hours(36).as_days_f64() - 1.5).abs() < 1e-12);
     }
 }
