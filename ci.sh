@@ -56,9 +56,11 @@ mkdir -p "$extract_dir/europe"
 cp -R "$smoke_dir/europe/svg" "$extract_dir/europe/"
 for threads in 1 2; do
     rm -rf "$extract_dir/europe/yaml"
-    target/release/ovh-weather extract --in "$extract_dir" --map europe --threads "$threads" > /dev/null
+    target/release/ovh-weather extract --in "$extract_dir" --map europe --threads "$threads" --metrics > "$smoke_dir/extract_metrics.txt"
     diff -r "$smoke_dir/europe/yaml" "$extract_dir/europe/yaml"
 done
+# `--metrics` heads each map's report with its counts.
+grep "^Europe: [0-9]* processed, [0-9]* failed of [0-9]* files$" "$smoke_dir/extract_metrics.txt" > /dev/null
 rm -rf "$extract_dir"
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
@@ -82,6 +84,17 @@ target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > "$smoke_dir/rebuilt.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/cached.txt"
 diff "$smoke_dir/plain.txt" "$smoke_dir/rebuilt.txt"
+# Thread count never changes an answer: the suite (fresh and through the
+# segment store) and a query print the same at one thread and at three,
+# where the kernels' snapshot chunks are uneven.
+for threads in 1 3; do
+    target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads "$threads" > "$smoke_dir/plain_$threads.txt"
+    target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads "$threads" --cache > "$smoke_dir/cached_$threads.txt"
+    target/release/ovh-weather query --in "$smoke_dir" --map europe --threads "$threads" --op heatmap --window 1 --json > "$smoke_dir/heatmap_$threads.json"
+done
+diff "$smoke_dir/plain_1.txt" "$smoke_dir/plain_3.txt"
+diff "$smoke_dir/cached_1.txt" "$smoke_dir/cached_3.txt"
+diff "$smoke_dir/heatmap_1.json" "$smoke_dir/heatmap_3.json"
 # A copy of the map's tree under an alias spelling (`eu/` for Europe)
 # is not the map's directory: listing and reading both use the slug
 # alone, so the copy changes no report, with or without the store.

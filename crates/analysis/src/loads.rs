@@ -149,14 +149,6 @@ impl HourlyLoads {
         }
     }
 
-    /// Number of samples collected for one hour (0 for an hour ≥ 24).
-    #[must_use]
-    pub fn samples_in_hour(&self, hour: u8) -> usize {
-        self.buckets
-            .get(hour as usize)
-            .map_or(0, PercentCounts::len)
-    }
-
     /// The whisker summary of one hour (`None` when the bucket is empty
     /// or the hour is ≥ 24).
     #[must_use]
@@ -297,9 +289,6 @@ mod tests {
         let mut hourly = HourlyLoads::new();
         hourly.add_snapshot(&snapshot(3, &[(10, 20, true)]));
         hourly.add_snapshot(&snapshot(20, &[(40, 50, true), (60, 70, true)]));
-        assert_eq!(hourly.samples_in_hour(3), 2);
-        assert_eq!(hourly.samples_in_hour(20), 4);
-        assert_eq!(hourly.samples_in_hour(12), 0);
         assert!(hourly.summary(12).is_none());
         let s3 = hourly.summary(3).unwrap();
         assert_eq!(s3.p50, 15.0);
@@ -310,7 +299,6 @@ mod tests {
         let mut hourly = HourlyLoads::new();
         hourly.add_snapshot(&snapshot(23, &[(10, 20, true)]));
         for hour in [24, 255] {
-            assert_eq!(hourly.samples_in_hour(hour), 0);
             assert!(hourly.summary(hour).is_none());
         }
     }

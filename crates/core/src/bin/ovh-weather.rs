@@ -154,7 +154,7 @@ impl Options {
 
     fn threads(&self) -> Result<usize, String> {
         match self.values.get("threads") {
-            None => Ok(std::thread::available_parallelism().map_or(4, usize::from)),
+            None => Ok(ovh_weather::extract::default_threads()),
             Some(v) => match v.parse() {
                 Ok(n) if n >= 1 => Ok(n),
                 _ => Err(format!("invalid --threads {v:?}")),
@@ -289,14 +289,8 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
         }
         let (snapshots, stats, mut metrics) =
             extract_batch_with(&inputs, map, &config, threads, Scheduling::WorkStealing);
-        for snapshot in &snapshots {
-            let emit_started = std::time::Instant::now();
-            let yaml = to_yaml_string(snapshot);
-            metrics.record_stage(Stage::YamlEmit, emit_started.elapsed());
-            store
-                .write(map, FileKind::Yaml, snapshot.timestamp, yaml.as_bytes())
-                .map_err(|e| e.to_string())?;
-        }
+        ovh_weather::write_yaml(&store, map, &snapshots, &mut metrics)
+            .map_err(|e| e.to_string())?;
         println!(
             "{:<15} {} SVG files: {} extracted, {} refused {:?}",
             map.display_name(),
@@ -306,14 +300,13 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
             stats.failures_by_kind
         );
         if options.flag("metrics") {
-            print!(
-                "{}",
-                PipelineReport {
-                    map,
-                    stats,
-                    metrics
-                }
+            println!(
+                "{map}: {} processed, {} failed of {} files",
+                stats.processed,
+                stats.failed,
+                stats.total()
             );
+            print!("{metrics}");
         }
     }
     if files_found == 0 {

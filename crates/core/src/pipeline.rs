@@ -1,14 +1,12 @@
 //! The end-to-end pipeline: simulate → collect → extract → analyse.
 
 use std::io;
-
-use std::fmt;
 use std::time::Instant;
 
 use wm_dataset::{DatasetStore, FileKind};
 use wm_extract::{
-    extract_batch_with, to_yaml_string, BatchInput, BatchMetrics, BatchStats, ExtractConfig,
-    Scheduling, Stage,
+    default_threads, extract_batch_with, to_yaml_string, BatchInput, BatchMetrics, BatchStats,
+    ExtractConfig, Scheduling, Stage,
 };
 use wm_model::{MapKind, Timestamp, TopologySnapshot};
 use wm_simulator::{Simulation, SimulationConfig};
@@ -24,43 +22,23 @@ pub struct WindowResult {
     pub metrics: BatchMetrics,
 }
 
-impl WindowResult {
-    /// Packages this result as a displayable observability report.
-    #[must_use]
-    pub fn report(&self, map: MapKind) -> PipelineReport {
-        PipelineReport {
-            map,
-            stats: self.stats.clone(),
-            metrics: self.metrics.clone(),
-        }
+/// Writes each snapshot of `map` into `store` as YAML, timing every
+/// emit into `metrics` as [`Stage::YamlEmit`] — the one emit-and-write
+/// loop behind `generate` ([`Pipeline::materialize_window`]) and
+/// `extract`.
+pub fn write_yaml(
+    store: &DatasetStore,
+    map: MapKind,
+    snapshots: &[TopologySnapshot],
+    metrics: &mut BatchMetrics,
+) -> io::Result<()> {
+    for snapshot in snapshots {
+        let emit_started = Instant::now();
+        let yaml = to_yaml_string(snapshot);
+        metrics.record_stage(Stage::YamlEmit, emit_started.elapsed());
+        store.write(map, FileKind::Yaml, snapshot.timestamp, yaml.as_bytes())?;
     }
-}
-
-/// The observability summary of one pipeline run: what was processed,
-/// what was rejected and why, and where the wall time went. Rendered by
-/// `ovh-weather extract --metrics`.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// The map the window was extracted from.
-    pub map: MapKind,
-    /// Extraction bookkeeping (processed/failed per error kind).
-    pub stats: BatchStats,
-    /// Per-stage timings and throughput counters.
-    pub metrics: BatchMetrics,
-}
-
-impl fmt::Display for PipelineReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}: {} processed, {} failed of {} files",
-            self.map,
-            self.stats.processed,
-            self.stats.failed,
-            self.stats.total()
-        )?;
-        write!(f, "{}", self.metrics)
-    }
+    Ok(())
 }
 
 /// The reproduction's end-to-end pipeline.
@@ -83,7 +61,7 @@ impl Pipeline {
         Pipeline {
             simulation: Simulation::new(config),
             extract_config: ExtractConfig::default(),
-            threads: std::thread::available_parallelism().map_or(4, usize::from),
+            threads: default_threads(),
         }
     }
 
@@ -111,18 +89,7 @@ impl Pipeline {
                 svg: file.svg,
             })
             .collect();
-        let (snapshots, stats, metrics) = extract_batch_with(
-            &inputs,
-            map,
-            &self.extract_config,
-            self.threads,
-            Scheduling::WorkStealing,
-        );
-        WindowResult {
-            snapshots,
-            stats,
-            metrics,
-        }
+        self.extract(map, &inputs)
     }
 
     /// Generates and extracts a *sampled* window: every `stride`-th
@@ -155,18 +122,7 @@ impl Pipeline {
                     })
             })
             .collect();
-        let (snapshots, stats, metrics) = extract_batch_with(
-            &inputs,
-            map,
-            &self.extract_config,
-            self.threads,
-            Scheduling::WorkStealing,
-        );
-        WindowResult {
-            snapshots,
-            stats,
-            metrics,
-        }
+        self.extract(map, &inputs)
     }
 
     /// Like [`Pipeline::run_window`], but also writes the collected SVG
@@ -187,24 +143,25 @@ impl Pipeline {
                 svg: file.svg,
             });
         }
-        let (snapshots, stats, mut metrics) = extract_batch_with(
-            &inputs,
+        let mut result = self.extract(map, &inputs);
+        write_yaml(store, map, &result.snapshots, &mut result.metrics)?;
+        Ok(result)
+    }
+
+    /// Extracts one batch of collected files on the pipeline's workers.
+    fn extract(&self, map: MapKind, inputs: &[BatchInput]) -> WindowResult {
+        let (snapshots, stats, metrics) = extract_batch_with(
+            inputs,
             map,
             &self.extract_config,
             self.threads,
             Scheduling::WorkStealing,
         );
-        for snapshot in &snapshots {
-            let emit_started = Instant::now();
-            let yaml = to_yaml_string(snapshot);
-            metrics.record_stage(Stage::YamlEmit, emit_started.elapsed());
-            store.write(map, FileKind::Yaml, snapshot.timestamp, yaml.as_bytes())?;
-        }
-        Ok(WindowResult {
+        WindowResult {
             snapshots,
             stats,
             metrics,
-        })
+        }
     }
 
     /// Verifies the extraction round trip at one instant: renders the
@@ -256,9 +213,6 @@ mod tests {
             result.metrics.snapshots_out as usize,
             result.stats.processed
         );
-        let report = result.report(MapKind::Europe).to_string();
-        assert!(report.contains("processed"));
-        assert!(report.contains("xml-parse"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Before this module every consumer of a corpus — the CLI's analyses,
 //! each example — walked the tree and parsed YAML with its own loop.
-//! This is the one canonical path. Workers claim files from a shared
-//! cursor (same work-stealing shape as the extraction batch runner) and
+//! This is the one canonical path. Workers claim files through
+//! [`claim_each`], the pool the extraction batch runner also uses, and
 //! parse each file straight into a per-worker [`ColumnarBuilder`]
 //! ([`ColumnarBuilder::add_yaml`]: no value tree, no snapshot); the
 //! merge is keyed on file order, so results are byte-identical for any
@@ -13,9 +13,8 @@
 //! I/O errors abort the load.
 
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wm_extract::CacheStats;
+use wm_extract::{claim_each, CacheStats};
 use wm_model::{MapKind, TimeRange, Timestamp};
 
 use crate::codec::{self, CorpusFingerprint, FingerprintEntry};
@@ -159,81 +158,36 @@ pub(crate) fn load_store(
     threads: usize,
     hash: bool,
 ) -> io::Result<(LongitudinalStore, CorpusLoadStats, Vec<u64>)> {
-    let threads = threads.max(1).min(entries.len().max(1));
-
-    if threads == 1 {
-        // Serial fast path, same code per file.
-        let mut sink = ColumnarBuilder::default();
-        let mut stats = CorpusLoadStats::default();
-        let mut hashes = Vec::new();
-        for (index, entry) in entries.iter().enumerate() {
-            let h = read_one(
-                store,
-                map,
-                entry.timestamp,
-                index,
-                &mut sink,
-                &mut stats,
-                hash,
-            )?;
-            if hash {
-                hashes.push(h);
-            }
+    type Worker = (ColumnarBuilder, CorpusLoadStats, Vec<(usize, u64)>);
+    let workers = claim_each(entries.len(), threads, Worker::default, |worker, index| {
+        let (sink, stats, hashes) = worker;
+        let Some(entry) = entries.get(index) else {
+            return Ok(());
+        };
+        let bytes = store.read(map, FileKind::Yaml, entry.timestamp)?;
+        stats.files += 1;
+        stats.bytes += bytes.len() as u64;
+        if hash {
+            hashes.push((index, codec::fnv1a(&bytes)));
         }
-        return Ok((ColumnarBuilder::finish(vec![sink]), stats, hashes));
-    }
+        let parsed =
+            std::str::from_utf8(&bytes).is_ok_and(|text| sink.add_yaml(index, text).is_ok());
+        if parsed {
+            stats.parsed += 1;
+        } else {
+            stats.failed += 1;
+        }
+        Ok::<(), io::Error>(())
+    })?;
 
-    type WorkerOut = (ColumnarBuilder, CorpusLoadStats, Vec<(usize, u64)>);
-    let cursor = AtomicUsize::new(0);
-    let (cursor, entries) = (&cursor, entries);
-    let outcomes: Vec<io::Result<WorkerOut>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut sink = ColumnarBuilder::default();
-                    let mut stats = CorpusLoadStats::default();
-                    let mut hashes = Vec::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(entry) = entries.get(index) else {
-                            break;
-                        };
-                        let h = read_one(
-                            store,
-                            map,
-                            entry.timestamp,
-                            index,
-                            &mut sink,
-                            &mut stats,
-                            hash,
-                        )?;
-                        if hash {
-                            hashes.push((index, h));
-                        }
-                    }
-                    Ok((sink, stats, hashes))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or_else(|_| Err(io::Error::other("corpus loader worker panicked")))
-            })
-            .collect()
-    });
-
-    let mut sinks = Vec::with_capacity(threads);
+    let mut sinks = Vec::with_capacity(workers.len());
     let mut stats = CorpusLoadStats::default();
     let mut hashes = if hash {
         vec![0u64; entries.len()]
     } else {
         Vec::new()
     };
-    for outcome in outcomes {
-        let (sink, worker_stats, worker_hashes) = outcome?;
+    for (sink, worker_stats, worker_hashes) in workers {
         sinks.push(sink);
         stats.merge(worker_stats);
         for (index, h) in worker_hashes {
@@ -243,29 +197,6 @@ pub(crate) fn load_store(
         }
     }
     Ok((ColumnarBuilder::finish(sinks), stats, hashes))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn read_one(
-    store: &DatasetStore,
-    map: MapKind,
-    timestamp: Timestamp,
-    index: usize,
-    sink: &mut ColumnarBuilder,
-    stats: &mut CorpusLoadStats,
-    hash: bool,
-) -> io::Result<u64> {
-    let bytes = store.read(map, FileKind::Yaml, timestamp)?;
-    stats.files += 1;
-    stats.bytes += bytes.len() as u64;
-    let h = if hash { codec::fnv1a(&bytes) } else { 0 };
-    let parsed = std::str::from_utf8(&bytes).is_ok_and(|text| sink.add_yaml(index, text).is_ok());
-    if parsed {
-        stats.parsed += 1;
-    } else {
-        stats.failed += 1;
-    }
-    Ok(h)
 }
 
 #[cfg(test)]

@@ -23,11 +23,11 @@
 //! so a six-hour question never decodes two years of history.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::io;
 use std::ops::Range;
-use std::thread;
 
-use wm_extract::KernelStats;
+use wm_extract::{claim_each, KernelStats};
 use wm_model::query::{
     HeatmapCell, HeatmapGrid, HotLink, LinkFilter, Query, QueryOp, QueryOutput, QueryResult,
     ScanStats, SiteLoad, WindowStats,
@@ -164,44 +164,31 @@ fn selected(mask: &[bool], def: u32) -> bool {
 }
 
 /// Splits `snapshots` into at most `threads` contiguous chunks and maps
-/// `work` over them, returning results in chunk order. Single chunk
-/// runs inline; otherwise scoped threads run one chunk each.
+/// `work` over them with [`claim_each`], returning results in chunk
+/// order whatever worker ran each chunk.
 fn run_chunks<T, F>(snapshots: Range<usize>, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let len = snapshots.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let workers = threads.max(1).min(len);
-    if workers == 1 {
-        return vec![work(snapshots)];
-    }
-    let step = len.div_ceil(workers);
-    let ranges: Vec<Range<usize>> = (0..workers)
-        .map(|w| {
-            let start = snapshots.start.saturating_add(w * step);
-            let end = start.saturating_add(step).min(snapshots.end);
-            start..end.max(start)
+    let chunks = threads.clamp(1, snapshots.len().max(1));
+    let step = snapshots.len().div_ceil(chunks);
+    let ranges: Vec<Range<usize>> = (0..chunks)
+        .map(|c| {
+            let start = snapshots.start.saturating_add(c * step).min(snapshots.end);
+            start..start.saturating_add(step).min(snapshots.end)
         })
         .filter(|r| !r.is_empty())
         .collect();
-    thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| scope.spawn(move || work(range)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(value) => value,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+    let Ok(workers) = claim_each(ranges.len(), ranges.len(), Vec::new, |done, chunk| {
+        if let Some(range) = ranges.get(chunk) {
+            done.push((chunk, work(range.clone())));
+        }
+        Ok::<(), Infallible>(())
+    });
+    let mut results: Vec<(usize, T)> = workers.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(chunk, _)| chunk);
+    results.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Per-link integer aggregate (top-k kernel scratch).

@@ -301,15 +301,16 @@ fn serve(
             continue;
         }
         cache.segments_touched += 1;
-        let (seg_store, from_cache) = match built {
-            Some(seg_store) => (seg_store, false),
+        let (seg_store, reused) = match built {
+            Some(built) => built,
             None => load_segment(store, map, meta, chunk, threads, &mut cache)?,
         };
         let times = seg_store.timestamps();
         let window =
             times.partition_point(|&t| t < range.start)..times.partition_point(|&t| t < range.end);
-        if from_cache {
-            cache.snapshots_from_cache += window.len() as u64;
+        for run in reused {
+            let served = run.start.max(window.start)..run.end.min(window.end);
+            cache.snapshots_from_cache += served.len() as u64;
         }
         stats.parsed += window.len();
         visit(seg_store, window);
@@ -395,6 +396,10 @@ fn recover_manifest(store: &DatasetStore, map: MapKind) -> io::Result<SegmentMan
 /// its snapshot as `(source store, index)`.
 type PoolEntry = (u64, u64, Option<(usize, usize)>);
 
+/// A segment store this load wrote or read, with the index runs of the
+/// snapshots it took from decoded segment files rather than from YAML.
+type Built = (LongitudinalStore, Vec<Range<usize>>);
+
 /// Brings the partition in line with the corpus: keeps every sealed
 /// segment the entry list still dictates, rebuilds the changed suffix
 /// (reusing decoded old segments where `(path, size)` still matches so
@@ -402,7 +407,7 @@ type PoolEntry = (u64, u64, Option<(usize, usize)>);
 /// garbage-collects stray files. `old` is the manifest file as
 /// [`serve`] read and decoded it (`None` when absent or ignored): a
 /// damaged one is recovered from the segment headers. Returns the
-/// manifest and, per segment, the store this call wrote for it.
+/// manifest and, per segment, the [`Built`] store this call wrote for it.
 #[allow(clippy::too_many_arguments)]
 fn ensure_segments(
     store: &DatasetStore,
@@ -413,7 +418,7 @@ fn ensure_segments(
     old: Option<Result<SegmentManifest, CacheError>>,
     rebuild_all: bool,
     cache: &mut CacheStats,
-) -> io::Result<(SegmentManifest, Vec<Option<LongitudinalStore>>)> {
+) -> io::Result<(SegmentManifest, Vec<Option<Built>>)> {
     let capacity = policy.chunk();
 
     // `intact` means the manifest file was present and decoded (a
@@ -451,8 +456,7 @@ fn ensure_segments(
     let mut manifest = SegmentManifest {
         segments: old.segments.iter().take(kept).cloned().collect(),
     };
-    let mut built: Vec<Option<LongitudinalStore>> =
-        manifest.segments.iter().map(|_| None).collect();
+    let mut built: Vec<Option<Built>> = manifest.segments.iter().map(|_| None).collect();
 
     let mut reused_any = false;
     if !structurally_clean {
@@ -555,6 +559,16 @@ fn ensure_segments(
                     }
                 }
             }
+            // Index runs of the chunk store taken from decoded segments.
+            let mut at = 0;
+            let reused: Vec<Range<usize>> = runs
+                .iter()
+                .filter_map(|(source, run)| {
+                    let span = at..at + run.len();
+                    at = span.end;
+                    (*source != fresh_source).then_some(span)
+                })
+                .collect();
             let parts: Vec<(&LongitudinalStore, Range<usize>)> = runs
                 .into_iter()
                 .filter_map(|(source, run)| Some((sources.get(source)?, run)))
@@ -566,7 +580,7 @@ fn ensure_segments(
                 cache.segments_rebuilt += 1;
             }
             manifest.segments.push(meta);
-            built.push(Some(chunk_store));
+            built.push(Some((chunk_store, reused)));
         }
     }
 
@@ -596,7 +610,8 @@ fn ensure_segments(
 /// One segment's store: the decoded file when it is intact and still
 /// the segment the manifest promised, otherwise exactly this chunk
 /// rebuilt from YAML (counting the damage), with the file repaired in
-/// place. Returns the store and whether it came from the segment file.
+/// place. Returns the store and, when it came from the segment file, its
+/// whole index range as the one reused run.
 fn load_segment(
     store: &DatasetStore,
     map: MapKind,
@@ -604,14 +619,15 @@ fn load_segment(
     chunk: &[DatasetEntry],
     threads: usize,
     cache: &mut CacheStats,
-) -> io::Result<(LongitudinalStore, bool)> {
+) -> io::Result<Built> {
     let name = &meta.name;
     let slug = map.slug();
     let (damage, stale) = match store.read_segment_file(map, name)? {
         None => (format!("segment {name} of {slug} is missing"), false),
         Some(bytes) => match segment::decode_segment(&bytes) {
             Ok((header, seg_store, _, _)) if header_matches(&header, meta) => {
-                return Ok((seg_store, true));
+                let all = 0..seg_store.len();
+                return Ok((seg_store, vec![all]));
             }
             Ok(_) => (
                 format!("segment {name} of {slug} does not match its manifest row"),
@@ -638,7 +654,7 @@ fn load_segment(
     cache.snapshots_appended += chunk_stats.parsed as u64;
     let fp = loader::fingerprint_from(map, chunk, &hashes);
     write_chunk(store, map, meta, chunk, &seg_store, &fp)?;
-    Ok((seg_store, false))
+    Ok((seg_store, Vec::new()))
 }
 
 /// Whether a decoded header is the segment the manifest row promises.
@@ -751,5 +767,83 @@ mod tests {
         assert_eq!(names, sorted);
         assert!(names.first().unwrap().starts_with("seg-"));
         assert!(names.first().unwrap().ends_with(".seg"));
+    }
+
+    /// Snapshot `i` of a small Europe corpus, five minutes apart.
+    fn write_snapshot(store: &DatasetStore, i: i64) -> Timestamp {
+        use wm_model::{Link, LinkEnd, Load, Node, TopologySnapshot};
+        let t = Timestamp::from_ymd(2021, 5, 1) + Duration::from_minutes(5 * i);
+        let mut s = TopologySnapshot::new(MapKind::Europe, t);
+        let end = |name: &str, load: u8| {
+            LinkEnd::new(Node::from_name(name), None, Load::new(load).unwrap())
+        };
+        s.nodes = vec![Node::from_name("rbx-g1"), Node::from_name("fra-fr5")];
+        s.links = vec![Link::new(end("rbx-g1", i as u8), end("fra-fr5", 50))];
+        let yaml = wm_extract::to_yaml_string(&s);
+        store
+            .write(MapKind::Europe, FileKind::Yaml, t, yaml.as_bytes())
+            .unwrap();
+        t
+    }
+
+    /// Files 0..6 indexed at capacity 4 (a sealed segment and a
+    /// two-file tail), then files 6..9 appended, file 7 unparsable.
+    fn appended_corpus(tag: &str) -> (DatasetStore, Vec<Timestamp>) {
+        let dir =
+            std::env::temp_dir().join(format!("wm-segments-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DatasetStore::open(dir).unwrap();
+        let mut times: Vec<Timestamp> = (0..6).map(|i| write_snapshot(&store, i)).collect();
+        reindex_segments_with(&store, MapKind::Europe, 1, CacheMode::Auto, POLICY).unwrap();
+        times.extend((6..9).map(|i| write_snapshot(&store, i)));
+        store
+            .write(MapKind::Europe, FileKind::Yaml, times[7], b"not: [yaml")
+            .unwrap();
+        (store, times)
+    }
+
+    const POLICY: SegmentPolicy = SegmentPolicy { capacity: 4 };
+
+    /// After an append, every served snapshot is counted once: decoded
+    /// from a segment file or reused from the decoded old tail
+    /// (`snapshots_from_cache`), or parsed from YAML
+    /// (`snapshots_appended`).
+    #[test]
+    fn cache_counters_cover_what_a_load_serves() {
+        let load = |store: &DatasetStore, range: TimeRange| {
+            build_longitudinal_windowed_with(
+                store,
+                MapKind::Europe,
+                range,
+                1,
+                CacheMode::Auto,
+                POLICY,
+            )
+            .unwrap()
+        };
+
+        let (store, _) = appended_corpus("whole");
+        let (whole, stats) = load(&store, TimeRange::ALL);
+        assert_eq!(whole.len(), 8);
+        assert_eq!(stats.cache.snapshots_appended, 2);
+        assert_eq!(
+            stats.cache.snapshots_from_cache + stats.cache.snapshots_appended,
+            whole.len() as u64
+        );
+        std::fs::remove_dir_all(store.root()).unwrap();
+
+        // Windows over the rebuilt chunk (files 4..8) and the new tail:
+        // only the two reused tail snapshots count as from the cache.
+        for (from, to, served, from_cache) in [(4, 7, 3, 2), (5, 9, 3, 1), (6, 9, 2, 0)] {
+            let (store, times) = appended_corpus("window");
+            let end = times[to - 1] + Duration::from_minutes(1);
+            let (part, stats) = load(&store, TimeRange::new(times[from], end));
+            assert_eq!(part.len(), served, "files {from}..{to}");
+            assert_eq!(
+                stats.cache.snapshots_from_cache, from_cache,
+                "files {from}..{to}"
+            );
+            std::fs::remove_dir_all(store.root()).unwrap();
+        }
     }
 }

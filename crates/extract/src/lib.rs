@@ -17,9 +17,11 @@
 //! * [`snapshot_yaml`] — the YAML output schema and its lossless parser.
 //! * [`mod@validate`] — a standalone snapshot validator for corpus audits
 //!   (§6's "researchers could further validate the extracted data").
-//! * [`pipeline`] — the end-to-end entry point and a work-stealing
+//! * [`pipeline`] — the end-to-end entry point, a work-stealing
 //!   parallel batch runner whose statistics reproduce Table 2's
-//!   processed/unprocessed bookkeeping.
+//!   processed/unprocessed bookkeeping, and [`claim_each`], the worker
+//!   pool the batch runner, the corpus loader and the query kernels
+//!   share.
 //! * [`metrics`] — per-stage wall-time histograms and throughput
 //!   counters recorded lock-free by the batch runner's workers.
 //!
@@ -46,8 +48,8 @@ pub use metrics::{
     BatchMetrics, BroadPhaseStats, CacheStats, Histogram, KernelStats, MetricsTotals, Stage,
 };
 pub use pipeline::{
-    extract_batch, extract_batch_with, extract_svg, extract_svg_instrumented, extract_svg_with,
-    BatchInput, BatchStats, ExtractScratch, Scheduling,
+    claim_each, default_threads, extract_batch, extract_batch_with, extract_svg,
+    extract_svg_instrumented, BatchInput, BatchStats, ExtractScratch, Scheduling,
 };
 pub use snapshot_yaml::{
     from_yaml_str, read_snapshot, snapshot_to_yaml, to_yaml_string, EndRef, SchemaError,

@@ -271,7 +271,8 @@ pub struct CacheStats {
     /// apart from `corrupt` so a fleet-wide version bump does not read
     /// as data damage.
     pub stale: u64,
-    /// Snapshots served from segment files without parsing YAML.
+    /// Served snapshots the load did not parse from YAML: decoded
+    /// from segment files, including the old tail an append reuses.
     pub snapshots_from_cache: u64,
     /// Snapshots parsed from YAML to build or repair segments.
     pub snapshots_appended: u64,
@@ -641,6 +642,7 @@ mod tests {
         m.record_stage(Stage::Algorithm2, Duration::from_micros(42));
         m.set_wall_time(Duration::from_millis(1));
         let text = m.to_string();
+        assert!(text.contains("xml-parse"));
         assert!(text.contains("algorithm2"));
         assert!(text.contains("invalid-svg"));
         assert!(text.contains("bytes/s"));

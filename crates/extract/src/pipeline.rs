@@ -1,13 +1,15 @@
-//! The end-to-end extraction pipeline and its parallel batch runner.
+//! The end-to-end extraction pipeline, its parallel batch runner and
+//! the workspace's one worker pool, [`claim_each`].
 //!
 //! The batch runner is deterministic by construction: per-file work is
 //! pure, results carry their input index so output order never depends
 //! on worker interleaving, and all aggregates (statistics, metrics) are
-//! order-independent sums kept in per-worker locals and merged at join.
-//! Consequently a run with any worker count is byte-for-byte identical
-//! to the serial run.
+//! order-independent sums kept in per-worker states and merged in worker
+//! order. Consequently a run with any worker count is byte-for-byte
+//! identical to the serial run.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -18,6 +20,63 @@ use crate::algorithm1::{algorithm1_into, RawObjects};
 use crate::algorithm2::{algorithm2_with, AttributionScratch, ExtractConfig};
 use crate::error::ExtractError;
 use crate::metrics::{BatchMetrics, Stage};
+
+/// The worker count used when none is given: the machine's available
+/// parallelism, or 4 when it cannot be queried.
+#[must_use]
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(4, usize::from)
+}
+
+/// Runs `step` once for every index in `0..len` on at most `threads`
+/// workers and returns the workers' states in worker order.
+///
+/// Each worker starts from `init()` and claims the next unclaimed index
+/// from a shared cursor, so fast workers absorb the tail of a skewed
+/// workload. With one worker (or `len <= 1`) everything runs inline on
+/// the caller's thread and exactly one state comes back. Which worker
+/// claims which index depends on timing, so callers that need a
+/// deterministic result key what they keep by index (or merge with
+/// order-independent operations).
+///
+/// A failed step stops its worker; the first error in worker order is
+/// returned once every worker has finished. A worker panic resumes on
+/// the caller with the worker's own payload.
+pub fn claim_each<S, E, I, F>(len: usize, threads: usize, init: I, step: F) -> Result<Vec<S>, E>
+where
+    S: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> Result<(), E> + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let work = || -> Result<S, E> {
+        let mut state = init();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= len {
+                return Ok(state);
+            }
+            step(&mut state, index)?;
+        }
+    };
+    let workers = threads.clamp(1, len.max(1));
+    if workers == 1 {
+        return work().map(|state| vec![state]);
+    }
+    let outcomes: Vec<Result<S, E>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    outcomes.into_iter().collect()
+}
 
 /// Per-worker reusable storage for the whole extraction pipeline.
 ///
@@ -47,29 +106,13 @@ pub fn extract_svg(
     timestamp: Timestamp,
     config: &ExtractConfig,
 ) -> Result<TopologySnapshot, ExtractError> {
-    extract_svg_with(svg, map, timestamp, config, &mut ExtractScratch::new())
-}
-
-/// [`extract_svg`] with caller-provided scratch storage, for loops that
-/// extract many snapshots on one thread.
-pub fn extract_svg_with(
-    svg: &str,
-    map: MapKind,
-    timestamp: Timestamp,
-    config: &ExtractConfig,
-    scratch: &mut ExtractScratch,
-) -> Result<TopologySnapshot, ExtractError> {
-    Document::parse_into(svg, &mut scratch.doc).map_err(|e| match &e {
-        wm_svg::ParseError::Xml(_) => ExtractError::InvalidXml(e.to_string()),
-        _ => ExtractError::InvalidSvg(e.to_string()),
-    })?;
-    algorithm1_into(&scratch.doc, &mut scratch.objects)?;
-    algorithm2_with(
-        &scratch.objects,
+    extract_svg_instrumented(
+        svg,
         map,
         timestamp,
         config,
-        &mut scratch.attribution,
+        &mut BatchMetrics::default(),
+        &mut ExtractScratch::new(),
     )
 }
 
@@ -173,7 +216,7 @@ pub enum Scheduling {
     WorkStealing,
 }
 
-/// A worker's private accumulator, merged by the coordinator at join.
+/// A worker's private accumulator, merged in worker order.
 #[derive(Default)]
 struct WorkerOutput {
     /// Snapshots with their input index, so output order is
@@ -242,39 +285,18 @@ pub fn extract_batch_with(
     threads: usize,
     _scheduling: Scheduling,
 ) -> (Vec<TopologySnapshot>, BatchStats, BatchMetrics) {
-    let threads = threads.max(1).min(inputs.len().max(1));
     let started = Instant::now();
-
-    let outputs: Vec<WorkerOutput> = if threads == 1 {
-        // Serial fast path: no spawn overhead, same code path per file.
-        let mut out = WorkerOutput::default();
-        for (index, input) in inputs.iter().enumerate() {
-            out.process(index, input, map, config);
-        }
-        vec![out]
-    } else {
-        // Work-stealing: each worker claims the next file from a shared
-        // cursor, so fast workers absorb the tail of a skewed corpus.
-        let cursor = AtomicUsize::new(0);
-        let work = || {
-            let mut out = WorkerOutput::default();
-            loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(input) = inputs.get(index) else {
-                    break;
-                };
+    let Ok(outputs) = claim_each(
+        inputs.len(),
+        threads,
+        WorkerOutput::default,
+        |out, index| {
+            if let Some(input) = inputs.get(index) {
                 out.process(index, input, map, config);
             }
-            out
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        })
-    };
+            Ok::<(), Infallible>(())
+        },
+    );
 
     let mut results = Vec::with_capacity(inputs.len());
     let mut stats = BatchStats::default();
@@ -298,6 +320,73 @@ mod tests {
 
     fn sim() -> Simulation {
         Simulation::new(SimulationConfig::scaled(23, 0.12))
+    }
+
+    #[test]
+    fn claim_each_runs_every_index_once() {
+        for threads in [1, 3, 8] {
+            let Ok(states) = claim_each(10, threads, Vec::new, |seen, index| {
+                seen.push(index);
+                Ok::<(), Infallible>(())
+            });
+            assert_eq!(states.len(), threads.min(10));
+            let mut all: Vec<usize> = states.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..10).collect::<Vec<_>>(), "{threads} threads");
+        }
+        // No work still yields one (initial) state, built inline.
+        let caller = std::thread::current().id();
+        let Ok(states) = claim_each(
+            0,
+            4,
+            || std::thread::current().id(),
+            |_, _| Ok::<(), Infallible>(()),
+        );
+        assert_eq!(states, vec![caller]);
+    }
+
+    #[test]
+    fn claim_each_stops_a_failed_worker_and_reports_its_error() {
+        let result = claim_each(
+            5,
+            1,
+            || 0,
+            |done, index| {
+                if index == 2 {
+                    return Err(format!("step {index} failed"));
+                }
+                *done += 1;
+                Ok(())
+            },
+        );
+        assert_eq!(result, Err("step 2 failed".to_owned()));
+        let result = claim_each(6, 3, || (), |_, _| Err::<(), _>("failed"));
+        assert_eq!(result, Err("failed"));
+    }
+
+    #[test]
+    fn claim_each_resumes_a_worker_panic_with_its_payload() {
+        for threads in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                claim_each(
+                    4,
+                    threads,
+                    || (),
+                    |_, index| {
+                        if index == 3 {
+                            std::panic::panic_any(format!("worker payload {index}"));
+                        }
+                        Ok::<(), Infallible>(())
+                    },
+                )
+            })
+            .unwrap_err();
+            assert_eq!(
+                caught.downcast_ref::<String>().map(String::as_str),
+                Some("worker payload 3"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

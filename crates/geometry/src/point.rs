@@ -109,16 +109,6 @@ impl Vec2 {
         self.x * other.x + self.y * other.y
     }
 
-    /// 2-D cross product (the `z` component of the 3-D cross product).
-    ///
-    /// Its sign tells on which side of `self` the vector `other` lies,
-    /// which drives the segment-intersection predicates.
-    #[inline]
-    #[must_use]
-    pub fn cross(self, other: Vec2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Unit vector in the same direction, or `None` for (near-)zero vectors.
     #[inline]
     #[must_use]
@@ -257,15 +247,6 @@ mod tests {
         assert_eq!(v.length(), 5.0);
         assert_eq!(Point::new(2.0, 3.0) + v, Point::new(5.0, 7.0));
         assert_eq!(Point::new(5.0, 7.0) - v, Point::new(2.0, 3.0));
-    }
-
-    #[test]
-    fn cross_sign_indicates_orientation() {
-        let right = Vec2::new(1.0, 0.0);
-        let down = Vec2::new(0.0, 1.0);
-        // Screen coordinates: y grows downwards, so right × down is +1.
-        assert_eq!(right.cross(down), 1.0);
-        assert_eq!(down.cross(right), -1.0);
     }
 
     #[test]

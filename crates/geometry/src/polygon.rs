@@ -1,6 +1,6 @@
 //! Simple polygons — the shape of weathermap link arrows.
 
-use crate::{Point, Rect, Segment};
+use crate::Point;
 
 /// A simple polygon given by its vertices in drawing order.
 ///
@@ -55,35 +55,6 @@ impl Polygon {
             .iter()
             .fold((0.0, 0.0), |(sx, sy), p| (sx + p.x, sy + p.y));
         Some(Point::new(sx / n, sy / n))
-    }
-
-    /// Axis-aligned bounding box, or `None` for an empty polygon.
-    #[must_use]
-    pub fn bounding_box(&self) -> Option<Rect> {
-        let first = *self.vertices.first()?;
-        let mut min = first;
-        let mut max = first;
-        for p in self.vertices.iter().skip(1) {
-            min.x = min.x.min(p.x);
-            min.y = min.y.min(p.y);
-            max.x = max.x.max(p.x);
-            max.y = max.y.max(p.y);
-        }
-        Some(Rect::from_corners(min, max))
-    }
-
-    /// Edges of the polygon, closing back to the first vertex.
-    #[must_use]
-    pub fn edges(&self) -> Vec<Segment> {
-        let n = self.vertices.len();
-        if n < 2 {
-            return Vec::new();
-        }
-        self.vertices
-            .iter()
-            .zip(self.vertices.iter().cycle().skip(1))
-            .map(|(&p, &q)| Segment::new(p, q))
-            .collect()
     }
 
     /// The unit direction of the polygon's principal axis.
@@ -296,18 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_polygon_has_no_centroid_or_bbox() {
+    fn empty_polygon_has_no_centroid() {
         let p = Polygon::default();
         assert!(p.is_empty());
         assert!(p.centroid().is_none());
-        assert!(p.bounding_box().is_none());
-        assert!(p.edges().is_empty());
-    }
-
-    #[test]
-    fn bounding_box_covers_vertices() {
-        let bb = right_arrow().bounding_box().unwrap();
-        assert_eq!(bb, Rect::new(0.0, -4.0, 10.0, 8.0));
     }
 
     #[test]
@@ -334,13 +297,5 @@ mod tests {
                 .arrow_basis()
                 .is_none()
         );
-    }
-
-    #[test]
-    fn edges_close_the_polygon() {
-        let p = triangle_arrow();
-        let edges = p.edges();
-        assert_eq!(edges.len(), 3);
-        assert_eq!(edges[2].end, p.vertices()[0]);
     }
 }

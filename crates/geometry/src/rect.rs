@@ -4,7 +4,7 @@
 //! axis-aligned `<rect>` elements in weathermap SVGs, so [`Rect`] is the
 //! shape against which Algorithm 2 tests link-line intersections.
 
-use crate::{Line, Point, Segment};
+use crate::{Line, Point};
 
 /// An axis-aligned rectangle in SVG user units.
 ///
@@ -90,18 +90,6 @@ impl Rect {
         ]
     }
 
-    /// The four edges as segments, clockwise from the top edge.
-    #[must_use]
-    pub fn edges(&self) -> [Segment; 4] {
-        let [tl, tr, br, bl] = self.corners();
-        [
-            Segment::new(tl, tr),
-            Segment::new(tr, br),
-            Segment::new(br, bl),
-            Segment::new(bl, tl),
-        ]
-    }
-
     /// Returns `true` when `p` lies inside or on the boundary.
     #[inline]
     #[must_use]
@@ -137,15 +125,6 @@ impl Rect {
         saw_positive && saw_negative
     }
 
-    /// Returns `true` when the finite segment touches this rectangle.
-    #[must_use]
-    pub fn intersects_segment(&self, segment: &Segment) -> bool {
-        if self.contains(segment.start) || self.contains(segment.end) {
-            return true;
-        }
-        self.edges().iter().any(|edge| edge.intersects(segment))
-    }
-
     /// Returns `true` when `other` overlaps this rectangle (boundary
     /// contact counts as overlap).
     #[must_use]
@@ -174,13 +153,6 @@ impl Rect {
             self.width + 2.0 * margin,
             self.height + 2.0 * margin,
         )
-    }
-
-    /// Area of the rectangle.
-    #[inline]
-    #[must_use]
-    pub fn area(&self) -> f64 {
-        self.width * self.height
     }
 }
 
@@ -245,27 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_inside_box_intersects() {
-        let r = unit();
-        let s = Segment::new(Point::new(2.0, 2.0), Point::new(3.0, 3.0));
-        assert!(r.intersects_segment(&s));
-    }
-
-    #[test]
-    fn segment_crossing_box_intersects() {
-        let r = unit();
-        let s = Segment::new(Point::new(-5.0, 5.0), Point::new(15.0, 5.0));
-        assert!(r.intersects_segment(&s));
-    }
-
-    #[test]
-    fn short_segment_outside_box_misses() {
-        let r = unit();
-        let s = Segment::new(Point::new(20.0, 20.0), Point::new(30.0, 30.0));
-        assert!(!r.intersects_segment(&s));
-    }
-
-    #[test]
     fn rect_rect_overlap() {
         let r = unit();
         assert!(r.intersects_rect(&Rect::new(5.0, 5.0, 10.0, 10.0)));
@@ -288,9 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn center_and_area() {
+    fn center_is_the_midpoint() {
         let r = Rect::new(2.0, 4.0, 6.0, 8.0);
         assert!(r.center().approx_eq(Point::new(5.0, 8.0)));
-        assert_eq!(r.area(), 48.0);
     }
 }

@@ -83,61 +83,6 @@ impl Segment {
     pub fn distance_to_point(&self, p: Point) -> f64 {
         self.closest_point(p).distance(p)
     }
-
-    /// Returns `true` when the two segments touch or cross.
-    ///
-    /// Collinear overlapping segments are reported as intersecting.
-    #[must_use]
-    pub fn intersects(&self, other: &Segment) -> bool {
-        self.intersection(other).is_some() || self.collinear_overlap(other)
-    }
-
-    /// Proper or touching intersection point of two segments, if any.
-    ///
-    /// Returns `None` for parallel (including collinear) segments; use
-    /// [`Segment::collinear_overlap`] to detect the collinear case.
-    #[must_use]
-    pub fn intersection(&self, other: &Segment) -> Option<Point> {
-        let r = self.direction();
-        let s = other.direction();
-        let denom = r.cross(s);
-        if denom.abs() <= crate::EPSILON {
-            return None; // Parallel or collinear.
-        }
-        let qp = other.start - self.start;
-        let t = qp.cross(s) / denom;
-        let u = qp.cross(r) / denom;
-        let tol = crate::EPSILON;
-        if (-tol..=1.0 + tol).contains(&t) && (-tol..=1.0 + tol).contains(&u) {
-            Some(self.lerp(t))
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` when the segments are collinear and their spans
-    /// overlap.
-    #[must_use]
-    pub fn collinear_overlap(&self, other: &Segment) -> bool {
-        let r = self.direction();
-        let qp = other.start - self.start;
-        if r.cross(other.direction()).abs() > crate::EPSILON || r.cross(qp).abs() > crate::EPSILON {
-            return false;
-        }
-        // Project both segments on the dominant axis and test 1-D overlap.
-        let key = |p: Point| if r.x.abs() >= r.y.abs() { p.x } else { p.y };
-        let (a0, a1) = minmax(key(self.start), key(self.end));
-        let (b0, b1) = minmax(key(other.start), key(other.end));
-        a0 <= b1 + crate::EPSILON && b0 <= a1 + crate::EPSILON
-    }
-}
-
-fn minmax(a: f64, b: f64) -> (f64, f64) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 #[cfg(test)]
@@ -153,61 +98,6 @@ mod tests {
         let s = seg(0.0, 0.0, 6.0, 8.0);
         assert_eq!(s.length(), 10.0);
         assert!(s.midpoint().approx_eq(Point::new(3.0, 4.0)));
-    }
-
-    #[test]
-    fn crossing_segments_intersect_at_crossing_point() {
-        let a = seg(0.0, 0.0, 10.0, 10.0);
-        let b = seg(0.0, 10.0, 10.0, 0.0);
-        let p = a.intersection(&b).expect("segments cross");
-        assert!(p.approx_eq(Point::new(5.0, 5.0)));
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn touching_at_endpoint_counts() {
-        let a = seg(0.0, 0.0, 5.0, 5.0);
-        let b = seg(5.0, 5.0, 10.0, 0.0);
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn parallel_segments_do_not_intersect() {
-        let a = seg(0.0, 0.0, 10.0, 0.0);
-        let b = seg(0.0, 1.0, 10.0, 1.0);
-        assert!(a.intersection(&b).is_none());
-        assert!(!a.intersects(&b));
-    }
-
-    #[test]
-    fn collinear_overlapping_segments_intersect() {
-        let a = seg(0.0, 0.0, 10.0, 0.0);
-        let b = seg(5.0, 0.0, 15.0, 0.0);
-        assert!(a.intersection(&b).is_none());
-        assert!(a.collinear_overlap(&b));
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn collinear_disjoint_segments_do_not_intersect() {
-        let a = seg(0.0, 0.0, 4.0, 0.0);
-        let b = seg(5.0, 0.0, 9.0, 0.0);
-        assert!(!a.collinear_overlap(&b));
-        assert!(!a.intersects(&b));
-    }
-
-    #[test]
-    fn vertical_collinear_overlap_uses_y_axis() {
-        let a = seg(3.0, 0.0, 3.0, 10.0);
-        let b = seg(3.0, 5.0, 3.0, 20.0);
-        assert!(a.collinear_overlap(&b));
-    }
-
-    #[test]
-    fn near_miss_does_not_intersect() {
-        let a = seg(0.0, 0.0, 10.0, 0.0);
-        let b = seg(11.0, -1.0, 11.0, 1.0);
-        assert!(!a.intersects(&b));
     }
 
     #[test]

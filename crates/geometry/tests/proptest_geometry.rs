@@ -16,33 +16,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn segment_intersection_is_symmetric(
-        a in point_strategy(), b in point_strategy(),
-        c in point_strategy(), d in point_strategy(),
-    ) {
-        let s1 = Segment::new(a, b);
-        let s2 = Segment::new(c, d);
-        prop_assert_eq!(s1.intersects(&s2), s2.intersects(&s1));
-        // And orientation of either segment must not matter.
-        prop_assert_eq!(s1.intersects(&s2), s1.reversed().intersects(&s2));
-    }
-
-    #[test]
-    fn intersection_point_lies_on_both_segments(
-        a in point_strategy(), b in point_strategy(),
-        c in point_strategy(), d in point_strategy(),
-    ) {
-        let s1 = Segment::new(a, b);
-        let s2 = Segment::new(c, d);
-        if let Some(p) = s1.intersection(&s2) {
-            // Generous tolerance: long, nearly-parallel segments amplify
-            // the crossing-point rounding.
-            prop_assert!(s1.distance_to_point(p) < 1e-4, "{} off s1", s1.distance_to_point(p));
-            prop_assert!(s2.distance_to_point(p) < 1e-4, "{} off s2", s2.distance_to_point(p));
-        }
-    }
-
-    #[test]
     fn rect_contains_its_center_and_corners(r in rect_strategy()) {
         prop_assert!(r.contains(r.center()));
         for corner in r.corners() {
@@ -74,14 +47,6 @@ proptest! {
         prop_assume!(towards.distance(r.center()) > 1.0);
         let line = Line::through(r.center(), towards);
         prop_assert!(r.intersects_line(&line));
-    }
-
-    #[test]
-    fn segment_within_rect_intersects(r in rect_strategy(), t1 in 0.1f64..0.9, t2 in 0.1f64..0.9) {
-        // Any chord between two interior points intersects the rect.
-        let p1 = Point::new(r.x + r.width * t1, r.y + r.height * t2);
-        let p2 = Point::new(r.x + r.width * t2, r.y + r.height * t1);
-        prop_assert!(r.intersects_segment(&Segment::new(p1, p2)));
     }
 
     #[test]
@@ -119,16 +84,5 @@ proptest! {
         let tip = polygon.arrow_tip().expect("arrow shape");
         prop_assert!(basis.distance(from) < 0.5, "basis {} vs {}", basis, from);
         prop_assert!(tip.distance(to) < 0.5, "tip {} vs {}", tip, to);
-    }
-
-    #[test]
-    fn polygon_bounding_box_contains_all_vertices(
-        points in prop::collection::vec(point_strategy(), 1..12),
-    ) {
-        let polygon = Polygon::new(points.clone());
-        let bb = polygon.bounding_box().expect("non-empty");
-        for p in points {
-            prop_assert!(bb.contains(p));
-        }
     }
 }

@@ -42,20 +42,6 @@ pub fn uniform(seed: u64, labels: &[u64]) -> f64 {
     unit_f64(hash_labels(seed, labels))
 }
 
-/// Standard-normal-ish variate from seed and labels.
-///
-/// Uses the sum of four uniforms (Irwin–Hall), rescaled to unit variance.
-/// The tails are shorter than a true Gaussian, which is *desirable* here:
-/// link-load percentages live in a bounded range and wild outliers would
-/// leak through the clamps as artefacts.
-#[must_use]
-pub fn normalish(seed: u64, labels: &[u64]) -> f64 {
-    let base = hash_labels(seed, labels);
-    let sum: f64 = (0..4).map(|i| unit_f64(mix(base ^ i))).sum();
-    // Irwin-Hall n=4: mean 2, variance 4/12 = 1/3.
-    (sum - 2.0) / (1.0 / 3.0f64).sqrt()
-}
-
 /// Smooth temporal value noise in `[-1, 1]`.
 ///
 /// Random anchor values are placed every `period_secs` and joined with a
@@ -122,18 +108,6 @@ mod tests {
         let n = 10_000;
         let mean: f64 = (0..n).map(|i| uniform(11, &[i])).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn normalish_moments() {
-        let n = 10_000;
-        let samples: Vec<f64> = (0..n).map(|i| normalish(3, &[i])).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "variance {var}");
-        // Bounded tails (Irwin-Hall n=4 lies within ±2/sqrt(1/3) ≈ ±3.46).
-        assert!(samples.iter().all(|x| x.abs() < 3.5));
     }
 
     #[test]
