@@ -1,8 +1,8 @@
 //! Algorithm 1 — SVG parsing to objects.
 //!
 //! A direct implementation of the paper's Algorithm 1: iterate the flat
-//! element list in document order, dispatch on class/tag, and assemble
-//! three raw object lists:
+//! element rows in document order, dispatch on class/tag, and copy out
+//! the three raw object lists (the only allocations of this stage):
 //!
 //! * **routers** (and peerings) from `object`-classed box/name pairs,
 //! * **links** from consecutive arrow `polygon` pairs followed by their
@@ -14,7 +14,7 @@
 
 use wm_geometry::{Polygon, Rect};
 use wm_model::Load;
-use wm_svg::{Document, Element, Shape};
+use wm_svg::{Document, Element, Shape, Tag};
 
 use crate::error::ExtractError;
 
@@ -77,11 +77,12 @@ pub fn algorithm1_into(doc: &Document, out: &mut RawObjects) -> Result<(), Extra
     let mut label_rect: Option<Rect> = None;
     let mut router_rect: Option<Rect> = None;
 
-    for elem in &doc.elements {
-        if elem.class_starts_with("object") {
+    for elem in doc.elements() {
+        let class = elem.class();
+        if class.is_some_and(|c| c.starts_with("object")) {
             // Router/peering: a box followed by its name text.
-            match (&elem.shape, router_rect) {
-                (Shape::Rect(rect), _) => router_rect = Some(*rect),
+            match (elem.shape(), router_rect) {
+                (Shape::Rect(rect), _) => router_rect = Some(rect),
                 (Shape::Text { content, .. }, Some(rect)) => {
                     if content.trim().is_empty() {
                         return Err(structure("object with an empty name"));
@@ -97,19 +98,16 @@ pub fn algorithm1_into(doc: &Document, out: &mut RawObjects) -> Result<(), Extra
                 }
                 _ => return Err(structure("object element is neither rect nor text")),
             }
-        } else if elem.tag == "polygon" {
+        } else if elem.tag() == Tag::Polygon {
             // Link arrow (Lines 9–13).
-            let Some(polygon) = elem.as_polygon().cloned() else {
-                return Err(ExtractError::InvalidSvg(
-                    "polygon tag without polygon geometry".to_owned(),
-                ));
-            };
-            if polygon.len() < 3 {
+            let points = elem.as_polygon().unwrap_or_default();
+            if points.len() < 3 {
                 return Err(ExtractError::InvalidSvg(format!(
                     "arrow polygon with {} vertices",
-                    polygon.len()
+                    points.len()
                 )));
             }
+            let polygon = Polygon::new(points.to_vec());
             match &mut link {
                 None => {
                     link = Some(RawLink {
@@ -124,9 +122,9 @@ pub fn algorithm1_into(doc: &Document, out: &mut RawObjects) -> Result<(), Extra
                     return Err(structure("a third arrow before the link's loads"));
                 }
             }
-        } else if elem.class_is("labellink") {
+        } else if class == Some("labellink") {
             // Load percentage (Lines 14–18).
-            let text = text_of(elem)?;
+            let text = text_of(&elem)?;
             let load: Load = text.parse().map_err(|_| ExtractError::InvalidLoad {
                 text: text.to_owned(),
             })?;
@@ -144,10 +142,10 @@ pub fn algorithm1_into(doc: &Document, out: &mut RawObjects) -> Result<(), Extra
                 Some(_) => return Err(structure("load percentage before both arrows")),
                 None => return Err(structure("load percentage outside any link")),
             }
-        } else if elem.class_is("node") {
+        } else if class == Some("node") {
             // Link label (Lines 19–24).
-            match (&elem.shape, label_rect) {
-                (Shape::Rect(rect), _) => label_rect = Some(*rect),
+            match (elem.shape(), label_rect) {
+                (Shape::Rect(rect), _) => label_rect = Some(rect),
                 (Shape::Text { content, .. }, Some(rect)) => {
                     out.labels.push(RawLabel {
                         rect,
@@ -184,7 +182,7 @@ pub fn algorithm1_into(doc: &Document, out: &mut RawObjects) -> Result<(), Extra
     Ok(())
 }
 
-fn text_of(elem: &Element) -> Result<&str, ExtractError> {
+fn text_of<'d>(elem: &Element<'d>) -> Result<&'d str, ExtractError> {
     elem.as_text()
         .ok_or_else(|| structure("expected a text element"))
 }

@@ -52,7 +52,6 @@ pub use pipeline::{
     extract_svg_instrumented, BatchInput, BatchStats, ExtractScratch, Scheduling,
 };
 pub use snapshot_yaml::{
-    from_yaml_str, read_snapshot, snapshot_to_yaml, to_yaml_string, EndRef, SchemaError,
-    SnapshotVisitor, SCHEMA_ID,
+    from_yaml_str, read_snapshot, to_yaml_string, EndRef, SchemaError, SnapshotVisitor, SCHEMA_ID,
 };
 pub use validate::{validate, Finding, Severity, ValidationReport};

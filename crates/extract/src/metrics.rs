@@ -19,9 +19,9 @@ use std::time::Duration;
 /// writes the output, e.g. the `ovh-weather extract` CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// SVG text to DOM (`wm_svg::Document::parse`).
+    /// SVG text to the flat element rows (`wm_svg::Document::parse_into`).
     XmlParse,
-    /// DOM to geometric objects (Algorithm 1).
+    /// Element rows to geometric objects (Algorithm 1).
     Algorithm1,
     /// Objects to attributed topology (Algorithm 2).
     Algorithm2,

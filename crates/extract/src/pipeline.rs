@@ -80,10 +80,13 @@ where
 
 /// Per-worker reusable storage for the whole extraction pipeline.
 ///
-/// Holds the parsed document, the Algorithm 1 object lists and the
-/// Algorithm 2 working memory, so a worker that extracts thousands of
-/// snapshots allocates these buffers once and then runs allocation-free
-/// in steady state (strings aside).
+/// Holds the parsed document (its element rows, text arena, point pool,
+/// class table and the XML reader's attribute buffer), the Algorithm 1
+/// object lists and the Algorithm 2 working memory. A worker that
+/// extracts thousands of snapshots grows these buffers to the largest
+/// file once; after that the parse allocates nothing per element, and
+/// the allocations left are what the output owns (each arrow's points,
+/// each router and label name, the snapshot itself).
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
     doc: Document,

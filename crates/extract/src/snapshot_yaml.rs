@@ -21,9 +21,11 @@
 //!     b_load: 9
 //! ```
 //!
-//! Writing goes through a [`Value`] tree ([`to_yaml_string`]). Reading
-//! does not: [`read_snapshot`] walks the borrowed `wm-yaml` event
-//! stream, validates the whole file and only then hands its header,
+//! Neither direction builds a `wm_yaml::Value` tree. Writing
+//! ([`to_yaml_string`]) prints the fixed layout above straight into one
+//! string, quoting with `wm-yaml`'s one scalar rule; a property test
+//! pins it byte for byte to the tree emitter's output. Reading
+//! ([`read_snapshot`]) walks the borrowed `wm-yaml` event stream, validates the whole file and only then hands its header,
 //! nodes and link ends to a [`SnapshotVisitor`]. [`from_yaml_str`] is
 //! the visitor that assembles a [`TopologySnapshot`]; the columnar
 //! builder in `wm-dataset` is the other, and interns straight from the
@@ -32,7 +34,7 @@
 use std::borrow::Cow;
 
 use wm_model::{Link, LinkEnd, Load, MapKind, Node, NodeKind, Timestamp, TopologySnapshot};
-use wm_yaml::{Event, Scalar, Value};
+use wm_yaml::{push_str_scalar, Event, Scalar};
 
 /// The schema identifier embedded in every file.
 pub const SCHEMA_ID: &str = "ovh-weather/1";
@@ -61,49 +63,80 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-/// Converts a snapshot to its YAML value tree.
-#[must_use]
-pub fn snapshot_to_yaml(snapshot: &TopologySnapshot) -> Value {
-    let nodes = snapshot
-        .nodes
-        .iter()
-        .map(|n| {
-            Value::map(vec![
-                ("name", Value::from(n.name.as_str())),
-                ("kind", Value::from(n.kind.slug())),
-            ])
-        })
-        .collect();
-    let links = snapshot
-        .links
-        .iter()
-        .map(|l| {
-            let mut pairs: Vec<(&str, Value)> = vec![("a", Value::from(l.a.node.name.as_str()))];
-            if let Some(label) = &l.a.label {
-                pairs.push(("a_label", Value::from(label.as_str())));
-            }
-            pairs.push(("a_load", Value::from(u32::from(l.a.egress_load.percent()))));
-            pairs.push(("b", Value::from(l.b.node.name.as_str())));
-            if let Some(label) = &l.b.label {
-                pairs.push(("b_label", Value::from(label.as_str())));
-            }
-            pairs.push(("b_load", Value::from(u32::from(l.b.egress_load.percent()))));
-            Value::map(pairs)
-        })
-        .collect();
-    Value::map(vec![
-        ("schema", Value::from(SCHEMA_ID)),
-        ("map", Value::from(snapshot.map.slug())),
-        ("timestamp", Value::from(snapshot.timestamp.to_iso8601())),
-        ("nodes", Value::Seq(nodes)),
-        ("links", Value::Seq(links)),
-    ])
-}
-
 /// Serialises a snapshot to YAML text.
+///
+/// Prints the fixed schema straight into one string, in the layout
+/// `wm_yaml::to_string` gives the equivalent value tree (block
+/// sequences, compact `- key:` items, `[]` for an empty list, absent
+/// labels omitted), with every string written by
+/// [`wm_yaml::push_str_scalar`].
 #[must_use]
 pub fn to_yaml_string(snapshot: &TopologySnapshot) -> String {
-    wm_yaml::to_string(&snapshot_to_yaml(snapshot))
+    let mut out =
+        String::with_capacity(96 + 40 * snapshot.nodes.len() + 120 * snapshot.links.len());
+    push_field(&mut out, "schema: ", SCHEMA_ID);
+    push_field(&mut out, "map: ", snapshot.map.slug());
+    push_field(&mut out, "timestamp: ", &snapshot.timestamp.to_iso8601());
+    if snapshot.nodes.is_empty() {
+        out.push_str("nodes: []\n");
+    } else {
+        out.push_str("nodes:\n");
+        for node in &snapshot.nodes {
+            push_field(&mut out, "  - name: ", &node.name);
+            push_field(&mut out, "    kind: ", node.kind.slug());
+        }
+    }
+    if snapshot.links.is_empty() {
+        out.push_str("links: []\n");
+    } else {
+        out.push_str("links:\n");
+        for link in &snapshot.links {
+            push_end(
+                &mut out,
+                ["  - a: ", "    a_label: ", "    a_load: "],
+                &link.a,
+            );
+            push_end(
+                &mut out,
+                ["    b: ", "    b_label: ", "    b_load: "],
+                &link.b,
+            );
+        }
+    }
+    out
+}
+
+/// Appends one `key: value` line (`key` carries its indent and `: `).
+fn push_field(out: &mut String, key: &str, value: &str) {
+    out.push_str(key);
+    push_str_scalar(out, value);
+    out.push('\n');
+}
+
+/// Appends one link end's name, label (when present) and load lines.
+fn push_end(out: &mut String, [name, label, load]: [&str; 3], end: &LinkEnd) {
+    push_field(out, name, &end.node.name);
+    if let Some(text) = &end.label {
+        push_field(out, label, text);
+    }
+    out.push_str(load);
+    push_percent(out, end.egress_load.percent());
+    out.push('\n');
+}
+
+/// Appends a load percentage (`0..=100`, or any `u8`) in decimal.
+fn push_percent(out: &mut String, value: u8) {
+    let digits = [value / 100, value / 10 % 10, value % 10];
+    let skip = if value >= 100 {
+        0
+    } else if value >= 10 {
+        1
+    } else {
+        2
+    };
+    for digit in digits.iter().skip(skip) {
+        out.push(char::from(b'0' + digit));
+    }
 }
 
 /// Receives one snapshot file from [`read_snapshot`], in file order:

@@ -10,7 +10,9 @@
 //!   file) is **new debt** and fails;
 //! - a count below its baseline entry, or an entry whose file no longer
 //!   exists, is a **stale entry** and also fails — run
-//!   `--update-baseline` so the recorded debt only ever shrinks.
+//!   `--update-baseline` so the recorded debt only ever shrinks;
+//! - a finding in a zero-baseline path (`Config::zero_baseline`) fails
+//!   even when the baseline lists it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -18,6 +20,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use crate::config::Config;
 use crate::findings::Finding;
 use crate::json::{self, Value};
 
@@ -137,13 +140,18 @@ impl Comparison {
     }
 }
 
-/// Compares a scan against the accepted baseline.
+/// Compares a scan against the accepted baseline. Files under a
+/// `zero_paths` prefix accept no finding, whatever the baseline says.
 #[must_use]
-pub fn compare(findings: &[Finding], baseline: &Baseline) -> Comparison {
+pub fn compare(findings: &[Finding], baseline: &Baseline, zero_paths: &[String]) -> Comparison {
     let current = counts(findings);
     let mut cmp = Comparison::default();
     for (key, &found) in &current {
-        let accepted = baseline.entries.get(key).copied().unwrap_or(0);
+        let accepted = if Config::matches(zero_paths, &key.1) {
+            0
+        } else {
+            baseline.entries.get(key).copied().unwrap_or(0)
+        };
         if found > accepted {
             cmp.grown.push(delta(key, found, accepted));
         }

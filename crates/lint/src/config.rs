@@ -28,6 +28,10 @@ pub struct Config {
     /// Codec/segment decode paths where raw length/offset arithmetic
     /// must be `checked_*`/`wrapping_*` (`arith-unchecked`).
     pub arith_paths: Vec<String>,
+    /// Paths held at zero findings: the readers of bytes nobody vouches
+    /// for, once their debt was paid. `--deny-new` fails on any finding
+    /// here, whatever the baseline accepts.
+    pub zero_baseline: Vec<String>,
     /// The file defining the extraction error enum and its `kind()`.
     pub error_enum: String,
     /// Name of the error enum tracked by the exhaustiveness rule.
@@ -80,6 +84,17 @@ impl Config {
             arith_paths: owned(&[
                 "crates/dataset/src/codec.rs",
                 "crates/dataset/src/segments.rs",
+            ]),
+            zero_baseline: owned(&[
+                "crates/xml/src/reader.rs",
+                "crates/xml/src/escape.rs",
+                "crates/svg/src/parse.rs",
+                "crates/svg/src/numbers.rs",
+                "crates/yaml/src/parse.rs",
+                "crates/extract/src/algorithm2.rs",
+                "crates/geometry/src/polygon.rs",
+                "crates/dataset/src/codec.rs",
+                "crates/dataset/src/paths.rs",
             ]),
             error_enum: "crates/extract/src/error.rs".to_owned(),
             error_type: "ExtractError".to_owned(),

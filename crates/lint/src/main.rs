@@ -160,7 +160,7 @@ fn main() -> ExitCode {
     }
 
     if opts.deny_new {
-        return deny_new(&result, &baseline_path, opts.format);
+        return deny_new(&result, &baseline_path, &cfg.zero_baseline, opts.format);
     }
 
     // Listing mode: informational, always exits 0.
@@ -181,6 +181,7 @@ fn main() -> ExitCode {
 fn deny_new(
     result: &wm_lint::ScanResult,
     baseline_path: &std::path::Path,
+    zero_paths: &[String],
     format: Format,
 ) -> ExitCode {
     let baseline = match Baseline::load(baseline_path) {
@@ -197,7 +198,7 @@ fn deny_new(
             return ExitCode::from(2);
         }
     };
-    let cmp = baseline::compare(&result.findings, &baseline);
+    let cmp = baseline::compare(&result.findings, &baseline, zero_paths);
     if cmp.is_clean() {
         println!(
             "wm-lint: clean — {} accepted findings, nothing new, nothing stale",

@@ -373,11 +373,11 @@ fn baseline_ratchet_reports_grown_and_stale() {
 
     // Same counts: clean.
     let same = [finding("a.rs"), finding("a.rs"), finding("b.rs")];
-    assert!(baseline::compare(&same, &accepted).is_clean());
+    assert!(baseline::compare(&same, &accepted, &[]).is_clean());
 
     // One more in a.rs: grown. b.rs fixed: stale.
     let moved = [finding("a.rs"), finding("a.rs"), finding("a.rs")];
-    let cmp = baseline::compare(&moved, &accepted);
+    let cmp = baseline::compare(&moved, &accepted, &[]);
     assert_eq!(cmp.grown.len(), 1);
     assert_eq!((cmp.grown[0].found, cmp.grown[0].accepted), (3, 2));
     assert_eq!(cmp.stale.len(), 1);
@@ -385,9 +385,33 @@ fn baseline_ratchet_reports_grown_and_stale() {
 
     // A finding in a file the baseline has never seen: grown.
     let fresh = [finding("c.rs")];
-    let cmp = baseline::compare(&fresh, &accepted);
+    let cmp = baseline::compare(&fresh, &accepted, &[]);
     assert_eq!(cmp.grown.len(), 1);
     assert_eq!(cmp.grown[0].file, "c.rs");
+}
+
+#[test]
+fn zero_baseline_paths_accept_no_finding() {
+    let finding = |file: &str| Finding {
+        rule: "panic-freedom",
+        file: file.to_owned(),
+        line: 1,
+        module: String::new(),
+        message: String::new(),
+    };
+    let accepted = Baseline::from_findings(&[finding("zero/a.rs"), finding("b.rs")]);
+    let zero = ["zero/".to_owned()];
+    // The baseline lists zero/a.rs, but the path accepts nothing.
+    let cmp = baseline::compare(&[finding("zero/a.rs"), finding("b.rs")], &accepted, &zero);
+    assert_eq!(cmp.grown.len(), 1);
+    assert_eq!(cmp.grown[0].file, "zero/a.rs");
+    assert_eq!((cmp.grown[0].found, cmp.grown[0].accepted), (1, 0));
+    assert!(cmp.stale.is_empty());
+    // Once clean, the leftover entry is stale until the baseline drops it.
+    let cmp = baseline::compare(&[finding("b.rs")], &accepted, &zero);
+    assert!(cmp.grown.is_empty());
+    assert_eq!(cmp.stale.len(), 1);
+    assert_eq!(cmp.stale[0].file, "zero/a.rs");
 }
 
 #[test]

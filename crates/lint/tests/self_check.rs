@@ -63,7 +63,7 @@ fn workspace_scan_matches_committed_baseline() {
     let accepted = Baseline::load(&root.join("lint-baseline.json"))
         .expect("read baseline")
         .expect("lint-baseline.json is committed at the workspace root");
-    let cmp = baseline::compare(&result.findings, &accepted);
+    let cmp = baseline::compare(&result.findings, &accepted, &cfg.zero_baseline);
     assert!(
         cmp.is_clean(),
         "scan drifted from the baseline — run `cargo run -p wm-lint --release -- \
@@ -90,6 +90,7 @@ fn configured_paths_exist() {
         ("shim_crates", &cfg.shim_crates),
         ("kernel_paths", &cfg.kernel_paths),
         ("arith_paths", &cfg.arith_paths),
+        ("zero_baseline", &cfg.zero_baseline),
     ] {
         named.extend(paths.iter().map(|path| (name, path)));
     }

@@ -175,7 +175,7 @@ mod tests {
         let broken = corrupt(&svg, FaultKind::MissingRouters, 1);
         let doc = Document::parse(&broken).expect("still valid SVG");
         assert_eq!(doc.elements_with_class_prefix("object").count(), 0);
-        assert!(doc.elements.iter().any(|e| e.class_is("link")));
+        assert!(doc.elements().any(|e| e.class_is("link")));
     }
 
     #[test]

@@ -202,7 +202,7 @@ mod tests {
     use crate::layout::layout;
     use wm_geometry::Polygon;
     use wm_model::MapKind;
-    use wm_svg::Document;
+    use wm_svg::{Document, Tag};
 
     fn rendered() -> RenderedSnapshot {
         let state = genesis::build(MapKind::Europe, &targets(MapKind::Europe, 0.15), &[], 5).state;
@@ -221,7 +221,7 @@ mod tests {
         let r = rendered();
         let doc = Document::parse(&r.svg).expect("renderer output parses");
         assert!(doc.width > 0.0 && doc.height > 0.0);
-        assert!(!doc.elements.is_empty());
+        assert!(!doc.is_empty());
     }
 
     #[test]
@@ -247,12 +247,12 @@ mod tests {
         // After the object section, links come as polygon, polygon,
         // labellink, labellink; labels as rect.node, text.node pairs.
         let mut i = 0;
-        let elems = &doc.elements;
+        let elems: Vec<_> = doc.elements().collect();
         // Object section: rect/text pairs.
         while i < elems.len() && elems[i].class_starts_with("object") {
-            assert_eq!(elems[i].tag, "rect");
+            assert_eq!(elems[i].tag(), Tag::Rect);
             assert!(elems[i + 1].class_starts_with("object"));
-            assert_eq!(elems[i + 1].tag, "text");
+            assert_eq!(elems[i + 1].tag(), Tag::Text);
             i += 2;
         }
         assert!(i > 0, "no object section found");
@@ -260,14 +260,14 @@ mod tests {
         let mut links_seen = 0;
         while i < elems.len() {
             assert!(elems[i].class_is("link"), "expected link polygon at {i}");
-            assert_eq!(elems[i].tag, "polygon");
+            assert_eq!(elems[i].tag(), Tag::Polygon);
             assert!(elems[i + 1].class_is("link"));
             assert!(elems[i + 2].class_is("labellink"));
             assert!(elems[i + 3].class_is("labellink"));
             assert!(elems[i + 4].class_is("node"));
-            assert_eq!(elems[i + 4].tag, "rect");
+            assert_eq!(elems[i + 4].tag(), Tag::Rect);
             assert!(elems[i + 5].class_is("node"));
-            assert_eq!(elems[i + 5].tag, "text");
+            assert_eq!(elems[i + 5].tag(), Tag::Text);
             assert!(elems[i + 6].class_is("node"));
             assert!(elems[i + 7].class_is("node"));
             i += 8;
@@ -280,7 +280,7 @@ mod tests {
     fn load_texts_are_percentages() {
         let r = rendered();
         let doc = Document::parse(&r.svg).unwrap();
-        for e in doc.elements.iter().filter(|e| e.class_is("labellink")) {
+        for e in doc.elements().filter(|e| e.class_is("labellink")) {
             let text = e.as_text().expect("labellink is text");
             let load: Load = text.parse().expect("valid load text");
             assert!(load.percent() <= 100);

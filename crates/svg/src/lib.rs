@@ -5,10 +5,13 @@
 //! positioning them in the 2D image space", and both Algorithms 1 and 2
 //! exploit the document order and 2-D placement of elements rather than
 //! any hierarchy. This crate therefore models an SVG as an ordered list of
-//! [`Element`]s with typed [`Shape`] geometry:
+//! [`Element`]s with typed [`Shape`] geometry, stored flat: `Copy` rows
+//! over one text arena and one point pool, so a reused [`Document`]
+//! parses without allocating per element:
 //!
-//! * [`Document::parse`] turns SVG text into that list (flattening `<g>`
-//!   wrappers and applying `translate`/`matrix` transforms on the way),
+//! * [`Document::parse`] / [`Document::parse_into`] turn SVG text into
+//!   that list (flattening `<g>` wrappers and applying
+//!   `translate`/`matrix` transforms on the way),
 //! * [`Builder`] produces weathermap-shaped SVG text for the simulator's
 //!   renderer.
 //!
@@ -27,7 +30,7 @@ mod numbers;
 mod parse;
 
 pub use build::Builder;
-pub use element::{Document, Element, Shape};
+pub use element::{Capacity, Document, Element, Shape, Tag};
 pub use numbers::{parse_length, parse_points_into};
 pub use parse::ParseError;
 
@@ -54,10 +57,12 @@ mod tests {
         let doc = Document::parse(&svg).unwrap();
         assert_eq!(doc.width, 800.0);
         assert_eq!(doc.height, 600.0);
-        assert_eq!(doc.elements.len(), 3);
-        assert!(matches!(doc.elements[0].shape, Shape::Rect(_)));
-        assert!(matches!(&doc.elements[1].shape, Shape::Text { content, .. }
-            if content == "fra-fr5-pb6-nc5"));
-        assert!(matches!(&doc.elements[2].shape, Shape::Polygon(p) if p.len() == 3));
+        assert_eq!(doc.len(), 3);
+        assert!(matches!(doc.element(0).unwrap().shape(), Shape::Rect(_)));
+        assert!(
+            matches!(doc.element(1).unwrap().shape(), Shape::Text { content, .. }
+            if content == "fra-fr5-pb6-nc5")
+        );
+        assert!(matches!(doc.element(2).unwrap().shape(), Shape::Polygon(p) if p.len() == 3));
     }
 }

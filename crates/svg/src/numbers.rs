@@ -19,6 +19,14 @@ use wm_geometry::Point;
 pub fn parse_length(raw: &str) -> Option<f64> {
     let trimmed = raw.trim_start();
     let bytes = trimmed.as_bytes();
+    // A plain decimal followed by the end or a unit is the whole numeric
+    // prefix: no byte after it could extend the prefix below.
+    if let Some((value, end)) = fast_prefix(bytes) {
+        let extends = |b: &u8| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E');
+        if !bytes.get(end).is_some_and(extends) {
+            return Some(value);
+        }
+    }
     // The numeric prefix: digits, signs, dots, and an `e`/`E` followed
     // by a digit or sign. Every accepted byte is ASCII, so the prefix
     // ends on a character boundary.
@@ -65,11 +73,22 @@ pub fn parse_points_into(
             continue;
         }
         let start = i;
-        while bytes.get(i).is_some_and(|&b| !is_separator(b)) {
-            i += 1;
-        }
-        // Separators are ASCII, so token bounds are character bounds.
-        let value = parse_number(raw.get(start..i)?)?;
+        let rest = bytes.get(start..).unwrap_or_default();
+        let value = match fast_prefix(rest) {
+            // A plain decimal that runs to a separator is the whole token.
+            Some((value, len)) if !matches!(rest.get(len), Some(&b) if !is_separator(b)) => {
+                i = start + len;
+                value
+            }
+            _ => {
+                while bytes.get(i).is_some_and(|&b| !is_separator(b)) {
+                    i += 1;
+                }
+                // Separators are ASCII, so token bounds are character
+                // bounds.
+                parse_number(raw.get(start..i)?)?
+            }
+        };
         if !value.is_finite() {
             return None;
         }
@@ -103,16 +122,26 @@ fn parse_number(token: &str) -> Option<f64> {
 /// a mantissa of at most 2^53 and at most 22 fraction digits, as a
 /// correctly rounded double; `None` for anything else.
 fn fast_decimal(bytes: &[u8]) -> Option<f64> {
-    let (negative, digits) = match bytes.split_first() {
-        Some((b'-', rest)) => (true, rest),
-        Some((b'+', rest)) => (false, rest),
-        _ => (false, bytes),
+    fast_prefix(bytes)
+        .filter(|&(_, len)| len == bytes.len())
+        .map(|(value, _)| value)
+}
+
+/// The longest `[+-]digits[.digits]` prefix of `bytes` as a correctly
+/// rounded double, with its length; `None` when that prefix has no
+/// digit, a mantissa above 2^53 or more than 22 fraction digits.
+fn fast_prefix(bytes: &[u8]) -> Option<(f64, usize)> {
+    let (negative, sign_len) = match bytes.first() {
+        Some(b'-') => (true, 1),
+        Some(b'+') => (false, 1),
+        _ => (false, 0),
     };
     let mut mantissa = 0u64;
     let mut seen_digit = false;
     let mut seen_dot = false;
     let mut fraction_digits = 0usize;
-    for &b in digits {
+    let mut len = sign_len;
+    for &b in bytes.get(sign_len..).unwrap_or_default() {
         if b.is_ascii_digit() {
             mantissa = mantissa.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
             seen_digit = true;
@@ -120,15 +149,16 @@ fn fast_decimal(bytes: &[u8]) -> Option<f64> {
         } else if b == b'.' && !seen_dot {
             seen_dot = true;
         } else {
-            return None;
+            break;
         }
+        len += 1;
     }
     if !seen_digit || mantissa > MAX_EXACT_MANTISSA {
         return None;
     }
     let scale = POWERS_OF_TEN.get(fraction_digits)?;
     let magnitude = mantissa as f64 / scale;
-    Some(if negative { -magnitude } else { magnitude })
+    Some((if negative { -magnitude } else { magnitude }, len))
 }
 
 #[cfg(test)]
@@ -228,6 +258,73 @@ mod tests {
         ] {
             let expected = token.parse::<f64>().ok().map(f64::to_bits);
             assert_eq!(parse_number(token).map(f64::to_bits), expected, "{token:?}");
+        }
+    }
+
+    /// The numeric-prefix rule of `parse_length` and the token rule of
+    /// `parse_points_into`, spelled out with `str::parse` only.
+    fn reference_length(raw: &str) -> Option<f64> {
+        let t = raw.trim_start();
+        let b = t.as_bytes();
+        let mut end = 0;
+        while let Some(&c) = b.get(end) {
+            let exponent = matches!(c, b'e' | b'E')
+                && b.get(end + 1)
+                    .is_some_and(|n| n.is_ascii_digit() || matches!(n, b'-' | b'+'));
+            if !(c.is_ascii_digit() || matches!(c, b'.' | b'-' | b'+') || exponent) {
+                break;
+            }
+            end += 1;
+        }
+        let value: f64 = t.get(..end)?.parse().ok()?;
+        value.is_finite().then_some(value)
+    }
+
+    #[test]
+    fn fused_fast_paths_match_the_reference_rules() {
+        let numbers = [
+            "0",
+            "-0",
+            "+5.",
+            ".5",
+            "-.5",
+            "338.61",
+            "9007199254740993",
+            "1.2.3",
+            "1e5",
+            "--1",
+            "-",
+            ".",
+            "12345678901234567890",
+            "0.00000000000000000000001",
+        ];
+        let suffixes = ["", "px", " ", "e", "E3", "e-", "-1", "+", ".", ",", "%"];
+        for number in numbers {
+            for suffix in suffixes {
+                let raw = format!("{number}{suffix}");
+                assert_eq!(
+                    parse_length(&raw).map(f64::to_bits),
+                    reference_length(&raw).map(f64::to_bits),
+                    "{raw:?}"
+                );
+                let pair = format!("{raw},{number} {number}");
+                let tokens: Vec<&str> = pair
+                    .split(|c: char| c.is_ascii_whitespace() || c == ',')
+                    .filter(|t| !t.is_empty())
+                    .collect();
+                let expected: Option<Vec<u64>> = tokens
+                    .iter()
+                    .map(|t| t.parse::<f64>().ok().filter(|v| v.is_finite()))
+                    .map(|v| v.map(f64::to_bits))
+                    .collect();
+                let expected = expected.filter(|v| v.len() % 2 == 0);
+                let parsed = parse_points(&pair).map(|ps| {
+                    ps.iter()
+                        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                        .collect()
+                });
+                assert_eq!(parsed, expected, "{pair:?}");
+            }
         }
     }
 }

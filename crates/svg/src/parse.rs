@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use wm_geometry::{Point, Polygon, Rect, Segment};
+use wm_geometry::{Point, Rect, Segment};
 use wm_xml::{Event, Reader};
 
-use crate::element::{Document, Element, Shape};
+use crate::element::{Document, Geometry, Row, Span};
 use crate::numbers::{parse_length, parse_points_into};
 
 /// An error turning SVG text into a [`Document`].
@@ -116,38 +116,42 @@ impl Affine {
 fn parse_transform(raw: &str) -> Option<Affine> {
     let mut result = Affine::IDENTITY;
     let mut rest = raw;
-    while let Some(open) = rest.find('(') {
-        let op = rest[..open].trim().trim_start_matches(',').trim();
-        let Some(close) = rest[open..].find(')') else {
+    while let Some((head, after)) = rest.split_once('(') {
+        let op = head.trim().trim_start_matches(',').trim();
+        let Some((body, tail)) = after.split_once(')') else {
             break;
         };
-        let args: Vec<f64> = rest[open + 1..open + close]
+        // Up to six arguments are kept: no known operation takes more,
+        // and a longer list matches none of them anyway.
+        let mut args = [0.0f64; 6];
+        let mut count = 0usize;
+        for token in body
             .split(|c: char| c.is_ascii_whitespace() || c == ',')
             .filter(|t| !t.is_empty())
-            .filter_map(|t| t.parse().ok())
-            .collect();
-        if !args.iter().all(|v: &f64| v.is_finite()) {
-            return None;
+        {
+            let Ok(value) = token.parse::<f64>() else {
+                continue;
+            };
+            if !value.is_finite() {
+                return None;
+            }
+            if let Some(slot) = args.get_mut(count) {
+                *slot = value;
+            }
+            count += 1;
         }
-        let step = match (op, args.as_slice()) {
-            ("translate", [tx]) => Some(Affine::translate(*tx, 0.0)),
-            ("translate", [tx, ty]) => Some(Affine::translate(*tx, *ty)),
-            ("scale", [s]) => Some(Affine::scale(*s, *s)),
-            ("scale", [sx, sy]) => Some(Affine::scale(*sx, *sy)),
-            ("matrix", [a, b, c, d, e, f]) => Some(Affine {
-                a: *a,
-                b: *b,
-                c: *c,
-                d: *d,
-                e: *e,
-                f: *f,
-            }),
+        let step = match (op, args.get(..count)) {
+            ("translate", Some(&[tx])) => Some(Affine::translate(tx, 0.0)),
+            ("translate", Some(&[tx, ty])) => Some(Affine::translate(tx, ty)),
+            ("scale", Some(&[s])) => Some(Affine::scale(s, s)),
+            ("scale", Some(&[sx, sy])) => Some(Affine::scale(sx, sy)),
+            ("matrix", Some(&[a, b, c, d, e, f])) => Some(Affine { a, b, c, d, e, f }),
             _ => None,
         };
         if let Some(step) = step {
             result = result.then(step);
         }
-        rest = &rest[open + close + 1..];
+        rest = tail;
     }
     Some(result)
 }
@@ -163,48 +167,46 @@ impl Document {
     ///
     /// Groups (`<g>`) are flattened and their transforms applied to child
     /// geometry; elements the pipeline does not use are kept as
-    /// [`Shape::Other`] placeholders so document order stays faithful.
+    /// [`Shape::Other`](crate::Shape::Other) placeholders so document
+    /// order stays faithful.
     pub fn parse(text: &str) -> Result<Document, ParseError> {
-        let mut doc = Document {
-            width: 0.0,
-            height: 0.0,
-            elements: Vec::new(),
-        };
+        let mut doc = Document::default();
         Document::parse_into(text, &mut doc)?;
         Ok(doc)
     }
 
-    /// Parses SVG text into an existing document, reusing its element
-    /// storage.
+    /// Parses SVG text into an existing document, reusing its storage.
     ///
     /// `doc` is cleared first; on success it holds exactly what
-    /// [`Document::parse`] would have returned, but the element vector's
-    /// capacity is retained across calls — the batch pipeline parses
-    /// thousands of similarly-sized snapshots per worker and reuses one
-    /// document per thread. On error the document's contents are
-    /// unspecified (cleared or partially filled).
+    /// [`Document::parse`] would have returned, but every buffer (rows,
+    /// text arena, point pool, class table, the XML reader's attribute
+    /// buffer) keeps its capacity across calls — the batch pipeline
+    /// parses thousands of similarly-sized snapshots per worker and
+    /// reuses one document per thread, so a warm parse allocates nothing
+    /// per element. On error the document's contents are unspecified
+    /// (cleared or partially filled).
     pub fn parse_into(text: &str, doc: &mut Document) -> Result<(), ParseError> {
-        let mut reader = Reader::new(text);
-        doc.width = 0.0;
-        doc.height = 0.0;
-        doc.elements.clear();
+        doc.clear();
+        let mut reader = Reader::with_buffer(text, std::mem::take(&mut doc.attributes));
+        let parsed = doc.fill(&mut reader);
+        doc.attributes = reader.into_buffer();
+        parsed
+    }
+
+    /// Reads every event of `reader` into the (cleared) document.
+    fn fill(&mut self, reader: &mut Reader<'_>) -> Result<(), ParseError> {
         // Transform stack: one entry per open element.
         let mut stack: Vec<Affine> = Vec::new();
         let mut seen_svg = false;
-        // Index of the in-progress <text> element.
+        // Index of the in-progress <text> row.
         let mut open_text: Option<usize> = None;
         // Depth of an open element whose text content must be ignored.
         let mut skip_text_depth: Option<usize> = None;
-        // Transformed polygon points, parsed here and copied out at their
-        // exact size: one allocation per polygon.
-        let mut points: Vec<Point> = Vec::new();
 
-        while let Some(event) = reader.next_event()? {
+        while let Some(event) = reader.next_buffered()? {
             match event {
                 Event::StartElement {
-                    name,
-                    attributes,
-                    self_closing,
+                    name, self_closing, ..
                 } => {
                     if !seen_svg {
                         if name != "svg" {
@@ -212,14 +214,9 @@ impl Document {
                         }
                         seen_svg = true;
                     }
-                    let attr = |key: &str| {
-                        attributes
-                            .iter()
-                            .find(|a| a.name == key)
-                            .map(|a| a.value.as_ref())
-                    };
+                    let attrs = Known::read(reader);
                     let parent = stack.last().copied().unwrap_or(Affine::IDENTITY);
-                    let local = match attr("transform") {
+                    let local = match attrs.transform {
                         None => Affine::IDENTITY,
                         Some(raw) => parse_transform(raw)
                             .ok_or_else(|| bad(name, "non-finite transform argument"))?,
@@ -227,72 +224,74 @@ impl Document {
                     let transform = parent.then(local);
 
                     if name == "svg" && stack.is_empty() {
-                        doc.width = attr("width").and_then(parse_length).unwrap_or(0.0);
-                        doc.height = attr("height").and_then(parse_length).unwrap_or(0.0);
+                        self.width = number(attrs.width);
+                        self.height = number(attrs.height);
                     }
 
-                    let class = attr("class").map(str::to_owned);
-                    let id = attr("id").map(str::to_owned);
-                    let get = |key: &str| attr(key).and_then(parse_length);
-
-                    let shape = match name {
+                    let geometry = match name {
                         "rect" => {
-                            let x = get("x").unwrap_or(0.0);
-                            let y = get("y").unwrap_or(0.0);
-                            let w = get("width").unwrap_or(0.0);
-                            let h = get("height").unwrap_or(0.0);
+                            let x = number(attrs.x);
+                            let y = number(attrs.y);
+                            let w = number(attrs.width);
+                            let h = number(attrs.height);
                             let p1 = transform.apply(Point::new(x, y));
                             let p2 = transform.apply(Point::new(x + w, y + h));
                             if !(finite(p1) && finite(p2)) {
                                 return Err(bad(name, "non-finite rect coordinates"));
                             }
-                            Some(Shape::Rect(Rect::from_corners(p1, p2)))
+                            Some(Geometry::Rect(Rect::from_corners(p1, p2)))
                         }
                         "polygon" | "polyline" => {
-                            let raw = attr("points")
+                            let raw = attrs
+                                .points
                                 .ok_or_else(|| bad(name, "missing points attribute"))?;
-                            points.clear();
-                            parse_points_into(raw, &mut points, |p| transform.apply(p))
+                            let start = self.points.len();
+                            parse_points_into(raw, &mut self.points, |p| transform.apply(p))
                                 .ok_or_else(|| bad(name, "unparsable points attribute"))?;
-                            if !points.iter().all(|&p| finite(p)) {
+                            let span = Span {
+                                start,
+                                end: self.points.len(),
+                            };
+                            let added = self.points.get(start..).unwrap_or_default();
+                            if !added.iter().all(|&p| finite(p)) {
                                 return Err(bad(name, "non-finite polygon points"));
                             }
-                            Some(Shape::Polygon(Polygon::new(points.clone())))
+                            Some(if name == "polygon" {
+                                Geometry::Polygon(span)
+                            } else {
+                                Geometry::Polyline(span)
+                            })
                         }
                         "line" => {
-                            let x1 = get("x1").unwrap_or(0.0);
-                            let y1 = get("y1").unwrap_or(0.0);
-                            let x2 = get("x2").unwrap_or(0.0);
-                            let y2 = get("y2").unwrap_or(0.0);
-                            Some(Shape::Line(Segment::new(
+                            let x1 = number(attrs.x1);
+                            let y1 = number(attrs.y1);
+                            let x2 = number(attrs.x2);
+                            let y2 = number(attrs.y2);
+                            Some(Geometry::Line(Segment::new(
                                 transform.apply(Point::new(x1, y1)),
                                 transform.apply(Point::new(x2, y2)),
                             )))
                         }
                         "text" => {
-                            let x = get("x").unwrap_or(0.0);
-                            let y = get("y").unwrap_or(0.0);
-                            Some(Shape::Text {
+                            let x = number(attrs.x);
+                            let y = number(attrs.y);
+                            let at = self.text.len();
+                            Some(Geometry::Text {
                                 anchor: transform.apply(Point::new(x, y)),
-                                content: String::new(),
+                                content: Span { start: at, end: at },
                             })
                         }
                         "tspan" => None, // Content folds into the open <text>.
                         "svg" | "g" => None,
-                        _ => Some(Shape::Other),
+                        _ => Some(Geometry::Other),
                     };
 
-                    if let Some(shape) = shape {
-                        let is_text = matches!(shape, Shape::Text { .. });
-                        let records_text = is_text && !self_closing;
-                        doc.elements.push(Element {
-                            tag: name.to_owned(),
-                            class,
-                            id,
-                            shape,
-                        });
-                        if records_text {
-                            open_text = Some(doc.elements.len() - 1);
+                    if let Some(geometry) = geometry {
+                        let class = attrs.class.map(|c| self.intern_class(c));
+                        let is_text = matches!(geometry, Geometry::Text { .. });
+                        self.rows.push(Row { class, geometry });
+                        if is_text && !self_closing {
+                            open_text = Some(self.rows.len() - 1);
                         } else if !self_closing && !is_text {
                             // E.g. <style> bodies must not leak into text.
                             skip_text_depth = skip_text_depth.or(Some(stack.len()));
@@ -313,8 +312,8 @@ impl Document {
                         }
                     }
                 }
-                Event::Text(t) => append_text(doc, skip_text_depth, open_text, &t),
-                Event::CData(t) => append_text(doc, skip_text_depth, open_text, t),
+                Event::Text(t) => self.append_text(skip_text_depth, open_text, &t),
+                Event::CData(t) => self.append_text(skip_text_depth, open_text, t),
                 Event::Declaration(_)
                 | Event::Doctype(_)
                 | Event::Comment(_)
@@ -326,18 +325,71 @@ impl Document {
         }
         Ok(())
     }
-}
 
-/// Folds character data into the currently open `<text>` element.
-fn append_text(doc: &mut Document, skip: Option<usize>, open_text: Option<usize>, t: &str) {
-    if skip.is_some() {
-        return;
-    }
-    if let Some(idx) = open_text {
-        if let Shape::Text { content, .. } = &mut doc.elements[idx].shape {
-            content.push_str(t);
+    /// Folds character data into the currently open `<text>` row.
+    ///
+    /// Only the open row's content ever grows, and a row opened later
+    /// closes it for good (`open_text` moves on and is cleared at the
+    /// next `</text>`), so each row's content stays one contiguous run
+    /// of the arena.
+    fn append_text(&mut self, skip: Option<usize>, open_text: Option<usize>, t: &str) {
+        if skip.is_some() {
+            return;
+        }
+        let Some(row) = open_text.and_then(|idx| self.rows.get_mut(idx)) else {
+            return;
+        };
+        if let Geometry::Text { content, .. } = &mut row.geometry {
+            self.text.push_str(t);
+            content.end = self.text.len();
         }
     }
+}
+
+/// The attributes the model reads, gathered in one pass over a start
+/// tag (a tag names each attribute at most once).
+#[derive(Default)]
+struct Known<'r> {
+    class: Option<&'r str>,
+    transform: Option<&'r str>,
+    x: Option<&'r str>,
+    y: Option<&'r str>,
+    width: Option<&'r str>,
+    height: Option<&'r str>,
+    x1: Option<&'r str>,
+    y1: Option<&'r str>,
+    x2: Option<&'r str>,
+    y2: Option<&'r str>,
+    points: Option<&'r str>,
+}
+
+impl<'r> Known<'r> {
+    fn read(reader: &'r Reader<'_>) -> Known<'r> {
+        let mut known = Known::default();
+        for (name, value) in reader.attributes() {
+            let slot = match name {
+                "class" => &mut known.class,
+                "transform" => &mut known.transform,
+                "x" => &mut known.x,
+                "y" => &mut known.y,
+                "width" => &mut known.width,
+                "height" => &mut known.height,
+                "x1" => &mut known.x1,
+                "y1" => &mut known.y1,
+                "x2" => &mut known.x2,
+                "y2" => &mut known.y2,
+                "points" => &mut known.points,
+                _ => continue,
+            };
+            *slot = Some(value);
+        }
+        known
+    }
+}
+
+/// A length attribute's value; 0 when absent or not a number.
+fn number(raw: Option<&str>) -> f64 {
+    raw.and_then(parse_length).unwrap_or(0.0)
 }
 
 fn bad(tag: &str, message: &str) -> ParseError {
@@ -350,13 +402,14 @@ fn bad(tag: &str, message: &str) -> ParseError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Shape, Tag};
 
     #[test]
     fn minimal_svg() {
         let doc = Document::parse(r#"<svg width="100" height="50"></svg>"#).unwrap();
         assert_eq!(doc.width, 100.0);
         assert_eq!(doc.height, 50.0);
-        assert!(doc.elements.is_empty());
+        assert!(doc.is_empty());
     }
 
     #[test]
@@ -380,8 +433,8 @@ mod tests {
     fn parses_rect_with_defaults() {
         let doc = Document::parse(r#"<svg><rect width="10" height="5"/></svg>"#).unwrap();
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(0.0, 0.0, 10.0, 5.0))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(0.0, 0.0, 10.0, 5.0))
         );
     }
 
@@ -389,10 +442,10 @@ mod tests {
     fn parses_classed_rect() {
         let svg = r#"<svg><rect class="object" x="5" y="6" width="10" height="5"/></svg>"#;
         let doc = Document::parse(svg).unwrap();
-        assert!(doc.elements[0].class_is("object"));
+        assert!(doc.element(0).unwrap().class_is("object"));
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(5.0, 6.0, 10.0, 5.0))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(5.0, 6.0, 10.0, 5.0))
         );
     }
 
@@ -400,9 +453,9 @@ mod tests {
     fn parses_polygon_points() {
         let svg = r#"<svg><polygon class="link" points="0,0 10,0 5,8"/></svg>"#;
         let doc = Document::parse(svg).unwrap();
-        let poly = doc.elements[0].as_polygon().unwrap();
+        let poly = doc.element(0).unwrap().as_polygon().unwrap();
         assert_eq!(poly.len(), 3);
-        assert_eq!(poly.vertices()[2], Point::new(5.0, 8.0));
+        assert_eq!(poly[2], Point::new(5.0, 8.0));
     }
 
     #[test]
@@ -423,9 +476,9 @@ mod tests {
     fn parses_text_with_tspans() {
         let svg = r#"<svg><text x="3" y="4" class="labellink">42<tspan> %</tspan></text></svg>"#;
         let doc = Document::parse(svg).unwrap();
-        match &doc.elements[0].shape {
+        match doc.element(0).unwrap().shape() {
             Shape::Text { anchor, content } => {
-                assert_eq!(*anchor, Point::new(3.0, 4.0));
+                assert_eq!(anchor, Point::new(3.0, 4.0));
                 assert_eq!(content, "42 %");
             }
             other => panic!("expected text, got {other:?}"),
@@ -437,9 +490,9 @@ mod tests {
         let svg =
             r#"<svg><style>.object { fill: white; }</style><text x="0" y="0">hi</text></svg>"#;
         let doc = Document::parse(svg).unwrap();
-        assert_eq!(doc.elements.len(), 2);
-        assert_eq!(doc.elements[0].shape, Shape::Other);
-        assert_eq!(doc.elements[1].as_text(), Some("hi"));
+        assert_eq!(doc.len(), 2);
+        assert_eq!(doc.element(0).unwrap().shape(), Shape::Other);
+        assert_eq!(doc.element(1).unwrap().as_text(), Some("hi"));
     }
 
     #[test]
@@ -447,11 +500,11 @@ mod tests {
         let svg = r#"<svg><g transform="translate(10, 20)"><rect x="1" y="2" width="3" height="4"/><polygon points="0,0 2,0 1,2"/></g></svg>"#;
         let doc = Document::parse(svg).unwrap();
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(11.0, 22.0, 3.0, 4.0))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(11.0, 22.0, 3.0, 4.0))
         );
         assert_eq!(
-            doc.elements[1].as_polygon().unwrap().vertices()[0],
+            doc.element(1).unwrap().as_polygon().unwrap()[0],
             Point::new(10.0, 20.0)
         );
     }
@@ -460,7 +513,7 @@ mod tests {
     fn nested_group_transforms_compose() {
         let svg = r#"<svg><g transform="translate(10,0)"><g transform="translate(0,5)"><line x1="0" y1="0" x2="1" y2="1"/></g></g></svg>"#;
         let doc = Document::parse(svg).unwrap();
-        match &doc.elements[0].shape {
+        match doc.element(0).unwrap().shape() {
             Shape::Line(seg) => {
                 assert_eq!(seg.start, Point::new(10.0, 5.0));
                 assert_eq!(seg.end, Point::new(11.0, 6.0));
@@ -474,12 +527,12 @@ mod tests {
         let svg = r#"<svg><g transform="scale(2)"><rect x="1" y="1" width="2" height="2"/></g><g transform="matrix(1 0 0 1 5 5)"><rect x="0" y="0" width="1" height="1"/></g></svg>"#;
         let doc = Document::parse(svg).unwrap();
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(2.0, 2.0, 4.0, 4.0))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(2.0, 2.0, 4.0, 4.0))
         );
         assert_eq!(
-            doc.elements[1].as_rect(),
-            Some(&Rect::new(5.0, 5.0, 1.0, 1.0))
+            doc.element(1).unwrap().as_rect(),
+            Some(Rect::new(5.0, 5.0, 1.0, 1.0))
         );
     }
 
@@ -489,8 +542,8 @@ mod tests {
             r#"<svg><rect transform="translate(100,0)" x="0" y="0" width="1" height="1"/></svg>"#;
         let doc = Document::parse(svg).unwrap();
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(100.0, 0.0, 1.0, 1.0))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(100.0, 0.0, 1.0, 1.0))
         );
     }
 
@@ -499,8 +552,8 @@ mod tests {
         let svg = r#"<svg><g transform="rotate(45) translate(3,4)"><rect x="0" y="0" width="1" height="1"/></g></svg>"#;
         let doc = Document::parse(svg).unwrap();
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(3.0, 4.0, 1.0, 1.0))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(3.0, 4.0, 1.0, 1.0))
         );
     }
 
@@ -542,8 +595,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            doc.elements[0].as_rect(),
-            Some(&Rect::new(1e300, 1e300, 1e300, 1e300))
+            doc.element(0).unwrap().as_rect(),
+            Some(Rect::new(1e300, 1e300, 1e300, 1e300))
         );
     }
 
@@ -551,14 +604,14 @@ mod tests {
     fn document_order_is_preserved() {
         let svg = r#"<svg><rect width="1" height="1"/><text x="0" y="0">a</text><polygon points="0,0 1,0 0,1"/></svg>"#;
         let doc = Document::parse(svg).unwrap();
-        let tags: Vec<&str> = doc.elements.iter().map(|e| e.tag.as_str()).collect();
-        assert_eq!(tags, ["rect", "text", "polygon"]);
+        let tags: Vec<Tag> = doc.elements().map(|e| e.tag()).collect();
+        assert_eq!(tags, [Tag::Rect, Tag::Text, Tag::Polygon]);
     }
 
     #[test]
     fn self_closing_text_is_empty() {
         let doc = Document::parse(r#"<svg><text x="1" y="2"/></svg>"#).unwrap();
-        assert_eq!(doc.elements[0].as_text(), Some(""));
+        assert_eq!(doc.element(0).unwrap().as_text(), Some(""));
     }
 
     #[test]

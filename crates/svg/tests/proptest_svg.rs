@@ -60,9 +60,9 @@ proptest! {
         let svg = builder.finish();
         let doc = Document::parse(&svg)
             .unwrap_or_else(|e| panic!("builder output failed to parse: {e}\n---\n{svg}"));
-        prop_assert_eq!(doc.elements.len(), items.len());
-        for (element, item) in doc.elements.iter().zip(&items) {
-            match (item, &element.shape) {
+        prop_assert_eq!(doc.len(), items.len());
+        for (element, item) in doc.elements().zip(&items) {
+            match (item, element.shape()) {
                 (Item::Rect(expected), Shape::Rect(parsed)) => {
                     prop_assert!(
                         (parsed.x - expected.x).abs() < 1e-9
@@ -73,8 +73,8 @@ proptest! {
                     );
                 }
                 (Item::Polygon(expected), Shape::Polygon(parsed)) => {
-                    prop_assert_eq!(parsed.vertices().len(), expected.len());
-                    for (p, q) in parsed.vertices().iter().zip(expected) {
+                    prop_assert_eq!(parsed.len(), expected.len());
+                    for (p, q) in parsed.iter().zip(expected) {
                         prop_assert!(p.approx_eq(*q), "vertex {} vs {}", p, q);
                     }
                 }

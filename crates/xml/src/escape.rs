@@ -52,34 +52,41 @@ pub fn unescape(raw: &str, offset: usize) -> Result<Cow<'_, str>> {
         return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
+    unescape_into(raw, offset, &mut out)?;
+    Ok(Cow::Owned(out))
+}
+
+/// [`unescape`] appending the decoded text to `out`, so a caller with a
+/// reused buffer decodes without allocating. On error `out` may hold
+/// the text decoded before the bad entity.
+pub(crate) fn unescape_into(raw: &str, offset: usize, out: &mut String) -> Result<()> {
     let mut rest = raw;
-    let mut consumed = 0usize;
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        let after = &rest[amp + 1..];
-        let semi = after.find(';').ok_or_else(|| {
+    let mut at = offset;
+    while let Some((before, after)) = rest.split_once('&') {
+        out.push_str(before);
+        let amp = at + before.len();
+        let (entity, tail) = after.split_once(';').ok_or_else(|| {
             Error::new(
                 ErrorKind::UnexpectedEof {
                     context: "an entity reference",
                 },
-                offset + consumed + amp,
+                amp,
             )
         })?;
-        let entity = &after[..semi];
         let decoded = decode_entity(entity).ok_or_else(|| {
             Error::new(
                 ErrorKind::InvalidEntity {
                     entity: entity.to_owned(),
                 },
-                offset + consumed + amp,
+                amp,
             )
         })?;
         out.push(decoded);
-        consumed += amp + 1 + semi + 1;
-        rest = &rest[amp + 1 + semi + 1..];
+        at = amp + 1 + entity.len() + 1;
+        rest = tail;
     }
     out.push_str(rest);
-    Ok(Cow::Owned(out))
+    Ok(())
 }
 
 fn decode_entity(entity: &str) -> Option<char> {

@@ -14,7 +14,10 @@
 //!   counts such files).
 //!
 //! It is a *pull* parser: [`Reader`] yields a stream of [`Event`]s, which
-//! the SVG layer assembles into a document. The companion [`Writer`]
+//! the SVG layer assembles into a document. Start-tag attributes live in
+//! an [`AttributeBuffer`] the reader reuses from tag to tag (and a caller
+//! from document to document), so a warm parse allocates nothing per
+//! tag. The companion [`Writer`]
 //! produces well-formed output with correct escaping and is used by the
 //! simulator's SVG renderer and the YAML-adjacent tooling.
 //!
@@ -32,7 +35,7 @@ mod writer;
 
 pub use error::{Error, ErrorKind, Result};
 pub use escape::{escape_attribute, escape_text, unescape};
-pub use reader::{Attribute, Event, Reader};
+pub use reader::{Attribute, AttributeBuffer, Event, Reader};
 pub use writer::{ElementBuilder, Writer};
 
 #[cfg(test)]
@@ -56,7 +59,7 @@ mod tests {
         w.text("42 %").unwrap();
         w.end_element("text").unwrap();
         w.end_element("svg").unwrap();
-        let xml = w.into_string();
+        let xml = w.into_string_checked().unwrap();
 
         let mut r = Reader::new(&xml);
         let mut texts = Vec::new();

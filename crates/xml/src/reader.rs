@@ -1,6 +1,6 @@
 //! The streaming pull parser.
 
-use crate::escape::unescape;
+use crate::escape::{unescape, unescape_into};
 use crate::{Error, ErrorKind, Result};
 use std::borrow::Cow;
 
@@ -16,13 +16,15 @@ pub struct Attribute<'a> {
     pub value: Cow<'a, str>,
 }
 
-/// One parse event produced by [`Reader::next_event`].
+/// One parse event produced by [`Reader::next_event`] (with `A` the
+/// start tag's attribute list) or [`Reader::next_buffered`] (with `A =
+/// ()`: the attributes stay in the reader).
 ///
 /// Events borrow from the input document, so steady-state parsing does
 /// not allocate: only text and attribute values containing entities are
 /// decoded into owned buffers (as [`Cow::Owned`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event<'a> {
+pub enum Event<'a, A = Vec<Attribute<'a>>> {
     /// The `<?xml ... ?>` declaration, raw content between the markers.
     Declaration(&'a str),
     /// A `<!DOCTYPE ...>` definition, raw content (not interpreted).
@@ -39,7 +41,7 @@ pub enum Event<'a> {
         /// Element name.
         name: &'a str,
         /// Attributes in document order.
-        attributes: Vec<Attribute<'a>>,
+        attributes: A,
         /// Whether the tag was written `<name ... />`.
         self_closing: bool,
     },
@@ -69,10 +71,70 @@ impl<'a> Event<'a> {
     }
 }
 
+impl<'a, A> Event<'a, A> {
+    /// The same event with a start tag's attributes replaced by
+    /// `f(attributes)`.
+    fn map_attributes<B>(self, f: impl FnOnce(A) -> B) -> Event<'a, B> {
+        match self {
+            Event::Declaration(s) => Event::Declaration(s),
+            Event::Doctype(s) => Event::Doctype(s),
+            Event::ProcessingInstruction(s) => Event::ProcessingInstruction(s),
+            Event::Comment(s) => Event::Comment(s),
+            Event::CData(s) => Event::CData(s),
+            Event::StartElement {
+                name,
+                attributes,
+                self_closing,
+            } => Event::StartElement {
+                name,
+                attributes: f(attributes),
+                self_closing,
+            },
+            Event::EndElement { name } => Event::EndElement { name },
+            Event::Text(t) => Event::Text(t),
+        }
+    }
+}
+
+/// Where one attribute of the current start tag lies: its name in the
+/// input, its value in the input or, when it held entities, decoded in
+/// the buffer's own arena.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    name: (usize, usize),
+    value: (usize, usize),
+    decoded: bool,
+}
+
+/// The attributes of the start tag a [`Reader`] read last, held as byte
+/// ranges so the storage outlives any one document.
+///
+/// The reader clears and refills it at every start tag, so a document
+/// costs no allocation per tag once it has seen its widest tag. A
+/// caller that parses many documents hands the buffer from one reader
+/// to the next ([`Reader::with_buffer`], [`Reader::into_buffer`]) and
+/// pays nothing per document either.
+#[derive(Debug, Clone, Default)]
+pub struct AttributeBuffer {
+    slots: Vec<Slot>,
+    /// Values that held entities, decoded back to back.
+    decoded: String,
+}
+
+impl AttributeBuffer {
+    /// The buffer's capacity: attribute slots, and bytes of decoded
+    /// values.
+    #[must_use]
+    pub fn capacity(&self) -> (usize, usize) {
+        (self.slots.capacity(), self.decoded.capacity())
+    }
+}
+
 /// A streaming XML pull parser over an in-memory document.
 ///
-/// Call [`Reader::next_event`] repeatedly; it returns `Ok(None)` at the end
-/// of a well-formed document and `Err` on the first syntax error.
+/// Call [`Reader::next_event`] (or [`Reader::next_buffered`])
+/// repeatedly; it returns `Ok(None)` at the end of a well-formed
+/// document and `Err` on the first syntax error.
 #[derive(Debug)]
 pub struct Reader<'a> {
     input: &'a [u8],
@@ -80,19 +142,35 @@ pub struct Reader<'a> {
     pos: usize,
     stack: Vec<&'a str>,
     seen_root: bool,
+    attributes: AttributeBuffer,
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader over a complete document held in memory.
     #[must_use]
     pub fn new(text: &'a str) -> Self {
+        Self::with_buffer(text, AttributeBuffer::default())
+    }
+
+    /// Creates a reader that keeps start-tag attributes in `attributes`,
+    /// a buffer recovered from an earlier reader with
+    /// [`Reader::into_buffer`].
+    #[must_use]
+    pub fn with_buffer(text: &'a str, attributes: AttributeBuffer) -> Self {
         Self {
             input: text.as_bytes(),
             text,
             pos: 0,
             stack: Vec::new(),
             seen_root: false,
+            attributes,
         }
+    }
+
+    /// Ends the reader, returning its attribute buffer for the next one.
+    #[must_use]
+    pub fn into_buffer(self) -> AttributeBuffer {
+        self.attributes
     }
 
     /// Current byte offset into the input.
@@ -109,8 +187,17 @@ impl<'a> Reader<'a> {
 
     /// Produces the next event, `Ok(None)` at a well-formed end of input.
     pub fn next_event(&mut self) -> Result<Option<Event<'a>>> {
+        let event = self.next_buffered()?;
+        Ok(event.map(|e| e.map_attributes(|()| self.attribute_list())))
+    }
+
+    /// [`Reader::next_event`] without collecting a start tag's
+    /// attributes: they stay in the reader's buffer, readable with
+    /// [`Reader::attributes`] until the next call. This is the one
+    /// grammar; `next_event` only copies the attributes out.
+    pub fn next_buffered(&mut self) -> Result<Option<Event<'a, ()>>> {
         loop {
-            if self.pos >= self.input.len() {
+            let Some(first) = self.peek() else {
                 if !self.stack.is_empty() {
                     return Err(Error::new(
                         ErrorKind::UnclosedElements {
@@ -120,15 +207,15 @@ impl<'a> Reader<'a> {
                     ));
                 }
                 return Ok(None);
-            }
-            if self.input[self.pos] == b'<' {
+            };
+            if first == b'<' {
                 return self.read_markup().map(Some);
             }
             // Character data up to the next '<'.
             let start = self.pos;
             let end = memchr(self.input, b'<', self.pos).unwrap_or(self.input.len());
             self.pos = end;
-            let raw = &self.text[start..end];
+            let raw = self.slice(start, end)?;
             if raw.bytes().all(|b| b.is_ascii_whitespace()) {
                 continue; // Skip inter-element whitespace.
             }
@@ -140,9 +227,54 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The current start tag's attributes as `(name, value)` pairs in
+    /// document order, values decoded (see [`Reader::next_buffered`]).
+    pub fn attributes(&self) -> impl Iterator<Item = (&'a str, &str)> + '_ {
+        let text: &'a str = self.text;
+        self.attributes.slots.iter().filter_map(move |slot| {
+            let name = text.get(slot.name.0..slot.name.1)?;
+            Some((name, self.value_of(slot)?))
+        })
+    }
+
+    /// The current start tag's attributes, copied out in document order.
+    fn attribute_list(&self) -> Vec<Attribute<'a>> {
+        let text: &'a str = self.text;
+        self.attributes
+            .slots
+            .iter()
+            .filter_map(|slot| {
+                let name = text.get(slot.name.0..slot.name.1)?;
+                let value = if slot.decoded {
+                    Cow::Owned(self.value_of(slot)?.to_owned())
+                } else {
+                    Cow::Borrowed(text.get(slot.value.0..slot.value.1)?)
+                };
+                Some(Attribute { name, value })
+            })
+            .collect()
+    }
+
+    fn value_of(&self, slot: &Slot) -> Option<&str> {
+        let (start, end) = slot.value;
+        if slot.decoded {
+            self.attributes.decoded.get(start..end)
+        } else {
+            self.text.get(start..end)
+        }
+    }
+
+    /// The input between two offsets. Every offset the grammar slices at
+    /// sits on an ASCII delimiter or the end of input, so this never
+    /// fails on a `&str`; the error keeps it panic-free regardless.
+    fn slice(&self, start: usize, end: usize) -> Result<&'a str> {
+        let text: &'a str = self.text;
+        text.get(start..end)
+            .ok_or_else(|| Error::new(ErrorKind::UnexpectedEof { context: "input" }, start))
+    }
+
     /// Reads markup starting at `<`.
-    fn read_markup(&mut self) -> Result<Event<'a>> {
-        debug_assert_eq!(self.input[self.pos], b'<');
+    fn read_markup(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
         match self.input.get(self.pos + 1) {
             None => Err(Error::new(
@@ -157,7 +289,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `<? ... ?>`.
-    fn read_pi(&mut self) -> Result<Event<'a>> {
+    fn read_pi(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
         let body_start = self.pos + 2;
         let end = find(self.input, b"?>", body_start).ok_or_else(|| {
@@ -168,19 +300,20 @@ impl<'a> Reader<'a> {
                 at,
             )
         })?;
-        let body = &self.text[body_start..end];
+        let body = self.slice(body_start, end)?;
         self.pos = end + 2;
-        if body.starts_with("xml") && body[3..].starts_with(|c: char| c.is_ascii_whitespace()) {
-            Ok(Event::Declaration(body[3..].trim()))
-        } else {
-            Ok(Event::ProcessingInstruction(body))
+        match body.strip_prefix("xml") {
+            Some(rest) if rest.starts_with(|c: char| c.is_ascii_whitespace()) => {
+                Ok(Event::Declaration(rest.trim()))
+            }
+            _ => Ok(Event::ProcessingInstruction(body)),
         }
     }
 
     /// Reads `<!-- -->`, `<![CDATA[ ]]>` or `<!DOCTYPE >`.
-    fn read_bang(&mut self) -> Result<Event<'a>> {
+    fn read_bang(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
-        let rest = &self.input[self.pos..];
+        let rest = self.input.get(self.pos..).unwrap_or_default();
         if rest.starts_with(b"<!--") {
             let end = find(self.input, b"-->", self.pos + 4).ok_or_else(|| {
                 Error::new(
@@ -190,7 +323,7 @@ impl<'a> Reader<'a> {
                     at,
                 )
             })?;
-            let body = &self.text[self.pos + 4..end];
+            let body = self.slice(self.pos + 4, end)?;
             self.pos = end + 3;
             return Ok(Event::Comment(body));
         }
@@ -203,29 +336,30 @@ impl<'a> Reader<'a> {
                     at,
                 )
             })?;
-            let body = &self.text[self.pos + 9..end];
+            let body = self.slice(self.pos + 9, end)?;
             self.pos = end + 3;
             if self.stack.is_empty() {
                 return Err(Error::new(ErrorKind::TrailingContent, at));
             }
             return Ok(Event::CData(body));
         }
-        if rest.len() >= 9 && rest[2..9].eq_ignore_ascii_case(b"DOCTYPE") {
+        if rest
+            .get(2..9)
+            .is_some_and(|word| word.eq_ignore_ascii_case(b"DOCTYPE"))
+        {
             // DOCTYPE may nest brackets for an internal subset.
             let mut depth = 0usize;
-            let mut i = self.pos + 2;
-            while i < self.input.len() {
-                match self.input[i] {
+            for (i, &b) in rest.iter().enumerate().skip(2) {
+                match b {
                     b'[' => depth += 1,
                     b']' => depth = depth.saturating_sub(1),
                     b'>' if depth == 0 => {
-                        let body = self.text[self.pos + 9..i].trim();
-                        self.pos = i + 1;
+                        let body = self.slice(at + 9, at + i)?.trim();
+                        self.pos = at + i + 1;
                         return Ok(Event::Doctype(body));
                     }
                     _ => {}
                 }
-                i += 1;
             }
             return Err(Error::new(
                 ErrorKind::UnexpectedEof {
@@ -244,7 +378,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `</name>`.
-    fn read_close_tag(&mut self) -> Result<Event<'a>> {
+    fn read_close_tag(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
         self.pos += 2; // consume "</"
         let name = self.read_name()?;
@@ -269,15 +403,17 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads `<name attr="v" ...>` or `<name ... />`.
-    fn read_open_tag(&mut self) -> Result<Event<'a>> {
+    /// Reads `<name attr="v" ...>` or `<name ... />`, its attributes
+    /// into the reader's buffer.
+    fn read_open_tag(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
         if self.seen_root && self.stack.is_empty() {
             return Err(Error::new(ErrorKind::TrailingContent, at));
         }
         self.pos += 1; // consume '<'
         let name = self.read_name()?;
-        let mut attributes: Vec<Attribute<'a>> = Vec::new();
+        self.attributes.slots.clear();
+        self.attributes.decoded.clear();
         loop {
             self.skip_whitespace();
             match self.peek() {
@@ -293,7 +429,7 @@ impl<'a> Reader<'a> {
                     self.seen_root = true;
                     return Ok(Event::StartElement {
                         name,
-                        attributes,
+                        attributes: (),
                         self_closing: false,
                     });
                 }
@@ -303,29 +439,20 @@ impl<'a> Reader<'a> {
                     self.seen_root = true;
                     return Ok(Event::StartElement {
                         name,
-                        attributes,
+                        attributes: (),
                         self_closing: true,
                     });
                 }
-                Some(_) => {
-                    let attr = self.read_attribute()?;
-                    if attributes.iter().any(|a| a.name == attr.name) {
-                        return Err(Error::new(
-                            ErrorKind::DuplicateAttribute {
-                                name: attr.name.to_owned(),
-                            },
-                            self.pos,
-                        ));
-                    }
-                    attributes.push(attr);
-                }
+                Some(_) => self.read_attribute()?,
             }
         }
     }
 
-    /// Reads `name = "value"` (single or double quotes).
-    fn read_attribute(&mut self) -> Result<Attribute<'a>> {
+    /// Reads `name = "value"` (single or double quotes) into the buffer.
+    fn read_attribute(&mut self) -> Result<()> {
+        let name_start = self.pos;
         let name = self.read_name()?;
+        let name_end = self.pos;
         self.skip_whitespace();
         self.expect_byte(b'=', "'=' after attribute name")?;
         self.skip_whitespace();
@@ -359,17 +486,43 @@ impl<'a> Reader<'a> {
                 start,
             )
         })?;
-        let value = unescape(&self.text[start..end], start)?;
+        let raw = self.slice(start, end)?;
+        let decoded = &mut self.attributes.decoded;
+        let (value, is_decoded) = if raw.contains('&') {
+            let from = decoded.len();
+            unescape_into(raw, start, decoded)?;
+            ((from, decoded.len()), true)
+        } else {
+            ((start, end), false)
+        };
         self.pos = end + 1;
-        Ok(Attribute { name, value })
+        let input = self.input;
+        if self
+            .attributes
+            .slots
+            .iter()
+            .any(|s| input.get(s.name.0..s.name.1) == Some(name.as_bytes()))
+        {
+            return Err(Error::new(
+                ErrorKind::DuplicateAttribute {
+                    name: name.to_owned(),
+                },
+                self.pos,
+            ));
+        }
+        self.attributes.slots.push(Slot {
+            name: (name_start, name_end),
+            value,
+            decoded: is_decoded,
+        });
+        Ok(())
     }
 
     /// Reads an XML name at the current position.
     fn read_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         let mut end = start;
-        while end < self.input.len() {
-            let b = self.input[end];
+        while let Some(&b) = self.input.get(end) {
             let ok = if end == start {
                 b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
             } else {
@@ -384,11 +537,11 @@ impl<'a> Reader<'a> {
             return Err(Error::new(ErrorKind::InvalidName, start));
         }
         self.pos = end;
-        Ok(&self.text[start..end])
+        self.slice(start, end)
     }
 
     fn skip_whitespace(&mut self) {
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
@@ -462,12 +615,12 @@ fn find(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
     let (&first, tail) = needle.split_first()?;
     let mut at = from;
     while let Some(hit) = memchr(haystack, first, at) {
-        let rest = &haystack[hit + 1..];
+        let rest = haystack.get(hit + 1..)?;
+        if rest.starts_with(tail) {
+            return Some(hit);
+        }
         if rest.len() < tail.len() {
             return None;
-        }
-        if &rest[..tail.len()] == tail {
-            return Some(hit);
         }
         at = hit + 1;
     }
@@ -652,5 +805,39 @@ mod tests {
     fn empty_input_is_valid() {
         assert!(events("").unwrap().is_empty());
         assert!(events("   \n  ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn buffered_events_leave_attributes_in_the_reader() {
+        let mut r = Reader::new(r#"<a x="1" y="p &amp; q"><b z='2'/></a>"#);
+        let first = r.next_buffered().unwrap();
+        assert_eq!(
+            first,
+            Some(Event::StartElement {
+                name: "a",
+                attributes: (),
+                self_closing: false
+            })
+        );
+        let attributes: Vec<_> = r.attributes().collect();
+        assert_eq!(attributes, [("x", "1"), ("y", "p & q")]);
+        r.next_buffered().unwrap();
+        let attributes: Vec<_> = r.attributes().collect();
+        assert_eq!(attributes, [("z", "2")], "the buffer holds one tag");
+    }
+
+    #[test]
+    fn attribute_buffer_is_reused_across_readers() {
+        let xml = r#"<a p="1" q="&lt;2" r="3"><b s="x &amp; y"/></a>"#;
+        let mut buffer = AttributeBuffer::default();
+        let mut capacities = Vec::new();
+        for _ in 0..2 {
+            let mut r = Reader::with_buffer(xml, buffer);
+            while r.next_buffered().unwrap().is_some() {}
+            buffer = r.into_buffer();
+            capacities.push(buffer.capacity());
+        }
+        assert!(capacities[0].0 >= 3 && capacities[0].1 >= 2);
+        assert_eq!(capacities[0], capacities[1]);
     }
 }

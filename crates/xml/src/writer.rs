@@ -142,15 +142,6 @@ impl Writer {
         Ok(self.out)
     }
 
-    /// Finishes the document without the well-formedness check.
-    ///
-    /// The fault injector uses this deliberately to produce the kinds of
-    /// truncated files the paper's Table 2 counts as unprocessable.
-    #[must_use]
-    pub fn into_string(self) -> String {
-        self.out
-    }
-
     fn newline_if_pretty(&mut self) {
         if self.pretty && self.needs_newline {
             self.out.push('\n');
@@ -291,13 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_finish_allows_truncation() {
-        let mut w = Writer::new();
-        w.start_element("a").finish().unwrap();
-        assert_eq!(w.into_string(), "<a>");
-    }
-
-    #[test]
     fn rejects_duplicate_attributes() {
         let mut w = Writer::new();
         assert!(w
@@ -319,7 +303,7 @@ mod tests {
     fn comment_dashes_are_sanitised() {
         let mut w = Writer::new();
         w.comment("a -- b").unwrap();
-        let s = w.into_string();
+        let s = w.into_string_checked().unwrap();
         assert!(!s[4..s.len() - 3].contains("--"), "{s}");
     }
 

@@ -11,6 +11,29 @@ pub fn to_string(value: &Value) -> String {
     out
 }
 
+/// Appends `s` as a YAML string scalar: plain when a parser reads the
+/// plain form back as this same string, double-quoted with escapes
+/// otherwise. This is the one quoting rule: the tree emitter writes
+/// every key and string value with it, and so does any writer that
+/// prints a fixed schema directly.
+pub fn push_str_scalar(out: &mut String, s: &str) {
+    if needs_quoting(s) {
+        quote(s, out);
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// Whether `value` is written as an indented block: a non-empty
+/// sequence or mapping.
+fn is_block(value: &Value) -> bool {
+    match value {
+        Value::Seq(items) => !items.is_empty(),
+        Value::Map(pairs) => !pairs.is_empty(),
+        _ => false,
+    }
+}
+
 /// Emits `value` as a block construct at `indent` levels.
 fn emit_block(value: &Value, indent: usize, out: &mut String) {
     match value {
@@ -24,22 +47,14 @@ fn emit_block(value: &Value, indent: usize, out: &mut String) {
         Value::Map(pairs) if !pairs.is_empty() => {
             for (key, val) in pairs {
                 push_indent(indent, out);
-                out.push_str(&emit_key(key));
+                push_str_scalar(out, key);
                 out.push(':');
                 emit_mapping_value(val, indent, out);
             }
         }
-        Value::Seq(_) => {
+        inline => {
             push_indent(indent, out);
-            out.push_str("[]\n");
-        }
-        Value::Map(_) => {
-            push_indent(indent, out);
-            out.push_str("{}\n");
-        }
-        scalar => {
-            push_indent(indent, out);
-            out.push_str(&emit_scalar(scalar));
+            emit_inline(inline, out);
             out.push('\n');
         }
     }
@@ -47,24 +62,13 @@ fn emit_block(value: &Value, indent: usize, out: &mut String) {
 
 /// Emits the value side of `key:`, choosing inline or nested-block form.
 fn emit_mapping_value(value: &Value, indent: usize, out: &mut String) {
-    match value {
-        Value::Seq(items) if !items.is_empty() => {
-            out.push('\n');
-            emit_block(value, indent + 1, out);
-            let _ = items;
-        }
-        Value::Map(pairs) if !pairs.is_empty() => {
-            out.push('\n');
-            emit_block(value, indent + 1, out);
-            let _ = pairs;
-        }
-        Value::Seq(_) => out.push_str(" []\n"),
-        Value::Map(_) => out.push_str(" {}\n"),
-        scalar => {
-            out.push(' ');
-            out.push_str(&emit_scalar(scalar));
-            out.push('\n');
-        }
+    if is_block(value) {
+        out.push('\n');
+        emit_block(value, indent + 1, out);
+    } else {
+        out.push(' ');
+        emit_inline(value, out);
+        out.push('\n');
     }
 }
 
@@ -77,7 +81,7 @@ fn emit_sequence_item(item: &Value, indent: usize, out: &mut String) {
                 if i > 0 {
                     push_indent(indent + 1, out);
                 }
-                out.push_str(&emit_key(key));
+                push_str_scalar(out, key);
                 out.push(':');
                 emit_mapping_value(val, indent + 1, out);
             }
@@ -87,10 +91,8 @@ fn emit_sequence_item(item: &Value, indent: usize, out: &mut String) {
             out.push('\n');
             emit_block(item, indent + 1, out);
         }
-        Value::Map(_) => out.push_str("{}\n"),
-        Value::Seq(_) => out.push_str("[]\n"),
-        scalar => {
-            out.push_str(&emit_scalar(scalar));
+        inline => {
+            emit_inline(inline, out);
             out.push('\n');
         }
     }
@@ -102,46 +104,30 @@ fn push_indent(indent: usize, out: &mut String) {
     }
 }
 
-/// Emits a mapping key, quoting when necessary.
-fn emit_key(key: &str) -> String {
-    if needs_quoting(key) {
-        quote(key)
-    } else {
-        key.to_owned()
-    }
-}
-
-/// Emits a scalar in its plain or quoted form.
-fn emit_scalar(value: &Value) -> String {
+/// Emits a value that fits on one line: a scalar in its plain or quoted
+/// form, or a collection as its empty flow marker (`[]`, `{}`) — callers
+/// write non-empty collections as blocks first.
+fn emit_inline(value: &Value, out: &mut String) {
     match value {
-        Value::Null => "null".to_owned(),
-        Value::Bool(true) => "true".to_owned(),
-        Value::Bool(false) => "false".to_owned(),
-        Value::Int(i) => i.to_string(),
+        Value::Null => out.push_str("null"),
+        Value::Bool(true) => out.push_str("true"),
+        Value::Bool(false) => out.push_str("false"),
+        Value::Int(i) => out.push_str(&i.to_string()),
         Value::Float(f) => {
             if f.is_nan() {
-                ".nan".to_owned()
+                out.push_str(".nan");
             } else if f.is_infinite() {
-                if *f > 0.0 {
-                    ".inf".to_owned()
-                } else {
-                    "-.inf".to_owned()
-                }
+                out.push_str(if *f > 0.0 { ".inf" } else { "-.inf" });
             } else if f.fract() == 0.0 && f.abs() < 1e15 {
                 // Keep the float-ness visible so parsing round-trips types.
-                format!("{}.0", *f as i64)
+                out.push_str(&format!("{}.0", *f as i64));
             } else {
-                format!("{f}")
+                out.push_str(&format!("{f}"));
             }
         }
-        Value::Str(s) => {
-            if needs_quoting(s) {
-                quote(s)
-            } else {
-                s.clone()
-            }
-        }
-        Value::Seq(_) | Value::Map(_) => unreachable!("collections are emitted as blocks"),
+        Value::Str(s) => push_str_scalar(out, s),
+        Value::Seq(_) => out.push_str("[]"),
+        Value::Map(_) => out.push_str("{}"),
     }
 }
 
@@ -180,9 +166,9 @@ fn needs_quoting(s: &str) -> bool {
     s.starts_with('#')
 }
 
-/// Double-quotes a string with escapes.
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` double-quoted, with escapes.
+fn quote(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
@@ -195,7 +181,6 @@ fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -18,8 +18,10 @@
 //! Parsing is one borrowed event stream ([`parse_events`], a
 //! [`Handler`] per consumer). [`parse`] assembles the ordered,
 //! dynamically-typed [`Value`] from it; the typed snapshot schema in
-//! `wm-extract` reads the same stream without building a tree, and
-//! writes through `Value` and [`to_string`].
+//! `wm-extract` reads the same stream without building a tree. Writing
+//! has one quoting rule, [`push_str_scalar`]: [`to_string`] prints a
+//! `Value` tree with it, and the snapshot schema's direct writer prints
+//! its fixed layout with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +31,7 @@ mod error;
 mod parse;
 mod value;
 
-pub use emit::to_string;
+pub use emit::{push_str_scalar, to_string};
 pub use error::{Error, Result};
 pub use parse::{parse, parse_events, Event, Handler, Scalar};
 pub use value::Value;
