@@ -15,6 +15,9 @@ cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/p
 cargo test --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 cargo clippy -- -D warnings
 cargo clippy -p wm-lint -- -D warnings
+# The root package does not depend on the experiment crate, so the
+# plain clippy above never lints it.
+cargo clippy -p wm-bench -- -D warnings
 cargo fmt --check
 
 # Static analysis: fails on findings above lint-baseline.json (new
@@ -61,6 +64,22 @@ for threads in 1 2; do
 done
 # `--metrics` heads each map's report with its counts.
 grep "^Europe: [0-9]* processed, [0-9]* failed of [0-9]* files$" "$smoke_dir/extract_metrics.txt" > /dev/null
+# An SVG that is not UTF-8 is refused as invalid-xml, named on stderr,
+# and the rest of the map is still extracted: of 12 files with one
+# 0xFF byte in the third, 11 come out as YAML.
+rm -rf "$extract_dir/europe"
+mkdir -p "$extract_dir/europe/svg/2022/02/01"
+for file in $(find "$smoke_dir/europe/svg" -name '*.svg' | sort | head -n 12); do
+    cp "$file" "$extract_dir/europe/svg/2022/02/01/"
+done
+bad_svg="$(find "$extract_dir/europe/svg" -name '*.svg' | sort | sed -n 3p)"
+printf '\377' | dd of="$bad_svg" bs=1 seek=100 count=1 conv=notrunc 2> /dev/null
+target/release/ovh-weather extract --in "$extract_dir" --map europe --threads 2 --metrics \
+    > "$smoke_dir/extract_utf8.txt" 2> "$smoke_dir/extract_utf8.err"
+grep "^Europe: 11 processed, 1 failed of 12 files$" "$smoke_dir/extract_utf8.txt" > /dev/null
+grep "^ *invalid-xml  *1$" "$smoke_dir/extract_utf8.txt" > /dev/null
+grep "$bad_svg: not UTF-8 at byte 100" "$smoke_dir/extract_utf8.err" > /dev/null
+test "$(find "$extract_dir/europe/yaml" -name '*.yaml' | wc -l)" -eq 11
 rm -rf "$extract_dir"
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
@@ -170,3 +189,14 @@ target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op
     --from 2022-02-01T18:00:00Z --to 2022-02-02T06:00:00Z > "$smoke_dir/appended_query_off.json"
 diff "$smoke_dir/appended_query_off.json" "$smoke_dir/appended_query_cached.json"
 rm -rf "$smoke_dir"
+
+# The Fig. 4-6 experiments run through the segment store and print
+# their paper-versus-measured rows.
+exp_out="$(mktemp)"
+target/release/exp_fig4 > "$exp_out"
+grep "^routers with a single link  *paper: .* measured: " "$exp_out" > /dev/null
+target/release/exp_fig5 > "$exp_out"
+grep "^median peak hour  *paper: .* measured: " "$exp_out" > /dev/null
+target/release/exp_fig6 > "$exp_out"
+grep "^inferred per-link capacity  *paper: .* measured: " "$exp_out" > /dev/null
+rm -f "$exp_out"

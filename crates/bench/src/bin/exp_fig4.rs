@@ -1,10 +1,11 @@
 //! Fig. 4 — network infrastructure of the Europe map: router-count
 //! history (4a), internal vs external link growth (4b), and the
 //! router-degree CCDF (4c), all measured through blind extraction of
-//! rendered snapshots sampled weekly over the two-year period.
+//! rendered snapshots sampled weekly over the two-year period and read
+//! back through the segment store.
 
 use ovh_weather::prelude::*;
-use wm_bench::{compare_row, ExpOptions};
+use wm_bench::{compare_row, run_suite, ExpOptions};
 
 fn main() {
     let options = ExpOptions::from_args(0.3);
@@ -20,8 +21,20 @@ fn main() {
         "extracting weekly snapshots over two years (scale {})...",
         options.scale
     );
-    let result = pipeline.run_window_sampled(MapKind::Europe, config.start, config.end, 2016);
-    let series = evolution_series(&result.snapshots);
+    let min_step = (5.0 * options.scale).ceil() as usize;
+    let (report, _) = run_suite(
+        &pipeline,
+        MapKind::Europe,
+        config.start,
+        config.end,
+        2016,
+        SuiteConfig {
+            min_link_delta: min_step,
+            ..SuiteConfig::default()
+        },
+    )
+    .expect("suite run");
+    let series = &report.evolution.series;
     println!("{} weekly snapshots extracted\n", series.len());
 
     // --- Fig. 4a/4b -------------------------------------------------------
@@ -40,9 +53,9 @@ fn main() {
         );
     }
 
-    let router_events = detect_changes(&series, |p| p.routers, 1);
+    let router_events = &report.evolution.router_events;
     println!("\n(4a) router-count events:");
-    for event in &router_events {
+    for event in router_events {
         println!(
             "  {}: {} -> {} ({:+})",
             event.at,
@@ -56,7 +69,7 @@ fn main() {
         compare_row(
             "Aug-Sep 2020 make-before-break",
             "+10 then -4",
-            &summarise_window(&router_events, 2020, 8, 2020, 11)
+            &summarise_window(router_events, 2020, 8, 2020, 11)
         )
     );
     println!(
@@ -64,14 +77,13 @@ fn main() {
         compare_row(
             "June 2021 removals",
             "-4",
-            &summarise_window(&router_events, 2021, 6, 2021, 7)
+            &summarise_window(router_events, 2021, 6, 2021, 7)
         )
     );
 
-    let min_step = (5.0 * options.scale).ceil() as usize;
-    let steps = detect_changes(&series, |p| p.internal_links, min_step);
+    let steps = &report.evolution.internal_link_events;
     println!("\n(4b) internal-link steps (>= {min_step} at once):");
-    for event in &steps {
+    for event in steps {
         println!("  {}: {:+}", event.at, event.delta());
     }
     println!(
@@ -79,7 +91,7 @@ fn main() {
         compare_row(
             "November 2021 internal step",
             &format!("+{} (scaled +40)", (40.0 * options.scale).round()),
-            &summarise_window(&steps, 2021, 11, 2021, 12)
+            &summarise_window(steps, 2021, 11, 2021, 12)
         )
     );
     let (first, last) = (series.first().expect("data"), series.last().expect("data"));
@@ -93,9 +105,8 @@ fn main() {
     );
 
     // --- Fig. 4c ------------------------------------------------------------
-    let final_snapshot = result.snapshots.last().expect("data");
-    let degrees = DegreeAnalysis::of(final_snapshot);
-    println!("\n(4c) router-degree CCDF on {}:", final_snapshot.timestamp);
+    let degrees = report.degree.as_ref().expect("data");
+    println!("\n(4c) router-degree CCDF on {}:", last.timestamp);
     for (degree, ccdf) in degrees.ccdf_points() {
         println!("  degree > {degree:>4}: {:.3}", ccdf);
     }

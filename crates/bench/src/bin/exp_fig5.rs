@@ -1,10 +1,11 @@
 //! Fig. 5 — links loads of the Europe map: the diurnal distribution by
 //! hour of day (5a), the load CDF split by link kind (5b), and the ECMP
 //! imbalance CDF over directed parallel sets (5c), measured through blind
-//! extraction of snapshots sampled hourly over four weeks.
+//! extraction of snapshots sampled hourly over four weeks and read back
+//! through the segment store.
 
 use ovh_weather::prelude::*;
-use wm_bench::{compare_row, ExpOptions};
+use wm_bench::{compare_row, run_suite, ExpOptions};
 
 fn main() {
     let options = ExpOptions::from_args(0.25);
@@ -17,17 +18,17 @@ fn main() {
         "extracting hourly snapshots over four weeks (scale {})...",
         options.scale
     );
-    let result = pipeline.run_window_sampled(MapKind::Europe, from, to, 12);
-    println!("{} snapshots extracted\n", result.snapshots.len());
-
-    let mut hourly = HourlyLoads::new();
-    let mut cdf = LoadCdf::new();
-    let mut imbalance = ImbalanceCdf::new();
-    for snapshot in &result.snapshots {
-        hourly.add_snapshot(snapshot);
-        cdf.add_snapshot(snapshot);
-        imbalance.add_snapshot(snapshot);
-    }
+    let (report, _) = run_suite(
+        &pipeline,
+        MapKind::Europe,
+        from,
+        to,
+        12,
+        SuiteConfig::default(),
+    )
+    .expect("suite run");
+    println!("{} snapshots extracted\n", report.snapshots);
+    let (hourly, cdf, imbalance) = (&report.hourly, &report.load_cdf, &report.imbalance);
 
     // --- Fig. 5a ------------------------------------------------------------
     println!("(5a) load percentiles by hour of day:");

@@ -1,10 +1,11 @@
 //! Fig. 6 — the AMS-IX link upgrade of March 2022: the new link appears
 //! (*A*), PeeringDB announces the capacity increase (*B*), and activation
 //! spreads traffic over all parallel links (*C*). Measured through blind
-//! extraction of snapshots sampled four times a day over March 2022.
+//! extraction of snapshots sampled four times a day over March 2022 and
+//! read back through the segment store.
 
 use ovh_weather::prelude::*;
-use wm_bench::{compare_row, ExpOptions};
+use wm_bench::{compare_row, run_suite, upgrade_target, ExpOptions};
 
 fn main() {
     let options = ExpOptions::from_args(0.5);
@@ -16,8 +17,7 @@ fn main() {
     let scenario = pipeline
         .simulation()
         .scenario()
-        .expect("the AMS-IX scenario requires --scale >= 0.1")
-        .clone();
+        .expect("the AMS-IX scenario requires --scale >= 0.1");
     println!(
         "monitored group: {} <-> {}\nscheduled: A {} | B {} | C {}\n",
         scenario.router,
@@ -31,17 +31,20 @@ fn main() {
         "extracting 6-hourly snapshots over March 2022 (scale {})...",
         options.scale
     );
-    let result = pipeline.run_window_sampled(
+    let (suite, _) = run_suite(
+        &pipeline,
         MapKind::Europe,
         Timestamp::from_ymd(2022, 3, 1),
         Timestamp::from_ymd(2022, 4, 1),
         72,
-    );
-    let observations: Vec<_> = result
-        .snapshots
-        .iter()
-        .filter_map(|s| observe_group(s, &scenario.router, &scenario.peering))
-        .collect();
+        SuiteConfig {
+            upgrade: Some(upgrade_target(scenario)),
+            ..SuiteConfig::default()
+        },
+    )
+    .expect("suite run");
+    let upgrade = suite.upgrade.expect("upgrade target configured");
+    let (observations, report) = (&upgrade.observations, &upgrade.report);
     println!("{} observations\n", observations.len());
 
     println!(
@@ -57,16 +60,6 @@ fn main() {
             o.mean_active_load
         );
     }
-
-    let records: Vec<CapacityRecord> = scenario
-        .peeringdb_records
-        .iter()
-        .map(|r| CapacityRecord {
-            at: r.at,
-            total_capacity_gbps: r.total_capacity_gbps,
-        })
-        .collect();
-    let report = detect_upgrade(&observations, &records);
 
     println!();
     println!(

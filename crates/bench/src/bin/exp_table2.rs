@@ -5,16 +5,14 @@
 //! the paper's file counts with the measured mean file sizes.
 
 use ovh_weather::prelude::*;
-use wm_bench::{compare_row, ExpOptions};
+use wm_bench::{compare_row, ExpOptions, TempStore};
 
 fn main() {
     let options = ExpOptions::from_args(0.25);
     options.banner("exp_table2", "Table 2 (collected and processed files)");
     let pipeline = options.pipeline();
 
-    let dir = std::env::temp_dir().join(format!("wm-exp-table2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DatasetStore::open(&dir).expect("corpus dir");
+    let store = TempStore::new("table2").expect("corpus dir");
 
     let from = Timestamp::from_ymd(2022, 2, 14);
     let to = Timestamp::from_ymd(2022, 2, 16);
@@ -95,5 +93,4 @@ fn main() {
             &format!("{:.1}x", svg.bytes as f64 / yaml.bytes as f64)
         )
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

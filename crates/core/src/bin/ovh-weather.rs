@@ -34,6 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
+use ovh_weather::extract::ExtractError;
 use ovh_weather::prelude::*;
 
 fn main() -> ExitCode {
@@ -277,20 +278,37 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
         }
         files_found += entries.len();
         let mut inputs = Vec::with_capacity(entries.len());
+        // A file that is not UTF-8 cannot be XML: it is refused as
+        // `invalid-xml` and the rest of the map is still extracted.
+        let mut refused = Vec::new();
         for entry in &entries {
             let bytes = store
                 .read(map, FileKind::Svg, entry.timestamp)
                 .map_err(|e| e.to_string())?;
-            let svg = String::from_utf8(bytes).map_err(|e| e.to_string())?;
-            inputs.push(BatchInput {
-                timestamp: entry.timestamp,
-                svg,
-            });
+            match String::from_utf8(bytes) {
+                Ok(svg) => inputs.push(BatchInput {
+                    timestamp: entry.timestamp,
+                    svg,
+                }),
+                Err(e) => {
+                    let error = format!("not UTF-8 at byte {}", e.utf8_error().valid_up_to());
+                    let path = store.path_of(map, FileKind::Svg, entry.timestamp);
+                    eprintln!(
+                        "warning: {}: {error}; refused as invalid-xml",
+                        path.display()
+                    );
+                    refused.push((e.as_bytes().len(), ExtractError::InvalidXml(error)));
+                }
+            }
         }
-        let (snapshots, stats, mut metrics) =
+        let (snapshots, mut stats, mut metrics) =
             extract_batch_with(&inputs, map, &config, threads, Scheduling::WorkStealing);
-        ovh_weather::write_yaml(&store, map, &snapshots, &mut metrics)
-            .map_err(|e| e.to_string())?;
+        for (bytes, error) in &refused {
+            metrics.record_input(*bytes);
+            metrics.record_failure(error.kind());
+            stats.record_failure(error);
+        }
+        write_yaml(&store, map, &snapshots, &mut metrics).map_err(|e| e.to_string())?;
         println!(
             "{:<15} {} SVG files: {} extracted, {} refused {:?}",
             map.display_name(),

@@ -56,7 +56,7 @@ pub use wm_yaml as yaml;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use crate::{Pipeline, WindowResult};
+    pub use crate::{write_yaml, Pipeline, WindowResult};
     pub use wm_analysis::{
         coverage_segments, detect_changes, detect_upgrade, evolution_series, group_imbalances,
         observe_group, table1, AnalysisSuite, CapacityRecord, DegreeAnalysis, Distribution,

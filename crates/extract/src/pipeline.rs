@@ -188,7 +188,8 @@ impl BatchStats {
         self.processed + self.failed
     }
 
-    fn record_failure(&mut self, error: &ExtractError) {
+    /// Tallies one rejected file under its error kind.
+    pub fn record_failure(&mut self, error: &ExtractError) {
         self.failed += 1;
         *self
             .failures_by_kind

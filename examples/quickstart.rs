@@ -53,16 +53,8 @@ fn main() {
     // Stored corpora come back through the shared parallel loader.
     let dir = std::env::temp_dir().join(format!("ovh-weather-quickstart-{}", std::process::id()));
     let store = DatasetStore::open(&dir).expect("temp store");
-    for s in &result.snapshots {
-        store
-            .write(
-                MapKind::Europe,
-                FileKind::Yaml,
-                s.timestamp,
-                to_yaml_string(s).as_bytes(),
-            )
-            .expect("write yaml");
-    }
+    let mut metrics = BatchMetrics::default();
+    write_yaml(&store, MapKind::Europe, &result.snapshots, &mut metrics).expect("write yaml");
     let (reloaded, load_stats) =
         build_longitudinal(&store, MapKind::Europe, 2).expect("reload corpus");
     assert!(reloaded.snapshots().eq(result.snapshots.iter().cloned()));
