@@ -62,7 +62,8 @@ fn run_pass(snapshots: &[TopologySnapshot]) -> MaintenanceReport {
     let mut pass = MaintenancePass::default();
     for snapshot in snapshots {
         for link in &snapshot.links {
-            pass.observe_link(snapshot.timestamp, key_of(link), link.is_disabled());
+            let key = pass.intern(key_of(link));
+            pass.observe_link(snapshot.timestamp, key, link.is_disabled());
         }
     }
     pass.finish()
@@ -94,49 +95,77 @@ impl MaintenanceReport {
 
 /// The streaming accumulator behind [`maintenance_windows`] and
 /// [`disabled_fraction`], shared with the suite.
+///
+/// Links are observed by an interned key index ([`MaintenancePass::intern`]),
+/// so a caller that knows its links in advance resolves each key once;
+/// [`MaintenancePass::finish`] turns the indices back into [`LinkKey`]s.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaintenancePass {
-    /// Open windows: key -> (start, last_seen, count).
-    open: BTreeMap<LinkKey, (Timestamp, Timestamp, usize)>,
-    closed: Vec<MaintenanceWindow>,
+    /// Interned keys; a key's position is its index.
+    keys: Vec<LinkKey>,
+    key_ids: BTreeMap<LinkKey, u32>,
+    /// Open windows by key index: (start, last_seen, count).
+    open: Vec<Option<(Timestamp, Timestamp, usize)>>,
+    /// Closed windows as (key index, start, end, count), in closing order.
+    closed: Vec<(u32, Timestamp, Timestamp, usize)>,
     observations: usize,
     disabled: usize,
 }
 
 impl MaintenancePass {
-    /// Folds one link observation.
-    pub(crate) fn observe_link(&mut self, at: Timestamp, key: LinkKey, disabled: bool) {
+    /// The index of a link key, interning it if new.
+    pub(crate) fn intern(&mut self, key: LinkKey) -> u32 {
+        if let Some(&id) = self.key_ids.get(&key) {
+            return id;
+        }
+        let id = self.keys.len() as u32;
+        self.keys.push(key.clone());
+        self.key_ids.insert(key, id);
+        self.open.push(None);
+        id
+    }
+
+    /// Folds one link observation of the link interned as `key`.
+    pub(crate) fn observe_link(&mut self, at: Timestamp, key: u32, disabled: bool) {
         self.observations += 1;
+        let Some(open) = self.open.get_mut(key as usize) else {
+            return;
+        };
         if disabled {
             self.disabled += 1;
-            self.open
-                .entry(key)
-                .and_modify(|(_, last, count)| {
+            match open {
+                Some((_, last, count)) => {
                     *last = at;
                     *count += 1;
-                })
-                .or_insert((at, at, 1));
-        } else if let Some((start, last, count)) = self.open.remove(&key) {
-            self.closed.push(MaintenanceWindow {
-                link: key,
-                start,
-                end: last,
-                snapshots: count,
-            });
+                }
+                None => *open = Some((at, at, 1)),
+            }
+        } else if let Some((start, last, count)) = open.take() {
+            self.closed.push((key, start, last, count));
         }
     }
 
     /// Closes the windows still open and sorts them by `(start, link)`.
     pub(crate) fn finish(self) -> MaintenanceReport {
-        let mut windows = self.closed;
-        // Windows still open at the end of the series.
-        for (key, (start, last, count)) in self.open {
-            windows.push(MaintenanceWindow {
-                link: key,
+        let keys = self.keys;
+        let window = |key: u32, start, end, snapshots| {
+            keys.get(key as usize).map(|link| MaintenanceWindow {
+                link: link.clone(),
                 start,
-                end: last,
-                snapshots: count,
-            });
+                end,
+                snapshots,
+            })
+        };
+        let mut windows: Vec<MaintenanceWindow> = self
+            .closed
+            .iter()
+            .filter_map(|&(key, start, end, count)| window(key, start, end, count))
+            .collect();
+        // Windows still open at the end of the series.
+        for (key, open) in self.open.iter().enumerate() {
+            if let Some((start, last, count)) = *open {
+                windows.extend(window(key as u32, start, last, count));
+            }
         }
         windows.sort_by(|x, y| x.start.cmp(&y.start).then_with(|| x.link.cmp(&y.link)));
         MaintenanceReport {

@@ -77,7 +77,11 @@ impl SiteGrowth {
 pub fn site_growth(snapshots: &[TopologySnapshot]) -> Vec<SiteGrowth> {
     let mut pass = SitesPass::default();
     for snapshot in snapshots {
-        pass.observe_counts(snapshot.timestamp, site_counts(snapshot));
+        pass.observe_run(
+            snapshot.timestamp,
+            snapshot.timestamp,
+            &site_counts(snapshot),
+        );
     }
     pass.finish()
 }
@@ -90,32 +94,42 @@ pub(crate) struct SitesPass {
 }
 
 impl SitesPass {
-    /// Folds one snapshot's per-site counts.
-    pub(crate) fn observe_counts(
+    /// Folds the per-site counts shared by a run of snapshots stamped
+    /// `first..=last`. Snapshots arrive in non-decreasing time order, so
+    /// the run's first snapshot alone can set a site's first counts and
+    /// its last alone its last counts: one call is exactly one
+    /// observation per snapshot of the run (`first == last` for one).
+    pub(crate) fn observe_run(
         &mut self,
-        timestamp: Timestamp,
-        counts: BTreeMap<String, SiteCounts>,
+        first: Timestamp,
+        last: Timestamp,
+        counts: &BTreeMap<String, SiteCounts>,
     ) {
-        for (site, counts) in counts {
-            self.growth
-                .entry(site.clone())
-                .and_modify(|g| {
-                    if timestamp >= g.last_seen {
+        for (site, &counts) in counts {
+            match self.growth.get_mut(site) {
+                Some(g) => {
+                    if last >= g.last_seen {
                         g.last = counts;
-                        g.last_seen = timestamp;
+                        g.last_seen = last;
                     }
-                    if timestamp < g.first_seen {
+                    if first < g.first_seen {
                         g.first = counts;
-                        g.first_seen = timestamp;
+                        g.first_seen = first;
                     }
-                })
-                .or_insert(SiteGrowth {
-                    site,
-                    first: counts,
-                    last: counts,
-                    first_seen: timestamp,
-                    last_seen: timestamp,
-                });
+                }
+                None => {
+                    self.growth.insert(
+                        site.clone(),
+                        SiteGrowth {
+                            site: site.clone(),
+                            first: counts,
+                            last: counts,
+                            first_seen: first,
+                            last_seen: last,
+                        },
+                    );
+                }
+            }
         }
     }
 

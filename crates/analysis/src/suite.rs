@@ -1,16 +1,18 @@
 //! The single-pass §5 analysis engine.
 //!
 //! [`AnalysisSuite::run_store`] folds all nine §5 analyses over one scan
-//! of a [`LongitudinalStore`]'s columns. The streaming analyses read the
-//! CSR load columns directly; only the artifacts drawn from a final
-//! state (Fig. 4c, Table 1) and the optional Fig. 6 forensics rebuild
-//! [`TopologySnapshot`]s. The per-figure slice functions
+//! of a [`LongitudinalStore`]'s columns. The streaming analyses resolve
+//! what a topology row tells them once per row and then read only the
+//! load columns of the snapshots in its run; only the artifacts drawn
+//! from a final state (Fig. 4c, Table 1) and the optional Fig. 6
+//! forensics rebuild [`TopologySnapshot`]s. The per-figure slice functions
 //! (`coverage_segments`, `evolution_series`, `table1`, …) are the
 //! reference the suite is tested against.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use wm_dataset::{LongitudinalStore, QueryEngine, RowView};
+use wm_dataset::{CellView, LongitudinalStore, QueryEngine};
 use wm_extract::KernelStats;
 use wm_model::{Duration, LinkKind, MapKind, TopologySnapshot};
 
@@ -75,111 +77,63 @@ impl AnalysisSuite {
     }
 
     /// Runs the whole suite over every snapshot of a columnar store, via
-    /// the query engine's catalog and row visitors.
+    /// the query engine's catalog, topology rows and load columns.
     ///
     /// The streaming analyses (loads, imbalance, sites, evolution,
-    /// timeframe, maintenance) read the CSR load columns — no
-    /// [`TopologySnapshot`] is reconstructed for them. Fig. 4c and
-    /// Table 1 read each map's latest snapshot, reconstructed once per
-    /// map at the end; the optional Fig. 6 forensics reconstruct every
-    /// snapshot. The returned [`KernelStats`] counts the column work
-    /// done.
+    /// timeframe, maintenance) resolve each topology row once — router,
+    /// link and site counts, per-cell kinds and maintenance keys, the
+    /// directed parallel sets — then scan only the loads of each
+    /// snapshot in the row's run; no [`TopologySnapshot`] is
+    /// reconstructed for them. Fig. 4c and Table 1 read each map's
+    /// latest snapshot, reconstructed once per map at the end; the
+    /// optional Fig. 6 forensics reconstruct every snapshot. The returned
+    /// [`KernelStats`] counts the column work done.
     pub fn run_store(config: SuiteConfig, store: &LongitudinalStore) -> (SuiteReport, KernelStats) {
         let engine = QueryEngine::new(store);
         let mut suite = AnalysisSuite::new(&config);
-
-        // Reusable imbalance scratch: member rows per parallel group.
-        let mut members: Vec<Vec<RowView<'_>>> = vec![Vec::new(); engine.pair_count()];
-        let mut used_pairs: Vec<u32> = Vec::new();
+        let mut row = RowFacts::default();
         let mut latest_per_map: BTreeMap<MapKind, usize> = BTreeMap::new();
         let mut rows_scanned = 0u64;
+        let timestamps = store.timestamps();
 
-        for (index, &timestamp) in store.timestamps().iter().enumerate() {
-            latest_per_map.insert(store.map_of(index), index);
-            suite.timeframe.observe_instant(timestamp);
-
-            // Node columns: router count and per-site router tallies.
-            let mut routers = 0usize;
-            let mut site_counts: BTreeMap<String, SiteCounts> = BTreeMap::new();
-            for id in engine.node_ids(index) {
-                let Some(node) = engine.node_at(id) else {
-                    continue;
-                };
-                if node.is_router() {
-                    routers += 1;
-                    if let Some(site) = node.site() {
-                        site_counts.entry(site.to_owned()).or_default().routers += 1;
-                    }
-                }
+        for (row_index, run) in store.row_runs(0..store.len()) {
+            row.resolve(&engine, row_index, &mut suite.maintenance);
+            let span = timestamps.get(run.clone()).unwrap_or(&[]);
+            if let (Some(&first), Some(&last)) = (span.first(), span.last()) {
+                suite.sites.observe_run(first, last, &row.sites);
             }
-
-            // Row columns: one fused pass feeds the load, maintenance,
-            // site and imbalance collectors in original snapshot order.
-            for rank in used_pairs.drain(..) {
-                if let Some(group) = members.get_mut(rank as usize) {
-                    group.clear();
-                }
-            }
-            let hour = timestamp.hour_of_day();
-            let mut internal_links = 0usize;
-            let mut external_links = 0usize;
-            for row in engine.rows(index) {
-                rows_scanned += 1;
-                match row.kind {
-                    LinkKind::Internal => internal_links += 1,
-                    LinkKind::External => external_links += 1,
-                }
-
-                let first = row.first_load();
-                let second = row.second_load();
-                suite.hourly.push(hour, first);
-                suite.hourly.push(hour, second);
-                suite.load_cdf.push(row.kind, first);
-                suite.load_cdf.push(row.kind, second);
-
-                suite.maintenance.observe_link(
+            for (index, &timestamp) in run.zip(span) {
+                latest_per_map.insert(store.map_of(index), index);
+                suite.timeframe.observe_instant(timestamp);
+                suite.evolution.observe_counts(
                     timestamp,
-                    link_key_of(&engine, &row),
-                    row.is_disabled(),
+                    row.routers,
+                    row.internal_links,
+                    row.external_links,
                 );
 
-                for end in [row.def.a, row.def.b] {
-                    if let Some(site) = engine.node_at(end).and_then(|n| n.site()) {
-                        if let Some(entry) = site_counts.get_mut(site) {
-                            entry.link_ends += 1;
-                        }
-                    }
+                // One fused pass over the snapshot's loads feeds the load
+                // and maintenance collectors in original row order.
+                let (la, lb) = store.loads(index);
+                let hour = timestamp.hour_of_day();
+                for ((cell, &a), &b) in row.cells.iter().zip(la).zip(lb) {
+                    rows_scanned += 1;
+                    let (first, second) = if cell.flipped { (b, a) } else { (a, b) };
+                    suite.hourly.push(hour, first);
+                    suite.hourly.push(hour, second);
+                    suite.load_cdf.push(cell.kind, first);
+                    suite.load_cdf.push(cell.kind, second);
+                    suite
+                        .maintenance
+                        .observe_link(timestamp, cell.key, a == 0 && b == 0);
                 }
 
-                if let Some(group) = members.get_mut(row.pair as usize) {
-                    if group.is_empty() {
-                        used_pairs.push(row.pair);
-                    }
-                    group.push(row);
-                }
-            }
-
-            suite
-                .evolution
-                .observe_counts(timestamp, routers, internal_links, external_links);
-            suite.sites.observe_counts(timestamp, site_counts);
-
-            // Directed parallel-set imbalances, groups in endpoint-pair
-            // order, members in row order — exactly `group_imbalances`.
-            used_pairs.sort_unstable();
-            for &rank in &used_pairs {
-                let Some(group) = members.get(rank as usize) else {
-                    continue;
-                };
-                let Some(kind) = group.first().map(|row| row.kind) else {
-                    continue;
-                };
-                let Some((pair_a, pair_b)) = engine.pair_names(rank as usize) else {
-                    continue;
-                };
-                for from in [pair_a, pair_b] {
-                    if let Some(imbalance) = directed_imbalance(&engine, group, from) {
-                        suite.imbalance.push(kind, imbalance);
+                // Directed parallel-set imbalances, groups in endpoint-pair
+                // order, members in row order — exactly `group_imbalances`.
+                for (kind, members) in &row.sets {
+                    let members = row.members.get(members.clone()).unwrap_or(&[]);
+                    if let Some(imbalance) = directed_imbalance(members, la, lb) {
+                        suite.imbalance.push(*kind, imbalance);
                     }
                 }
             }
@@ -243,26 +197,130 @@ impl AnalysisSuite {
     }
 }
 
-/// The original listed orientation of a row: `(first end's name and
-/// label, second end's name and label)`.
-fn original_ends<'e>(
-    engine: &QueryEngine<'e>,
-    row: &RowView<'e>,
-) -> (&'e str, &'e Option<String>, &'e str, &'e Option<String>) {
-    let name_a = engine.node_name(row.def.a);
-    let name_b = engine.node_name(row.def.b);
-    if row.flipped {
-        (name_b, &row.def.label_b, name_a, &row.def.label_a)
-    } else {
-        (name_a, &row.def.label_a, name_b, &row.def.label_b)
+/// What the suite reads of one link cell of a topology row.
+#[derive(Debug, Clone, Copy)]
+struct CellFacts {
+    kind: LinkKind,
+    flipped: bool,
+    /// The cell's maintenance key, interned in the suite's pass.
+    key: u32,
+}
+
+/// What the suite needs of one topology row, resolved once for its whole
+/// run (scratch, reused across rows).
+#[derive(Debug, Default)]
+struct RowFacts {
+    routers: usize,
+    internal_links: usize,
+    external_links: usize,
+    /// Router and attached-link tallies per site.
+    sites: BTreeMap<String, SiteCounts>,
+    /// Per link cell, in row order.
+    cells: Vec<CellFacts>,
+    /// Directed parallel sets in `group_imbalances` order: the group's
+    /// link kind and the set's range of `members`.
+    sets: Vec<(LinkKind, Range<usize>)>,
+    /// Directed-set members: a cell and whether the set reads its
+    /// canonical second-end load (otherwise its first-end load).
+    members: Vec<(usize, bool)>,
+}
+
+impl RowFacts {
+    fn resolve(&mut self, engine: &QueryEngine<'_>, row: usize, maintenance: &mut MaintenancePass) {
+        self.routers = 0;
+        self.sites.clear();
+        for id in engine.store().row_node_ids(row) {
+            let Some(node) = engine.node_at(id) else {
+                continue;
+            };
+            if node.is_router() {
+                self.routers += 1;
+                if let Some(site) = node.site() {
+                    self.sites.entry(site.to_owned()).or_default().routers += 1;
+                }
+            }
+        }
+
+        let views: Vec<CellView<'_>> = engine.row_cells(row).collect();
+        self.internal_links = 0;
+        self.external_links = 0;
+        self.cells.clear();
+        // Parallel groups: pair rank → member cells in row order.
+        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for (position, cell) in views.iter().enumerate() {
+            match cell.kind {
+                LinkKind::Internal => self.internal_links += 1,
+                LinkKind::External => self.external_links += 1,
+            }
+            self.cells.push(CellFacts {
+                kind: cell.kind,
+                flipped: cell.flipped,
+                key: maintenance.intern(link_key_of(engine, cell)),
+            });
+            for end in [cell.def.a, cell.def.b] {
+                if let Some(site) = engine.node_at(end).and_then(|n| n.site()) {
+                    if let Some(entry) = self.sites.get_mut(site) {
+                        entry.link_ends += 1;
+                    }
+                }
+            }
+            groups.entry(cell.pair).or_default().push(position);
+        }
+
+        // A set `from` an end takes each member's load leaving that end
+        // (its first matching end, as `egress_load_from`).
+        self.sets.clear();
+        self.members.clear();
+        for (pair, positions) in groups {
+            let Some(kind) = positions
+                .first()
+                .and_then(|&p| views.get(p))
+                .map(|cell| cell.kind)
+            else {
+                continue;
+            };
+            let Some((pair_a, pair_b)) = engine.pair_names(pair as usize) else {
+                continue;
+            };
+            for from in [pair_a, pair_b] {
+                let begin = self.members.len();
+                for &position in &positions {
+                    let Some(cell) = views.get(position) else {
+                        continue;
+                    };
+                    let (first_name, _, second_name, _) = original_ends(engine, cell);
+                    if first_name == from {
+                        self.members.push((position, cell.flipped));
+                    } else if second_name == from {
+                        self.members.push((position, !cell.flipped));
+                    }
+                }
+                self.sets.push((kind, begin..self.members.len()));
+            }
+        }
     }
 }
 
-/// Reproduces the maintenance pass's `key_of` from a column row: ends
+/// The original listed orientation of a cell: `(first end's name and
+/// label, second end's name and label)`.
+fn original_ends<'e>(
+    engine: &QueryEngine<'e>,
+    cell: &CellView<'e>,
+) -> (&'e str, &'e Option<String>, &'e str, &'e Option<String>) {
+    let name_a = engine.node_name(cell.def.a);
+    let name_b = engine.node_name(cell.def.b);
+    if cell.flipped {
+        (name_b, &cell.def.label_b, name_a, &cell.def.label_a)
+    } else {
+        (name_a, &cell.def.label_a, name_b, &cell.def.label_b)
+    }
+}
+
+/// Reproduces the maintenance pass's `key_of` from a column cell: ends
 /// ordered by name, labels following their end, ties keeping the
 /// original listed order.
-fn link_key_of(engine: &QueryEngine<'_>, row: &RowView<'_>) -> LinkKey {
-    let (first_name, first_label, second_name, second_label) = original_ends(engine, row);
+fn link_key_of(engine: &QueryEngine<'_>, cell: &CellView<'_>) -> LinkKey {
+    let (first_name, first_label, second_name, second_label) = original_ends(engine, cell);
     if first_name <= second_name {
         LinkKey {
             a: first_name.to_owned(),
@@ -280,20 +338,15 @@ fn link_key_of(engine: &QueryEngine<'_>, row: &RowView<'_>) -> LinkKey {
     }
 }
 
-/// The imbalance of one directed parallel set: loads of the arrows
-/// leaving `from` (first matching end per row, as `egress_load_from`),
-/// 0 %/1 % discounted, sets left with fewer than two links removed.
-fn directed_imbalance(engine: &QueryEngine<'_>, group: &[RowView<'_>], from: &str) -> Option<f64> {
+/// The imbalance of one directed parallel set over one snapshot's loads:
+/// 0 %/1 % loads discounted, sets left with fewer than two links removed.
+fn directed_imbalance(members: &[(usize, bool)], la: &[u8], lb: &[u8]) -> Option<f64> {
     let mut kept = 0usize;
     let mut min = u8::MAX;
     let mut max = 0u8;
-    for row in group {
-        let (first_name, _, second_name, _) = original_ends(engine, row);
-        let load = if first_name == from {
-            row.first_load()
-        } else if second_name == from {
-            row.second_load()
-        } else {
+    for &(cell, second) in members {
+        let column = if second { lb } else { la };
+        let Some(&load) = column.get(cell) else {
             continue;
         };
         if load <= 1 {

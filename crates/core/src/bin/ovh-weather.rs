@@ -309,13 +309,28 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
             stats.record_failure(error);
         }
         write_yaml(&store, map, &snapshots, &mut metrics).map_err(|e| e.to_string())?;
+        // A refused SVG leaves no YAML behind: an older file at its
+        // instant would still be counted by `analyze`.
+        let extracted: BTreeSet<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
+        let mut removed = 0usize;
+        for entry in entries.iter().filter(|e| !extracted.contains(&e.timestamp)) {
+            if store
+                .remove(map, FileKind::Yaml, entry.timestamp)
+                .map_err(|e| e.to_string())?
+            {
+                let path = store.path_of(map, FileKind::Yaml, entry.timestamp);
+                eprintln!("warning: {}: removed, its SVG was refused", path.display());
+                removed += 1;
+            }
+        }
         println!(
-            "{:<15} {} SVG files: {} extracted, {} refused {:?}",
+            "{:<15} {} SVG files: {} extracted, {} refused {:?}, {} stale YAML removed",
             map.display_name(),
             entries.len(),
             stats.processed,
             stats.failed,
-            stats.failures_by_kind
+            stats.failures_by_kind,
+            removed
         );
         if options.flag("metrics") {
             println!(
@@ -355,11 +370,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
                 continue;
             }
             println!(
-                "{:<15} {} snapshots, {} nodes, {} link identities [{}]",
+                "{:<15} {} snapshots over {} topology row(s), {} nodes, {} link identities, ~{:.2} MiB [{}]",
                 map.display_name(),
                 columnar.len(),
+                columnar.topology_rows(),
                 columnar.nodes().len(),
                 columnar.link_defs().len(),
+                columnar.approx_bytes() as f64 / (1024.0 * 1024.0),
                 cache_outcome(&load_stats.cache),
             );
         }
@@ -478,8 +495,9 @@ fn print_load_metrics(load_stats: &CorpusLoadStats, columnar: &LongitudinalStore
         }
     }
     println!(
-        "columnar store: {} snapshots, {} nodes, {} link identities, {} load rows, ~{:.1} MiB",
+        "columnar store: {} snapshots over {} topology row(s), {} nodes, {} link identities, {} load rows, ~{:.1} MiB",
         columnar.len(),
+        columnar.topology_rows(),
         columnar.nodes().len(),
         columnar.link_defs().len(),
         columnar.observations(),

@@ -24,20 +24,25 @@
 //!
 //! | tag | contents |
 //! |-----|----------|
-//! | `FPRT` | corpus fingerprint: per-file relative path, size, FNV-1a hash |
+//! | `FPRT` | corpus fingerprint: per-file relative path, size, [`content_hash`] |
 //! | `STAT` | the [`CorpusLoadStats`] base counters of the original build |
 //! | `NODE` | the sorted node symbol table |
 //! | `LDEF` | the sorted link-identity table |
-//! | `SNAP` | timestamps, map kinds, node/link offset tables |
-//! | `CELL` | node cells and link rows (ids + loads + orientation bits) |
+//! | `SNAP` | timestamps and map kinds |
+//! | `ROWS` | the topology rows, each once: its snapshot count, node and link cell counts, then every row's node ids, link ids and orientation bits |
+//! | `LOAD` | the per-direction load columns of every snapshot |
 //!
-//! The load and orientation columns are stored as raw byte runs and
-//! deserialised with bulk slice copies; `u32` columns are fixed-width
-//! little-endian runs decoded chunk-wise — no per-token branching.
+//! A row's snapshot count is its run length, so the row table doubles
+//! as the run-length index from snapshots to rows; the per-snapshot load
+//! offsets are recomputed from it. The load and orientation columns are
+//! stored as raw byte runs and deserialised with bulk slice copies;
+//! `u32` columns are fixed-width little-endian runs decoded chunk-wise —
+//! no per-token branching.
 //!
-//! Decoding never panics: every read is bounds-checked, every length
-//! sum is checked, every id and load is validated, and any violation
-//! (truncation, CRC mismatch, dangling id) surfaces as [`CacheError`] so
+//! Decoding never panics: every read is bounds-checked, every count and
+//! length sum is checked against the section sizes, every id and load is
+//! validated, and any violation (truncation, CRC mismatch, dangling id,
+//! an empty run, two equal rows in a row) surfaces as [`CacheError`] so
 //! the caller can fall back to a clean YAML rebuild.
 
 use std::fmt;
@@ -52,17 +57,22 @@ const TAG_STATS: u32 = u32::from_le_bytes(*b"STAT");
 const TAG_NODES: u32 = u32::from_le_bytes(*b"NODE");
 const TAG_DEFS: u32 = u32::from_le_bytes(*b"LDEF");
 const TAG_SNAPSHOTS: u32 = u32::from_le_bytes(*b"SNAP");
-const TAG_CELLS: u32 = u32::from_le_bytes(*b"CELL");
+const TAG_ROWS: u32 = u32::from_le_bytes(*b"ROWS");
+const TAG_LOADS: u32 = u32::from_le_bytes(*b"LOAD");
 
 /// Section tags, in file order.
-const SECTION_TAGS: [u32; 6] = [
+const SECTION_TAGS: [u32; 7] = [
     TAG_FINGERPRINT,
     TAG_STATS,
     TAG_NODES,
     TAG_DEFS,
     TAG_SNAPSHOTS,
-    TAG_CELLS,
+    TAG_ROWS,
+    TAG_LOADS,
 ];
+
+/// Bytes of one row-table entry: snapshot, node and link counts.
+const ROW_ENTRY_BYTES: usize = 3 * 4;
 
 /// Bytes of one section-table entry: tag, offset, length, CRC.
 const TABLE_ENTRY_BYTES: usize = 4 + 8 + 8 + 4;
@@ -157,15 +167,30 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// FNV-1a 64-bit hash — the per-file content hash of the fingerprint.
+/// The 64-bit content hash of the fingerprint (every YAML file's
+/// bytes) and of the segment identity digest (every path).
+///
+/// An FNV-style hash that takes eight bytes per step: each step XORs in
+/// a little-endian `u64` word, multiplies by the FNV prime and rotates.
+/// The tail is taken byte by byte, the length is folded in and a
+/// splitmix64 finalizer mixes the result. Its values are part of the
+/// segment format: a change to this function is a format bump.
 #[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = word.try_into().map_or(0, u64::from_le_bytes);
+        h = (h ^ word).wrapping_mul(PRIME).rotate_left(31);
     }
-    h
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h ^= bytes.len() as u64;
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +247,7 @@ pub struct FingerprintEntry {
     pub path: String,
     /// File size in bytes.
     pub size: u64,
-    /// FNV-1a 64 hash of the file contents.
+    /// [`content_hash`] of the file contents.
     pub hash: u64,
 }
 
@@ -293,8 +318,8 @@ impl Writer {
             }
         }
     }
-    pub(crate) fn u32_run(&mut self, values: &[u32]) {
-        self.u64(values.len() as u64);
+    /// A `u32` run without a length prefix (the reader knows it).
+    pub(crate) fn u32s(&mut self, values: &[u32]) {
         for &v in values {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -387,15 +412,17 @@ pub fn encode_store(
     for &map in &store.maps {
         w.u8(map_kind_code(map));
     }
-    w.u32_run(&store.node_offsets);
-    w.u32_run(&store.link_offsets);
     sections.push((TAG_SNAPSHOTS, std::mem::take(&mut w.buf)));
 
-    w.u32_run(&store.node_cells);
-    w.u32_run(&store.link_cells);
-    w.u64(store.load_a.len() as u64);
-    w.bytes(&store.load_a);
-    w.bytes(&store.load_b);
+    let rows = store.topology_rows();
+    w.u32(rows as u32);
+    for row in 0..rows {
+        w.u32(store.run_of(row).len() as u32);
+        w.u32(store.node_span(row).len() as u32);
+        w.u32(store.link_span(row).len() as u32);
+    }
+    w.u32s(&store.node_cells);
+    w.u32s(&store.link_cells);
     w.bytes(
         &store
             .flipped
@@ -403,7 +430,11 @@ pub fn encode_store(
             .map(|&f| u8::from(f))
             .collect::<Vec<u8>>(),
     );
-    sections.push((TAG_CELLS, std::mem::take(&mut w.buf)));
+    sections.push((TAG_ROWS, std::mem::take(&mut w.buf)));
+
+    w.bytes(&store.load_a);
+    w.bytes(&store.load_b);
+    sections.push((TAG_LOADS, std::mem::take(&mut w.buf)));
 
     // Assemble: section count, table, payloads back to back. The sum
     // of in-memory lengths cannot reach `u64::MAX`, so saturation never
@@ -493,12 +524,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Bulk-decodes a length-prefixed `u32` run.
-    pub(crate) fn u32_run(&mut self, context: &'static str) -> Result<Vec<u32>, CacheError> {
-        let len = self.checked_len(context)?;
-        let bytes = len
-            .checked_mul(4)
-            .ok_or(CacheError::Truncated { context })?;
+    /// Bulk-decodes a run of `n` `u32` words.
+    pub(crate) fn u32s(&mut self, n: usize, context: &'static str) -> Result<Vec<u32>, CacheError> {
+        let bytes = n.checked_mul(4).ok_or(CacheError::Truncated { context })?;
         Ok(u32_words(self.take(bytes, context)?))
     }
 
@@ -657,7 +685,7 @@ pub fn decode_store(
     }
     r.finished("trailing bytes after the link table")?;
 
-    // Snapshot axis: timestamps, maps, offset tables.
+    // Snapshot axis: timestamps and maps.
     let mut r = Reader::new(section(bytes, &table, TAG_SNAPSHOTS)?);
     let snaps = r.u32("the snapshot count")? as usize;
     let timestamp_bytes = r.take(
@@ -679,68 +707,88 @@ pub fn decode_store(
         .iter()
         .map(|&c| map_kind_from_code(c).ok_or(CacheError::Invalid("unknown map kind")))
         .collect::<Result<Vec<MapKind>, CacheError>>()?;
-    let node_offsets = r.u32_run("the node offsets")?;
-    let link_offsets = r.u32_run("the link offsets")?;
     r.finished("trailing bytes after the snapshot axis")?;
 
-    // Cells: node ids, link rows, loads, orientation — bulk reads.
-    let mut r = Reader::new(section(bytes, &table, TAG_CELLS)?);
-    let node_cells = r.u32_run("the node cells")?;
-    let link_cells = r.u32_run("the link cells")?;
-    let rows = r.checked_len("the load columns")?;
-    if rows != link_cells.len() {
-        return Err(CacheError::Invalid("load column length mismatch"));
+    // Topology rows: the row table, then every row's cells.
+    let mut r = Reader::new(section(bytes, &table, TAG_ROWS)?);
+    let rows = r.u32("the row count")? as usize;
+    let table_bytes = rows
+        .checked_mul(ROW_ENTRY_BYTES)
+        .ok_or(CacheError::Truncated {
+            context: "the row table",
+        })?;
+    let mut row_table = Reader::new(r.take(table_bytes, "the row table")?);
+    let mut store = LongitudinalStore::with_tables(nodes, defs);
+    store.timestamps = timestamps;
+    store.maps = maps;
+    let overflow = CacheError::Invalid("row counts overflow");
+    let (mut node_total, mut link_total) = (0u32, 0u32);
+    for _ in 0..rows {
+        let run = row_table.u32("the row table")?;
+        let row_nodes = row_table.u32("the row table")?;
+        let row_links = row_table.u32("the row table")?;
+        let covered = store.run_ends.last().copied().unwrap_or(0);
+        // A run is never empty and never reaches past the snapshots
+        // (which also bounds the load offsets built below).
+        let run_end = covered.checked_add(run).ok_or(overflow.clone())?;
+        if run == 0 || run_end as usize > snaps {
+            return Err(CacheError::Invalid("bad row run length"));
+        }
+        node_total = node_total.checked_add(row_nodes).ok_or(overflow.clone())?;
+        link_total = link_total.checked_add(row_links).ok_or(overflow.clone())?;
+        store.node_offsets.push(node_total);
+        store.link_offsets.push(link_total);
+        store.run_ends.push(covered);
+        let loads_before = store.load_offsets.last().copied().unwrap_or(0);
+        let run_loads = row_links.checked_mul(run).ok_or(overflow.clone())?;
+        if loads_before.checked_add(run_loads).is_none() {
+            return Err(overflow);
+        }
+        store.extend_run(run as usize);
     }
-    let load_a = r.take(rows, "the load column")?.to_vec();
-    let load_b = r.take(rows, "the load column")?.to_vec();
-    let flipped_bytes = r.take(rows, "the orientation column")?;
-    r.finished("trailing bytes after the cells")?;
-    if load_a
+    if store.run_ends.last().map_or(0, |&end| end as usize) != snaps {
+        return Err(CacheError::Invalid("row runs do not cover the snapshots"));
+    }
+    store.node_cells = r.u32s(node_total as usize, "the node cells")?;
+    store.link_cells = r.u32s(link_total as usize, "the link cells")?;
+    let flipped_bytes = r.take(link_total as usize, "the orientation column")?;
+    r.finished("trailing bytes after the rows")?;
+    if flipped_bytes.iter().any(|&b| b > 1) {
+        return Err(CacheError::Invalid("bad orientation bit"));
+    }
+    store.flipped = flipped_bytes.iter().map(|&b| b != 0).collect();
+    if store
+        .node_cells
         .iter()
-        .chain(&load_b)
+        .any(|&id| id as usize >= store.nodes.len())
+    {
+        return Err(CacheError::Invalid("node cell id out of range"));
+    }
+    if store
+        .link_cells
+        .iter()
+        .any(|&id| id as usize >= store.defs.len())
+    {
+        return Err(CacheError::Invalid("link cell id out of range"));
+    }
+    if store.has_repeated_row() {
+        return Err(CacheError::Invalid("two consecutive rows are equal"));
+    }
+
+    // Loads: both directions of every snapshot, as the runs dictate.
+    let mut r = Reader::new(section(bytes, &table, TAG_LOADS)?);
+    let loads = store.load_offsets.last().map_or(0, |&o| o as usize);
+    store.load_a = r.take(loads, "the load column")?.to_vec();
+    store.load_b = r.take(loads, "the load column")?.to_vec();
+    r.finished("trailing bytes after the loads")?;
+    if store
+        .load_a
+        .iter()
+        .chain(&store.load_b)
         .any(|&p| Load::new(p).is_none())
     {
         return Err(CacheError::Invalid("load above 100 %"));
     }
-    if flipped_bytes.iter().any(|&b| b > 1) {
-        return Err(CacheError::Invalid("bad orientation bit"));
-    }
-    let flipped: Vec<bool> = flipped_bytes.iter().map(|&b| b != 0).collect();
-
-    // Offset-table invariants: right length, start at 0, non-decreasing,
-    // end at the matching cell count.
-    let check_offsets = |offsets: &[u32], cells: usize| -> Result<(), CacheError> {
-        if offsets.len() != snaps.saturating_add(1)
-            || offsets.first() != Some(&0)
-            || offsets.last().map(|&o| o as usize) != Some(cells)
-            || !offsets.is_sorted()
-        {
-            return Err(CacheError::Invalid("bad offset table"));
-        }
-        Ok(())
-    };
-    check_offsets(&node_offsets, node_cells.len())?;
-    check_offsets(&link_offsets, link_cells.len())?;
-    if node_cells.iter().any(|&id| id as usize >= nodes.len()) {
-        return Err(CacheError::Invalid("node cell id out of range"));
-    }
-    if link_cells.iter().any(|&id| id as usize >= defs.len()) {
-        return Err(CacheError::Invalid("link cell id out of range"));
-    }
-
-    let store = LongitudinalStore {
-        nodes,
-        defs,
-        timestamps,
-        maps,
-        node_offsets,
-        node_cells,
-        link_offsets,
-        link_cells,
-        load_a,
-        load_b,
-        flipped,
-    };
     Ok((store, fingerprint, stats))
 }
 
@@ -854,6 +902,51 @@ mod tests {
                 "truncation to {len} bytes must not decode"
             );
         }
+    }
+
+    /// The content hash's values are part of the segment format (FPRT
+    /// bytes, identity digests): a change here is a format bump.
+    #[test]
+    fn content_hash_is_pinned() {
+        for (input, want) in [
+            (&b""[..], 0xF52A_15E9_A9B5_E89Bu64),
+            (b"a", 0x8097_CA68_B9CC_797B),
+            (b"12345678", 0xEC49_6852_4563_5FB9),
+            (b"123456789", 0x28E3_9FCD_5C49_1552),
+            (b"europe/yaml/2022/02/01/0000.yaml", 0x0748_6A24_D402_0057),
+        ] {
+            assert_eq!(
+                content_hash(input),
+                want,
+                "{:?}",
+                String::from_utf8_lossy(input)
+            );
+        }
+        // Length and position matter, not just the multiset of words.
+        assert_ne!(content_hash(b"\0"), content_hash(b""));
+        assert_ne!(
+            content_hash(b"abcdefgh12345678"),
+            content_hash(b"12345678abcdefgh")
+        );
+    }
+
+    #[test]
+    fn a_store_of_one_topology_keeps_one_row() {
+        // Both snapshots share nodes, links and orientations: one row,
+        // two snapshots' loads.
+        let t0 = Timestamp::from_ymd(2021, 6, 1);
+        let mut s0 = TopologySnapshot::new(MapKind::Europe, t0);
+        s0.nodes = vec![Node::from_name("rbx-g1"), Node::from_name("fra-fr5")];
+        s0.links = vec![link("rbx-g1", 10, "fra-fr5", 20, Some("#1"))];
+        let mut s1 = s0.clone();
+        s1.timestamp = t0 + Duration::from_minutes(5);
+        s1.links = vec![link("rbx-g1", 30, "fra-fr5", 40, Some("#1"))];
+        let store = LongitudinalStore::from_snapshots([&s0, &s1]);
+        assert_eq!(store.topology_rows(), 1);
+        let image = encode_store(&store, &CorpusFingerprint::default(), &sample_stats());
+        let (back, _, _) = decode_store(&image).expect("decodes");
+        assert_eq!(back, store);
+        assert_eq!(back.snapshot(1), s1);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub(crate) fn relative_path_string(map: MapKind, timestamp: Timestamp) -> String
 /// The loader core: reads and parses the given YAML entries of `map`
 /// into one [`ColumnarBuilder`] per worker, finished in worker order
 /// (never finish order) into one store. With `hash` set, also returns
-/// the FNV-1a content hash of every entry, in entry order — the
+/// the [`codec::content_hash`] of every entry, in entry order — the
 /// combined parse-and-fingerprint pass that seals a segment, which
 /// avoids reading each file twice.
 pub(crate) fn load_store(
@@ -168,7 +168,7 @@ pub(crate) fn load_store(
         stats.files += 1;
         stats.bytes += bytes.len() as u64;
         if hash {
-            hashes.push((index, codec::fnv1a(&bytes)));
+            hashes.push((index, codec::content_hash(&bytes)));
         }
         let parsed =
             std::str::from_utf8(&bytes).is_ok_and(|text| sink.add_yaml(index, text).is_ok());

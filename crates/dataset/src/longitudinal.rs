@@ -11,24 +11,31 @@
 //!   canonical link identity get stable ids ([`NodeId`], [`LinkId`])
 //!   assigned by *rank* in the sorted table, so ids depend only on the
 //!   corpus content, never on discovery or thread order.
-//! * **Columns** — per snapshot, the node-id list and the link rows
-//!   (link id, per-direction loads, original orientation) in original
-//!   snapshot order, laid out in flat arrays with offset tables.
-//!   [`LongitudinalStore::snapshot`] reconstructs the original
-//!   [`TopologySnapshot`] *exactly*, so every existing analysis runs
-//!   unchanged on top of the store.
+//! * **Topology rows** — a snapshot's node-id list and its link cells
+//!   (link id and original orientation), in original snapshot order,
+//!   stored once per run of consecutive snapshots that share them. The
+//!   backbone changes by discrete events while loads change every five
+//!   minutes, so two years of a map hold a handful of rows.
+//! * **Load columns** — per snapshot, only the per-direction loads of
+//!   its row's link cells, in flat arrays.
 //!
-//! Nothing derived is stored beside the columns. The §5 suite and the
-//! query kernels read counts, loads and final states from the columns
-//! (or from reconstructed snapshots), and a structural diff between two
+//! [`LongitudinalStore::snapshot`] reconstructs the original
+//! [`TopologySnapshot`] *exactly*, so every existing analysis runs
+//! unchanged on top of the store.
+//!
+//! Nothing derived is persisted beside the columns (the per-snapshot
+//! load offsets are recomputed from the runs on decode). The §5 suite
+//! and the query kernels resolve per-cell facts once per row, scan only
+//! the loads of each snapshot in the row's run, and read final states
+//! from reconstructed snapshots; a structural diff between two
 //! snapshots is [`wm_model::diff`] of their reconstructions.
 //!
 //! The store is built by folding snapshot files into per-worker
 //! [`ColumnarBuilder`]s — straight from YAML text
 //! ([`ColumnarBuilder::add_yaml`]), or from in-memory snapshots
 //! ([`ColumnarBuilder::add_snapshot`]) — and merging them at join.
-//! The merge sorts the symbol tables and orders rows by `(timestamp,
-//! input index)`, so the result is byte-identical for any worker count
+//! The merge sorts the symbol tables and orders snapshots by
+//! `(timestamp, input index)`, so the result is byte-identical for any worker count
 //! — the same contract as the extraction batch runner. Finished stores
 //! merge the same way: [`LongitudinalStore::concat`] joins slices of
 //! time-ordered stores (decoded segments) without rebuilding a
@@ -100,26 +107,28 @@ pub struct LinkDef {
     pub label_b: Option<String>,
 }
 
-/// A per-snapshot row still carrying builder-local ids.
-#[derive(Debug, Clone, Copy)]
-struct LocalRow {
+/// One link cell of a builder-local topology row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LocalCell {
     def: u32,
-    load_a: u8,
-    load_b: u8,
     /// `true` when the original link listed the canonical second
     /// endpoint first; preserved so reconstruction is exact.
     flipped: bool,
 }
 
-/// A snapshot accepted by a builder, awaiting the merge. Its cells are
-/// ranges of the builder's flat `node_cells` and `rows`.
+/// A snapshot accepted by a builder, awaiting the merge. Its topology
+/// row is a range of the builder's `node_cells` and `cells`, shared with
+/// the snapshot added just before it when the two rows are equal; its
+/// loads start at `loads` in the builder's load columns, one pair per
+/// link cell.
 #[derive(Debug, Clone)]
 struct PendingSnapshot {
     index: usize,
     map: MapKind,
     timestamp: Timestamp,
     nodes: Range<usize>,
-    rows: Range<usize>,
+    cells: Range<usize>,
+    loads: usize,
 }
 
 /// The local id slot of an absent entry (no node of that kind, no
@@ -140,6 +149,10 @@ type DefKey = [u32; 4];
 /// on the set of values seen, the merged store is identical however the
 /// inputs were split across builders.
 ///
+/// A snapshot whose topology row equals that of the snapshot the same
+/// builder took just before keeps no row of its own, so a worker holds
+/// one copy of a topology that persists across its files.
+///
 /// Snapshots arrive as YAML text ([`ColumnarBuilder::add_yaml`], the
 /// loader's path) or as [`TopologySnapshot`]s
 /// ([`ColumnarBuilder::add_snapshot`]); both go through the one
@@ -156,10 +169,15 @@ pub struct ColumnarBuilder {
     defs: Vec<LinkDef>,
     def_ids: BTreeMap<DefKey, u32>,
     snaps: Vec<PendingSnapshot>,
-    /// Node-id cells of every pending snapshot, back to back.
+    /// Node-id cells of the pending topology rows, back to back.
     node_cells: Vec<u32>,
-    /// Link rows of every pending snapshot, back to back.
-    rows: Vec<LocalRow>,
+    /// Link cells of the pending topology rows, back to back.
+    cells: Vec<LocalCell>,
+    /// Canonical first-end loads of every pending snapshot, one per link
+    /// cell of its row.
+    load_a: Vec<u8>,
+    /// Canonical second-end loads, aligned with `load_a`.
+    load_b: Vec<u8>,
     /// Local ids of the listed nodes of the snapshot being added, in
     /// list order (scratch, reused across snapshots).
     listed: Vec<u32>,
@@ -172,16 +190,16 @@ fn load_of(byte: Option<&u8>) -> Load {
     byte.and_then(|&b| Load::new(b)).unwrap_or(Load::ZERO)
 }
 
-/// The half-open cell range of snapshot `index` in a CSR offset table.
+/// The half-open cell range of entry `index` in a CSR offset table.
 /// Out-of-range indices yield an empty range; inverted offsets (which a
 /// well-formed table never holds) clamp to empty instead of panicking.
 fn offset_span(offsets: &[u32], index: usize) -> Range<usize> {
-    offsets_between(offsets, index..index + 1)
+    offsets_between(offsets, index..index.saturating_add(1))
 }
 
-/// The half-open cell range of the snapshots `range` in a CSR offset
+/// The half-open cell range of the entries `range` in a CSR offset
 /// table, clamped like [`offset_span`].
-fn offsets_between(offsets: &[u32], range: Range<usize>) -> Range<usize> {
+pub(crate) fn offsets_between(offsets: &[u32], range: Range<usize>) -> Range<usize> {
     let start = offsets.get(range.start).map_or(0, |&o| o as usize);
     let end = offsets.get(range.end).map_or(start, |&o| o as usize);
     start..end.max(start)
@@ -344,7 +362,7 @@ impl ColumnarBuilder {
         }
     }
 
-    /// Appends one link row, interning its identity.
+    /// Appends one link cell and its loads, interning its identity.
     fn push_link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>) {
         let flipped = end_key(b) < end_key(a);
         let (first, second) = if flipped { (b, a) } else { (a, b) };
@@ -369,12 +387,9 @@ impl ColumnarBuilder {
                 id
             }
         };
-        self.rows.push(LocalRow {
-            def,
-            load_a: first.load.percent(),
-            load_b: second.load.percent(),
-            flipped,
-        });
+        self.cells.push(LocalCell { def, flipped });
+        self.load_a.push(first.load.percent());
+        self.load_b.push(second.load.percent());
     }
 
     /// Merges per-worker builders into the final store.
@@ -382,7 +397,8 @@ impl ColumnarBuilder {
     /// Ids become ranks in the globally sorted symbol tables and
     /// snapshots are ordered by `(timestamp, input index)`, so the
     /// result does not depend on how snapshots were distributed over
-    /// builders.
+    /// builders. Topology rows follow the store's one row rule (see
+    /// [`LongitudinalStore`]) in that final order.
     #[must_use]
     pub fn finish(builders: Vec<ColumnarBuilder>) -> LongitudinalStore {
         let node_tables: Vec<Vec<Option<&Node>>> = builders
@@ -417,11 +433,12 @@ impl ColumnarBuilder {
             .collect();
         order.sort_unstable();
         let mut store = LongitudinalStore::with_tables(nodes, defs);
-        store
-            .node_cells
-            .reserve(builders.iter().map(|b| b.node_cells.len()).sum());
-        let row_count: usize = builders.iter().map(|b| b.rows.len()).sum();
-        store.link_cells.reserve(row_count);
+        let load_count: usize = builders.iter().map(|b| b.load_a.len()).sum();
+        store.load_a.reserve(load_count);
+        store.load_b.reserve(load_count);
+        // The builder and local row of the snapshot placed last: a
+        // snapshot sharing it is the same row without a comparison.
+        let mut previous: Option<(usize, Range<usize>, Range<usize>)> = None;
         for (_, _, k, j) in order {
             let (Some(builder), Some(node_map), Some(def_map)) =
                 (builders.get(k), node_maps.get(k), def_maps.get(k))
@@ -433,18 +450,31 @@ impl ColumnarBuilder {
             };
             store.timestamps.push(snap.timestamp);
             store.maps.push(snap.map);
-            let node_row = builder.node_cells.get(snap.nodes.clone()).unwrap_or(&[]);
-            store
-                .node_cells
-                .extend(node_row.iter().map(|&id| rank_of(node_map, id as usize)));
-            store.node_offsets.push(store.node_cells.len() as u32);
-            for row in builder.rows.get(snap.rows.clone()).unwrap_or(&[]) {
-                store.link_cells.push(rank_of(def_map, row.def as usize));
-                store.load_a.push(row.load_a);
-                store.load_b.push(row.load_b);
-                store.flipped.push(row.flipped);
+            let same_row = previous.as_ref().is_some_and(|(pk, nodes, cells)| {
+                *pk == k && *nodes == snap.nodes && *cells == snap.cells
+            });
+            if same_row {
+                store.extend_run(1);
+            } else {
+                let node_row = builder.node_cells.get(snap.nodes.clone()).unwrap_or(&[]);
+                store
+                    .node_cells
+                    .extend(node_row.iter().map(|&id| rank_of(node_map, id as usize)));
+                let cells = builder.cells.get(snap.cells.clone()).unwrap_or(&[]);
+                store
+                    .link_cells
+                    .extend(cells.iter().map(|cell| rank_of(def_map, cell.def as usize)));
+                store.flipped.extend(cells.iter().map(|cell| cell.flipped));
+                store.close_row(1);
+                previous = Some((k, snap.nodes.clone(), snap.cells.clone()));
             }
-            store.link_offsets.push(store.link_cells.len() as u32);
+            let loads = snap.loads..snap.loads.saturating_add(snap.cells.len());
+            store
+                .load_a
+                .extend_from_slice(builder.load_a.get(loads.clone()).unwrap_or(&[]));
+            store
+                .load_b
+                .extend_from_slice(builder.load_b.get(loads).unwrap_or(&[]));
         }
         store
     }
@@ -459,7 +489,8 @@ struct FileVisitor<'b> {
     builder: &'b mut ColumnarBuilder,
     header: Option<(MapKind, Timestamp)>,
     nodes_from: usize,
-    rows_from: usize,
+    cells_from: usize,
+    loads_from: usize,
 }
 
 impl<'b> FileVisitor<'b> {
@@ -467,25 +498,46 @@ impl<'b> FileVisitor<'b> {
         builder.listed.clear();
         FileVisitor {
             nodes_from: builder.node_cells.len(),
-            rows_from: builder.rows.len(),
+            cells_from: builder.cells.len(),
+            loads_from: builder.load_a.len(),
             header: None,
             builder,
         }
     }
 
     /// Records the snapshot whose cells were appended since
-    /// [`FileVisitor::new`] (nothing, when no header arrived).
+    /// [`FileVisitor::new`] (nothing, when no header arrived). A topology
+    /// row equal to the previous snapshot's is dropped again and the
+    /// snapshot shares that row.
     fn commit(self, index: usize) {
+        let builder = self.builder;
         let Some((map, timestamp)) = self.header else {
+            builder.node_cells.truncate(self.nodes_from);
+            builder.cells.truncate(self.cells_from);
+            builder.load_a.truncate(self.loads_from);
+            builder.load_b.truncate(self.loads_from);
             return;
         };
-        let builder = self.builder;
+        let mut nodes = self.nodes_from..builder.node_cells.len();
+        let mut cells = self.cells_from..builder.cells.len();
+        if let Some(prev) = builder.snaps.last() {
+            let same = builder.node_cells.get(prev.nodes.clone())
+                == builder.node_cells.get(nodes.clone())
+                && builder.cells.get(prev.cells.clone()) == builder.cells.get(cells.clone());
+            if same {
+                nodes = prev.nodes.clone();
+                cells = prev.cells.clone();
+                builder.node_cells.truncate(self.nodes_from);
+                builder.cells.truncate(self.cells_from);
+            }
+        }
         builder.snaps.push(PendingSnapshot {
             index,
             map,
             timestamp,
-            nodes: self.nodes_from..builder.node_cells.len(),
-            rows: self.rows_from..builder.rows.len(),
+            nodes,
+            cells,
+            loads: self.loads_from,
         });
     }
 }
@@ -508,6 +560,15 @@ impl SnapshotVisitor for FileVisitor<'_> {
 
 /// One map's snapshot history in columnar form. See the module docs.
 ///
+/// The topology of a snapshot — its node ids, its link ids and their
+/// orientation bits, in original order — is its *row*. Rows are stored
+/// once per run of consecutive snapshots that share them; a snapshot
+/// holds only its timestamp, map and per-direction loads. The one row
+/// rule, which every constructor follows: a new row opens exactly where
+/// a snapshot's row differs from the previous snapshot's, in the final
+/// `(timestamp, input index)` order (so `A→B→A` is three rows). The
+/// columns are therefore a pure function of the snapshot sequence.
+///
 /// Fields are `pub(crate)` so the binary cache codec ([`crate::codec`])
 /// can serialise and reconstruct the columns directly; outside this crate
 /// the store is opaque behind its accessor methods.
@@ -517,13 +578,22 @@ pub struct LongitudinalStore {
     pub(crate) defs: Vec<LinkDef>,
     pub(crate) timestamps: Vec<Timestamp>,
     pub(crate) maps: Vec<MapKind>,
+    /// Per row, one past the last snapshot of its run: strictly
+    /// increasing, the last equal to `len()`.
+    pub(crate) run_ends: Vec<u32>,
+    /// Per-row offsets into `node_cells` (one more entry than rows).
     pub(crate) node_offsets: Vec<u32>,
     pub(crate) node_cells: Vec<u32>,
+    /// Per-row offsets into `link_cells` and `flipped`.
     pub(crate) link_offsets: Vec<u32>,
     pub(crate) link_cells: Vec<u32>,
+    pub(crate) flipped: Vec<bool>,
+    /// Per-snapshot offsets into the load columns (one more entry than
+    /// snapshots): each snapshot holds one load pair per link cell of
+    /// its row. Derived from the runs; never serialised.
+    pub(crate) load_offsets: Vec<u32>,
     pub(crate) load_a: Vec<u8>,
     pub(crate) load_b: Vec<u8>,
-    pub(crate) flipped: Vec<bool>,
 }
 
 impl LongitudinalStore {
@@ -542,19 +612,64 @@ impl LongitudinalStore {
     }
 
     /// A store with the given symbol tables and no snapshots.
-    fn with_tables(nodes: Vec<Node>, defs: Vec<LinkDef>) -> LongitudinalStore {
+    pub(crate) fn with_tables(nodes: Vec<Node>, defs: Vec<LinkDef>) -> LongitudinalStore {
         LongitudinalStore {
             nodes,
             defs,
             timestamps: Vec::new(),
             maps: Vec::new(),
+            run_ends: Vec::new(),
             node_offsets: vec![0],
             node_cells: Vec::new(),
             link_offsets: vec![0],
             link_cells: Vec::new(),
+            flipped: Vec::new(),
+            load_offsets: vec![0],
             load_a: Vec::new(),
             load_b: Vec::new(),
-            flipped: Vec::new(),
+        }
+    }
+
+    /// Closes the row whose cells were appended past the last row's end
+    /// as the topology of the next `count` snapshots: a row equal to the
+    /// last one is dropped again and extends its run instead, the one
+    /// row rule. The caller appends the snapshots' timestamps, maps and
+    /// loads.
+    pub(crate) fn close_row(&mut self, count: usize) {
+        let rows = self.run_ends.len();
+        let nodes_from = self.node_offsets.last().map_or(0, |&o| o as usize);
+        let links_from = self.link_offsets.last().map_or(0, |&o| o as usize);
+        let same = rows > 0
+            && self.row(rows.saturating_sub(1))
+                == self.cells_of(
+                    nodes_from..self.node_cells.len(),
+                    links_from..self.link_cells.len(),
+                );
+        if same {
+            self.node_cells.truncate(nodes_from);
+            self.link_cells.truncate(links_from);
+            self.flipped.truncate(links_from);
+        } else {
+            self.node_offsets.push(self.node_cells.len() as u32);
+            self.link_offsets.push(self.link_cells.len() as u32);
+            // The new run starts where the last one ends, empty until
+            // extended below.
+            let start = self.run_ends.last().copied().unwrap_or(0);
+            self.run_ends.push(start);
+        }
+        self.extend_run(count);
+    }
+
+    /// Extends the last row's run by `count` snapshots.
+    pub(crate) fn extend_run(&mut self, count: usize) {
+        let width = self.link_span(self.run_ends.len().saturating_sub(1)).len() as u32;
+        if let Some(end) = self.run_ends.last_mut() {
+            *end = end.saturating_add(count as u32);
+        }
+        let mut at = self.load_offsets.last().copied().unwrap_or(0);
+        for _ in 0..count {
+            at = at.saturating_add(width);
+            self.load_offsets.push(at);
         }
     }
 
@@ -576,8 +691,9 @@ impl LongitudinalStore {
     /// The result equals [`LongitudinalStore::from_snapshots`] of the
     /// concatenated snapshots and encodes to the same bytes. Symbol
     /// tables merge through the sorted union and rank remap that
-    /// [`ColumnarBuilder::finish`] uses, and each part's rows are copied
-    /// with their ids remapped.
+    /// [`ColumnarBuilder::finish`] uses; each part's rows are copied
+    /// once per run, ids remapped and runs trimmed to the part's range,
+    /// and equal rows meeting at a part boundary merge into one run.
     #[must_use]
     pub fn concat(parts: &[(&LongitudinalStore, Range<usize>)]) -> LongitudinalStore {
         let parts: Vec<(&LongitudinalStore, Range<usize>)> = parts
@@ -625,7 +741,8 @@ impl LongitudinalStore {
             .collect();
         let (defs, def_maps) = rank_union(&def_tables);
 
-        // Columns: each part's rows, ids remapped.
+        // Columns: each part's rows once per run, ids remapped; loads
+        // are one contiguous copy per part.
         let mut merged = LongitudinalStore::with_tables(nodes, defs);
         for (((store, range), node_map), def_map) in parts.iter().zip(&node_maps).zip(&def_maps) {
             merged
@@ -634,55 +751,51 @@ impl LongitudinalStore {
             merged
                 .maps
                 .extend_from_slice(store.maps.get(range.clone()).unwrap_or(&[]));
-            for index in range.clone() {
-                let nodes = offset_span(&store.node_offsets, index);
-                let node_row = store.node_cells.get(nodes).unwrap_or(&[]);
+            for (row, run) in store.row_runs(range.clone()) {
+                let node_row = store.node_cells.get(store.node_span(row)).unwrap_or(&[]);
                 merged
                     .node_cells
                     .extend(node_row.iter().map(|&id| rank_of(node_map, id as usize)));
-                merged.node_offsets.push(merged.node_cells.len() as u32);
-                let rows = offset_span(&store.link_offsets, index);
-                let link_row = store.link_cells.get(rows.clone()).unwrap_or(&[]);
+                let links = store.link_span(row);
+                let link_row = store.link_cells.get(links.clone()).unwrap_or(&[]);
                 merged
                     .link_cells
                     .extend(link_row.iter().map(|&def| rank_of(def_map, def as usize)));
-                merged.link_offsets.push(merged.link_cells.len() as u32);
-                merged
-                    .load_a
-                    .extend_from_slice(store.load_a.get(rows.clone()).unwrap_or(&[]));
-                merged
-                    .load_b
-                    .extend_from_slice(store.load_b.get(rows.clone()).unwrap_or(&[]));
                 merged
                     .flipped
-                    .extend_from_slice(store.flipped.get(rows).unwrap_or(&[]));
+                    .extend_from_slice(store.flipped.get(links).unwrap_or(&[]));
+                merged.close_row(run.len());
             }
+            let loads = offsets_between(&store.load_offsets, range.clone());
+            merged
+                .load_a
+                .extend_from_slice(store.load_a.get(loads.clone()).unwrap_or(&[]));
+            merged
+                .load_b
+                .extend_from_slice(store.load_b.get(loads).unwrap_or(&[]));
         }
         merged
     }
 
     /// Which symbol-table entries the snapshots `range` use, as
-    /// `(nodes, link identities)` masks: a node is used when a row lists
-    /// it or a used link ends at it, a link identity when a row holds it.
+    /// `(nodes, link identities)` masks: a node is used when a row of
+    /// the range lists it or a used link ends at it, a link identity
+    /// when a row of the range holds it.
     fn used_symbols(&self, range: Range<usize>) -> (Vec<bool>, Vec<bool>) {
         let mut node_used = vec![false; self.nodes.len()];
         let mut def_used = vec![false; self.defs.len()];
-        let node_cells = self
-            .node_cells
-            .get(offsets_between(&self.node_offsets, range.clone()))
-            .unwrap_or(&[]);
-        for &id in node_cells {
-            if let Some(used) = node_used.get_mut(id as usize) {
-                *used = true;
+        for (row, _) in self.row_runs(range) {
+            let node_cells = self.node_cells.get(self.node_span(row)).unwrap_or(&[]);
+            for &id in node_cells {
+                if let Some(used) = node_used.get_mut(id as usize) {
+                    *used = true;
+                }
             }
-        }
-        let link_cells = self
-            .link_cells
-            .get(offsets_between(&self.link_offsets, range))
-            .unwrap_or(&[]);
-        for &def in link_cells {
-            if let Some(used) = def_used.get_mut(def as usize) {
-                *used = true;
+            let link_cells = self.link_cells.get(self.link_span(row)).unwrap_or(&[]);
+            for &def in link_cells {
+                if let Some(used) = def_used.get_mut(def as usize) {
+                    *used = true;
+                }
             }
         }
         for (def, _) in self.defs.iter().zip(&def_used).filter(|(_, &used)| used) {
@@ -741,10 +854,103 @@ impl LongitudinalStore {
         &self.defs
     }
 
-    /// Total number of link observations (rows) across all snapshots.
+    /// Total number of link observations (load pairs) across all
+    /// snapshots.
     #[must_use]
     pub fn observations(&self) -> usize {
-        self.link_cells.len()
+        self.load_a.len()
+    }
+
+    /// Number of topology rows: runs of consecutive snapshots that share
+    /// their nodes, links and orientations.
+    #[must_use]
+    pub fn topology_rows(&self) -> usize {
+        self.run_ends.len()
+    }
+
+    /// The snapshot index range of row `row`'s run (empty for a row out
+    /// of range).
+    pub(crate) fn run_of(&self, row: usize) -> Range<usize> {
+        let start = row
+            .checked_sub(1)
+            .and_then(|prev| self.run_ends.get(prev))
+            .map_or(0, |&e| e as usize);
+        let end = self.run_ends.get(row).map_or(start, |&e| e as usize);
+        start..end.max(start)
+    }
+
+    /// The row of snapshot `index` (`topology_rows()` for an index out
+    /// of range).
+    pub(crate) fn row_at(&self, index: usize) -> usize {
+        self.run_ends.partition_point(|&end| end as usize <= index)
+    }
+
+    /// Every topology row whose run intersects the snapshots `range`,
+    /// as `(row, run)` with the run clipped to the range, in snapshot
+    /// order.
+    pub fn row_runs(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let first = self.row_at(range.start);
+        (first..self.run_ends.len())
+            .map(move |row| {
+                let run = self.run_of(row);
+                (row, run.start.max(range.start)..run.end.min(range.end))
+            })
+            .take_while(|(_, run)| !run.is_empty())
+    }
+
+    /// The node cells, link cells and orientation bits of the given
+    /// spans.
+    fn cells_of(&self, nodes: Range<usize>, links: Range<usize>) -> (&[u32], &[u32], &[bool]) {
+        (
+            self.node_cells.get(nodes).unwrap_or(&[]),
+            self.link_cells.get(links.clone()).unwrap_or(&[]),
+            self.flipped.get(links).unwrap_or(&[]),
+        )
+    }
+
+    /// The node cells, link cells and orientation bits of row `row`.
+    fn row(&self, row: usize) -> (&[u32], &[u32], &[bool]) {
+        self.cells_of(self.node_span(row), self.link_span(row))
+    }
+
+    /// Whether two consecutive rows are equal, which the row rule never
+    /// produces (a decoder's canonical-form check).
+    pub(crate) fn has_repeated_row(&self) -> bool {
+        (1..self.topology_rows()).any(|row| self.row(row.saturating_sub(1)) == self.row(row))
+    }
+
+    /// The `node_cells` range of row `row`.
+    pub(crate) fn node_span(&self, row: usize) -> Range<usize> {
+        offset_span(&self.node_offsets, row)
+    }
+
+    /// The `link_cells`/`flipped` range of row `row`.
+    pub(crate) fn link_span(&self, row: usize) -> Range<usize> {
+        offset_span(&self.link_offsets, row)
+    }
+
+    /// Iterates a topology row's node ids in original snapshot order.
+    pub fn row_node_ids(&self, row: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.node_cells
+            .get(self.node_span(row))
+            .unwrap_or(&[])
+            .iter()
+            .map(|&id| NodeId(id))
+    }
+
+    /// The canonical first-end and second-end loads of snapshot `index`,
+    /// aligned with the link cells of its row (empty for an index out of
+    /// range).
+    #[must_use]
+    pub fn loads(&self, index: usize) -> (&[u8], &[u8]) {
+        let span = offset_span(&self.load_offsets, index);
+        (
+            self.load_a.get(span.clone()).unwrap_or(&[]),
+            self.load_b.get(span).unwrap_or(&[]),
+        )
     }
 
     /// Reconstructs snapshot `index` exactly as it was stored: node and
@@ -758,28 +964,35 @@ impl LongitudinalStore {
             return TopologySnapshot::new(MapKind::default(), Timestamp::default());
         };
         let mut snapshot = TopologySnapshot::new(map, timestamp);
-        let nodes = offset_span(&self.node_offsets, index);
+        let row = self.row_at(index);
         snapshot.nodes = self
             .node_cells
-            .get(nodes)
+            .get(self.node_span(row))
             .unwrap_or(&[])
             .iter()
             .filter_map(|&id| self.nodes.get(id as usize).cloned())
             .collect();
-        snapshot.links = offset_span(&self.link_offsets, index)
-            .filter_map(|row| {
-                let def = self.defs.get(*self.link_cells.get(row)? as usize)?;
+        let links = self.link_span(row);
+        let (load_a, load_b) = self.loads(index);
+        let cells = self.link_cells.get(links.clone()).unwrap_or(&[]);
+        let flips = self.flipped.get(links).unwrap_or(&[]);
+        snapshot.links = cells
+            .iter()
+            .zip(flips)
+            .enumerate()
+            .filter_map(|(cell, (&def, &flipped))| {
+                let def = self.defs.get(def as usize)?;
                 let first = LinkEnd::new(
                     self.nodes.get(def.a.index())?.clone(),
                     def.label_a.clone(),
-                    load_of(self.load_a.get(row)),
+                    load_of(load_a.get(cell)),
                 );
                 let second = LinkEnd::new(
                     self.nodes.get(def.b.index())?.clone(),
                     def.label_b.clone(),
-                    load_of(self.load_b.get(row)),
+                    load_of(load_b.get(cell)),
                 );
-                Some(if self.flipped.get(row).copied().unwrap_or(false) {
+                Some(if flipped {
                     Link::new(second, first)
                 } else {
                     Link::new(first, second)
@@ -816,11 +1029,12 @@ impl LongitudinalStore {
                 .sum::<usize>()
             + self.timestamps.len() * size_of::<Timestamp>()
             + self.maps.len() * size_of::<MapKind>()
+            + (self.run_ends.len() + self.load_offsets.len()) * size_of::<u32>()
             + (self.node_offsets.len() + self.node_cells.len()) * size_of::<u32>()
             + (self.link_offsets.len() + self.link_cells.len()) * size_of::<u32>()
+            + self.flipped.len()
             + self.load_a.len()
             + self.load_b.len()
-            + self.flipped.len()
     }
 }
 
@@ -905,6 +1119,59 @@ mod tests {
         b1.add_snapshot(0, &snaps[0]);
         let split = ColumnarBuilder::finish(vec![b0, b1]);
         assert_eq!(whole, split);
+    }
+
+    /// Snapshots `0..n` of a fixed topology at 5-minute steps, with the
+    /// load of the first link set to `load(i)`.
+    fn steady(n: usize, topology: &TopologySnapshot) -> Vec<TopologySnapshot> {
+        (0..n)
+            .map(|i| {
+                let mut s = topology.clone();
+                s.timestamp = topology.timestamp + Duration::from_minutes(5 * i as i64);
+                s.links[0].a.egress_load = load((7 * i % 101) as u8);
+                s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_open_only_where_the_topology_changes() {
+        let [a, _, b] = series().try_into().unwrap();
+        // A→A→B→B→A: the return to A is a row of its own.
+        let mut snaps = steady(2, &a);
+        let mut later = b.clone();
+        later.timestamp = a.timestamp + Duration::from_minutes(10);
+        snaps.extend(steady(2, &later));
+        let mut back = a.clone();
+        back.timestamp = a.timestamp + Duration::from_minutes(20);
+        snaps.push(back);
+        let store = LongitudinalStore::from_snapshots(&snaps);
+        assert_eq!(store.topology_rows(), 3);
+        let runs: Vec<Range<usize>> = store.row_runs(0..5).map(|(_, run)| run).collect();
+        assert_eq!(runs, vec![0..2, 2..4, 4..5]);
+        assert_eq!(store.snapshots().collect::<Vec<_>>(), snaps);
+
+        // Windows trim runs; slices of one run concatenate back into it.
+        let window = store.slice(1..3);
+        assert_eq!(window.topology_rows(), 2);
+        assert_eq!(window, LongitudinalStore::from_snapshots(&snaps[1..3]));
+        let joined = LongitudinalStore::concat(&[(&store, 0..1), (&store, 1..2)]);
+        assert_eq!(joined.topology_rows(), 1);
+        assert_eq!(joined, LongitudinalStore::from_snapshots(&snaps[..2]));
+    }
+
+    #[test]
+    fn approx_bytes_stores_a_steady_topology_once() {
+        let [a, _, _] = series().try_into().unwrap();
+        let one = LongitudinalStore::from_snapshots(&steady(1, &a)).approx_bytes();
+        let many = LongitudinalStore::from_snapshots(&steady(101, &a)).approx_bytes();
+        // Each further snapshot adds its loads, timestamp, map and load
+        // offset, never its topology.
+        let per_snapshot = 2 * a.links.len()
+            + std::mem::size_of::<Timestamp>()
+            + std::mem::size_of::<MapKind>()
+            + std::mem::size_of::<u32>();
+        assert_eq!(many - one, 100 * per_snapshot);
     }
 
     #[test]

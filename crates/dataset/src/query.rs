@@ -2,9 +2,11 @@
 //!
 //! A [`wm_model::Query`] is compiled by [`QueryEngine::plan`] into a
 //! [`QueryPlan`] — a resolved snapshot range plus one or two kernel
-//! passes — and executed by [`QueryEngine::run`] directly over the CSR
-//! load rows: per-column tight loops with reusable per-plan scratch, no
-//! [`wm_model::TopologySnapshot`] reconstruction and no per-row
+//! passes — and executed by [`QueryEngine::run`] directly over the
+//! columns: each kernel resolves its per-cell facts (filter mask, link,
+//! site ranks, parallel group) once per topology row, then scans only
+//! the loads of each snapshot in that row's run — no
+//! [`wm_model::TopologySnapshot`] reconstruction and no per-snapshot
 //! allocation. Execution is deterministic at any thread count because
 //! every accumulator is an integer (sums, counts, peaks, 101-bucket
 //! load histograms) merged in chunk order with commutative-associative
@@ -13,9 +15,9 @@
 //!
 //! The engine also exposes the kernels' building blocks — the resolved
 //! snapshot range, the link catalog (kinds, parallel-group ranks, site
-//! ranks) and allocation-free per-snapshot row/node visitors — so the
-//! §5 analysis suite consumes the same machinery instead of
-//! reconstructing snapshots.
+//! ranks), allocation-free views of a topology row's link cells and
+//! of a snapshot's rows — so the §5 analysis suite consumes the same
+//! machinery instead of reconstructing snapshots.
 //!
 //! Range-aware execution: [`query_windowed`] loads only the segments a
 //! query's time range intersects (via
@@ -36,7 +38,7 @@ use wm_model::time::Duration;
 use wm_model::{LinkKind, MapKind, Node, TimeRange, Timestamp};
 
 use crate::loader::{CacheMode, CorpusLoadStats};
-use crate::longitudinal::{LinkDef, LinkId, LongitudinalStore, NodeId};
+use crate::longitudinal::{offsets_between, LinkDef, LinkId, LongitudinalStore, NodeId};
 use crate::segments::build_longitudinal_windowed;
 use crate::store::DatasetStore;
 
@@ -113,6 +115,25 @@ impl RowView<'_> {
     }
 }
 
+/// One link cell of a topology row: what is the same for every
+/// snapshot of the row's run. Cell `i` of a row holds the `i`-th load
+/// pair of each of those snapshots ([`LongitudinalStore::loads`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CellView<'a> {
+    /// The link's stable identity.
+    pub link: LinkId,
+    /// Internal or external, from the catalog.
+    pub kind: LinkKind,
+    /// Rank of the link's unordered endpoint-name pair (parallel
+    /// group) in the engine's sorted pair table.
+    pub pair: u32,
+    /// `true` when the original link listed the canonical second
+    /// endpoint first.
+    pub flipped: bool,
+    /// The link's definition (endpoints and labels).
+    pub def: &'a LinkDef,
+}
+
 /// The query engine: a link/site catalog over one store plus reusable
 /// kernel scratch and work counters.
 ///
@@ -148,13 +169,6 @@ fn pair_key<'s>(a: &'s str, b: &'s str) -> (&'s str, &'s str) {
     } else {
         (b, a)
     }
-}
-
-/// The half-open cell range of entry `index` in a CSR offset table.
-fn offsets_span(offsets: &[u32], index: usize) -> Range<usize> {
-    let start = offsets.get(index).map_or(0, |&o| o as usize);
-    let end = offsets.get(index + 1).map_or(start, |&o| o as usize);
-    start..end.max(start)
 }
 
 /// Whether the filter mask selects a def (out-of-range defs never are).
@@ -398,38 +412,41 @@ impl<'a> QueryEngine<'a> {
         )
     }
 
-    /// Iterates a snapshot's node ids in original snapshot order.
-    pub fn node_ids(&self, snapshot: usize) -> impl Iterator<Item = NodeId> + 'a {
-        let span = offsets_span(&self.store.node_offsets, snapshot);
-        self.store
-            .node_cells
-            .get(span)
-            .unwrap_or(&[])
-            .iter()
-            .map(|&id| NodeId::from_raw(id))
+    /// Iterates a topology row's link cells in original snapshot order,
+    /// one view per cell (a cell naming an id outside the link table,
+    /// which neither the builder nor the decoder lets through, is
+    /// skipped).
+    pub fn row_cells(&self, row: usize) -> impl Iterator<Item = CellView<'a>> + '_ {
+        let span = self.store.link_span(row);
+        let cells = self.store.link_cells.get(span.clone()).unwrap_or(&[]);
+        let flips = self.store.flipped.get(span).unwrap_or(&[]);
+        cells.iter().zip(flips).filter_map(move |(&def, &flipped)| {
+            let idx = def as usize;
+            Some(CellView {
+                link: LinkId::from_raw(def),
+                kind: self.kinds.get(idx).copied().unwrap_or(LinkKind::External),
+                pair: self.pair_of.get(idx).copied().unwrap_or(0),
+                flipped,
+                def: self.store.defs.get(idx)?,
+            })
+        })
     }
 
     /// Iterates a snapshot's link rows in original snapshot order,
     /// without reconstruction or per-row allocation.
     pub fn rows(&self, snapshot: usize) -> impl Iterator<Item = RowView<'a>> + '_ {
-        let span = offsets_span(&self.store.link_offsets, snapshot);
-        let (cells, la, lb, fl) = self.columns(span);
-        cells
-            .iter()
+        let (la, lb) = self.store.loads(snapshot);
+        self.row_cells(self.store.row_at(snapshot))
             .zip(la)
             .zip(lb)
-            .zip(fl)
-            .filter_map(move |(((&def, &a), &b), &f)| {
-                let idx = def as usize;
-                Some(RowView {
-                    link: LinkId::from_raw(def),
-                    kind: self.kinds.get(idx).copied().unwrap_or(LinkKind::External),
-                    pair: self.pair_of.get(idx).copied().unwrap_or(0),
-                    load_a: a,
-                    load_b: b,
-                    flipped: f,
-                    def: self.store.defs.get(idx)?,
-                })
+            .map(|((cell, &a), &b)| RowView {
+                link: cell.link,
+                kind: cell.kind,
+                pair: cell.pair,
+                load_a: a,
+                load_b: b,
+                flipped: cell.flipped,
+                def: cell.def,
             })
     }
 
@@ -504,47 +521,55 @@ impl<'a> QueryEngine<'a> {
         mask
     }
 
-    /// Number of link rows stored for a snapshot range.
+    /// Number of link rows (load pairs) stored for a snapshot range.
     fn rows_in(&self, snapshots: &Range<usize>) -> u64 {
-        let offsets = &self.store.link_offsets;
-        let start = offsets.get(snapshots.start).map_or(0, |&o| u64::from(o));
-        let end = offsets.get(snapshots.end).map_or(start, |&o| u64::from(o));
-        end.saturating_sub(start)
+        offsets_between(&self.store.load_offsets, snapshots.clone()).len() as u64
     }
 
-    /// The raw row columns of a cell span.
-    fn columns(&self, span: Range<usize>) -> (&'a [u32], &'a [u8], &'a [u8], &'a [bool]) {
-        (
-            self.store.link_cells.get(span.clone()).unwrap_or(&[]),
-            self.store.load_a.get(span.clone()).unwrap_or(&[]),
-            self.store.load_b.get(span.clone()).unwrap_or(&[]),
-            self.store.flipped.get(span).unwrap_or(&[]),
-        )
-    }
-
-    /// The row columns covering a whole snapshot range (rows of
-    /// consecutive snapshots are contiguous).
-    fn range_columns(&self, snapshots: &Range<usize>) -> (&'a [u32], &'a [u8], &'a [u8]) {
-        let offsets = &self.store.link_offsets;
-        let start = offsets.get(snapshots.start).map_or(0, |&o| o as usize);
-        let end = offsets.get(snapshots.end).map_or(start, |&o| o as usize);
-        let (cells, la, lb, _) = self.columns(start..end.max(start));
-        (cells, la, lb)
+    /// Runs a kernel over the snapshots `snaps` one topology row at a
+    /// time: `fact` resolves each link cell of a row once, from its link
+    /// id (`None` skips the cell), and `scan` then sees each snapshot of
+    /// the row's run with its loads, aligned cell by cell with the facts.
+    fn scan_rows<F>(
+        &self,
+        snaps: Range<usize>,
+        fact: impl Fn(u32) -> Option<F>,
+        mut scan: impl FnMut(usize, &[Option<F>], &[u8], &[u8]),
+    ) {
+        let mut facts: Vec<Option<F>> = Vec::new();
+        for (row, run) in self.store.row_runs(snaps) {
+            let cells = self
+                .store
+                .link_cells
+                .get(self.store.link_span(row))
+                .unwrap_or(&[]);
+            facts.clear();
+            facts.extend(cells.iter().map(|&def| fact(def)));
+            for snapshot in run {
+                let (la, lb) = self.store.loads(snapshot);
+                scan(snapshot, &facts, la, lb);
+            }
+        }
     }
 
     fn run_scan(&self, plan: &QueryPlan, threads: usize, mask: &[bool]) -> (u64, QueryResult) {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
             let mut acc = ScanStats::default();
-            let (cells, la, lb) = self.range_columns(&snaps);
-            for ((&def, &a), &b) in cells.iter().zip(la).zip(lb) {
-                if !selected(mask, def) {
-                    continue;
-                }
-                acc.samples += 2;
-                acc.disabled += u64::from(a == 0) + u64::from(b == 0);
-                acc.sum += u64::from(a) + u64::from(b);
-                acc.peak = acc.peak.max(a).max(b);
-            }
+            self.scan_rows(
+                snaps,
+                |def| selected(mask, def).then_some(()),
+                |_, facts, la, lb| {
+                    for ((fact, &a), &b) in facts.iter().zip(la).zip(lb) {
+                        if fact.is_none() {
+                            continue;
+                        }
+                        acc.samples += 2;
+                        acc.disabled += u64::from(a == 0) + u64::from(b == 0);
+                        acc.sum += u64::from(a) + u64::from(b);
+                        acc.peak = acc.peak.max(a).max(b);
+                    }
+                },
+            );
             acc
         });
         let mut total = ScanStats::default();
@@ -566,17 +591,20 @@ impl<'a> QueryEngine<'a> {
     ) -> (u64, QueryResult) {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
             let mut links = vec![LinkAgg::default(); self.store.defs.len()];
-            let (cells, la, lb) = self.range_columns(&snaps);
-            for ((&def, &a), &b) in cells.iter().zip(la).zip(lb) {
-                if !selected(mask, def) {
-                    continue;
-                }
-                if let Some(agg) = links.get_mut(def as usize) {
-                    agg.count += 2;
-                    agg.sum += u64::from(a) + u64::from(b);
-                    agg.peak = agg.peak.max(a).max(b);
-                }
-            }
+            self.scan_rows(
+                snaps,
+                |def| selected(mask, def).then_some(def as usize),
+                |_, facts, la, lb| {
+                    for ((fact, &a), &b) in facts.iter().zip(la).zip(lb) {
+                        let Some(agg) = fact.and_then(|def| links.get_mut(def)) else {
+                            continue;
+                        };
+                        agg.count += 2;
+                        agg.sum += u64::from(a) + u64::from(b);
+                        agg.peak = agg.peak.max(a).max(b);
+                    }
+                },
+            );
             links
         });
         let mut merged = vec![LinkAgg::default(); self.store.defs.len()];
@@ -633,39 +661,42 @@ impl<'a> QueryEngine<'a> {
     ) -> (u64, QueryResult) {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
             let mut windows: Vec<WindowAcc> = Vec::new();
-            for snap in snaps {
-                let Some(start) = self
-                    .store
-                    .timestamps
-                    .get(snap)
-                    .map(|t| t.align_down(window))
-                else {
-                    continue;
-                };
-                if windows.last().is_none_or(|w| w.start != start) {
-                    windows.push(WindowAcc {
-                        start,
-                        samples: 0,
-                        hist: [0; LOAD_BUCKETS],
-                    });
-                }
-                let Some(acc) = windows.last_mut() else {
-                    continue;
-                };
-                let (cells, la, lb, _) = self.columns(offsets_span(&self.store.link_offsets, snap));
-                for ((&def, &a), &b) in cells.iter().zip(la).zip(lb) {
-                    if !selected(mask, def) {
-                        continue;
+            self.scan_rows(
+                snaps,
+                |def| selected(mask, def).then_some(()),
+                |snap, facts, la, lb| {
+                    let Some(start) = self
+                        .store
+                        .timestamps
+                        .get(snap)
+                        .map(|t| t.align_down(window))
+                    else {
+                        return;
+                    };
+                    if windows.last().is_none_or(|w| w.start != start) {
+                        windows.push(WindowAcc {
+                            start,
+                            samples: 0,
+                            hist: [0; LOAD_BUCKETS],
+                        });
                     }
-                    acc.samples += 2;
-                    if let Some(n) = acc.hist.get_mut(a as usize) {
-                        *n += 1;
+                    let Some(acc) = windows.last_mut() else {
+                        return;
+                    };
+                    for ((fact, &a), &b) in facts.iter().zip(la).zip(lb) {
+                        if fact.is_none() {
+                            continue;
+                        }
+                        acc.samples += 2;
+                        if let Some(n) = acc.hist.get_mut(a as usize) {
+                            *n += 1;
+                        }
+                        if let Some(n) = acc.hist.get_mut(b as usize) {
+                            *n += 1;
+                        }
                     }
-                    if let Some(n) = acc.hist.get_mut(b as usize) {
-                        *n += 1;
-                    }
-                }
-            }
+                },
+            );
             windows
         });
 
@@ -706,25 +737,30 @@ impl<'a> QueryEngine<'a> {
     fn run_sites(&self, plan: &QueryPlan, threads: usize, mask: &[bool]) -> (u64, QueryResult) {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
             let mut sites = vec![SiteAgg::default(); self.sites.len()];
-            let (cells, la, lb) = self.range_columns(&snaps);
-            for ((&def, &a), &b) in cells.iter().zip(la).zip(lb) {
-                if !selected(mask, def) {
-                    continue;
-                }
-                let (sa, sb) = self
-                    .def_sites
-                    .get(def as usize)
-                    .copied()
-                    .unwrap_or((None, None));
-                for (site, load) in [(sa, a), (sb, b)] {
-                    let Some(rank) = site else { continue };
-                    if let Some(agg) = sites.get_mut(rank as usize) {
-                        agg.count += 1;
-                        agg.sum += u64::from(load);
-                        agg.peak = agg.peak.max(load);
+            self.scan_rows(
+                snaps,
+                |def| {
+                    selected(mask, def)
+                        .then(|| self.def_sites.get(def as usize).copied())
+                        .flatten()
+                },
+                |_, facts, la, lb| {
+                    for ((fact, &a), &b) in facts.iter().zip(la).zip(lb) {
+                        let Some((sa, sb)) = *fact else {
+                            continue;
+                        };
+                        for (site, load) in [(sa, a), (sb, b)] {
+                            let Some(agg) = site.and_then(|rank| sites.get_mut(rank as usize))
+                            else {
+                                continue;
+                            };
+                            agg.count += 1;
+                            agg.sum += u64::from(load);
+                            agg.peak = agg.peak.max(load);
+                        }
                     }
-                }
-            }
+                },
+            );
             sites
         });
         let mut merged = vec![SiteAgg::default(); self.sites.len()];
@@ -776,9 +812,14 @@ impl<'a> QueryEngine<'a> {
         }
 
         // Pass 1: which parallel groups have at least one selected row.
-        let used_parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
-            let mut used = vec![false; self.pairs.len()];
-            let (cells, _, _) = self.range_columns(&snaps);
+        // Rows alone answer it, whatever their runs' loads.
+        let mut used = vec![false; self.pairs.len()];
+        for (row, _) in self.store.row_runs(plan.snapshots.clone()) {
+            let cells = self
+                .store
+                .link_cells
+                .get(self.store.link_span(row))
+                .unwrap_or(&[]);
             for &def in cells {
                 if !selected(mask, def) {
                     continue;
@@ -788,13 +829,6 @@ impl<'a> QueryEngine<'a> {
                     *flag = true;
                 }
             }
-            used
-        });
-        let mut used = vec![false; self.pairs.len()];
-        for part in used_parts {
-            for (into, from) in used.iter_mut().zip(part) {
-                *into = *into || from;
-            }
         }
         let group_ranks: Vec<u32> = used
             .iter()
@@ -802,11 +836,10 @@ impl<'a> QueryEngine<'a> {
             .filter(|(_, &u)| u)
             .map(|(rank, _)| rank as u32)
             .collect();
-        const NO_COL: u32 = u32::MAX;
-        let mut col_of = vec![NO_COL; self.pairs.len()];
+        let mut col_of: Vec<Option<usize>> = vec![None; self.pairs.len()];
         for (col, &rank) in group_ranks.iter().enumerate() {
             if let Some(slot) = col_of.get_mut(rank as usize) {
-                *slot = col as u32;
+                *slot = Some(col);
             }
         }
         let columns = group_ranks.len();
@@ -815,35 +848,37 @@ impl<'a> QueryEngine<'a> {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
             let mut samples = 0u64;
             let mut cells_out = vec![HeatmapCell::default(); starts.len() * columns];
-            for snap in snaps {
-                let Some(start) = self
-                    .store
-                    .timestamps
-                    .get(snap)
-                    .map(|t| t.align_down(window))
-                else {
-                    continue;
-                };
-                let widx = starts.partition_point(|&s| s < start);
-                let base = widx * columns;
-                let (cells, la, lb, _) = self.columns(offsets_span(&self.store.link_offsets, snap));
-                for ((&def, &a), &b) in cells.iter().zip(la).zip(lb) {
-                    if !selected(mask, def) {
-                        continue;
-                    }
+            self.scan_rows(
+                snaps,
+                |def| {
                     let pair = self.pair_of.get(def as usize).copied().unwrap_or(0);
-                    let col = col_of.get(pair as usize).copied().unwrap_or(NO_COL);
-                    if col == NO_COL {
-                        continue;
+                    selected(mask, def)
+                        .then(|| col_of.get(pair as usize).copied().flatten())
+                        .flatten()
+                },
+                |snap, facts, la, lb| {
+                    let Some(start) = self
+                        .store
+                        .timestamps
+                        .get(snap)
+                        .map(|t| t.align_down(window))
+                    else {
+                        return;
+                    };
+                    let base = starts.partition_point(|&s| s < start) * columns;
+                    for ((fact, &a), &b) in facts.iter().zip(la).zip(lb) {
+                        let Some(col) = *fact else {
+                            continue;
+                        };
+                        samples += 2;
+                        if let Some(cell) = cells_out.get_mut(base + col) {
+                            cell.samples += 2;
+                            cell.sum += u64::from(a) + u64::from(b);
+                            cell.peak = cell.peak.max(a).max(b);
+                        }
                     }
-                    samples += 2;
-                    if let Some(cell) = cells_out.get_mut(base + col as usize) {
-                        cell.samples += 2;
-                        cell.sum += u64::from(a) + u64::from(b);
-                        cell.peak = cell.peak.max(a).max(b);
-                    }
-                }
-            }
+                },
+            );
             (samples, cells_out)
         });
         let mut samples = 0u64;

@@ -32,7 +32,7 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"OVHWMSG\n";
 
 /// Bumped on any incompatible change to the segment layout or to the
 /// codec image it wraps.
-pub const SEGMENT_FORMAT_VERSION: u32 = 2;
+pub const SEGMENT_FORMAT_VERSION: u32 = 3;
 
 /// Fixed size of the segment header preceding the payload image.
 pub const SEGMENT_HEADER_LEN: usize = 56;
@@ -74,7 +74,7 @@ where
 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for (path, size) in parts {
-        h ^= codec::fnv1a(path.as_bytes()) ^ size;
+        h ^= codec::content_hash(path.as_bytes()) ^ size;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h

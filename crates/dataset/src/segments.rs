@@ -52,8 +52,11 @@ use crate::store::{DatasetEntry, DatasetStore};
 /// First bytes of every segment manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"OVHWMMF\n";
 
-/// Bumped on any incompatible change to the manifest layout.
-pub const MANIFEST_FORMAT_VERSION: u32 = 1;
+/// Bumped on any incompatible change to the manifest layout, or to the
+/// [`segment::identity_digest`] its rows record (version 2: the digest
+/// hashes paths with [`codec::content_hash`]). A manifest of another
+/// version is stale and recovered from the segment headers.
+pub const MANIFEST_FORMAT_VERSION: u32 = 2;
 
 /// Sizing policy of the segment store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,20 +124,28 @@ pub fn encode_manifest(manifest: &SegmentManifest) -> Vec<u8> {
     codec::frame(&MANIFEST_MAGIC, MANIFEST_FORMAT_VERSION, &body.buf)
 }
 
-/// Decodes and validates a manifest: spans ordered, disjoint, sane.
+/// Decodes and validates a manifest: spans ordered, disjoint, sane, and
+/// every row naming its segment file by the canonical
+/// [`segment_name`] of its `t_min` (which every writer uses and header
+/// recovery insists on), so a manifest can only ever point inside its
+/// own `.segments/` directory.
 pub fn decode_manifest(bytes: &[u8]) -> Result<SegmentManifest, CacheError> {
     let body = codec::unframe(bytes, &MANIFEST_MAGIC, MANIFEST_FORMAT_VERSION, "manifest")?;
     let mut b = codec::Reader::new(body);
     let count = b.checked_len("manifest segment count")?;
     let mut segments = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = b.str16("manifest segment name")?.to_owned();
+        let found = b.str16("manifest segment name")?;
         let t_min = Timestamp::from_unix(b.i64("manifest t_min")?);
+        let name = segment_name(t_min);
+        if found != name {
+            return Err(CacheError::Invalid("manifest row names a foreign file"));
+        }
         let t_max = Timestamp::from_unix(b.i64("manifest t_max")?);
         let entries = b.u64("manifest entry count")?;
         let snapshots = b.u64("manifest snapshot count")?;
         let meta_digest = b.u64("manifest digest")?;
-        if name.is_empty() || entries == 0 {
+        if entries == 0 {
             return Err(CacheError::Invalid("manifest row is degenerate"));
         }
         if t_max < t_min {
@@ -463,7 +474,7 @@ fn ensure_segments(
         // Decode-reuse pool: old segments past the kept prefix whose
         // span still overlaps the rebuild region. For a pure append
         // that is exactly the old undersized tail.
-        let rebuild_from = kept * capacity;
+        let rebuild_from = kept.saturating_mul(capacity);
         let first_rebuilt = entries.get(rebuild_from).map(|e| e.timestamp);
         let mut sources: Vec<LongitudinalStore> = Vec::new();
         let mut pool: BTreeMap<String, PoolEntry> = BTreeMap::new();
@@ -524,11 +535,12 @@ fn ensure_segments(
         // Each chunk is a concatenation of runs of consecutive source
         // snapshots, in entry order.
         let old_coverage = old.segments.last().map(|m| m.t_max);
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
         for chunk in entries.chunks(capacity).skip(kept) {
             let Some(mut meta) = meta_of_chunk(map, chunk) else {
                 continue;
             };
-            let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+            runs.clear();
             let mut fp = CorpusFingerprint::default();
             for entry in chunk {
                 let path = loader::relative_path_string(map, entry.timestamp);
@@ -555,7 +567,7 @@ fn ensure_segments(
                 if let Some((source, index)) = snapshot {
                     match runs.last_mut() {
                         Some((last, run)) if *last == source && run.end == index => run.end += 1,
-                        _ => runs.push((source, index..index + 1)),
+                        _ => runs.push((source, index..index.saturating_add(1))),
                     }
                 }
             }
@@ -570,8 +582,8 @@ fn ensure_segments(
                 })
                 .collect();
             let parts: Vec<(&LongitudinalStore, Range<usize>)> = runs
-                .into_iter()
-                .filter_map(|(source, run)| Some((sources.get(source)?, run)))
+                .iter()
+                .filter_map(|(source, run)| Some((sources.get(*source)?, run.clone())))
                 .collect();
             let chunk_store = LongitudinalStore::concat(&parts);
             meta.snapshots = chunk_store.len() as u64;

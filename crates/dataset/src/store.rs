@@ -97,6 +97,20 @@ impl DatasetStore {
             .map_err(|err| io::Error::new(err.kind(), format!("reading {}: {err}", path.display())))
     }
 
+    /// Removes a snapshot file. Returns `false` when there was none; any
+    /// other error keeps its kind and names the file.
+    pub fn remove(&self, map: MapKind, kind: FileKind, t: Timestamp) -> io::Result<bool> {
+        let path = self.path_of(map, kind, t);
+        match fs::remove_file(&path) {
+            Ok(()) => Ok(true),
+            Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(false),
+            Err(err) => Err(io::Error::new(
+                err.kind(),
+                format!("removing {}: {err}", path.display()),
+            )),
+        }
+    }
+
     /// Whether a snapshot file exists.
     #[must_use]
     pub fn contains(&self, map: MapKind, kind: FileKind, t: Timestamp) -> bool {

@@ -95,6 +95,10 @@ impl Config {
                 "crates/geometry/src/polygon.rs",
                 "crates/dataset/src/codec.rs",
                 "crates/dataset/src/paths.rs",
+                "crates/dataset/src/longitudinal.rs",
+                "crates/dataset/src/segment.rs",
+                "crates/dataset/src/segments.rs",
+                "crates/dataset/src/query.rs",
             ]),
             error_enum: "crates/extract/src/error.rs".to_owned(),
             error_type: "ExtractError".to_owned(),
