@@ -107,6 +107,15 @@ if grep "cache hit" "$smoke_dir/index_stale.txt"; then
     exit 1
 fi
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 | grep "cache hit" > /dev/null
+# A whole tree written by the previous format (the manifest's and every
+# segment's version bytes) is rewritten from YAML, and every rewritten
+# segment file counts as rebuilt.
+segment_count="$(find "$smoke_dir/europe/.segments" -name 'seg-*.seg' | wc -l)"
+for file in "$smoke_dir/europe/.segments/manifest" $(find "$smoke_dir/europe/.segments" -name 'seg-*.seg'); do
+    printf '\001\000\000\000' | dd of="$file" bs=1 seek=8 count=4 conv=notrunc 2> /dev/null
+done
+target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 --metrics \
+    | grep "^segments: $segment_count touched, $segment_count rebuilt$" > /dev/null
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics | grep "segments:" > /dev/null
 # The report does not depend on where the store came from: no cache,
 # the warm segment store, and a forced rebuild print identical output.

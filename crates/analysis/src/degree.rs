@@ -15,13 +15,13 @@ impl DegreeAnalysis {
     /// Computes the distribution from a snapshot.
     #[must_use]
     pub fn of(snapshot: &TopologySnapshot) -> DegreeAnalysis {
-        let degrees: Vec<f64> = snapshot
-            .router_degrees()
-            .into_iter()
-            .map(|d| d as f64)
-            .collect();
+        DegreeAnalysis::from_degrees(snapshot.router_degrees())
+    }
+
+    /// The distribution of a list of router degrees.
+    pub(crate) fn from_degrees(degrees: impl IntoIterator<Item = usize>) -> DegreeAnalysis {
         DegreeAnalysis {
-            dist: Distribution::new(degrees),
+            dist: Distribution::new(degrees.into_iter().map(|d| d as f64).collect()),
         }
     }
 

@@ -26,6 +26,27 @@ pub struct LinkKey {
     pub label_b: Option<String>,
 }
 
+/// One listed end of a link: its node's name and its label.
+pub(crate) type End<'a> = (&'a str, &'a Option<String>);
+
+impl LinkKey {
+    /// The key of a link listed as `first`–`second`: ends ordered by
+    /// name, labels following their end, ties keeping the listed order.
+    pub(crate) fn of_ends(first: End<'_>, second: End<'_>) -> LinkKey {
+        let ((a, label_a), (b, label_b)) = if first.0 <= second.0 {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        LinkKey {
+            a: a.to_owned(),
+            b: b.to_owned(),
+            label_a: label_a.clone(),
+            label_b: label_b.clone(),
+        }
+    }
+}
+
 /// One contiguous stretch of snapshots in which a link was disabled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaintenanceWindow {
@@ -62,7 +83,11 @@ fn run_pass(snapshots: &[TopologySnapshot]) -> MaintenanceReport {
     let mut pass = MaintenancePass::default();
     for snapshot in snapshots {
         for link in &snapshot.links {
-            let key = pass.intern(key_of(link));
+            let (a, b) = (&link.a, &link.b);
+            let key = pass.intern(LinkKey::of_ends(
+                (&a.node.name, &a.label),
+                (&b.node.name, &b.label),
+            ));
             pass.observe_link(snapshot.timestamp, key, link.is_disabled());
         }
     }
@@ -173,31 +198,6 @@ impl MaintenancePass {
             observations: self.observations,
             disabled: self.disabled,
         }
-    }
-}
-
-fn key_of(link: &wm_model::Link) -> LinkKey {
-    let (a_first, (a, b)) = if link.a.node.name <= link.b.node.name {
-        (
-            true,
-            (link.a.node.name.to_string(), link.b.node.name.to_string()),
-        )
-    } else {
-        (
-            false,
-            (link.b.node.name.to_string(), link.a.node.name.to_string()),
-        )
-    };
-    let (label_a, label_b) = if a_first {
-        (link.a.label.clone(), link.b.label.clone())
-    } else {
-        (link.b.label.clone(), link.a.label.clone())
-    };
-    LinkKey {
-        a,
-        b,
-        label_a,
-        label_b,
     }
 }
 

@@ -1,30 +1,31 @@
 //! The single-pass §5 analysis engine.
 //!
 //! [`AnalysisSuite::run_store`] folds all nine §5 analyses over one scan
-//! of a [`LongitudinalStore`]'s columns. The streaming analyses resolve
-//! what a topology row tells them once per row and then read only the
-//! load columns of the snapshots in its run; only the artifacts drawn
-//! from a final state (Fig. 4c, Table 1) and the optional Fig. 6
-//! forensics rebuild [`TopologySnapshot`]s. The per-figure slice functions
-//! (`coverage_segments`, `evolution_series`, `table1`, …) are the
-//! reference the suite is tested against.
+//! of a [`LongitudinalStore`]'s columns. Every analysis resolves what a
+//! topology row tells it once per row and then reads only the load
+//! columns of the snapshots in its run: the final states behind Fig. 4c
+//! and Table 1 are each map's latest row, and the Fig. 6 forensics read
+//! the target group's directed set of every row. No snapshot is
+//! reconstructed. The per-figure slice functions (`coverage_segments`,
+//! `evolution_series`, `table1`, `observe_group`, …) are the reference
+//! the suite is tested against.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use wm_dataset::{CellView, LongitudinalStore, QueryEngine};
 use wm_extract::KernelStats;
-use wm_model::{Duration, LinkKind, MapKind, TopologySnapshot};
+use wm_model::{Duration, LinkKind, MapKind, Node};
 
 use crate::degree::DegreeAnalysis;
 use crate::evolution::{EvolutionPass, EvolutionReport};
 use crate::imbalance::ImbalanceCdf;
 use crate::loads::{HourlyLoads, LoadCdf};
-use crate::maintenance::{LinkKey, MaintenancePass, MaintenanceReport};
+use crate::maintenance::{End, LinkKey, MaintenancePass, MaintenanceReport};
 use crate::sites::{SiteCounts, SiteGrowth, SitesPass};
-use crate::tables::{table1, Table1};
+use crate::tables::{assemble_table1, Table1, Table1Row};
 use crate::timeframe::{TimeframePass, TimeframeReport};
-use crate::upgrades::{detect_upgrade, observe_group, UpgradeOutcome, UpgradeTarget};
+use crate::upgrades::{detect_upgrade, GroupObservation, UpgradeOutcome, UpgradeTarget};
 
 /// Tuning knobs of an [`AnalysisSuite`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,64 +51,54 @@ impl Default for SuiteConfig {
     }
 }
 
-/// The running state of one suite scan: the streaming accumulators of
-/// every §5 analysis.
-#[derive(Debug, Clone)]
-pub struct AnalysisSuite {
-    timeframe: TimeframePass,
-    evolution: EvolutionPass,
-    hourly: HourlyLoads,
-    load_cdf: LoadCdf,
-    imbalance: ImbalanceCdf,
-    sites: SitesPass,
-    maintenance: MaintenancePass,
-}
+/// The single-pass §5 engine; [`AnalysisSuite::run_store`] is its driver.
+#[derive(Debug, Clone, Copy)]
+pub struct AnalysisSuite;
 
 impl AnalysisSuite {
-    fn new(config: &SuiteConfig) -> AnalysisSuite {
-        AnalysisSuite {
-            timeframe: TimeframePass::new(config.max_gap),
-            evolution: EvolutionPass::new(config.min_router_delta, config.min_link_delta),
-            hourly: HourlyLoads::new(),
-            load_cdf: LoadCdf::new(),
-            imbalance: ImbalanceCdf::new(),
-            sites: SitesPass::default(),
-            maintenance: MaintenancePass::default(),
-        }
-    }
-
     /// Runs the whole suite over every snapshot of a columnar store, via
     /// the query engine's catalog, topology rows and load columns.
     ///
-    /// The streaming analyses (loads, imbalance, sites, evolution,
-    /// timeframe, maintenance) resolve each topology row once — router,
-    /// link and site counts, per-cell kinds and maintenance keys, the
-    /// directed parallel sets — then scan only the loads of each
-    /// snapshot in the row's run; no [`TopologySnapshot`] is
-    /// reconstructed for them. Fig. 4c and Table 1 read each map's
-    /// latest snapshot, reconstructed once per map at the end; the
-    /// optional Fig. 6 forensics reconstruct every snapshot. The returned
-    /// [`KernelStats`] counts the column work done.
+    /// Each topology row is resolved once — router, link and site
+    /// counts, per-cell kinds and maintenance keys, the directed
+    /// parallel sets and, with a Fig. 6 target, which set is the
+    /// target's — then only the loads of each snapshot in the row's run
+    /// are scanned. Fig. 4c and Table 1 read each map's latest row,
+    /// resolved once at the end; a Fig. 6 observation is the target set's
+    /// members over one snapshot's loads. No [`wm_model::TopologySnapshot`]
+    /// is reconstructed. The returned [`KernelStats`] counts the column
+    /// work done.
     pub fn run_store(config: SuiteConfig, store: &LongitudinalStore) -> (SuiteReport, KernelStats) {
         let engine = QueryEngine::new(store);
-        let mut suite = AnalysisSuite::new(&config);
+        let mut timeframe = TimeframePass::new(config.max_gap);
+        let mut evolution = EvolutionPass::new(config.min_router_delta, config.min_link_delta);
+        let (mut hourly, mut load_cdf) = (HourlyLoads::new(), LoadCdf::new());
+        let mut imbalance = ImbalanceCdf::new();
+        let mut sites = SitesPass::default();
+        let mut maintenance = MaintenancePass::default();
+        let target = config
+            .upgrade
+            .as_ref()
+            .map(|t| (t.from.as_str(), t.to.as_str()));
         let mut row = RowFacts::default();
-        let mut latest_per_map: BTreeMap<MapKind, usize> = BTreeMap::new();
+        // Per map, the row of its latest snapshot (maps can share a row).
+        let mut latest_row: BTreeMap<MapKind, usize> = BTreeMap::new();
+        let mut observations: Vec<GroupObservation> = Vec::new();
         let mut rows_scanned = 0u64;
         let timestamps = store.timestamps();
 
         for (row_index, run) in store.row_runs(0..store.len()) {
-            row.resolve(&engine, row_index, &mut suite.maintenance);
+            row.resolve(&engine, row_index, target, &mut maintenance);
             let span = timestamps.get(run.clone()).unwrap_or(&[]);
             if let (Some(&first), Some(&last)) = (span.first(), span.last()) {
-                suite.sites.observe_run(first, last, &row.sites);
+                sites.observe_run(first, last, &row.sites);
             }
             for (index, &timestamp) in run.zip(span) {
-                latest_per_map.insert(store.map_of(index), index);
-                suite.timeframe.observe_instant(timestamp);
-                suite.evolution.observe_counts(
+                latest_row.insert(store.map_of(index), row_index);
+                timeframe.observe_instant(timestamp);
+                evolution.observe_counts(
                     timestamp,
-                    row.routers,
+                    row.routers.len(),
                     row.internal_links,
                     row.external_links,
                 );
@@ -119,50 +110,76 @@ impl AnalysisSuite {
                 for ((cell, &a), &b) in row.cells.iter().zip(la).zip(lb) {
                     rows_scanned += 1;
                     let (first, second) = if cell.flipped { (b, a) } else { (a, b) };
-                    suite.hourly.push(hour, first);
-                    suite.hourly.push(hour, second);
-                    suite.load_cdf.push(cell.kind, first);
-                    suite.load_cdf.push(cell.kind, second);
-                    suite
-                        .maintenance
-                        .observe_link(timestamp, cell.key, a == 0 && b == 0);
+                    hourly.push(hour, first);
+                    hourly.push(hour, second);
+                    load_cdf.push(cell.kind, first);
+                    load_cdf.push(cell.kind, second);
+                    maintenance.observe_link(timestamp, cell.key, a == 0 && b == 0);
                 }
 
                 // Directed parallel-set imbalances, groups in endpoint-pair
                 // order, members in row order — exactly `group_imbalances`.
                 for (kind, members) in &row.sets {
                     let members = row.members.get(members.clone()).unwrap_or(&[]);
-                    if let Some(imbalance) = directed_imbalance(members, la, lb) {
-                        suite.imbalance.push(*kind, imbalance);
+                    if let Some(spread) = directed_imbalance(members, la, lb) {
+                        imbalance.push(*kind, spread);
                     }
+                }
+
+                // The Fig. 6 target's set: each member's load leaving
+                // `from`, and whether it reads 0 %/0 %.
+                if let Some(members) = &row.target {
+                    let members = row.members.get(members.clone()).unwrap_or(&[]);
+                    let loads = members.iter().filter_map(|&(cell, second)| {
+                        let (a, b) = (*la.get(cell)?, *lb.get(cell)?);
+                        Some((if second { b } else { a }, a == 0 && b == 0))
+                    });
+                    observations.push(GroupObservation::of_members(timestamp, loads));
                 }
             }
         }
 
-        // Fig. 4c and Table 1 read the final state of each map; the
-        // overall last snapshot is the latest of its own map.
-        let latest: BTreeMap<MapKind, TopologySnapshot> = latest_per_map
-            .iter()
-            .map(|(&map, &index)| (map, store.snapshot(index)))
+        // Fig. 4c and Table 1 read the final state of each map: the row
+        // of its latest snapshot. The overall last snapshot is the latest
+        // of its own map.
+        let finals: BTreeMap<MapKind, RowFacts<'_>> = latest_row
+            .into_iter()
+            .map(|(map, row_index)| {
+                let mut facts = RowFacts::default();
+                facts.resolve(&engine, row_index, None, &mut MaintenancePass::default());
+                (map, facts)
+            })
             .collect();
         let degree = store
             .len()
             .checked_sub(1)
-            .and_then(|last| latest.get(&store.map_of(last)))
-            .map(DegreeAnalysis::of);
-        let finals: Vec<TopologySnapshot> = latest.into_values().collect();
-        let upgrade = config.upgrade.map(|target| {
-            let observations: Vec<_> = store
-                .snapshots()
-                .filter_map(|snapshot| observe_group(&snapshot, &target.from, &target.to))
-                .collect();
-            let report = detect_upgrade(&observations, &target.records);
-            UpgradeOutcome {
+            .and_then(|last| finals.get(&store.map_of(last)))
+            .map(|facts| DegreeAnalysis::from_degrees(facts.degrees()));
+        let table1 = assemble_table1(finals.iter().map(|(&map, facts)| {
+            let row = Table1Row {
+                map,
+                routers: facts.routers.len(),
+                internal_links: facts.internal_links,
+                external_links: facts.external_links,
+            };
+            (row, facts.routers.iter().map(|node| node.name.as_str()))
+        }));
+        let report = SuiteReport {
+            snapshots: store.len(),
+            timeframe: timeframe.finish(),
+            evolution: evolution.finish(),
+            degree,
+            hourly,
+            load_cdf,
+            imbalance,
+            table1,
+            sites: sites.finish(),
+            maintenance: maintenance.finish(),
+            upgrade: config.upgrade.map(|target| UpgradeOutcome {
+                report: detect_upgrade(&observations, &target.records),
                 observations,
-                report,
-            }
-        });
-        let report = suite.finish(store.len(), degree, table1(&finals), upgrade);
+            }),
+        };
 
         let stats = KernelStats {
             queries: 1,
@@ -172,28 +189,6 @@ impl AnalysisSuite {
             samples: rows_scanned * 2,
         };
         (report, stats)
-    }
-
-    fn finish(
-        self,
-        snapshots: usize,
-        degree: Option<DegreeAnalysis>,
-        table1: Table1,
-        upgrade: Option<UpgradeOutcome>,
-    ) -> SuiteReport {
-        SuiteReport {
-            snapshots,
-            timeframe: self.timeframe.finish(),
-            evolution: self.evolution.finish(),
-            degree,
-            hourly: self.hourly,
-            load_cdf: self.load_cdf,
-            imbalance: self.imbalance,
-            table1,
-            sites: self.sites.finish(),
-            maintenance: self.maintenance.finish(),
-            upgrade,
-        }
     }
 }
 
@@ -209,10 +204,14 @@ struct CellFacts {
 /// What the suite needs of one topology row, resolved once for its whole
 /// run (scratch, reused across rows).
 #[derive(Debug, Default)]
-struct RowFacts {
-    routers: usize,
+struct RowFacts<'e> {
+    /// Routers, in node order.
+    routers: Vec<&'e Node>,
     internal_links: usize,
     external_links: usize,
+    /// Per end name, the link cells with an end there, a cell with both
+    /// ends there counted once (`TopologySnapshot::degree`).
+    ends: BTreeMap<&'e str, usize>,
     /// Router and attached-link tallies per site.
     sites: BTreeMap<String, SiteCounts>,
     /// Per link cell, in row order.
@@ -223,39 +222,54 @@ struct RowFacts {
     /// Directed-set members: a cell and whether the set reads its
     /// canonical second-end load (otherwise its first-end load).
     members: Vec<(usize, bool)>,
+    /// The `members` range of the Fig. 6 target's directed set, when
+    /// the row has the target group.
+    target: Option<Range<usize>>,
 }
 
-impl RowFacts {
-    fn resolve(&mut self, engine: &QueryEngine<'_>, row: usize, maintenance: &mut MaintenancePass) {
-        self.routers = 0;
+impl<'e> RowFacts<'e> {
+    /// Resolves row `row`. `target` is the Fig. 6 `(from, to)` pair: the
+    /// set of its group directed from `from`.
+    fn resolve(
+        &mut self,
+        engine: &QueryEngine<'e>,
+        row: usize,
+        target: Option<(&str, &str)>,
+        maintenance: &mut MaintenancePass,
+    ) {
+        self.routers.clear();
         self.sites.clear();
-        for id in engine.store().row_node_ids(row) {
-            let Some(node) = engine.node_at(id) else {
-                continue;
-            };
-            if node.is_router() {
-                self.routers += 1;
-                if let Some(site) = node.site() {
-                    self.sites.entry(site.to_owned()).or_default().routers += 1;
-                }
+        let nodes = engine
+            .store()
+            .row_node_ids(row)
+            .filter_map(|id| engine.node_at(id));
+        for node in nodes.filter(|node| node.is_router()) {
+            self.routers.push(node);
+            if let Some(site) = node.site() {
+                self.sites.entry(site.to_owned()).or_default().routers += 1;
             }
         }
 
-        let views: Vec<CellView<'_>> = engine.row_cells(row).collect();
         self.internal_links = 0;
         self.external_links = 0;
+        self.ends.clear();
         self.cells.clear();
-        // Parallel groups: pair rank → member cells in row order.
-        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (position, cell) in views.iter().enumerate() {
+        // Parallel groups: pair rank → kind and member cells in row order.
+        let mut groups: BTreeMap<u32, (LinkKind, Vec<Member<'e>>)> = BTreeMap::new();
+        for (position, cell) in engine.row_cells(row).enumerate() {
             match cell.kind {
                 LinkKind::Internal => self.internal_links += 1,
                 LinkKind::External => self.external_links += 1,
             }
+            let (first, second) = original_ends(engine, &cell);
+            *self.ends.entry(first.0).or_default() += 1;
+            if second.0 != first.0 {
+                *self.ends.entry(second.0).or_default() += 1;
+            }
             self.cells.push(CellFacts {
                 kind: cell.kind,
                 flipped: cell.flipped,
-                key: maintenance.intern(link_key_of(engine, cell)),
+                key: maintenance.intern(LinkKey::of_ends(first, second)),
             });
             for end in [cell.def.a, cell.def.b] {
                 if let Some(site) = engine.node_at(end).and_then(|n| n.site()) {
@@ -264,77 +278,62 @@ impl RowFacts {
                     }
                 }
             }
-            groups.entry(cell.pair).or_default().push(position);
+            let member = (position, first.0, second.0, cell.flipped);
+            groups
+                .entry(cell.pair)
+                .or_insert((cell.kind, Vec::new()))
+                .1
+                .push(member);
         }
 
         // A set `from` an end takes each member's load leaving that end
         // (its first matching end, as `egress_load_from`).
         self.sets.clear();
         self.members.clear();
-        for (pair, positions) in groups {
-            let Some(kind) = positions
-                .first()
-                .and_then(|&p| views.get(p))
-                .map(|cell| cell.kind)
-            else {
-                continue;
-            };
+        self.target = None;
+        for (pair, (kind, cells)) in groups {
             let Some((pair_a, pair_b)) = engine.pair_names(pair as usize) else {
                 continue;
             };
-            for from in [pair_a, pair_b] {
+            for (from, to) in [(pair_a, pair_b), (pair_b, pair_a)] {
                 let begin = self.members.len();
-                for &position in &positions {
-                    let Some(cell) = views.get(position) else {
-                        continue;
-                    };
-                    let (first_name, _, second_name, _) = original_ends(engine, cell);
-                    if first_name == from {
-                        self.members.push((position, cell.flipped));
-                    } else if second_name == from {
-                        self.members.push((position, !cell.flipped));
+                for &(position, first, second, flipped) in &cells {
+                    if first == from {
+                        self.members.push((position, flipped));
+                    } else if second == from {
+                        self.members.push((position, !flipped));
                     }
                 }
-                self.sets.push((kind, begin..self.members.len()));
+                let set = begin..self.members.len();
+                if self.target.is_none() && target == Some((from, to)) {
+                    self.target = Some(set.clone());
+                }
+                self.sets.push((kind, set));
             }
         }
     }
-}
 
-/// The original listed orientation of a cell: `(first end's name and
-/// label, second end's name and label)`.
-fn original_ends<'e>(
-    engine: &QueryEngine<'e>,
-    cell: &CellView<'e>,
-) -> (&'e str, &'e Option<String>, &'e str, &'e Option<String>) {
-    let name_a = engine.node_name(cell.def.a);
-    let name_b = engine.node_name(cell.def.b);
-    if cell.flipped {
-        (name_b, &cell.def.label_b, name_a, &cell.def.label_a)
-    } else {
-        (name_a, &cell.def.label_a, name_b, &cell.def.label_b)
+    /// The row's router degrees, in node order (Fig. 4c).
+    fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.routers
+            .iter()
+            .map(|node| self.ends.get(node.name.as_str()).copied().unwrap_or(0))
     }
 }
 
-/// Reproduces the maintenance pass's `key_of` from a column cell: ends
-/// ordered by name, labels following their end, ties keeping the
-/// original listed order.
-fn link_key_of(engine: &QueryEngine<'_>, cell: &CellView<'_>) -> LinkKey {
-    let (first_name, first_label, second_name, second_label) = original_ends(engine, cell);
-    if first_name <= second_name {
-        LinkKey {
-            a: first_name.to_owned(),
-            b: second_name.to_owned(),
-            label_a: first_label.clone(),
-            label_b: second_label.clone(),
-        }
+/// A parallel-group member: its cell position, its listed first and
+/// second end names, and its orientation flag.
+type Member<'e> = (usize, &'e str, &'e str, bool);
+
+/// The original listed orientation of a cell: its first end's name and
+/// label, then its second end's.
+fn original_ends<'e>(engine: &QueryEngine<'e>, cell: &CellView<'e>) -> (End<'e>, End<'e>) {
+    let a = (engine.node_name(cell.def.a), &cell.def.label_a);
+    let b = (engine.node_name(cell.def.b), &cell.def.label_b);
+    if cell.flipped {
+        (b, a)
     } else {
-        LinkKey {
-            a: second_name.to_owned(),
-            b: first_name.to_owned(),
-            label_a: second_label.clone(),
-            label_b: first_label.clone(),
-        }
+        (a, b)
     }
 }
 
@@ -368,8 +367,8 @@ pub struct SuiteReport {
     pub timeframe: TimeframeReport,
     /// Fig. 4a / Fig. 4b: evolution series and change events.
     pub evolution: EvolutionReport,
-    /// Fig. 4c: degree analysis of the final snapshot (`None` on an
-    /// empty corpus).
+    /// Fig. 4c: degree analysis of the final snapshot, read from its
+    /// topology row (`None` on an empty corpus).
     pub degree: Option<DegreeAnalysis>,
     /// Fig. 5a: loads bucketed by hour of day.
     pub hourly: HourlyLoads,
@@ -377,7 +376,8 @@ pub struct SuiteReport {
     pub load_cdf: LoadCdf,
     /// Fig. 5c: ECMP imbalance CDFs.
     pub imbalance: ImbalanceCdf,
-    /// Table 1, assembled from the last snapshot seen per map.
+    /// Table 1, assembled from the topology row of each map's latest
+    /// snapshot.
     pub table1: Table1,
     /// Per-site growth ranking.
     pub sites: Vec<SiteGrowth>,
@@ -508,7 +508,7 @@ mod tests {
     use crate::sites::site_growth;
     use crate::tables::table1;
     use crate::timeframe::{coverage_segments, GapDistribution};
-    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp};
+    use wm_model::{Link, LinkEnd, Load, MapKind, Node, Timestamp, TopologySnapshot};
 
     fn run(config: SuiteConfig, snapshots: &[TopologySnapshot]) -> (SuiteReport, KernelStats) {
         AnalysisSuite::run_store(config, &LongitudinalStore::from_snapshots(snapshots))

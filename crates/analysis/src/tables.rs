@@ -35,31 +35,34 @@ pub struct Table1 {
 /// Builds Table 1 from one snapshot per map (same capture date).
 #[must_use]
 pub fn table1(snapshots: &[TopologySnapshot]) -> Table1 {
-    let mut rows = Vec::new();
-    let mut router_names: BTreeSet<&str> = BTreeSet::new();
-    let mut total_internal = 0;
-    let mut total_external = 0;
-    for map in MapKind::ALL {
-        let Some(snapshot) = snapshots.iter().find(|s| s.map == map) else {
-            continue;
-        };
-        rows.push(Table1Row {
+    assemble_table1(MapKind::ALL.into_iter().filter_map(|map| {
+        let snapshot = snapshots.iter().find(|s| s.map == map)?;
+        let row = Table1Row {
             map,
             routers: snapshot.router_count(),
             internal_links: snapshot.internal_link_count(),
             external_links: snapshot.external_link_count(),
-        });
-        total_internal += snapshot.internal_link_count();
-        total_external += snapshot.external_link_count();
-        for router in snapshot.routers() {
-            router_names.insert(router.name.as_str());
-        }
+        };
+        Some((row, snapshot.routers().map(|router| router.name.as_str())))
+    }))
+}
+
+/// Assembles Table 1 from each present map's row and router names, given
+/// in the paper's map order ([`MapKind`]'s order).
+pub(crate) fn assemble_table1<'a>(
+    finals: impl IntoIterator<Item = (Table1Row, impl Iterator<Item = &'a str>)>,
+) -> Table1 {
+    let mut router_names: BTreeSet<&str> = BTreeSet::new();
+    let mut rows = Vec::new();
+    for (row, routers) in finals {
+        router_names.extend(routers);
+        rows.push(row);
     }
     Table1 {
-        rows,
         total_routers: router_names.len(),
-        total_internal,
-        total_external,
+        total_internal: rows.iter().map(|row| row.internal_links).sum(),
+        total_external: rows.iter().map(|row| row.external_links).sum(),
+        rows,
     }
 }
 

@@ -44,26 +44,39 @@ pub fn observe_group(
     let group = groups
         .iter()
         .find(|g| (g.a == from && g.b == to) || (g.a == to && g.b == from))?;
-    let loads = snapshot.loads_from(group, from);
-    let active: Vec<f64> = group
-        .link_indices
-        .iter()
-        .map(|&i| &snapshot.links[i])
-        .zip(&loads)
-        .filter(|(link, _)| !link.is_disabled())
-        .map(|(_, l)| l.as_f64())
-        .collect();
-    let mean_active_load = if active.is_empty() {
-        0.0
-    } else {
-        active.iter().sum::<f64>() / active.len() as f64
-    };
-    Some(GroupObservation {
-        timestamp: snapshot.timestamp,
-        links: group.len(),
-        active_links: active.len(),
-        mean_active_load,
-    })
+    let members = group.link_indices.iter().map(|&i| &snapshot.links[i]);
+    let members = members
+        .filter_map(|link| Some((link.egress_load_from(from)?.percent(), link.is_disabled())));
+    Some(GroupObservation::of_members(snapshot.timestamp, members))
+}
+
+impl GroupObservation {
+    /// The observation at `timestamp` of a group whose members are given
+    /// as their load leaving `from` and whether they are disabled
+    /// (0 %/0 %): the mean is over the active members.
+    pub(crate) fn of_members(
+        timestamp: Timestamp,
+        members: impl Iterator<Item = (u8, bool)>,
+    ) -> GroupObservation {
+        let (mut links, mut active_links, mut sum) = (0, 0, 0.0);
+        for (load, disabled) in members {
+            links += 1;
+            if !disabled {
+                active_links += 1;
+                sum += f64::from(load);
+            }
+        }
+        GroupObservation {
+            timestamp,
+            links,
+            active_links,
+            mean_active_load: if active_links == 0 {
+                0.0
+            } else {
+                sum / active_links as f64
+            },
+        }
+    }
 }
 
 /// The reconstructed Fig. 6 storyline.

@@ -67,7 +67,7 @@ pub mod prelude {
         build_longitudinal, build_longitudinal_windowed, build_longitudinal_windowed_with,
         query_windowed, reindex_segments, CacheError, CacheMode, CorpusFingerprint,
         CorpusLoadStats, CorpusStats, DatasetStore, FileKind, LinkDef, LinkId, LongitudinalStore,
-        NodeId, QueryEngine, QueryPlan, RowView, SegmentManifest, SegmentMeta, SegmentPolicy,
+        NodeId, QueryEngine, QueryPlan, SegmentManifest, SegmentMeta, SegmentPolicy,
     };
     pub use wm_extract::{
         extract_batch, extract_batch_with, extract_svg, from_yaml_str, to_yaml_string, BatchInput,

@@ -47,7 +47,7 @@ pub use codec::{decode_store, encode_store, CacheError, CorpusFingerprint, Finge
 pub use loader::{build_longitudinal, CacheMode, CorpusLoadStats};
 pub use longitudinal::{ColumnarBuilder, LinkDef, LinkId, LongitudinalStore, NodeId};
 pub use paths::{parse_path, relative_path, FileKind};
-pub use query::{query_windowed, CellView, QueryEngine, QueryPlan, RowView};
+pub use query::{query_windowed, CellView, QueryEngine, QueryPlan};
 pub use segment::{
     decode_segment, decode_segment_header, encode_segment, identity_digest, SegmentHeader,
     SEGMENT_FORMAT_VERSION, SEGMENT_MAGIC,

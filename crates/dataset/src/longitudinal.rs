@@ -25,10 +25,10 @@
 //!
 //! Nothing derived is persisted beside the columns (the per-snapshot
 //! load offsets are recomputed from the runs on decode). The §5 suite
-//! and the query kernels resolve per-cell facts once per row, scan only
-//! the loads of each snapshot in the row's run, and read final states
-//! from reconstructed snapshots; a structural diff between two
-//! snapshots is [`wm_model::diff`] of their reconstructions.
+//! and the query kernels resolve per-cell facts once per row and scan
+//! only the loads of each snapshot in the row's run; a final state is a
+//! row. Reconstruction serves tests and diffs: a structural diff
+//! between two snapshots is [`wm_model::diff`] of their reconstructions.
 //!
 //! The store is built by folding snapshot files into per-worker
 //! [`ColumnarBuilder`]s — straight from YAML text

@@ -61,60 +61,6 @@ pub struct QueryPlan {
     pub filtered: bool,
 }
 
-/// One link row of one snapshot, viewed without reconstruction.
-///
-/// Loads are raw percentages (`0..=100`). `load_a`/`load_b` follow the
-/// canonical [`LinkDef`] orientation; [`RowView::first_load`] /
-/// [`RowView::second_load`] recover the orientation the link was
-/// originally listed in.
-#[derive(Debug, Clone, Copy)]
-pub struct RowView<'a> {
-    /// The link's stable identity.
-    pub link: LinkId,
-    /// Internal or external, from the catalog.
-    pub kind: LinkKind,
-    /// Rank of the link's unordered endpoint-name pair (parallel
-    /// group) in the engine's sorted pair table.
-    pub pair: u32,
-    /// Egress load of the canonical first endpoint.
-    pub load_a: u8,
-    /// Egress load of the canonical second endpoint.
-    pub load_b: u8,
-    /// `true` when the original link listed the canonical second
-    /// endpoint first.
-    pub flipped: bool,
-    /// The link's definition (endpoints and labels).
-    pub def: &'a LinkDef,
-}
-
-impl RowView<'_> {
-    /// Egress load of the end the original link listed first.
-    #[must_use]
-    pub fn first_load(&self) -> u8 {
-        if self.flipped {
-            self.load_b
-        } else {
-            self.load_a
-        }
-    }
-
-    /// Egress load of the end the original link listed second.
-    #[must_use]
-    pub fn second_load(&self) -> u8 {
-        if self.flipped {
-            self.load_a
-        } else {
-            self.load_b
-        }
-    }
-
-    /// `true` when both directions read `0 %` (a disabled link).
-    #[must_use]
-    pub fn is_disabled(&self) -> bool {
-        self.load_a == 0 && self.load_b == 0
-    }
-}
-
 /// One link cell of a topology row: what is the same for every
 /// snapshot of the row's run. Cell `i` of a row holds the `i`-th load
 /// pair of each of those snapshots ([`LongitudinalStore::loads`]).
@@ -153,8 +99,6 @@ pub struct QueryEngine<'a> {
     pairs: Vec<(String, String)>,
     /// Sorted distinct router sites.
     sites: Vec<String>,
-    /// Per-node site rank ( `None` for peerings).
-    node_sites: Vec<Option<u32>>,
     /// Per-def endpoint site ranks.
     def_sites: Vec<(Option<u32>, Option<u32>)>,
     /// Reusable per-def filter mask.
@@ -317,7 +261,6 @@ impl<'a> QueryEngine<'a> {
             pair_of,
             pairs,
             sites,
-            node_sites,
             def_sites,
             mask: Vec::new(),
             counters: KernelStats::default(),
@@ -348,38 +291,10 @@ impl<'a> QueryEngine<'a> {
         start..end.max(start)
     }
 
-    /// Rank of the link's unordered endpoint-name pair.
-    #[must_use]
-    pub fn pair_of(&self, id: LinkId) -> usize {
-        self.pair_of.get(id.index()).copied().unwrap_or(0) as usize
-    }
-
-    /// Number of distinct endpoint-name pairs (parallel groups).
-    #[must_use]
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// The endpoint names of pair `rank`, lexicographically ordered.
     #[must_use]
     pub fn pair_names(&self, rank: usize) -> Option<(&str, &str)> {
         self.pairs.get(rank).map(|(x, y)| (x.as_str(), y.as_str()))
-    }
-
-    /// Sorted distinct router sites.
-    #[must_use]
-    pub fn sites(&self) -> &[String] {
-        &self.sites
-    }
-
-    /// The site rank of a node (`None` for peerings).
-    #[must_use]
-    pub fn site_of(&self, id: NodeId) -> Option<usize> {
-        self.node_sites
-            .get(id.index())
-            .copied()
-            .flatten()
-            .map(|rank| rank as usize)
     }
 
     /// The node behind an id, if it exists.
@@ -430,24 +345,6 @@ impl<'a> QueryEngine<'a> {
                 def: self.store.defs.get(idx)?,
             })
         })
-    }
-
-    /// Iterates a snapshot's link rows in original snapshot order,
-    /// without reconstruction or per-row allocation.
-    pub fn rows(&self, snapshot: usize) -> impl Iterator<Item = RowView<'a>> + '_ {
-        let (la, lb) = self.store.loads(snapshot);
-        self.row_cells(self.store.row_at(snapshot))
-            .zip(la)
-            .zip(lb)
-            .map(|((cell, &a), &b)| RowView {
-                link: cell.link,
-                kind: cell.kind,
-                pair: cell.pair,
-                load_a: a,
-                load_b: b,
-                flipped: cell.flipped,
-                def: cell.def,
-            })
     }
 
     /// Compiles a query to its plan.
@@ -1146,18 +1043,23 @@ mod tests {
     }
 
     #[test]
-    fn row_views_expose_original_orientation() {
+    fn row_cells_expose_original_orientation() {
         let snaps = series();
         let store = LongitudinalStore::from_snapshots(&snaps);
         let engine = QueryEngine::new(&store);
-        for (index, snapshot) in snaps.iter().enumerate() {
-            let rows: Vec<RowView<'_>> = engine.rows(index).collect();
-            assert_eq!(rows.len(), snapshot.links.len());
-            for (row, original) in rows.iter().zip(&snapshot.links) {
-                assert_eq!(row.first_load(), original.a.egress_load.percent());
-                assert_eq!(row.second_load(), original.b.egress_load.percent());
-                assert_eq!(row.kind, original.kind());
-                assert_eq!(row.is_disabled(), original.is_disabled());
+        for (row, run) in store.row_runs(0..store.len()) {
+            let cells: Vec<CellView<'_>> = engine.row_cells(row).collect();
+            for (index, snapshot) in run.clone().zip(&snaps[run]) {
+                let (la, lb) = store.loads(index);
+                assert_eq!(cells.len(), snapshot.links.len());
+                for (((cell, &a), &b), original) in
+                    cells.iter().zip(la).zip(lb).zip(&snapshot.links)
+                {
+                    let (first, second) = if cell.flipped { (b, a) } else { (a, b) };
+                    assert_eq!(first, original.a.egress_load.percent());
+                    assert_eq!(second, original.b.egress_load.percent());
+                    assert_eq!(cell.kind, original.kind());
+                }
             }
         }
     }

@@ -469,6 +469,15 @@ fn ensure_segments(
     };
     let mut built: Vec<Option<Built>> = manifest.segments.iter().map(|_| None).collect();
 
+    // Segment files on disk before any write: rewriting one is a
+    // rebuild, and those the new manifest does not name are garbage.
+    let rewrite_manifest = !(structurally_clean && intact);
+    let on_disk = if rewrite_manifest {
+        store.list_segment_files(map)?
+    } else {
+        Vec::new()
+    };
+
     let mut reused_any = false;
     if !structurally_clean {
         // Decode-reuse pool: old segments past the kept prefix whose
@@ -534,7 +543,6 @@ fn ensure_segments(
 
         // Each chunk is a concatenation of runs of consecutive source
         // snapshots, in entry order.
-        let old_coverage = old.segments.last().map(|m| m.t_max);
         let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
         for chunk in entries.chunks(capacity).skip(kept) {
             let Some(mut meta) = meta_of_chunk(map, chunk) else {
@@ -588,7 +596,7 @@ fn ensure_segments(
             let chunk_store = LongitudinalStore::concat(&parts);
             meta.snapshots = chunk_store.len() as u64;
             write_chunk(store, map, &meta, chunk, &chunk_store, &fp)?;
-            if old_coverage.is_some_and(|end| meta.t_min <= end) {
+            if on_disk.binary_search(&meta.name).is_ok() {
                 cache.segments_rebuilt += 1;
             }
             manifest.segments.push(meta);
@@ -604,14 +612,15 @@ fn ensure_segments(
         cache.misses += 1;
     }
 
-    if !(structurally_clean && intact) {
+    if rewrite_manifest {
         store.write_manifest_bytes(map, &encode_manifest(&manifest))?;
         // Stray files (an old tail under a superseded name, leftovers
         // of a shrunk corpus) would confuse manifest recovery: drop
-        // everything the manifest no longer references.
-        for name in store.list_segment_files(map)? {
-            if !manifest.segments.iter().any(|m| m.name == name) {
-                store.remove_segment_file(map, &name)?;
+        // everything the manifest no longer references (every file this
+        // call wrote is in it).
+        for name in &on_disk {
+            if !manifest.segments.iter().any(|m| &m.name == name) {
+                store.remove_segment_file(map, name)?;
             }
         }
     }

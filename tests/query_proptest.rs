@@ -78,10 +78,12 @@ fn router_names(count: usize) -> Vec<String> {
 /// drawn every 30 minutes, and its last router only joins halfway
 /// through. World is drawn 10 minutes after every other Europe slot,
 /// over the first two routers and one peering, so Table 1 has two rows
-/// sharing router names. Every 7th (link, snapshot) cell is a hole (the
-/// link is absent from the map), every 5th directed sample reads `0 %`
-/// (disabled), and every 3rd present link is listed in reversed
-/// orientation.
+/// sharing router names. Presence and orientation are drawn per
+/// topology epoch (three Europe slots), loads per snapshot, so
+/// consecutive snapshots of one map share a topology row. Every 7th
+/// (link, epoch) cell is a hole (the link is absent from the map),
+/// every 5th directed sample reads `0 %` (disabled), and every 3rd
+/// present link is listed in reversed orientation.
 fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec<TopologySnapshot> {
     let routers = router_names(routers);
     let peerings = vec!["ARELION".to_owned(), "GOOGLE".to_owned()];
@@ -93,15 +95,16 @@ fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec
             Node::router(name)
         }
     };
-    let draw = |map: MapKind, ts: Timestamp, nodes: &[String]| {
+    let draw = |map: MapKind, ts: Timestamp, epoch: usize, nodes: &[String]| {
         let mut s = TopologySnapshot::new(map, ts);
         s.nodes.extend(nodes.iter().map(|name| node(name)));
         let present = |name: &String| nodes.contains(name);
         for (li, c) in cands.iter().enumerate() {
-            let m = mix(seed, ts.unix() as u64, li as u64);
-            if m.is_multiple_of(7) || !present(&c.a) || !present(&c.b) {
+            let e = mix(!seed, epoch as u64, li as u64);
+            if e.is_multiple_of(7) || !present(&c.a) || !present(&c.b) {
                 continue;
             }
+            let m = mix(seed, ts.unix() as u64, li as u64);
             let la = if m.is_multiple_of(5) {
                 0
             } else {
@@ -114,7 +117,7 @@ fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec
             };
             let end_a = LinkEnd::new(node(&c.a), c.label.clone(), Load::new(la).unwrap());
             let end_b = LinkEnd::new(node(&c.b), c.label.clone(), Load::new(lb).unwrap());
-            if m.is_multiple_of(3) {
+            if e.is_multiple_of(3) {
                 s.links.push(Link::new(end_b, end_a));
             } else {
                 s.links.push(Link::new(end_a, end_b));
@@ -131,11 +134,11 @@ fn history(seed: u64, snapshots: usize, routers: usize, parallels: usize) -> Vec
             routers.len()
         };
         let europe: Vec<String> = routers[..joined].iter().chain(&peerings).cloned().collect();
-        all.push(draw(MapKind::Europe, ts, &europe));
+        all.push(draw(MapKind::Europe, ts, t / 3, &europe));
         if t % 2 == 1 {
             let world: Vec<String> = routers[..2].iter().chain(&peerings[..1]).cloned().collect();
             let at = ts + Duration::from_minutes(10);
-            all.push(draw(MapKind::World, at, &world));
+            all.push(draw(MapKind::World, at, t / 3, &world));
         }
     }
     all
@@ -556,6 +559,31 @@ fn naive_suite(all: &[TopologySnapshot], config: &SuiteConfig) -> SuiteReport {
     }
 }
 
+/// A link with both ends at one router counts once in that router's
+/// degree, as `TopologySnapshot::degree` counts it; generated histories
+/// never draw such a link.
+#[test]
+fn a_loop_counts_once_in_the_final_degree() {
+    let end = |node: Node| LinkEnd::new(node, None, Load::new(10).unwrap());
+    let mut s = TopologySnapshot::new(MapKind::Europe, base());
+    s.nodes = vec![Node::router("rbx-r0"), Node::peering("ARELION")];
+    s.links.push(Link::new(
+        end(Node::router("rbx-r0")),
+        end(Node::router("rbx-r0")),
+    ));
+    s.links.push(Link::new(
+        end(Node::router("rbx-r0")),
+        end(Node::peering("ARELION")),
+    ));
+    let all = vec![s];
+    let config = SuiteConfig::default();
+    let (report, _) =
+        AnalysisSuite::run_store(config.clone(), &LongitudinalStore::from_snapshots(&all));
+    assert_eq!(report, naive_suite(&all, &config));
+    let degree = report.degree.expect("one router");
+    assert_eq!(degree.distribution().samples(), &[2.0]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -661,6 +689,11 @@ proptest! {
         };
 
         let store = LongitudinalStore::from_snapshots(&all);
+        // Two Europe slots of one epoch lead every history, so from six
+        // slots on some snapshots share a row and the row-run paths run.
+        if snapshots >= 6 {
+            prop_assert!(store.topology_rows() < store.len(), "seed {} snapshots {}", seed, snapshots);
+        }
         let (report, stats) = AnalysisSuite::run_store(config.clone(), &store);
         prop_assert_eq!(&report, &naive_suite(&all, &config), "seed {} snapshots {}", seed, snapshots);
         let links: usize = all.iter().map(|s| s.links.len()).sum();

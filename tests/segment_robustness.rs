@@ -10,7 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use ovh_weather::dataset::{decode_manifest, encode_manifest, SegmentManifest, SegmentMeta};
+use ovh_weather::dataset::{
+    decode_manifest, encode_manifest, SegmentManifest, SegmentMeta, MANIFEST_FORMAT_VERSION,
+    SEGMENT_FORMAT_VERSION,
+};
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::faults::{corrupt, FaultKind};
 
@@ -398,6 +401,67 @@ fn compound_damage_heals_in_one_pass() {
         "reindex validates every segment"
     );
     assert_eq!(segment_files(&store), pristine, "reindex restored bytes");
+
+    std::fs::remove_dir_all(store.root()).expect("cleanup");
+}
+
+#[test]
+fn format_bump_counts_every_rewritten_segment() {
+    let (store, baseline, baseline_stats) = corpus("format-bump");
+
+    assert_recovers(&store, &baseline, &baseline_stats, "populate");
+    let pristine = segment_files(&store);
+    let manifest =
+        decode_manifest(pristine.get("manifest").expect("manifest")).expect("valid manifest");
+
+    // A tree written by the previous format: the version bytes (8..12)
+    // of the manifest and of every segment name the version before.
+    let previous = |bytes: &[u8], version: u32| {
+        let mut bytes = bytes.to_vec();
+        bytes[8..12].copy_from_slice(&(version - 1).to_le_bytes());
+        bytes
+    };
+    for meta in &manifest.segments {
+        let bytes = pristine.get(&meta.name).expect("segment bytes");
+        store
+            .write_segment_file(MAP, &meta.name, &previous(bytes, SEGMENT_FORMAT_VERSION))
+            .expect("plant old segment");
+    }
+    let old_manifest = previous(
+        pristine.get("manifest").expect("manifest"),
+        MANIFEST_FORMAT_VERSION,
+    );
+    store
+        .write_manifest_bytes(MAP, &old_manifest)
+        .expect("plant old manifest");
+
+    // No header of the old format is trusted, so every segment file is
+    // rewritten from YAML in place, and each rewrite counts.
+    let (reindexed, stats) = ovh_weather::dataset::segments::reindex_segments_with(
+        &store,
+        MAP,
+        4,
+        CacheMode::Auto,
+        POLICY,
+    )
+    .expect("reindex");
+    let segments = manifest.segments.len() as u64;
+    assert_eq!(reindexed, manifest, "reindex reports the same manifest");
+    assert_eq!(stats.cache.stale, 1, "the manifest is stale");
+    assert_eq!(stats.cache.corrupt, 0);
+    assert_eq!(stats.cache.segments_touched, segments);
+    assert_eq!(
+        stats.cache.segments_rebuilt, segments,
+        "every segment file of the old format was rewritten"
+    );
+    assert_eq!(
+        segment_files(&store),
+        pristine,
+        "rewritten bytes are pristine"
+    );
+    let cache = assert_recovers(&store, &baseline, &baseline_stats, "after format bump");
+    assert_eq!(cache.hits, 1, "the next load hits");
+    assert_eq!(cache.segments_rebuilt, 0);
 
     std::fs::remove_dir_all(store.root()).expect("cleanup");
 }
