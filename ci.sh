@@ -15,7 +15,7 @@ cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/p
 cargo test --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 cargo clippy -- -D warnings
 cargo clippy -p wm-lint -- -D warnings
-# The root package does not depend on the experiment crate, so the
+# The root package uses the experiment crate only in its tests, so the
 # plain clippy above never lints it.
 cargo clippy -p wm-bench -- -D warnings
 cargo fmt --check
@@ -211,13 +211,20 @@ target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op
 diff "$smoke_dir/appended_query_off.json" "$smoke_dir/appended_query_cached.json"
 rm -rf "$smoke_dir"
 
-# The Fig. 4-6 experiments run through the segment store and print
+# The paper's artifacts run through the one pipeline (SVG files on disk,
+# the library's extract loop, the segment store, the suite) and print
 # their paper-versus-measured rows.
 exp_out="$(mktemp)"
-target/release/exp_fig4 > "$exp_out"
+target/release/reproduce fig4 fig5 fig6 > "$exp_out"
 grep "^routers with a single link  *paper: .* measured: " "$exp_out" > /dev/null
-target/release/exp_fig5 > "$exp_out"
 grep "^median peak hour  *paper: .* measured: " "$exp_out" > /dev/null
-target/release/exp_fig6 > "$exp_out"
 grep "^inferred per-link capacity  *paper: .* measured: " "$exp_out" > /dev/null
+# Table 1 at its full-scale default: every map's routers / internal /
+# external links equal the paper's, exactly by construction.
+target/release/reproduce table1 > "$exp_out"
+for row in "Europe:113/744/265" "World:16/76/0" "North America:60/407/214" "Asia Pacific:23/96/39"; do
+    map="${row%%:*}"
+    counts="${row#*:}"
+    grep "^$map routers / internal / external  *paper:  *$counts   measured:  *$counts$" "$exp_out" > /dev/null
+done
 rm -f "$exp_out"

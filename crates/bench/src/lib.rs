@@ -1,17 +1,18 @@
-//! Shared plumbing for the experiment binaries.
-//!
-//! Every `exp_*` binary regenerates one table or figure of the paper and
-//! prints paper-reported values next to the measured ones. They share the
-//! command-line convention implemented here:
+//! The paper's evaluation on the one pipeline, and the `reproduce`
+//! driver's shared plumbing.
 //!
 //! ```text
-//! exp_fig4 [--seed N] [--scale X|full]
+//! reproduce [table1 table2 fig2 fig3 fig4 fig5 fig6 ablation]... [--seed N] [--scale X|full]
 //! ```
 //!
-//! Figs. 4–6 come from [`run_suite`]: `ovh-weather analyze --cache`'s path.
+//! Table 1 and Figs. 4–6 come from [`table1_suite`] and [`run_suite`]:
+//! SVG files written to a temporary corpus, extracted by
+//! [`extract_to_yaml`] and analysed by [`AnalysisSuite::run_store`] over
+//! the segment store — `generate`, `extract` and `analyze --cache`.
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::ops::Deref;
@@ -21,64 +22,26 @@ use ovh_weather::analysis::UpgradeTarget;
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::UpgradeScenario;
 
-/// Parsed command-line options of an experiment binary.
+/// The options one artifact runs with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpOptions {
     /// Simulation seed (default 42 — the seed EXPERIMENTS.md records).
     pub seed: u64,
-    /// Network scale (default depends on the experiment; `--scale full`
+    /// Network scale (default depends on the artifact; `--scale full`
     /// selects 1.0).
     pub scale: f64,
 }
 
 impl ExpOptions {
-    /// Parses `--seed` and `--scale` from `std::env::args`.
-    ///
-    /// `default_scale` is the experiment's fast default.
-    #[must_use]
-    pub fn from_args(default_scale: f64) -> ExpOptions {
-        let mut options = ExpOptions {
-            seed: 42,
-            scale: default_scale,
-        };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" => {
-                    options.seed = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed expects an integer"));
-                    i += 2;
-                }
-                "--scale" => {
-                    let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-                    options.scale = if value == "full" {
-                        1.0
-                    } else {
-                        value
-                            .parse()
-                            .unwrap_or_else(|_| usage("--scale expects a float or 'full'"))
-                    };
-                    i += 2;
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown option {other:?}")),
-            }
-        }
-        options
-    }
-
     /// The pipeline configured by these options.
     #[must_use]
     pub fn pipeline(&self) -> Pipeline {
         Pipeline::new(SimulationConfig::scaled(self.seed, self.scale))
     }
 
-    /// Prints the provenance header every experiment starts with.
-    pub fn banner(&self, experiment: &str, paper_artifact: &str) {
-        println!("=== {experiment} — reproduces {paper_artifact} ===");
+    /// Prints the provenance header every artifact starts with.
+    pub fn banner(&self, artifact: &str, paper_artifact: &str) {
+        println!("=== reproduce {artifact} — reproduces {paper_artifact} ===");
         println!(
             "seed {} | scale {} | deterministic\n",
             self.seed, self.scale
@@ -86,18 +49,15 @@ impl ExpOptions {
     }
 }
 
-fn usage(problem: &str) -> ! {
-    if !problem.is_empty() {
-        eprintln!("error: {problem}");
-    }
-    eprintln!("usage: exp_* [--seed N] [--scale X|full]");
-    std::process::exit(2);
-}
-
 /// Formats a paper-vs-measured row.
 #[must_use]
 pub fn compare_row(label: &str, paper: &str, measured: &str) -> String {
     format!("{label:<42} paper: {paper:>12}   measured: {measured:>12}")
+}
+
+/// Prints a paper-vs-measured row ([`compare_row`]).
+pub fn print_row(label: &str, paper: &str, measured: &str) {
+    println!("{}", compare_row(label, paper, measured));
 }
 
 /// A [`DatasetStore`] in a fresh temporary directory, removed with
@@ -131,11 +91,33 @@ impl Drop for TempStore {
     }
 }
 
-/// Runs the §5 suite on `ovh-weather analyze --cache`'s path: extracts
-/// every `stride`-th collected snapshot of `map` in `[from, to)`, writes
-/// them as YAML into a [`TempStore`], loads it through the segment store
-/// and scans it with [`AnalysisSuite::run_store`]. Returns the report and
-/// the extraction counters; the store is removed before this returns.
+/// Writes `files` as `map`'s SVGs into `store`, extracts them to YAML
+/// with [`extract_to_yaml`] and loads the map through the segment store
+/// (`generate`, `extract`, then `analyze --cache`'s load). Returns the
+/// columns and the extraction counters.
+pub fn load_through_store(
+    pipeline: &Pipeline,
+    store: &DatasetStore,
+    map: MapKind,
+    files: impl IntoIterator<Item = (Timestamp, String)>,
+) -> io::Result<(LongitudinalStore, BatchStats)> {
+    let mut instants = Vec::new();
+    for (timestamp, svg) in files {
+        store.write(map, FileKind::Svg, timestamp, svg.as_bytes())?;
+        instants.push(timestamp);
+    }
+    let threads = pipeline.threads;
+    let outcome = extract_to_yaml(store, map, &instants, pipeline.extract_config(), threads)?;
+    let (columns, _) =
+        build_longitudinal_windowed(store, map, TimeRange::ALL, threads, CacheMode::Auto)?;
+    Ok((columns, outcome.stats))
+}
+
+/// Runs the §5 suite on the one pipeline over every `stride`-th
+/// collected file of `map` in `[from, to)`: the files go through
+/// [`load_through_store`] in a [`TempStore`] and are scanned by
+/// [`AnalysisSuite::run_store`]. Returns the report and the extraction
+/// counters; the store is removed before this returns.
 pub fn run_suite(
     pipeline: &Pipeline,
     map: MapKind,
@@ -144,14 +126,61 @@ pub fn run_suite(
     stride: usize,
     config: SuiteConfig,
 ) -> io::Result<(SuiteReport, BatchStats)> {
-    let mut result = pipeline.run_window_sampled(map, from, to, stride);
+    let simulation = pipeline.simulation();
+    let files = simulation
+        .collection_plan(map)
+        .collected_times_between(from, to)
+        .step_by(stride.max(1))
+        .filter_map(|t| simulation.collected_snapshot(map, t))
+        .map(|file| (file.timestamp, file.svg));
     let store = TempStore::new("suite")?;
-    write_yaml(&store, map, &result.snapshots, &mut result.metrics)?;
-    let threads = pipeline.threads;
-    let (columns, _) =
-        build_longitudinal_windowed(&store, map, TimeRange::ALL, threads, CacheMode::Auto)?;
+    let (columns, stats) = load_through_store(pipeline, &store, map, files)?;
     let (report, _) = AnalysisSuite::run_store(config, &columns);
-    Ok((report, result.stats))
+    Ok((report, stats))
+}
+
+/// Table 1 on the one pipeline: the four maps' *clean* renders at `at`
+/// (a collected file there may be faulted) go through
+/// [`load_through_store`] into one [`TempStore`], and
+/// [`AnalysisSuite::run_store`] scans the four maps' columns as one
+/// store. Returns the report and Europe's mean number of parallel links
+/// per connected pair, read from its topology row: link cells over
+/// distinct endpoint pairs.
+pub fn table1_suite(pipeline: &Pipeline, at: Timestamp) -> io::Result<(SuiteReport, f64)> {
+    let store = TempStore::new("table1")?;
+    let mut maps = Vec::new();
+    for map in MapKind::ALL {
+        let svg = pipeline.simulation().snapshot(map, at).svg;
+        let (columns, stats) = load_through_store(pipeline, &store, map, [(at, svg)])?;
+        if stats.failed > 0 {
+            return Err(io::Error::other(format!(
+                "{map} extraction failed: {:?}",
+                stats.failures_by_kind
+            )));
+        }
+        maps.push(columns);
+    }
+    let parts: Vec<_> = maps
+        .iter()
+        .map(|columns| (columns, 0..columns.len()))
+        .collect();
+    let columns = LongitudinalStore::concat(&parts);
+    let (report, _) = AnalysisSuite::run_store(SuiteConfig::default(), &columns);
+
+    let engine = QueryEngine::new(&columns);
+    let europe_row = (0..columns.len())
+        .find(|&i| columns.map_of(i) == MapKind::Europe)
+        .and_then(|i| columns.row_runs(i..i + 1).next());
+    let cell_pairs: Vec<u32> = europe_row.map_or_else(Vec::new, |(row, _)| {
+        engine.row_cells(row).map(|cell| cell.pair).collect()
+    });
+    let pairs: BTreeSet<u32> = cell_pairs.iter().copied().collect();
+    let parallelism = if pairs.is_empty() {
+        0.0
+    } else {
+        cell_pairs.len() as f64 / pairs.len() as f64
+    };
+    Ok((report, parallelism))
 }
 
 /// The Fig. 6 suite target of a simulated upgrade: its monitored group
@@ -178,9 +207,6 @@ mod tests {
 
     #[test]
     fn default_options() {
-        // from_args reads real argv; in tests that's the test harness
-        // binary with no --seed/--scale, so defaults apply... except the
-        // harness passes filter args. Construct directly instead.
         let options = ExpOptions {
             seed: 42,
             scale: 0.25,
@@ -225,18 +251,35 @@ mod tests {
             run_suite(&pipeline, MapKind::Europe, from, to, stride, config.clone())
                 .expect("suite run");
 
-        let result = pipeline.run_window_sampled(MapKind::Europe, from, to, stride);
-        let (expected, _) = AnalysisSuite::run_store(
-            config,
-            &LongitudinalStore::from_snapshots(&result.snapshots),
+        // The in-memory reference: the same sampled files, extracted
+        // and scanned without touching the disk.
+        let simulation = pipeline.simulation();
+        let inputs: Vec<BatchInput> = simulation
+            .collection_plan(MapKind::Europe)
+            .collected_times_between(from, to)
+            .step_by(stride)
+            .filter_map(|t| simulation.collected_snapshot(MapKind::Europe, t))
+            .map(|file| BatchInput {
+                timestamp: file.timestamp,
+                svg: file.svg,
+            })
+            .collect();
+        let (snapshots, expected_stats, _) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            pipeline.extract_config(),
+            pipeline.threads,
+            Scheduling::WorkStealing,
         );
+        let (expected, _) =
+            AnalysisSuite::run_store(config, &LongitudinalStore::from_snapshots(&snapshots));
         assert!(report.snapshots > 0);
         assert!(report
             .upgrade
             .as_ref()
             .is_some_and(|u| !u.observations.is_empty()));
         assert_eq!(report, expected);
-        assert_eq!(stats, result.stats);
+        assert_eq!(stats, expected_stats);
 
         let prefix = format!("wm-bench-suite-{}-", std::process::id());
         let left: Vec<_> = fs::read_dir(std::env::temp_dir())
@@ -245,5 +288,53 @@ mod tests {
             .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
             .collect();
         assert!(left.is_empty(), "left behind: {left:?}");
+    }
+
+    /// Sampling every 12th collected file of six hours extracts at most a
+    /// tenth of the window's files, and some.
+    #[test]
+    fn sampled_window_reduces_density() {
+        let pipeline = Pipeline::new(SimulationConfig::scaled(31, 0.1));
+        let from = Timestamp::from_ymd(2021, 5, 1);
+        let to = from + Duration::from_hours(6);
+        let dense = pipeline.run_window(MapKind::Europe, from, to);
+        let (report, sampled) = run_suite(
+            &pipeline,
+            MapKind::Europe,
+            from,
+            to,
+            12,
+            SuiteConfig::default(),
+        )
+        .expect("suite run");
+        assert!(sampled.total() * 10 <= dense.stats.total());
+        assert!(report.snapshots > 0);
+    }
+
+    /// Table 1 through the store equals the table of the extracted
+    /// snapshots, and Europe's parallelism read from its row equals the
+    /// snapshot's.
+    #[test]
+    fn table1_suite_equals_the_table_of_the_extracted_snapshots() {
+        let pipeline = ExpOptions {
+            seed: 42,
+            scale: 0.3,
+        }
+        .pipeline();
+        let at = Timestamp::from_ymd_hms(2022, 9, 12, 12, 0, 0);
+        let (report, parallelism) = table1_suite(&pipeline, at).expect("table 1 run");
+        let snapshots: Vec<TopologySnapshot> = MapKind::ALL
+            .iter()
+            .map(|&map| {
+                let svg = pipeline.simulation().snapshot(map, at).svg;
+                extract_svg(&svg, map, at, pipeline.extract_config()).expect("clean render")
+            })
+            .collect();
+        assert_eq!(report.table1.rows.len(), 4);
+        assert_eq!(report.table1, table1(&snapshots));
+        assert_eq!(
+            parallelism.to_bits(),
+            snapshots[0].mean_parallelism().to_bits()
+        );
     }
 }

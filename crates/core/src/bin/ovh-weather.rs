@@ -34,7 +34,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
-use ovh_weather::extract::ExtractError;
 use ovh_weather::prelude::*;
 
 fn main() -> ExitCode {
@@ -247,15 +246,16 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let pipeline = Pipeline::new(SimulationConfig::scaled(options.seed()?, options.scale()?));
     let store = DatasetStore::open(out).map_err(|e| e.to_string())?;
     for map in options.maps()? {
-        let result = pipeline
+        let outcome = pipeline
             .materialize_window(&store, map, from, to)
             .map_err(|e| e.to_string())?;
+        warn_refusals(&store, map, &outcome);
         println!(
             "{:<15} wrote {} SVG files, extracted {} YAML files, {} refused",
             map.display_name(),
-            result.stats.total(),
-            result.stats.processed,
-            result.stats.failed
+            outcome.stats.total(),
+            outcome.stats.processed,
+            outcome.stats.failed
         );
     }
     println!("corpus written to {out}");
@@ -270,67 +270,28 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
     let config = ExtractConfig::default();
     let mut files_found = 0usize;
     for map in options.maps()? {
-        let entries = store
+        let instants: Vec<Timestamp> = store
             .entries_of(map, FileKind::Svg)
-            .map_err(|e| e.to_string())?;
-        if entries.is_empty() {
+            .map_err(|e| e.to_string())?
+            .iter()
+            .map(|entry| entry.timestamp)
+            .collect();
+        if instants.is_empty() {
             continue;
         }
-        files_found += entries.len();
-        let mut inputs = Vec::with_capacity(entries.len());
-        // A file that is not UTF-8 cannot be XML: it is refused as
-        // `invalid-xml` and the rest of the map is still extracted.
-        let mut refused = Vec::new();
-        for entry in &entries {
-            let bytes = store
-                .read(map, FileKind::Svg, entry.timestamp)
-                .map_err(|e| e.to_string())?;
-            match String::from_utf8(bytes) {
-                Ok(svg) => inputs.push(BatchInput {
-                    timestamp: entry.timestamp,
-                    svg,
-                }),
-                Err(e) => {
-                    let error = format!("not UTF-8 at byte {}", e.utf8_error().valid_up_to());
-                    let path = store.path_of(map, FileKind::Svg, entry.timestamp);
-                    eprintln!(
-                        "warning: {}: {error}; refused as invalid-xml",
-                        path.display()
-                    );
-                    refused.push((e.as_bytes().len(), ExtractError::InvalidXml(error)));
-                }
-            }
-        }
-        let (snapshots, mut stats, mut metrics) =
-            extract_batch_with(&inputs, map, &config, threads, Scheduling::WorkStealing);
-        for (bytes, error) in &refused {
-            metrics.record_input(*bytes);
-            metrics.record_failure(error.kind());
-            stats.record_failure(error);
-        }
-        write_yaml(&store, map, &snapshots, &mut metrics).map_err(|e| e.to_string())?;
-        // A refused SVG leaves no YAML behind: an older file at its
-        // instant would still be counted by `analyze`.
-        let extracted: BTreeSet<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
-        let mut removed = 0usize;
-        for entry in entries.iter().filter(|e| !extracted.contains(&e.timestamp)) {
-            if store
-                .remove(map, FileKind::Yaml, entry.timestamp)
-                .map_err(|e| e.to_string())?
-            {
-                let path = store.path_of(map, FileKind::Yaml, entry.timestamp);
-                eprintln!("warning: {}: removed, its SVG was refused", path.display());
-                removed += 1;
-            }
-        }
+        files_found += instants.len();
+        let outcome =
+            extract_to_yaml(&store, map, &instants, &config, threads).map_err(|e| e.to_string())?;
+        warn_refusals(&store, map, &outcome);
+        let stats = &outcome.stats;
         println!(
             "{:<15} {} SVG files: {} extracted, {} refused {:?}, {} stale YAML removed",
             map.display_name(),
-            entries.len(),
+            instants.len(),
             stats.processed,
             stats.failed,
             stats.failures_by_kind,
-            removed
+            outcome.removed.len()
         );
         if options.flag("metrics") {
             println!(
@@ -339,13 +300,29 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
                 stats.failed,
                 stats.total()
             );
-            print!("{metrics}");
+            print!("{}", outcome.metrics);
         }
     }
     if files_found == 0 {
         return Err(format!("no SVG files found under {dir}"));
     }
     Ok(())
+}
+
+/// Names on stderr each SVG refused for not being UTF-8 and each YAML
+/// file removed because its SVG was refused.
+fn warn_refusals(store: &DatasetStore, map: MapKind, outcome: &ExtractOutcome) {
+    for (timestamp, reason) in &outcome.refused {
+        let path = store.path_of(map, FileKind::Svg, *timestamp);
+        eprintln!(
+            "warning: {}: {reason}; refused as invalid-xml",
+            path.display()
+        );
+    }
+    for timestamp in &outcome.removed {
+        let path = store.path_of(map, FileKind::Yaml, *timestamp);
+        eprintln!("warning: {}: removed, its SVG was refused", path.display());
+    }
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -436,7 +413,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
             cache_outcome(&load_stats.cache),
         );
         if options.flag("metrics") {
-            print_segment_metrics(&load_stats, threads);
+            print!("{}", load_counter_lines(&load_stats, threads));
         }
     }
     if maps_indexed == 0 {
@@ -445,31 +422,13 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The corpus/cache counter block of a segment-store operation, where
-/// no columnar store is materialised.
-fn print_segment_metrics(load_stats: &CorpusLoadStats, threads: usize) {
-    println!(
-        "corpus: {} files, {} parsed, {} failed, {:.1} MiB ({threads} threads)",
-        load_stats.files,
-        load_stats.parsed,
-        load_stats.failed,
-        load_stats.bytes as f64 / (1024.0 * 1024.0),
-    );
-    let c = &load_stats.cache;
-    println!(
-        "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; {} snapshots from cache, {} appended",
-        c.hits, c.misses, c.appends, c.corrupt, c.stale, c.snapshots_from_cache, c.snapshots_appended
-    );
-    println!(
-        "segments: {} touched, {} rebuilt",
-        c.segments_touched, c.segments_rebuilt
-    );
-}
-
-/// The deterministic corpus/cache counter block behind `--metrics`.
-fn print_load_metrics(load_stats: &CorpusLoadStats, columnar: &LongitudinalStore, threads: usize) {
-    println!(
-        "corpus: {} files, {} parsed, {} failed, {:.1} MiB read ({threads} threads)",
+/// The deterministic corpus/cache/segments counter lines of
+/// `--metrics`, shared by `index`, `analyze` and `query` (which writes
+/// them to stderr so `--json` output stays parseable). The cache and
+/// segments lines appear only when the load went through the store.
+fn load_counter_lines(load_stats: &CorpusLoadStats, threads: usize) -> String {
+    let mut out = format!(
+        "corpus: {} files, {} parsed, {} failed, {:.1} MiB ({threads} threads)\n",
         load_stats.files,
         load_stats.parsed,
         load_stats.failed,
@@ -477,32 +436,21 @@ fn print_load_metrics(load_stats: &CorpusLoadStats, columnar: &LongitudinalStore
     );
     let c = &load_stats.cache;
     if !c.is_empty() {
-        println!(
-            "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; {} snapshots from cache, {} appended",
+        out.push_str(&format!(
+            "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; {} snapshots from cache, {} appended\n\
+             segments: {} touched, {} rebuilt\n",
             c.hits,
             c.misses,
             c.appends,
             c.corrupt,
             c.stale,
             c.snapshots_from_cache,
-            c.snapshots_appended
-        );
-        if c.segments_touched > 0 || c.segments_rebuilt > 0 {
-            println!(
-                "segments: {} touched, {} rebuilt",
-                c.segments_touched, c.segments_rebuilt
-            );
-        }
+            c.snapshots_appended,
+            c.segments_touched,
+            c.segments_rebuilt
+        ));
     }
-    println!(
-        "columnar store: {} snapshots over {} topology row(s), {} nodes, {} link identities, {} load rows, ~{:.1} MiB",
-        columnar.len(),
-        columnar.topology_rows(),
-        columnar.nodes().len(),
-        columnar.link_defs().len(),
-        columnar.observations(),
-        columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
-    );
+    out
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
@@ -589,7 +537,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         println!("=== {} ===", map.display_name());
         print!("{}", report.render());
         if options.flag("metrics") {
-            print_load_metrics(&load_stats, &columnar, threads);
+            print!("{}", load_counter_lines(&load_stats, threads));
+            println!(
+                "columnar store: {} snapshots over {} topology row(s), {} nodes, {} link identities, {} load rows, ~{:.1} MiB",
+                columnar.len(),
+                columnar.topology_rows(),
+                columnar.nodes().len(),
+                columnar.link_defs().len(),
+                columnar.observations(),
+                columnar.approx_bytes() as f64 / (1024.0 * 1024.0)
+            );
             println!("{}", kernel_metrics_line(&kernel_stats));
             println!("corpus load: {load_elapsed:.2?}");
             println!("single-pass analysis: {analyze_elapsed:.2?}");
@@ -631,22 +588,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             print_query_text(&output);
         }
         if options.flag("metrics") {
-            // Diagnostics go to stderr so `--json` output stays parseable.
-            eprintln!(
-                "corpus: {} files, {} parsed, {} failed, {:.1} MiB ({threads} threads)",
-                load_stats.files,
-                load_stats.parsed,
-                load_stats.failed,
-                load_stats.bytes as f64 / (1024.0 * 1024.0),
-            );
-            let c = &load_stats.cache;
-            if !c.is_empty() {
-                eprintln!(
-                    "cache: {} hit, {} miss, {} append, {} corrupt, {} stale; segments: {} touched, {} rebuilt",
-                    c.hits, c.misses, c.appends, c.corrupt, c.stale,
-                    c.segments_touched, c.segments_rebuilt
-                );
-            }
+            eprint!("{}", load_counter_lines(&load_stats, threads));
             eprintln!("{}", kernel_metrics_line(&kernel_stats));
             eprintln!("query wall: {elapsed:.2?}");
         }
@@ -793,98 +735,60 @@ fn print_query_text(output: &QueryOutput) {
 
 /// Renders one query result as a single JSON object.
 fn query_json(map: MapKind, query: &Query, output: &QueryOutput) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"map\":\"{}\",\"op\":\"{}\",\"snapshots\":{},\"rows\":{},\"samples\":{},\"result\":",
+    let result = match &output.result {
+        QueryResult::Scan(stats) => format!(
+            "{{\"samples\":{},\"disabled\":{},\"sum\":{},\"peak\":{}}}",
+            stats.samples, stats.disabled, stats.sum, stats.peak
+        ),
+        QueryResult::TopK(links) => json_array(links, |link| {
+            format!(
+                "{{\"link\":\"{}\",\"kind\":\"{}\",\"samples\":{},\"sum\":{},\"peak\":{}}}",
+                json_escape(&link.link),
+                link.kind,
+                link.samples,
+                link.sum,
+                link.peak
+            )
+        }),
+        QueryResult::Percentiles(windows) => json_array(windows, |w| {
+            format!(
+                "{{\"start\":\"{}\",\"samples\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
+                w.start, w.samples, w.p50, w.p90, w.p99, w.max
+            )
+        }),
+        QueryResult::SiteLoads(sites) => json_array(sites, |site| {
+            format!(
+                "{{\"site\":\"{}\",\"samples\":{},\"sum\":{},\"peak\":{}}}",
+                json_escape(&site.site),
+                site.samples,
+                site.sum,
+                site.peak
+            )
+        }),
+        QueryResult::Heatmap(grid) => format!(
+            "{{\"starts\":{},\"groups\":{},\"cells\":{}}}",
+            json_array(&grid.starts, |start| format!("\"{start}\"")),
+            json_array(&grid.groups, |group| format!("\"{}\"", json_escape(group))),
+            json_array(&grid.cells, |cell| format!(
+                "{{\"samples\":{},\"sum\":{},\"peak\":{}}}",
+                cell.samples, cell.sum, cell.peak
+            )),
+        ),
+    };
+    format!(
+        "{{\"map\":\"{}\",\"op\":\"{}\",\"snapshots\":{},\"rows\":{},\"samples\":{},\"result\":{result}}}",
         map.slug(),
         query.op.name(),
         output.snapshots,
         output.rows,
         output.samples
-    ));
-    match &output.result {
-        QueryResult::Scan(stats) => {
-            s.push_str(&format!(
-                "{{\"samples\":{},\"disabled\":{},\"sum\":{},\"peak\":{}}}",
-                stats.samples, stats.disabled, stats.sum, stats.peak
-            ));
-        }
-        QueryResult::TopK(links) => {
-            s.push('[');
-            for (i, link) in links.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"link\":\"{}\",\"kind\":\"{}\",\"samples\":{},\"sum\":{},\"peak\":{}}}",
-                    json_escape(&link.link),
-                    link.kind,
-                    link.samples,
-                    link.sum,
-                    link.peak
-                ));
-            }
-            s.push(']');
-        }
-        QueryResult::Percentiles(windows) => {
-            s.push('[');
-            for (i, w) in windows.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"start\":\"{}\",\"samples\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                    w.start, w.samples, w.p50, w.p90, w.p99, w.max
-                ));
-            }
-            s.push(']');
-        }
-        QueryResult::SiteLoads(sites) => {
-            s.push('[');
-            for (i, site) in sites.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"site\":\"{}\",\"samples\":{},\"sum\":{},\"peak\":{}}}",
-                    json_escape(&site.site),
-                    site.samples,
-                    site.sum,
-                    site.peak
-                ));
-            }
-            s.push(']');
-        }
-        QueryResult::Heatmap(grid) => {
-            s.push_str("{\"starts\":[");
-            for (i, start) in grid.starts.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{start}\""));
-            }
-            s.push_str("],\"groups\":[");
-            for (i, group) in grid.groups.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\"", json_escape(group)));
-            }
-            s.push_str("],\"cells\":[");
-            for (i, cell) in grid.cells.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"samples\":{},\"sum\":{},\"peak\":{}}}",
-                    cell.samples, cell.sum, cell.peak
-                ));
-            }
-            s.push_str("]}");
-        }
-    }
-    s.push('}');
-    s
+    )
+}
+
+/// A JSON array of `items`, each rendered by `item`.
+fn json_array<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
+    let items: Vec<String> = items.iter().map(item).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Minimal JSON string escaping for node and site names.

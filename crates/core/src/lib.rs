@@ -42,7 +42,7 @@
 
 mod pipeline;
 
-pub use pipeline::{write_yaml, Pipeline, WindowResult};
+pub use pipeline::{extract_to_yaml, write_yaml, ExtractOutcome, Pipeline, WindowResult};
 
 pub use wm_analysis as analysis;
 pub use wm_dataset as dataset;
@@ -56,7 +56,7 @@ pub use wm_yaml as yaml;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use crate::{write_yaml, Pipeline, WindowResult};
+    pub use crate::{extract_to_yaml, write_yaml, ExtractOutcome, Pipeline, WindowResult};
     pub use wm_analysis::{
         coverage_segments, detect_changes, detect_upgrade, evolution_series, group_imbalances,
         observe_group, table1, AnalysisSuite, CapacityRecord, DegreeAnalysis, Distribution,
@@ -70,9 +70,8 @@ pub mod prelude {
         NodeId, QueryEngine, QueryPlan, SegmentManifest, SegmentMeta, SegmentPolicy,
     };
     pub use wm_extract::{
-        extract_batch, extract_batch_with, extract_svg, from_yaml_str, to_yaml_string, BatchInput,
-        BatchMetrics, BatchStats, CacheStats, ExtractConfig, KernelStats, MetricsTotals,
-        Scheduling, Stage,
+        extract_batch_with, extract_svg, from_yaml_str, to_yaml_string, BatchInput, BatchMetrics,
+        BatchStats, CacheStats, ExtractConfig, KernelStats, MetricsTotals, Scheduling, Stage,
     };
     pub use wm_model::{
         Duration, HeatmapCell, HeatmapGrid, HotLink, Link, LinkEnd, LinkFilter, LinkKind, Load,

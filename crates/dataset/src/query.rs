@@ -149,20 +149,42 @@ where
     results.into_iter().map(|(_, value)| value).collect()
 }
 
-/// Per-link integer aggregate (top-k kernel scratch).
+/// Integer load aggregate of one link, site or heatmap cell (kernel
+/// scratch): samples, their sum and their peak.
 #[derive(Debug, Clone, Copy, Default)]
-struct LinkAgg {
+struct Agg {
     count: u64,
     sum: u64,
     peak: u8,
 }
 
-/// Per-site integer aggregate (site kernel scratch).
-#[derive(Debug, Clone, Copy, Default)]
-struct SiteAgg {
-    count: u64,
-    sum: u64,
-    peak: u8,
+impl Agg {
+    /// Adds one load sample.
+    #[inline]
+    fn add(&mut self, load: u8) {
+        self.count += 1;
+        self.sum += u64::from(load);
+        self.peak = self.peak.max(load);
+    }
+
+    /// Folds in another aggregate of the same slot.
+    fn merge(&mut self, other: Agg) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.peak = self.peak.max(other.peak);
+    }
+}
+
+/// Merges per-chunk aggregate vectors of `len` slots elementwise, in
+/// chunk order.
+fn merge_aggs(parts: Vec<Vec<Agg>>, len: usize) -> Vec<Agg> {
+    let mut merged = vec![Agg::default(); len];
+    for part in parts {
+        for (into, from) in merged.iter_mut().zip(part) {
+            into.merge(from);
+        }
+    }
+    merged
 }
 
 /// One window's count histogram (percentile kernel scratch).
@@ -487,7 +509,7 @@ impl<'a> QueryEngine<'a> {
         k: usize,
     ) -> (u64, QueryResult) {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
-            let mut links = vec![LinkAgg::default(); self.store.defs.len()];
+            let mut links = vec![Agg::default(); self.store.defs.len()];
             self.scan_rows(
                 snaps,
                 |def| selected(mask, def).then_some(def as usize),
@@ -496,24 +518,16 @@ impl<'a> QueryEngine<'a> {
                         let Some(agg) = fact.and_then(|def| links.get_mut(def)) else {
                             continue;
                         };
-                        agg.count += 2;
-                        agg.sum += u64::from(a) + u64::from(b);
-                        agg.peak = agg.peak.max(a).max(b);
+                        agg.add(a);
+                        agg.add(b);
                     }
                 },
             );
             links
         });
-        let mut merged = vec![LinkAgg::default(); self.store.defs.len()];
-        for part in parts {
-            for (into, from) in merged.iter_mut().zip(part) {
-                into.count += from.count;
-                into.sum += from.sum;
-                into.peak = into.peak.max(from.peak);
-            }
-        }
+        let merged = merge_aggs(parts, self.store.defs.len());
 
-        let mut candidates: Vec<(usize, LinkAgg)> = merged
+        let mut candidates: Vec<(usize, Agg)> = merged
             .iter()
             .copied()
             .enumerate()
@@ -633,7 +647,7 @@ impl<'a> QueryEngine<'a> {
 
     fn run_sites(&self, plan: &QueryPlan, threads: usize, mask: &[bool]) -> (u64, QueryResult) {
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
-            let mut sites = vec![SiteAgg::default(); self.sites.len()];
+            let mut sites = vec![Agg::default(); self.sites.len()];
             self.scan_rows(
                 snaps,
                 |def| {
@@ -651,23 +665,14 @@ impl<'a> QueryEngine<'a> {
                             else {
                                 continue;
                             };
-                            agg.count += 1;
-                            agg.sum += u64::from(load);
-                            agg.peak = agg.peak.max(load);
+                            agg.add(load);
                         }
                     }
                 },
             );
             sites
         });
-        let mut merged = vec![SiteAgg::default(); self.sites.len()];
-        for part in parts {
-            for (into, from) in merged.iter_mut().zip(part) {
-                into.count += from.count;
-                into.sum += from.sum;
-                into.peak = into.peak.max(from.peak);
-            }
-        }
+        let merged = merge_aggs(parts, self.sites.len());
         let samples: u64 = merged.iter().map(|agg| agg.count).sum();
         let loads: Vec<SiteLoad> = self
             .sites
@@ -744,7 +749,7 @@ impl<'a> QueryEngine<'a> {
         // Pass 2: fill per-chunk grids, merge elementwise in chunk order.
         let parts = run_chunks(plan.snapshots.clone(), threads, |snaps| {
             let mut samples = 0u64;
-            let mut cells_out = vec![HeatmapCell::default(); starts.len() * columns];
+            let mut cells_out = vec![Agg::default(); starts.len() * columns];
             self.scan_rows(
                 snaps,
                 |def| {
@@ -769,25 +774,24 @@ impl<'a> QueryEngine<'a> {
                         };
                         samples += 2;
                         if let Some(cell) = cells_out.get_mut(base + col) {
-                            cell.samples += 2;
-                            cell.sum += u64::from(a) + u64::from(b);
-                            cell.peak = cell.peak.max(a).max(b);
+                            cell.add(a);
+                            cell.add(b);
                         }
                     }
                 },
             );
             (samples, cells_out)
         });
-        let mut samples = 0u64;
-        let mut grid_cells = vec![HeatmapCell::default(); starts.len() * columns];
-        for (part_samples, part_cells) in parts {
-            samples += part_samples;
-            for (into, from) in grid_cells.iter_mut().zip(part_cells) {
-                into.samples += from.samples;
-                into.sum += from.sum;
-                into.peak = into.peak.max(from.peak);
-            }
-        }
+        let (part_samples, part_cells): (Vec<u64>, Vec<Vec<Agg>>) = parts.into_iter().unzip();
+        let samples = part_samples.iter().sum();
+        let grid_cells: Vec<HeatmapCell> = merge_aggs(part_cells, starts.len() * columns)
+            .into_iter()
+            .map(|agg| HeatmapCell {
+                samples: agg.count,
+                sum: agg.sum,
+                peak: agg.peak,
+            })
+            .collect();
 
         let groups: Vec<String> = group_ranks
             .iter()

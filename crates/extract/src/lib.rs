@@ -48,8 +48,8 @@ pub use metrics::{
     BatchMetrics, BroadPhaseStats, CacheStats, Histogram, KernelStats, MetricsTotals, Stage,
 };
 pub use pipeline::{
-    claim_each, default_threads, extract_batch, extract_batch_with, extract_svg,
-    extract_svg_instrumented, BatchInput, BatchStats, ExtractScratch, Scheduling,
+    claim_each, default_threads, extract_batch_with, extract_svg, extract_svg_instrumented,
+    BatchInput, BatchStats, ExtractScratch, Scheduling,
 };
 pub use snapshot_yaml::{
     from_yaml_str, read_snapshot, to_yaml_string, EndRef, SchemaError, SnapshotVisitor, SCHEMA_ID,

@@ -256,26 +256,12 @@ impl WorkerOutput {
     }
 }
 
-/// Extracts a batch of files in parallel with `threads` workers.
+/// Extracts a batch of files in parallel with `threads` workers,
+/// returning the snapshots, the stats and the full [`BatchMetrics`].
+/// `Scheduling` has a single variant (see its docs).
 ///
-/// Per-file work is pure, so the run is deterministic: results are
-/// returned sorted by timestamp (ties broken by input order) and the
-/// statistics are order-independent sums. Failed files are skipped (and
-/// tallied), matching how the paper's scripts leave fewer than a
-/// hundred files per map unprocessed.
-pub fn extract_batch(
-    inputs: &[BatchInput],
-    map: MapKind,
-    config: &ExtractConfig,
-    threads: usize,
-) -> (Vec<TopologySnapshot>, BatchStats) {
-    let (snapshots, stats, _metrics) =
-        extract_batch_with(inputs, map, config, threads, Scheduling::default());
-    (snapshots, stats)
-}
-
-/// [`extract_batch`] with full [`BatchMetrics`] returned alongside the
-/// stats. `Scheduling` has a single variant (see its docs).
+/// Failed files are skipped (and tallied), matching how the paper's
+/// scripts leave fewer than a hundred files per map unprocessed.
 ///
 /// Determinism contract: per-file work is pure and each input index is
 /// extracted exactly once, by one worker; the snapshots are sorted by
@@ -481,8 +467,20 @@ mod tests {
             .collect();
         assert!(inputs.len() > 10);
         let config = ExtractConfig::default();
-        let (serial, serial_stats) = extract_batch(&inputs, MapKind::Europe, &config, 1);
-        let (parallel, parallel_stats) = extract_batch(&inputs, MapKind::Europe, &config, 8);
+        let (serial, serial_stats, _) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            &config,
+            1,
+            Scheduling::WorkStealing,
+        );
+        let (parallel, parallel_stats, _) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            &config,
+            8,
+            Scheduling::WorkStealing,
+        );
         assert_eq!(serial, parallel);
         assert_eq!(serial_stats, parallel_stats);
         assert_eq!(serial_stats.total(), inputs.len());
@@ -559,7 +557,13 @@ mod tests {
                 svg: "broken <".into(),
             },
         ];
-        let (ok, stats) = extract_batch(&inputs, MapKind::Europe, &ExtractConfig::default(), 2);
+        let (ok, stats, _) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            &ExtractConfig::default(),
+            2,
+            Scheduling::WorkStealing,
+        );
         assert_eq!(ok.len(), 1); // The empty map extracts as empty.
         assert_eq!(stats.failed, 2);
         assert_eq!(stats.failures_by_kind.get("invalid-xml"), Some(&2));
@@ -617,8 +621,20 @@ mod tests {
             },
         ];
         let config = ExtractConfig::default();
-        let (serial, _) = extract_batch(&inputs, MapKind::Europe, &config, 1);
-        let (parallel, _) = extract_batch(&inputs, MapKind::Europe, &config, 2);
+        let (serial, _, _) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            &config,
+            1,
+            Scheduling::WorkStealing,
+        );
+        let (parallel, _, _) = extract_batch_with(
+            &inputs,
+            MapKind::Europe,
+            &config,
+            2,
+            Scheduling::WorkStealing,
+        );
         assert_eq!(serial, parallel);
     }
 }

@@ -1,12 +1,13 @@
 //! Shape checks for the paper's evaluation artifacts (Tables 1–2,
 //! Figures 2–6), run end-to-end through the extraction pipeline at
-//! reduced scale. The bench crate's experiment binaries print the full
+//! reduced scale. The bench crate's `reproduce` driver prints the full
 //! rows; these tests pin the *inequalities the paper claims* so
 //! regressions fail loudly.
 
 use ovh_weather::analysis::timeframe::GapDistribution;
 use ovh_weather::prelude::*;
 use ovh_weather::simulator::collector::gaps;
+use wm_bench::{run_suite, upgrade_target};
 
 fn pipeline(scale: f64) -> Pipeline {
     Pipeline::new(SimulationConfig::scaled(42, scale))
@@ -228,23 +229,18 @@ fn fig4c_degree_ccdf_through_extraction() {
 #[test]
 fn fig5_load_shapes_through_extraction() {
     let p = pipeline(0.2);
-    // A week sampled every 4 hours.
-    let result = p.run_window_sampled(
+    // A week sampled every 4 hours, through the reproduce driver's suite.
+    let (report, _) = run_suite(
+        &p,
         MapKind::Europe,
         Timestamp::from_ymd(2022, 2, 1),
         Timestamp::from_ymd(2022, 2, 8),
         48,
-    );
-    assert!(result.snapshots.len() > 30);
-
-    let mut hourly = HourlyLoads::new();
-    let mut cdf = LoadCdf::new();
-    let mut imbalance = ImbalanceCdf::new();
-    for s in &result.snapshots {
-        hourly.add_snapshot(s);
-        cdf.add_snapshot(s);
-        imbalance.add_snapshot(s);
-    }
+        SuiteConfig::default(),
+    )
+    .expect("suite run");
+    assert!(report.snapshots > 30);
+    let (hourly, cdf, imbalance) = (&report.hourly, &report.load_cdf, &report.imbalance);
 
     // Fig. 5a: trough 02-04h, peak 19-21h.
     let (trough, peak) = hourly.extreme_hours().expect("data");
@@ -280,29 +276,23 @@ fn fig6_upgrade_detection_through_extraction() {
         .scenario()
         .expect("scenario scheduled")
         .clone();
-    // Daily samples over March 2022.
-    let result = p.run_window_sampled(
+    // Daily samples over March 2022, through the reproduce driver's
+    // suite; the target carries the peering's PeeringDB records.
+    let (suite, _) = run_suite(
+        &p,
         MapKind::Europe,
         Timestamp::from_ymd(2022, 3, 1),
         Timestamp::from_ymd(2022, 4, 1),
         288,
-    );
-    let observations: Vec<_> = result
-        .snapshots
-        .iter()
-        .filter_map(|s| observe_group(s, &scenario.router, &scenario.peering))
-        .collect();
+        SuiteConfig {
+            upgrade: Some(upgrade_target(&scenario)),
+            ..SuiteConfig::default()
+        },
+    )
+    .expect("suite run");
+    let upgrade = suite.upgrade.expect("upgrade target configured");
+    let (observations, report) = (&upgrade.observations, &upgrade.report);
     assert!(observations.len() > 25);
-
-    let records: Vec<CapacityRecord> = scenario
-        .peeringdb_records
-        .iter()
-        .map(|r| CapacityRecord {
-            at: r.at,
-            total_capacity_gbps: r.total_capacity_gbps,
-        })
-        .collect();
-    let report = detect_upgrade(&observations, &records);
 
     let added = report.link_added.expect("arrow A");
     let activated = report.link_activated.expect("arrow C");

@@ -112,7 +112,8 @@ fn fault_matrix_is_exhaustively_classified() {
                 });
             }
         }
-        let (snapshots, stats) = ovh_weather::extract::extract_batch(&batch, map, &config, 3);
+        let (snapshots, stats, _) =
+            extract_batch_with(&batch, map, &config, 3, Scheduling::WorkStealing);
         assert_eq!(stats.total(), batch.len(), "{map}");
         assert_eq!(stats.processed, snapshots.len(), "{map}");
         assert_eq!(
