@@ -87,6 +87,20 @@ grep "$bad_svg: not UTF-8 at byte 100" "$smoke_dir/extract_utf8.err" > /dev/null
 grep "1 stale YAML removed$" "$smoke_dir/extract_utf8.txt" > /dev/null
 test "$(find "$extract_dir/europe/yaml" -name '*.yaml' | wc -l)" -eq 11
 rm -rf "$extract_dir"
+# Extraction memory is bounded by the thread count, not by the corpus:
+# `extract --threads 1` over three days of Europe peaks within 1.2x of
+# its peak over one day (the child's peak RSS). A loop that holds its
+# input in memory reads about 2.9x here.
+rss_dir="$(mktemp -d)"
+for days in 1 3; do
+    target/release/ovh-weather generate --out "$rss_dir/$days" --from 2022-02-01 \
+        --to "2022-02-0$((1 + days))" --map europe --scale 0.2 > /dev/null
+    python3 -c 'import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+        target/release/ovh-weather extract --in "$rss_dir/$days" --map europe --threads 1 > "$rss_dir/peak_$days"
+done
+awk -v one="$(cat "$rss_dir/peak_1")" -v three="$(cat "$rss_dir/peak_3")" \
+    'BEGIN { printf "extract peak RSS: %d KiB for one day, %d KiB for three\n", one, three; exit !(three <= 1.2 * one) }'
+rm -rf "$rss_dir"
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --metrics
 target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2
 # A topology is stored once per run of snapshots that share it, not

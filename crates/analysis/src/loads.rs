@@ -163,12 +163,6 @@ impl HourlyLoads {
         })
     }
 
-    /// All 24 summaries — the rows of Fig. 5a.
-    #[must_use]
-    pub fn summaries(&self) -> Vec<Option<WhiskerSummary>> {
-        (0..24).map(|h| self.summary(h)).collect()
-    }
-
     /// The hour with the lowest median (the paper: between 2 and 4 a.m.)
     /// and the hour with the highest (7–9 p.m.).
     #[must_use]

@@ -73,11 +73,13 @@ pub fn run(options: &ExpOptions) {
             &format!("{projected_svg:.1} / {projected_yaml:.2}"),
         );
     }
-    println!(
-        "\nnote: projections use the scale-{} network; at --scale full the Europe\n\
-         map renders ~9x more elements per file.",
-        options.scale
-    );
+    if options.scale < 1.0 {
+        println!(
+            "\nnote: projections use the scale-{} network; at --scale full the Europe\n\
+             map renders ~9x more elements per file.",
+            options.scale
+        );
+    }
 
     let svg = stats.total(FileKind::Svg);
     let yaml = stats.total(FileKind::Yaml);

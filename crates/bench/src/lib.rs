@@ -297,7 +297,11 @@ mod tests {
         let pipeline = Pipeline::new(SimulationConfig::scaled(31, 0.1));
         let from = Timestamp::from_ymd(2021, 5, 1);
         let to = from + Duration::from_hours(6);
-        let dense = pipeline.run_window(MapKind::Europe, from, to);
+        let dense = pipeline
+            .simulation()
+            .collection_plan(MapKind::Europe)
+            .collected_times_between(from, to)
+            .count();
         let (report, sampled) = run_suite(
             &pipeline,
             MapKind::Europe,
@@ -307,7 +311,7 @@ mod tests {
             SuiteConfig::default(),
         )
         .expect("suite run");
-        assert!(sampled.total() * 10 <= dense.stats.total());
+        assert!(sampled.total() * 10 <= dense);
         assert!(report.snapshots > 0);
     }
 

@@ -26,15 +26,21 @@
 //! // A deterministic world, scaled down for a fast doc test.
 //! let pipeline = Pipeline::new(SimulationConfig::scaled(42, 0.05));
 //!
-//! // Extract one hour of the Europe map.
+//! // Write one hour of the Europe map's SVGs into a corpus directory
+//! // and extract each to YAML beside it.
+//! let store = DatasetStore::open(std::env::temp_dir().join("ovh-weather-doc"))?;
 //! let from = Timestamp::from_ymd(2021, 3, 1);
-//! let result = pipeline.run_window(MapKind::Europe, from, from + Duration::from_hours(1));
-//! assert!(result.stats.processed > 0);
+//! let to = from + Duration::from_hours(1);
+//! let outcome = pipeline.materialize_window(&store, MapKind::Europe, from, to)?;
+//! assert!(outcome.stats.processed > 0);
 //!
-//! // Every snapshot is a typed topology.
-//! let snapshot = &result.snapshots[0];
-//! assert!(snapshot.router_count() > 0);
-//! assert!(snapshot.internal_link_count() > 0);
+//! // Every YAML file reads back as a typed topology.
+//! let first = store.entries_of(MapKind::Europe, FileKind::Yaml)?[0].timestamp;
+//! let yaml = store.read(MapKind::Europe, FileKind::Yaml, first)?;
+//! let snapshot = from_yaml_str(&String::from_utf8_lossy(&yaml)).expect("schema-valid YAML");
+//! assert!(snapshot.router_count() > 0 && snapshot.internal_link_count() > 0);
+//! std::fs::remove_dir_all(store.root())?;
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,7 +48,7 @@
 
 mod pipeline;
 
-pub use pipeline::{extract_to_yaml, write_yaml, ExtractOutcome, Pipeline, WindowResult};
+pub use pipeline::{extract_to_yaml, ExtractOutcome, Pipeline};
 
 pub use wm_analysis as analysis;
 pub use wm_dataset as dataset;
@@ -56,7 +62,7 @@ pub use wm_yaml as yaml;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use crate::{extract_to_yaml, write_yaml, ExtractOutcome, Pipeline, WindowResult};
+    pub use crate::{extract_to_yaml, ExtractOutcome, Pipeline};
     pub use wm_analysis::{
         coverage_segments, detect_changes, detect_upgrade, evolution_series, group_imbalances,
         observe_group, table1, AnalysisSuite, CapacityRecord, DegreeAnalysis, Distribution,

@@ -1,27 +1,15 @@
 //! The end-to-end pipeline: simulate → collect → extract → analyse.
 
-use std::collections::BTreeSet;
 use std::io;
 use std::time::Instant;
 
 use wm_dataset::{DatasetStore, FileKind};
 use wm_extract::{
-    default_threads, extract_batch_with, to_yaml_string, BatchInput, BatchMetrics, BatchStats,
-    ExtractConfig, ExtractError, Scheduling, Stage,
+    claim_each, default_threads, to_yaml_string, BatchMetrics, BatchStats, ExtractConfig,
+    ExtractError, Extractor, Stage,
 };
-use wm_model::{MapKind, Timestamp, TopologySnapshot};
+use wm_model::{MapKind, Timestamp};
 use wm_simulator::{Simulation, SimulationConfig};
-
-/// The outcome of processing one collection window in memory.
-#[derive(Debug, Clone)]
-pub struct WindowResult {
-    /// Successfully extracted snapshots, sorted by timestamp.
-    pub snapshots: Vec<TopologySnapshot>,
-    /// Extraction bookkeeping (processed/failed per error kind).
-    pub stats: BatchStats,
-    /// Per-stage timings and throughput counters of the run.
-    pub metrics: BatchMetrics,
-}
 
 /// What [`extract_to_yaml`] did with one map's SVG files.
 #[derive(Debug, Clone)]
@@ -29,30 +17,25 @@ pub struct ExtractOutcome {
     /// Extraction bookkeeping over every instant (processed/failed per
     /// error kind).
     pub stats: BatchStats,
-    /// Per-stage timings and throughput counters, YAML emits included.
+    /// Per-stage timings and throughput counters, YAML emits included;
+    /// the wall time spans the whole loop, reads and writes included.
     pub metrics: BatchMetrics,
     /// Instants refused before extraction because their SVG is not
-    /// UTF-8, each with its `invalid-xml` reason (`not UTF-8 at byte N`).
+    /// UTF-8, each with its `invalid-xml` reason (`not UTF-8 at byte N`),
+    /// sorted by instant.
     pub refused: Vec<(Timestamp, String)>,
-    /// Refused instants whose older YAML file was removed.
+    /// Instants left without a snapshot (refused or failed) whose older
+    /// YAML file was removed, sorted by instant.
     pub removed: Vec<Timestamp>,
 }
 
-/// Writes each snapshot of `map` into `store` as YAML, timing every
-/// emit into `metrics` as [`Stage::YamlEmit`].
-pub fn write_yaml(
-    store: &DatasetStore,
-    map: MapKind,
-    snapshots: &[TopologySnapshot],
-    metrics: &mut BatchMetrics,
-) -> io::Result<()> {
-    for snapshot in snapshots {
-        let emit_started = Instant::now();
-        let yaml = to_yaml_string(snapshot);
-        metrics.record_stage(Stage::YamlEmit, emit_started.elapsed());
-        store.write(map, FileKind::Yaml, snapshot.timestamp, yaml.as_bytes())?;
-    }
-    Ok(())
+/// One worker of [`extract_to_yaml`]: the shared per-file step and the
+/// instants it refused and cleared.
+#[derive(Default)]
+struct YamlWorker {
+    extractor: Extractor,
+    refused: Vec<(Timestamp, String)>,
+    removed: Vec<Timestamp>,
 }
 
 /// Extracts the SVG files of `map` at `instants` in `store` and writes
@@ -60,11 +43,18 @@ pub fn write_yaml(
 /// YAML-on-disk path behind `extract`, `generate`
 /// ([`Pipeline::materialize_window`]) and the paper's figures.
 ///
+/// Each worker of [`claim_each`] does the whole job for one instant at
+/// a time (read, extract, emit, write), so memory is bounded by the
+/// thread count, not by the corpus. Every YAML file is independent, so
+/// the written bytes do not depend on which worker wrote them.
+///
 /// A file that is not UTF-8 cannot be XML: it is refused as
 /// `invalid-xml`, named by its first invalid byte, and the other files
-/// are still extracted. A refused instant keeps no YAML: an older file
-/// there is removed, since `analyze` would still count it. Nothing is
-/// printed; the outcome lists what was refused and removed.
+/// are still extracted. An instant left without a snapshot keeps no
+/// YAML: an older file there is removed, since `analyze` would still
+/// count it. Nothing is printed; the outcome lists what was refused and
+/// removed. The first I/O error in worker order is returned once every
+/// worker has stopped.
 pub fn extract_to_yaml(
     store: &DatasetStore,
     map: MapKind,
@@ -72,38 +62,55 @@ pub fn extract_to_yaml(
     config: &ExtractConfig,
     threads: usize,
 ) -> io::Result<ExtractOutcome> {
-    let mut inputs = Vec::with_capacity(instants.len());
-    let mut unreadable = Vec::new();
-    for &timestamp in instants {
-        match String::from_utf8(store.read(map, FileKind::Svg, timestamp)?) {
-            Ok(svg) => inputs.push(BatchInput { timestamp, svg }),
-            Err(e) => {
-                let reason = format!("not UTF-8 at byte {}", e.utf8_error().valid_up_to());
-                unreadable.push((timestamp, e.as_bytes().len(), reason));
+    let started = Instant::now();
+    let workers = claim_each(
+        instants.len(),
+        threads,
+        YamlWorker::default,
+        |worker, index| {
+            let Some(&timestamp) = instants.get(index) else {
+                return Ok(());
+            };
+            let bytes = store.read(map, FileKind::Svg, timestamp)?;
+            let extracted = match std::str::from_utf8(&bytes) {
+                Ok(svg) => worker.extractor.extract(svg, map, timestamp, config).ok(),
+                Err(e) => {
+                    let reason = format!("not UTF-8 at byte {}", e.valid_up_to());
+                    let error = ExtractError::InvalidXml(reason.clone());
+                    worker.extractor.refuse(bytes.len(), &error);
+                    worker.refused.push((timestamp, reason));
+                    None
+                }
+            };
+            drop(bytes);
+            if let Some(snapshot) = extracted {
+                let emit_started = Instant::now();
+                let yaml = to_yaml_string(&snapshot);
+                let metrics = &mut worker.extractor.metrics;
+                metrics.record_stage(Stage::YamlEmit, emit_started.elapsed());
+                store.write(map, FileKind::Yaml, timestamp, yaml.as_bytes())
+            } else {
+                if store.remove(map, FileKind::Yaml, timestamp)? {
+                    worker.removed.push(timestamp);
+                }
+                Ok(())
             }
-        }
-    }
-    let (snapshots, mut stats, mut metrics) =
-        extract_batch_with(&inputs, map, config, threads, Scheduling::WorkStealing);
-    let mut refused = Vec::with_capacity(unreadable.len());
-    for (timestamp, bytes, reason) in unreadable {
-        let error = ExtractError::InvalidXml(reason.clone());
-        metrics.record_input(bytes);
-        metrics.record_failure(error.kind());
-        stats.record_failure(&error);
-        refused.push((timestamp, reason));
-    }
-    write_yaml(store, map, &snapshots, &mut metrics)?;
-    let extracted: BTreeSet<Timestamp> = snapshots.iter().map(|s| s.timestamp).collect();
+        },
+    )?;
+    let mut total = Extractor::default();
+    let mut refused = Vec::new();
     let mut removed = Vec::new();
-    for &timestamp in instants.iter().filter(|t| !extracted.contains(t)) {
-        if store.remove(map, FileKind::Yaml, timestamp)? {
-            removed.push(timestamp);
-        }
+    for worker in workers {
+        total.merge(&worker.extractor);
+        refused.extend(worker.refused);
+        removed.extend(worker.removed);
     }
+    refused.sort();
+    removed.sort_unstable();
+    total.metrics.set_wall_time(started.elapsed());
     Ok(ExtractOutcome {
-        stats,
-        metrics,
+        stats: total.stats,
+        metrics: total.metrics,
         refused,
         removed,
     })
@@ -143,32 +150,6 @@ impl Pipeline {
     #[must_use]
     pub fn extract_config(&self) -> &ExtractConfig {
         &self.extract_config
-    }
-
-    /// Generates and extracts every collected snapshot of `map` within
-    /// `[from, to)` in memory.
-    #[must_use]
-    pub fn run_window(&self, map: MapKind, from: Timestamp, to: Timestamp) -> WindowResult {
-        let inputs: Vec<BatchInput> = self
-            .simulation
-            .corpus_between(map, from, to)
-            .map(|file| BatchInput {
-                timestamp: file.timestamp,
-                svg: file.svg,
-            })
-            .collect();
-        let (snapshots, stats, metrics) = extract_batch_with(
-            &inputs,
-            map,
-            &self.extract_config,
-            self.threads,
-            Scheduling::WorkStealing,
-        );
-        WindowResult {
-            snapshots,
-            stats,
-            metrics,
-        }
     }
 
     /// Writes every collected SVG of `map` within `[from, to)` into
@@ -217,28 +198,12 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wm_extract::{extract_batch_with, BatchInput, Scheduling};
     use wm_model::Duration;
+    use wm_simulator::faults::{corrupt, FaultKind};
 
     fn pipeline() -> Pipeline {
         Pipeline::new(SimulationConfig::scaled(31, 0.1))
-    }
-
-    #[test]
-    fn run_window_extracts_collected_snapshots() {
-        let p = pipeline();
-        let from = Timestamp::from_ymd(2021, 5, 1);
-        let result = p.run_window(MapKind::Europe, from, from + Duration::from_hours(2));
-        assert!(result.stats.total() > 10);
-        assert_eq!(result.snapshots.len(), result.stats.processed);
-        assert!(result
-            .snapshots
-            .windows(2)
-            .all(|w| w[0].timestamp < w[1].timestamp));
-        assert_eq!(result.metrics.files_seen as usize, result.stats.total());
-        assert_eq!(
-            result.metrics.snapshots_out as usize,
-            result.stats.processed
-        );
     }
 
     #[test]
@@ -251,6 +216,31 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{map} {t}: {e}"));
             }
         }
+    }
+
+    /// The window's snapshots and stats from the in-memory driver.
+    fn reference(
+        p: &Pipeline,
+        map: MapKind,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> (Vec<wm_model::TopologySnapshot>, BatchStats) {
+        let inputs: Vec<BatchInput> = p
+            .simulation()
+            .corpus_between(map, from, to)
+            .map(|file| BatchInput {
+                timestamp: file.timestamp,
+                svg: file.svg,
+            })
+            .collect();
+        let (snapshots, stats, _) = extract_batch_with(
+            &inputs,
+            map,
+            p.extract_config(),
+            p.threads,
+            Scheduling::WorkStealing,
+        );
+        (snapshots, stats)
     }
 
     /// A fresh store under the temp directory, named for one test.
@@ -279,11 +269,11 @@ mod tests {
         let yaml_count = entries.iter().filter(|e| e.kind == FileKind::Yaml).count();
         assert_eq!(svg_count, result.stats.total());
         assert_eq!(yaml_count, result.stats.processed);
-        // YAML files parse back to the snapshots the in-memory path
+        // YAML files parse back to the snapshots the in-memory driver
         // extracts from the same window.
-        let reference = p.run_window(MapKind::AsiaPacific, from, to);
-        assert_eq!(result.stats, reference.stats);
-        let first = &reference.snapshots[0];
+        let (snapshots, stats) = reference(&p, MapKind::AsiaPacific, from, to);
+        assert_eq!(result.stats, stats);
+        let first = &snapshots[0];
         let yaml = store
             .read(MapKind::AsiaPacific, FileKind::Yaml, first.timestamp)
             .unwrap();
@@ -361,5 +351,122 @@ mod tests {
             first.stats.processed + second.stats.processed
         );
         std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    /// Of ten SVGs two are not UTF-8 and one is truncated, and each of
+    /// the three has an older YAML in place. At 1, 2 and 8 threads the
+    /// loop writes the same YAML tree (the in-memory driver's snapshots,
+    /// emitted), the same counters and the same refused and removed
+    /// instants, sorted by instant.
+    #[test]
+    fn extract_to_yaml_is_thread_count_independent() {
+        const N: usize = 10;
+        let p = pipeline();
+        let map = MapKind::Europe;
+        let from = Timestamp::from_ymd_hms(2022, 2, 1, 6, 0, 0);
+        let instants: Vec<Timestamp> = (0..N as u32)
+            .map(|i| from + Duration::from_minutes(5 * i64::from(i)))
+            .collect();
+        let mut svgs: Vec<Vec<u8>> = instants
+            .iter()
+            .map(|&t| p.simulation().snapshot(map, t).svg.into_bytes())
+            .collect();
+        let (truncated, first_bad, second_bad) = (3, 5, 8);
+        let clean = String::from_utf8(svgs[truncated].clone()).unwrap();
+        svgs[truncated] = corrupt(&clean, FaultKind::TruncatedXml, 7).into_bytes();
+        svgs[first_bad][200] = 0xFF;
+        svgs[second_bad][40] = 0xC3;
+        svgs[second_bad][41] = b'<';
+
+        let runs: Vec<_> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                let store = temp_store(&format!("threads-{threads}"));
+                for (&t, svg) in instants.iter().zip(&svgs) {
+                    store.write(map, FileKind::Svg, t, svg).unwrap();
+                }
+                for i in [truncated, first_bad, second_bad] {
+                    let stale = b"stale: yaml\n";
+                    store
+                        .write(map, FileKind::Yaml, instants[i], stale)
+                        .unwrap();
+                }
+                let outcome =
+                    extract_to_yaml(&store, map, &instants, p.extract_config(), threads).unwrap();
+                let tree: Vec<(Timestamp, Vec<u8>)> = store
+                    .entries_of(map, FileKind::Yaml)
+                    .unwrap()
+                    .iter()
+                    .map(|e| {
+                        (
+                            e.timestamp,
+                            store.read(map, FileKind::Yaml, e.timestamp).unwrap(),
+                        )
+                    })
+                    .collect();
+                std::fs::remove_dir_all(store.root()).unwrap();
+                (outcome, tree)
+            })
+            .collect();
+
+        let (base, base_tree) = &runs[0];
+        assert_eq!(
+            base.refused,
+            vec![
+                (instants[first_bad], "not UTF-8 at byte 200".to_owned()),
+                (instants[second_bad], "not UTF-8 at byte 40".to_owned()),
+            ]
+        );
+        assert_eq!(
+            base.removed,
+            vec![
+                instants[truncated],
+                instants[first_bad],
+                instants[second_bad]
+            ]
+        );
+        assert_eq!(base.stats.processed, N - 3);
+        assert_eq!(base.stats.failures_by_kind.get("invalid-xml"), Some(&3));
+        assert_eq!(base.metrics.files_seen as usize, N);
+        assert_eq!(base.metrics.snapshots_out as usize, base.stats.processed);
+        assert_eq!(
+            base.metrics.stage(Stage::YamlEmit).count() as usize,
+            base.stats.processed
+        );
+        assert_eq!(
+            base.metrics.bytes_in,
+            svgs.iter().map(|svg| svg.len() as u64).sum::<u64>()
+        );
+        assert!(base.metrics.wall_ns > 0);
+
+        // The tree is the in-memory driver's snapshots, emitted.
+        let inputs: Vec<BatchInput> = instants
+            .iter()
+            .zip(&svgs)
+            .filter_map(|(&timestamp, svg)| {
+                let svg = String::from_utf8(svg.clone()).ok()?;
+                Some(BatchInput { timestamp, svg })
+            })
+            .collect();
+        let (snapshots, _, _) = extract_batch_with(
+            &inputs,
+            map,
+            p.extract_config(),
+            2,
+            Scheduling::WorkStealing,
+        );
+        let emitted: Vec<(Timestamp, Vec<u8>)> = snapshots
+            .iter()
+            .map(|s| (s.timestamp, to_yaml_string(s).into_bytes()))
+            .collect();
+        assert_eq!(base_tree, &emitted);
+
+        for (outcome, tree) in &runs[1..] {
+            assert_eq!(tree, base_tree);
+            assert_eq!(outcome.stats, base.stats);
+            assert_eq!(outcome.metrics.totals(), base.metrics.totals());
+            assert_eq!(outcome.refused, base.refused);
+            assert_eq!(outcome.removed, base.removed);
+        }
     }
 }

@@ -74,7 +74,8 @@ impl DatasetStore {
         self.root.join(relative_path(map, kind, t))
     }
 
-    /// Writes a snapshot file, creating date directories as needed.
+    /// Writes a snapshot file, creating date directories as needed. An
+    /// error keeps its kind and names the file.
     pub fn write(
         &self,
         map: MapKind,
@@ -83,10 +84,10 @@ impl DatasetStore {
         contents: &[u8],
     ) -> io::Result<()> {
         let path = self.path_of(map, kind, t);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::write(path, contents)
+        path.parent()
+            .map_or(Ok(()), fs::create_dir_all)
+            .and_then(|()| fs::write(&path, contents))
+            .map_err(|err| io::Error::new(err.kind(), format!("writing {}: {err}", path.display())))
     }
 
     /// Reads a snapshot file. An error keeps its kind and names the
@@ -529,6 +530,43 @@ mod tests {
             "the error names the file: {err}"
         );
         assert!(!store.contains(MapKind::World, FileKind::Svg, t));
+        fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    /// A regular file where a directory of the path should be fails the
+    /// directory creation, and a directory at the file's own path fails
+    /// the write; each error keeps its kind and names the file.
+    #[test]
+    fn write_errors_name_the_file() {
+        let store = temp_store("write-errors");
+        let t = Timestamp::from_unix(0);
+        let path = store.path_of(MapKind::World, FileKind::Svg, t);
+        let blocker = store.root().join("world").join("svg");
+        fs::create_dir_all(store.root().join("world")).unwrap();
+        fs::write(&blocker, b"not a directory").unwrap();
+        let expected = fs::create_dir_all(path.parent().unwrap())
+            .unwrap_err()
+            .kind();
+        let err = store
+            .write(MapKind::World, FileKind::Svg, t, b"<svg/>")
+            .unwrap_err();
+        assert_eq!(err.kind(), expected);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "the error names the file: {err}"
+        );
+
+        fs::remove_file(&blocker).unwrap();
+        fs::create_dir_all(&path).unwrap();
+        let expected = fs::write(&path, b"").unwrap_err().kind();
+        let err = store
+            .write(MapKind::World, FileKind::Svg, t, b"<svg/>")
+            .unwrap_err();
+        assert_eq!(err.kind(), expected);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "the error names the file: {err}"
+        );
         fs::remove_dir_all(store.root()).unwrap();
     }
 

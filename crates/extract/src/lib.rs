@@ -17,13 +17,13 @@
 //! * [`snapshot_yaml`] — the YAML output schema and its lossless parser.
 //! * [`mod@validate`] — a standalone snapshot validator for corpus audits
 //!   (§6's "researchers could further validate the extracted data").
-//! * [`pipeline`] — the end-to-end entry point, a work-stealing
-//!   parallel batch runner whose statistics reproduce Table 2's
-//!   processed/unprocessed bookkeeping, and [`claim_each`], the worker
-//!   pool the batch runner, the corpus loader and the query kernels
-//!   share.
+//! * [`pipeline`] — the per-file step every extraction driver runs,
+//!   [`Extractor`], whose tallies reproduce Table 2's
+//!   processed/unprocessed bookkeeping; an in-memory batch driver over
+//!   it; and [`claim_each`], the worker pool the extract loop, the
+//!   corpus loader and the query kernels share.
 //! * [`metrics`] — per-stage wall-time histograms and throughput
-//!   counters recorded lock-free by the batch runner's workers.
+//!   counters recorded lock-free by each worker's [`Extractor`].
 //!
 //! The extractor is deliberately *blind*: it consumes only SVG bytes and
 //! shares no code with the simulator's renderer. Integration tests render
@@ -48,8 +48,8 @@ pub use metrics::{
     BatchMetrics, BroadPhaseStats, CacheStats, Histogram, KernelStats, MetricsTotals, Stage,
 };
 pub use pipeline::{
-    claim_each, default_threads, extract_batch_with, extract_svg, extract_svg_instrumented,
-    BatchInput, BatchStats, ExtractScratch, Scheduling,
+    claim_each, default_threads, extract_batch_with, extract_svg, BatchInput, BatchStats,
+    Extractor, Scheduling,
 };
 pub use snapshot_yaml::{
     from_yaml_str, read_snapshot, to_yaml_string, EndRef, SchemaError, SnapshotVisitor, SCHEMA_ID,

@@ -13,10 +13,11 @@ use std::time::Duration;
 
 /// The instrumented stages of the extraction pipeline.
 ///
-/// The first three are timed inside [`crate::extract_batch_with`]; the
-/// YAML emit stage happens outside this crate's batch runner (snapshot
-/// serialisation is the caller's concern) and is recorded by whoever
-/// writes the output, e.g. the `ovh-weather extract` CLI.
+/// The first three are timed by the per-file step,
+/// [`crate::Extractor::extract`]. The YAML emit stage is timed by the
+/// library's extract loop (`ovh_weather::extract_to_yaml`), whose
+/// worker step emits each extracted snapshot right after extracting
+/// it; the in-memory [`crate::extract_batch_with`] emits nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// SVG text to the flat element rows (`wm_svg::Document::parse_into`).

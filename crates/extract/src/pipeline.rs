@@ -1,12 +1,12 @@
-//! The end-to-end extraction pipeline, its parallel batch runner and
-//! the workspace's one worker pool, [`claim_each`].
+//! The per-file extraction step, [`Extractor`], an in-memory batch
+//! driver over it and the workspace's one worker pool, [`claim_each`].
 //!
-//! The batch runner is deterministic by construction: per-file work is
-//! pure, results carry their input index so output order never depends
-//! on worker interleaving, and all aggregates (statistics, metrics) are
-//! order-independent sums kept in per-worker states and merged in worker
-//! order. Consequently a run with any worker count is byte-for-byte
-//! identical to the serial run.
+//! Every driver is deterministic by construction: per-file work is
+//! pure, results are keyed by their input, never by worker
+//! interleaving, and all aggregates (statistics, metrics) are
+//! order-independent sums kept in per-worker [`Extractor`]s and merged
+//! in worker order. Consequently a run with any worker count is
+//! byte-for-byte identical to the serial run.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -78,27 +78,100 @@ where
     outcomes.into_iter().collect()
 }
 
-/// Per-worker reusable storage for the whole extraction pipeline.
+/// One worker's extraction step, shared by every driver: reusable
+/// buffers plus the tallies of every file the worker has seen.
 ///
-/// Holds the parsed document (its element rows, text arena, point pool,
-/// class table and the XML reader's attribute buffer), the Algorithm 1
-/// object lists and the Algorithm 2 working memory. A worker that
-/// extracts thousands of snapshots grows these buffers to the largest
-/// file once; after that the parse allocates nothing per element, and
-/// the allocations left are what the output owns (each arrow's points,
-/// each router and label name, the snapshot itself).
+/// The buffers hold the parsed document (its element rows, text arena,
+/// point pool, class table and the XML reader's attribute buffer), the
+/// Algorithm 1 object lists and the Algorithm 2 working memory. A
+/// worker that extracts thousands of snapshots grows them to the
+/// largest file once; after that the parse allocates nothing per
+/// element, and the allocations left are what the output owns (each
+/// arrow's points, each router and label name, the snapshot itself).
 #[derive(Debug, Default)]
-pub struct ExtractScratch {
+pub struct Extractor {
     doc: Document,
     objects: RawObjects,
     attribution: AttributionScratch,
+    /// Files extracted and refused, per error kind.
+    pub stats: BatchStats,
+    /// Stage timings and counters of every file seen.
+    pub metrics: BatchMetrics,
 }
 
-impl ExtractScratch {
-    /// Creates empty scratch storage.
-    #[must_use]
-    pub fn new() -> ExtractScratch {
-        ExtractScratch::default()
+impl Extractor {
+    /// Extracts one file, SVG text → Algorithm 1 → Algorithm 2, and
+    /// tallies it as extracted or refused.
+    ///
+    /// A stage's duration is recorded even when it fails, so sample
+    /// counts stay deterministic: every attempted file contributes
+    /// exactly one sample to each stage it reached. Broad-phase work
+    /// counters are drained into the metrics after the attribution
+    /// stage.
+    pub fn extract(
+        &mut self,
+        svg: &str,
+        map: MapKind,
+        timestamp: Timestamp,
+        config: &ExtractConfig,
+    ) -> Result<TopologySnapshot, ExtractError> {
+        let result = self.stages(svg, map, timestamp, config);
+        match &result {
+            Ok(_) => {
+                self.metrics.record_input(svg.len());
+                self.stats.processed += 1;
+                self.metrics.record_success();
+            }
+            Err(error) => self.refuse(svg.len(), error),
+        }
+        result
+    }
+
+    /// Tallies a file of `bytes` bytes as refused, by a stage of
+    /// [`Extractor::extract`] or before any stage saw it (an SVG that
+    /// is not UTF-8).
+    pub fn refuse(&mut self, bytes: usize, error: &ExtractError) {
+        self.metrics.record_input(bytes);
+        self.stats.record_failure(error);
+        self.metrics.record_failure(error.kind());
+    }
+
+    /// Adds another worker's tallies to this one's.
+    pub fn merge(&mut self, other: &Extractor) {
+        self.stats.merge(&other.stats);
+        self.metrics.merge(&other.metrics);
+    }
+
+    fn stages(
+        &mut self,
+        svg: &str,
+        map: MapKind,
+        timestamp: Timestamp,
+        config: &ExtractConfig,
+    ) -> Result<TopologySnapshot, ExtractError> {
+        let start = Instant::now();
+        let parsed = Document::parse_into(svg, &mut self.doc);
+        self.metrics.record_stage(Stage::XmlParse, start.elapsed());
+        parsed.map_err(|e| match &e {
+            wm_svg::ParseError::Xml(_) => ExtractError::InvalidXml(e.to_string()),
+            _ => ExtractError::InvalidSvg(e.to_string()),
+        })?;
+
+        let start = Instant::now();
+        let objects = algorithm1_into(&self.doc, &mut self.objects);
+        self.metrics
+            .record_stage(Stage::Algorithm1, start.elapsed());
+        objects?;
+
+        let start = Instant::now();
+        let snapshot =
+            algorithm2_with(&self.objects, map, timestamp, config, &mut self.attribution);
+        self.metrics
+            .record_stage(Stage::Algorithm2, start.elapsed());
+        self.metrics
+            .broad_phase
+            .merge(&self.attribution.take_stats());
+        snapshot
     }
 }
 
@@ -109,55 +182,7 @@ pub fn extract_svg(
     timestamp: Timestamp,
     config: &ExtractConfig,
 ) -> Result<TopologySnapshot, ExtractError> {
-    extract_svg_instrumented(
-        svg,
-        map,
-        timestamp,
-        config,
-        &mut BatchMetrics::default(),
-        &mut ExtractScratch::new(),
-    )
-}
-
-/// [`extract_svg`] with per-stage timings recorded into `metrics` and
-/// scratch storage reused across calls.
-///
-/// A stage's duration is recorded even when it fails, so sample counts
-/// stay deterministic: every attempted file contributes exactly one
-/// sample to each stage it reached. Broad-phase work counters are drained
-/// from the scratch into `metrics` after the attribution stage.
-pub fn extract_svg_instrumented(
-    svg: &str,
-    map: MapKind,
-    timestamp: Timestamp,
-    config: &ExtractConfig,
-    metrics: &mut BatchMetrics,
-    scratch: &mut ExtractScratch,
-) -> Result<TopologySnapshot, ExtractError> {
-    let start = Instant::now();
-    let parsed = Document::parse_into(svg, &mut scratch.doc);
-    metrics.record_stage(Stage::XmlParse, start.elapsed());
-    parsed.map_err(|e| match &e {
-        wm_svg::ParseError::Xml(_) => ExtractError::InvalidXml(e.to_string()),
-        _ => ExtractError::InvalidSvg(e.to_string()),
-    })?;
-
-    let start = Instant::now();
-    let objects = algorithm1_into(&scratch.doc, &mut scratch.objects);
-    metrics.record_stage(Stage::Algorithm1, start.elapsed());
-    objects?;
-
-    let start = Instant::now();
-    let snapshot = algorithm2_with(
-        &scratch.objects,
-        map,
-        timestamp,
-        config,
-        &mut scratch.attribution,
-    );
-    metrics.record_stage(Stage::Algorithm2, start.elapsed());
-    metrics.broad_phase.merge(&scratch.attribution.take_stats());
-    snapshot
+    Extractor::default().extract(svg, map, timestamp, config)
 }
 
 /// One input file of a batch run.
@@ -197,11 +222,11 @@ impl BatchStats {
             .or_default() += 1;
     }
 
-    fn merge(&mut self, other: BatchStats) {
+    fn merge(&mut self, other: &BatchStats) {
         self.processed += other.processed;
         self.failed += other.failed;
-        for (kind, count) in other.failures_by_kind {
-            *self.failures_by_kind.entry(kind).or_default() += count;
+        for (kind, count) in &other.failures_by_kind {
+            *self.failures_by_kind.entry(kind.clone()).or_default() += count;
         }
     }
 }
@@ -220,48 +245,16 @@ pub enum Scheduling {
     WorkStealing,
 }
 
-/// A worker's private accumulator, merged in worker order.
-#[derive(Default)]
-struct WorkerOutput {
-    /// Snapshots with their input index, so output order is
-    /// reconstructed from the inputs, never from worker timing.
-    snapshots: Vec<(usize, TopologySnapshot)>,
-    stats: BatchStats,
-    metrics: BatchMetrics,
-    /// Buffers reused across every file this worker processes.
-    scratch: ExtractScratch,
-}
-
-impl WorkerOutput {
-    fn process(&mut self, index: usize, input: &BatchInput, map: MapKind, config: &ExtractConfig) {
-        self.metrics.record_input(input.svg.len());
-        match extract_svg_instrumented(
-            &input.svg,
-            map,
-            input.timestamp,
-            config,
-            &mut self.metrics,
-            &mut self.scratch,
-        ) {
-            Ok(snapshot) => {
-                self.stats.processed += 1;
-                self.metrics.record_success();
-                self.snapshots.push((index, snapshot));
-            }
-            Err(error) => {
-                self.stats.record_failure(&error);
-                self.metrics.record_failure(error.kind());
-            }
-        }
-    }
-}
-
-/// Extracts a batch of files in parallel with `threads` workers,
-/// returning the snapshots, the stats and the full [`BatchMetrics`].
-/// `Scheduling` has a single variant (see its docs).
+/// Extracts a batch of files in memory with `threads` workers, each
+/// running the shared [`Extractor`] step, and returns the snapshots,
+/// the stats and the full [`BatchMetrics`]. `Scheduling` has a single
+/// variant (see its docs).
 ///
 /// Failed files are skipped (and tallied), matching how the paper's
-/// scripts leave fewer than a hundred files per map unprocessed.
+/// scripts leave fewer than a hundred files per map unprocessed. The
+/// library's own SVG → YAML loop (`ovh_weather::extract_to_yaml`)
+/// streams instead of collecting; this driver serves the benchmark
+/// and the tests that need snapshots in memory.
 ///
 /// Determinism contract: per-file work is pure and each input index is
 /// extracted exactly once, by one worker; the snapshots are sorted by
@@ -276,30 +269,30 @@ pub fn extract_batch_with(
     _scheduling: Scheduling,
 ) -> (Vec<TopologySnapshot>, BatchStats, BatchMetrics) {
     let started = Instant::now();
-    let Ok(outputs) = claim_each(
+    let Ok(workers) = claim_each(
         inputs.len(),
         threads,
-        WorkerOutput::default,
-        |out, index| {
+        <(Extractor, Vec<(usize, TopologySnapshot)>)>::default,
+        |(extractor, snapshots), index| {
             if let Some(input) = inputs.get(index) {
-                out.process(index, input, map, config);
+                if let Ok(snapshot) = extractor.extract(&input.svg, map, input.timestamp, config) {
+                    snapshots.push((index, snapshot));
+                }
             }
             Ok::<(), Infallible>(())
         },
     );
 
     let mut results = Vec::with_capacity(inputs.len());
-    let mut stats = BatchStats::default();
-    let mut metrics = BatchMetrics::default();
-    for output in outputs {
-        stats.merge(output.stats);
-        metrics.merge(&output.metrics);
-        results.extend(output.snapshots);
+    let mut total = Extractor::default();
+    for (extractor, snapshots) in workers {
+        total.merge(&extractor);
+        results.extend(snapshots);
     }
     results.sort_by_key(|(index, snapshot)| (snapshot.timestamp, *index));
     let snapshots = results.into_iter().map(|(_, snapshot)| snapshot).collect();
-    metrics.set_wall_time(started.elapsed());
-    (snapshots, stats, metrics)
+    total.metrics.set_wall_time(started.elapsed());
+    (snapshots, total.stats, total.metrics)
 }
 
 #[cfg(test)]
@@ -482,6 +475,7 @@ mod tests {
             Scheduling::WorkStealing,
         );
         assert_eq!(serial, parallel);
+        assert!(serial.windows(2).all(|w| w[0].timestamp < w[1].timestamp));
         assert_eq!(serial_stats, parallel_stats);
         assert_eq!(serial_stats.total(), inputs.len());
         assert_eq!(serial_stats.processed, inputs.len() - serial_stats.failed);

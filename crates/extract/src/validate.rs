@@ -86,12 +86,14 @@ pub fn validate(snapshot: &TopologySnapshot) -> ValidationReport {
     let mut names: Vec<&str> = snapshot.nodes.iter().map(|n| n.name.as_str()).collect();
     names.sort_unstable();
     for pair in names.windows(2) {
-        if pair[0] == pair[1] {
-            report.push(
-                Severity::Error,
-                "duplicate-node",
-                format!("node {:?} appears more than once", pair[0]),
-            );
+        if let [a, b] = pair {
+            if a == b {
+                report.push(
+                    Severity::Error,
+                    "duplicate-node",
+                    format!("node {a:?} appears more than once"),
+                );
+            }
         }
     }
 

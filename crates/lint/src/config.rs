@@ -92,6 +92,7 @@ impl Config {
                 "crates/svg/src/numbers.rs",
                 "crates/yaml/src/parse.rs",
                 "crates/extract/src/algorithm2.rs",
+                "crates/extract/src/validate.rs",
                 "crates/geometry/src/polygon.rs",
                 "crates/dataset/src/codec.rs",
                 "crates/dataset/src/paths.rs",

@@ -1,27 +1,37 @@
-//! Quickstart: simulate a weathermap, extract it, inspect the topology.
+//! Quickstart: simulate a weathermap, extract it to YAML, inspect the
+//! topology.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
+use std::error::Error;
+
 use ovh_weather::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     // A deterministic world at 20 % of the paper's network size — small
     // enough to run in a couple of seconds.
     let pipeline = Pipeline::new(SimulationConfig::scaled(42, 0.2));
 
-    // Extract one hour of the Europe map at the five-minute cadence.
+    // Write one hour of the Europe map's SVGs (five-minute cadence) into
+    // a corpus directory and extract each to YAML beside it.
     let from = Timestamp::from_ymd_hms(2021, 3, 1, 18, 0, 0);
-    let result = pipeline.run_window(MapKind::Europe, from, from + Duration::from_hours(1));
+    let to = from + Duration::from_hours(1);
+    let dir = std::env::temp_dir().join(format!("ovh-weather-quickstart-{}", std::process::id()));
+    let store = DatasetStore::open(&dir)?;
+    let outcome = pipeline.materialize_window(&store, MapKind::Europe, from, to)?;
     println!(
         "extracted {} snapshots ({} collected, {} failed)",
-        result.snapshots.len(),
-        result.stats.total(),
-        result.stats.failed
+        outcome.stats.processed,
+        outcome.stats.total(),
+        outcome.stats.failed
     );
 
-    let snapshot = &result.snapshots[0];
+    // Each YAML file reads back as a typed topology.
+    let first = store.entries_of(MapKind::Europe, FileKind::Yaml)?[0].timestamp;
+    let yaml = String::from_utf8(store.read(MapKind::Europe, FileKind::Yaml, first)?)?;
+    let snapshot = from_yaml_str(&yaml)?;
     println!("\nsnapshot at {}:", snapshot.timestamp);
     println!("  routers:        {}", snapshot.router_count());
     println!("  peerings:       {}", snapshot.peerings().count());
@@ -38,35 +48,24 @@ fn main() {
         .links
         .iter()
         .max_by_key(|l| l.a.egress_load.percent().max(l.b.egress_load.percent()))
-        .expect("snapshot has links");
+        .ok_or("snapshot has no links")?;
     println!("\nbusiest link: {busiest}");
 
     // Snapshots round-trip through the dataset's YAML schema.
-    let yaml = to_yaml_string(snapshot);
-    let restored = from_yaml_str(&yaml).expect("schema round trip");
-    assert_eq!(&restored, snapshot);
+    assert_eq!(to_yaml_string(&snapshot), yaml);
     println!(
         "\nYAML head:\n{}",
         yaml.lines().take(8).collect::<Vec<_>>().join("\n")
     );
 
     // Stored corpora come back through the shared parallel loader.
-    let dir = std::env::temp_dir().join(format!("ovh-weather-quickstart-{}", std::process::id()));
-    let store = DatasetStore::open(&dir).expect("temp store");
-    let mut metrics = BatchMetrics::default();
-    write_yaml(&store, MapKind::Europe, &result.snapshots, &mut metrics).expect("write yaml");
-    let (reloaded, load_stats) =
-        build_longitudinal(&store, MapKind::Europe, 2).expect("reload corpus");
-    assert!(reloaded.snapshots().eq(result.snapshots.iter().cloned()));
-    println!(
-        "\nstore round trip: {} files reloaded identically",
-        load_stats.parsed
-    );
-    std::fs::remove_dir_all(store.root()).ok();
+    let (reloaded, load_stats) = build_longitudinal(&store, MapKind::Europe, 2)?;
+    assert_eq!(reloaded.len(), outcome.stats.processed);
+    println!("\nstore round trip: {} files reloaded", load_stats.parsed);
+    std::fs::remove_dir_all(store.root())?;
 
     // And the extraction is verifiably exact against the simulator.
-    pipeline
-        .verify_roundtrip(MapKind::Europe, from)
-        .expect("extraction recovers the ground truth");
+    pipeline.verify_roundtrip(MapKind::Europe, from)?;
     println!("\nround-trip verification: OK");
+    Ok(())
 }
