@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use wm_dataset::{DatasetStore, FileKind};
 use wm_extract::{
-    claim_each, default_threads, to_yaml_string, BatchMetrics, BatchStats, ExtractConfig,
+    claim_each, default_threads, svg_text, to_yaml_string, BatchMetrics, BatchStats, ExtractConfig,
     ExtractError, Extractor, Stage,
 };
 use wm_model::{MapKind, Timestamp};
@@ -72,13 +72,13 @@ pub fn extract_to_yaml(
                 return Ok(());
             };
             let bytes = store.read(map, FileKind::Svg, timestamp)?;
-            let extracted = match std::str::from_utf8(&bytes) {
+            let extracted = match svg_text(&bytes) {
                 Ok(svg) => worker.extractor.extract(svg, map, timestamp, config).ok(),
-                Err(e) => {
-                    let reason = format!("not UTF-8 at byte {}", e.valid_up_to());
-                    let error = ExtractError::InvalidXml(reason.clone());
+                Err(error) => {
                     worker.extractor.refuse(bytes.len(), &error);
-                    worker.refused.push((timestamp, reason));
+                    if let ExtractError::InvalidXml(reason) = error {
+                        worker.refused.push((timestamp, reason));
+                    }
                     None
                 }
             };

@@ -76,6 +76,10 @@ impl DatasetStore {
 
     /// Writes a snapshot file, creating date directories as needed. An
     /// error keeps its kind and names the file.
+    ///
+    /// The write is tried first: a day directory holds hundreds of
+    /// files, so only the first write into it finds no directory
+    /// (`NotFound`), creates it and tries once more.
     pub fn write(
         &self,
         map: MapKind,
@@ -84,10 +88,14 @@ impl DatasetStore {
         contents: &[u8],
     ) -> io::Result<()> {
         let path = self.path_of(map, kind, t);
-        path.parent()
-            .map_or(Ok(()), fs::create_dir_all)
-            .and_then(|()| fs::write(&path, contents))
-            .map_err(|err| io::Error::new(err.kind(), format!("writing {}: {err}", path.display())))
+        match fs::write(&path, contents) {
+            Err(err) if err.kind() == io::ErrorKind::NotFound => path
+                .parent()
+                .map_or(Err(err), fs::create_dir_all)
+                .and_then(|()| fs::write(&path, contents)),
+            written => written,
+        }
+        .map_err(|err| io::Error::new(err.kind(), format!("writing {}: {err}", path.display())))
     }
 
     /// Reads a snapshot file. An error keeps its kind and names the
@@ -567,6 +575,39 @@ mod tests {
             err.to_string().contains(&path.display().to_string()),
             "the error names the file: {err}"
         );
+        fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    /// The write that finds no day directory creates it; a regular file
+    /// where the day directory belongs fails the write, and the error
+    /// names the file.
+    #[test]
+    fn write_creates_a_missing_day_directory_once() {
+        let store = temp_store("write-dirs");
+        let first = Timestamp::from_ymd_hms(2021, 3, 5, 10, 5, 0);
+        let second = Timestamp::from_ymd_hms(2021, 3, 5, 10, 10, 0);
+        for t in [first, second] {
+            store
+                .write(MapKind::Europe, FileKind::Yaml, t, b"x")
+                .unwrap();
+            assert_eq!(
+                store.read(MapKind::Europe, FileKind::Yaml, t).unwrap(),
+                b"x"
+            );
+        }
+
+        let t = Timestamp::from_ymd_hms(2021, 3, 6, 0, 0, 0);
+        let path = store.path_of(MapKind::Europe, FileKind::Yaml, t);
+        let day = path.parent().unwrap();
+        fs::write(day, b"not a directory").unwrap();
+        let err = store
+            .write(MapKind::Europe, FileKind::Yaml, t, b"x")
+            .unwrap_err();
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "the error names the file: {err}"
+        );
+        assert_eq!(fs::read(day).unwrap(), b"not a directory");
         fs::remove_dir_all(store.root()).unwrap();
     }
 

@@ -48,7 +48,7 @@ pub use metrics::{
     BatchMetrics, BroadPhaseStats, CacheStats, Histogram, KernelStats, MetricsTotals, Stage,
 };
 pub use pipeline::{
-    claim_each, default_threads, extract_batch_with, extract_svg, BatchInput, BatchStats,
+    claim_each, default_threads, extract_batch_with, extract_svg, svg_text, BatchInput, BatchStats,
     Extractor, Scheduling,
 };
 pub use snapshot_yaml::{

@@ -175,6 +175,14 @@ impl Extractor {
     }
 }
 
+/// The SVG text of a file's raw bytes: a file that is not UTF-8 cannot
+/// be XML, so it is refused as `invalid-xml`, named by its first
+/// invalid byte (`not UTF-8 at byte N`).
+pub fn svg_text(bytes: &[u8]) -> Result<&str, ExtractError> {
+    std::str::from_utf8(bytes)
+        .map_err(|e| ExtractError::InvalidXml(format!("not UTF-8 at byte {}", e.valid_up_to())))
+}
+
 /// Extracts one snapshot: SVG text → Algorithm 1 → Algorithm 2.
 pub fn extract_svg(
     svg: &str,

@@ -1,7 +1,7 @@
 //! The SVG input path: a warm parse reuses its storage, and no damaged
 //! byte stream makes extraction panic.
 
-use wm_extract::{extract_svg, ExtractConfig};
+use wm_extract::{extract_svg, svg_text, ExtractConfig, ExtractError};
 use wm_model::{MapKind, Timestamp};
 use wm_simulator::{Simulation, SimulationConfig};
 use wm_svg::Document;
@@ -59,13 +59,14 @@ fn warm_parse_grows_no_buffer() {
 }
 
 /// Every truncation and every single-byte flip (`^ 0xFF`) of a small
-/// rendered weathermap goes through `extract_svg` and comes back `Ok` or
-/// as a documented error kind, never a panic. A flip usually breaks
-/// UTF-8; such bytes are read lossily (the flipped byte becomes U+FFFD),
-/// which is what the parser then sees.
+/// rendered weathermap goes through the UTF-8 gate (`svg_text`) and,
+/// when it passes, `extract_svg`, and comes back `Ok` or as a
+/// documented error kind, never a panic. A flip of an ASCII byte never
+/// stays UTF-8: the gate refuses it as `invalid-xml`, naming the
+/// flipped byte.
 ///
 /// The map is Asia Pacific at scale 0.05 (about 4 KB, every element
-/// kind of a weathermap): the check costs two extractions per byte, and
+/// kind of a weathermap): the check extracts every truncation, and
 /// Europe at the same scale (about 29 KB) takes over a minute in an
 /// unoptimised test build.
 #[test]
@@ -77,25 +78,34 @@ fn every_truncation_and_byte_flip_is_classified() {
         .svg;
     let config = ExtractConfig::default();
     let check = |bytes: &[u8], what: &str| {
-        let text = String::from_utf8_lossy(bytes);
-        if let Err(e) = extract_svg(&text, map, t, &config) {
+        let result = svg_text(bytes).and_then(|text| extract_svg(text, map, t, &config));
+        if let Err(e) = &result {
             assert!(
                 DOCUMENTED_KINDS.contains(&e.kind()),
                 "{what}: undocumented kind {}",
                 e.kind()
             );
         }
+        result
     };
     let bytes = svg.as_bytes();
     let clean = extract_svg(&svg, map, t, &config).expect("the undamaged file extracts");
     assert!(!clean.links.is_empty() && clean.links.iter().any(|l| l.a.label.is_some()));
     for len in 0..bytes.len() {
-        check(&bytes[..len], &format!("truncation to {len} bytes"));
+        let _ = check(&bytes[..len], &format!("truncation to {len} bytes"));
     }
     let mut flipped = bytes.to_vec();
     for pos in 0..bytes.len() {
         flipped[pos] ^= 0xFF;
-        check(&flipped, &format!("flip at byte {pos}"));
+        let what = format!("flip at byte {pos}");
+        let result = check(&flipped, &what);
+        if bytes[pos].is_ascii() {
+            assert_eq!(
+                result.err(),
+                Some(ExtractError::InvalidXml(format!("not UTF-8 at byte {pos}"))),
+                "{what}"
+            );
+        }
         flipped[pos] ^= 0xFF;
     }
 }

@@ -426,6 +426,6 @@ fn baseline_render_roundtrips_through_the_parser() {
     let path = dir.join("baseline.json");
     baseline.save(&path).unwrap();
     let loaded = Baseline::load(&path).unwrap().expect("file just written");
-    fs::remove_file(&path).ok();
+    fs::remove_dir_all(&dir).ok();
     assert_eq!(loaded, baseline);
 }

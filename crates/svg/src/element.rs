@@ -114,6 +114,9 @@ pub struct Document {
     /// Class names, back to back, and each class id's span in them.
     pub(crate) class_names: String,
     pub(crate) classes: Vec<Span>,
+    /// The class id [`Document::intern_class`] returned last, when it
+    /// is one of the deduplicated ones.
+    pub(crate) last_class: Option<usize>,
     /// The XML reader's attribute storage, kept between parses.
     pub(crate) attributes: AttributeBuffer,
 }
@@ -190,17 +193,25 @@ impl Document {
         self.points.clear();
         self.class_names.clear();
         self.classes.clear();
+        self.last_class = None;
     }
 
-    /// The id of class `name`, added to the table when new.
+    /// The id of class `name`, added to the table when new. The id
+    /// returned last is tried first, so a run of elements of one class
+    /// finds it without a scan.
     pub(crate) fn intern_class(&mut self, name: &str) -> usize {
         let names = &self.class_names;
+        let is_named = |span: &Span| names.get(span.start..span.end) == Some(name);
         let known = self
-            .classes
-            .iter()
-            .take(INTERNED_CLASSES)
-            .position(|span| names.get(span.start..span.end) == Some(name));
-        known.unwrap_or_else(|| {
+            .last_class
+            .filter(|&id| self.classes.get(id).is_some_and(is_named))
+            .or_else(|| {
+                self.classes
+                    .iter()
+                    .take(INTERNED_CLASSES)
+                    .position(is_named)
+            });
+        let id = known.unwrap_or_else(|| {
             let start = self.class_names.len();
             self.class_names.push_str(name);
             self.classes.push(Span {
@@ -208,7 +219,10 @@ impl Document {
                 end: self.class_names.len(),
             });
             self.classes.len() - 1
-        })
+        });
+        // Only a deduplicated id may be found again.
+        self.last_class = (id < INTERNED_CLASSES).then_some(id);
+        id
     }
 
     fn class_name(&self, id: usize) -> Option<&str> {

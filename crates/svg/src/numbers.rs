@@ -17,15 +17,14 @@ use wm_geometry::Point;
 /// Returns `None` for non-numeric input.
 #[must_use]
 pub fn parse_length(raw: &str) -> Option<f64> {
+    // A plain decimal at the very start has no whitespace to trim.
+    if let Some(value) = plain_length(raw.as_bytes()) {
+        return Some(value);
+    }
     let trimmed = raw.trim_start();
     let bytes = trimmed.as_bytes();
-    // A plain decimal followed by the end or a unit is the whole numeric
-    // prefix: no byte after it could extend the prefix below.
-    if let Some((value, end)) = fast_prefix(bytes) {
-        let extends = |b: &u8| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E');
-        if !bytes.get(end).is_some_and(extends) {
-            return Some(value);
-        }
+    if let Some(value) = plain_length(bytes) {
+        return Some(value);
     }
     // The numeric prefix: digits, signs, dots, and an `e`/`E` followed
     // by a digit or sign. Every accepted byte is ASCII, so the prefix
@@ -47,6 +46,15 @@ pub fn parse_length(raw: &str) -> Option<f64> {
     }
     let value = parse_number(trimmed.get(..numeric_end)?)?;
     value.is_finite().then_some(value)
+}
+
+/// A length whose numeric prefix is a plain decimal followed by the end
+/// or a unit: no byte after it could extend the prefix `parse_length`
+/// reads.
+pub(crate) fn plain_length(bytes: &[u8]) -> Option<f64> {
+    let (value, end) = fast_prefix(bytes)?;
+    let extends = |b: &u8| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E');
+    (!bytes.get(end).is_some_and(extends)).then_some(value)
 }
 
 /// Parses an SVG `points` attribute (`polygon`/`polyline`): coordinate
@@ -100,6 +108,12 @@ pub fn parse_points_into(
     pending_x.is_none().then_some(())
 }
 
+/// The value of the ASCII digit at `at`, if there is one.
+fn digit_at(bytes: &[u8], at: usize) -> Option<u64> {
+    let digit = bytes.get(at)?.wrapping_sub(b'0');
+    (digit < 10).then_some(u64::from(digit))
+}
+
 /// Exact powers of ten up to the largest one a double holds exactly.
 const POWERS_OF_TEN: [f64; 23] = [
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
@@ -108,6 +122,9 @@ const POWERS_OF_TEN: [f64; 23] = [
 
 /// The largest mantissa a double holds exactly.
 const MAX_EXACT_MANTISSA: u64 = 1 << 53;
+
+/// The most digits a `u64` mantissa holds whatever they are.
+const MAX_DIGITS: usize = 19;
 
 /// Parses a number exactly as `token.parse::<f64>()` does, taking
 /// Clinger's fast path for plain decimals (see the module docs).
@@ -119,8 +136,8 @@ fn parse_number(token: &str) -> Option<f64> {
 }
 
 /// `[+-]digits[.digits]` (either digit run may be empty, not both) with
-/// a mantissa of at most 2^53 and at most 22 fraction digits, as a
-/// correctly rounded double; `None` for anything else.
+/// at most 19 digits and a mantissa of at most 2^53, as a correctly
+/// rounded double; `None` for anything else.
 fn fast_decimal(bytes: &[u8]) -> Option<f64> {
     fast_prefix(bytes)
         .filter(|&(_, len)| len == bytes.len())
@@ -129,31 +146,35 @@ fn fast_decimal(bytes: &[u8]) -> Option<f64> {
 
 /// The longest `[+-]digits[.digits]` prefix of `bytes` as a correctly
 /// rounded double, with its length; `None` when that prefix has no
-/// digit, a mantissa above 2^53 or more than 22 fraction digits.
+/// digit, more than 19 digits or a mantissa above 2^53. (`None` only
+/// sends the caller to `str::parse`, which returns the same bits.)
 fn fast_prefix(bytes: &[u8]) -> Option<(f64, usize)> {
     let (negative, sign_len) = match bytes.first() {
         Some(b'-') => (true, 1),
         Some(b'+') => (false, 1),
         _ => (false, 0),
     };
+    // The mantissa wraps only past 19 digits, which are refused below:
+    // an overflow check would cost a multiply per digit.
+    let body = bytes.get(sign_len..).unwrap_or_default();
     let mut mantissa = 0u64;
-    let mut seen_digit = false;
-    let mut seen_dot = false;
-    let mut fraction_digits = 0usize;
-    let mut len = sign_len;
-    for &b in bytes.get(sign_len..).unwrap_or_default() {
-        if b.is_ascii_digit() {
-            mantissa = mantissa.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-            seen_digit = true;
-            fraction_digits += usize::from(seen_dot);
-        } else if b == b'.' && !seen_dot {
-            seen_dot = true;
-        } else {
-            break;
-        }
-        len += 1;
+    let mut at = 0;
+    while let Some(digit) = digit_at(body, at) {
+        mantissa = mantissa.wrapping_mul(10).wrapping_add(digit);
+        at += 1;
     }
-    if !seen_digit || mantissa > MAX_EXACT_MANTISSA {
+    let integer_digits = at;
+    if body.get(at) == Some(&b'.') {
+        at += 1;
+        while let Some(digit) = digit_at(body, at) {
+            mantissa = mantissa.wrapping_mul(10).wrapping_add(digit);
+            at += 1;
+        }
+    }
+    let fraction_digits = at.saturating_sub(integer_digits + 1);
+    let digits = integer_digits + fraction_digits;
+    let len = sign_len + at;
+    if digits == 0 || digits > MAX_DIGITS || mantissa > MAX_EXACT_MANTISSA {
         return None;
     }
     let scale = POWERS_OF_TEN.get(fraction_digits)?;

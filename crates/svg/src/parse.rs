@@ -6,7 +6,7 @@ use wm_geometry::{Point, Rect, Segment};
 use wm_xml::{Event, Reader};
 
 use crate::element::{Document, Geometry, Row, Span};
-use crate::numbers::{parse_length, parse_points_into};
+use crate::numbers::{parse_length, parse_points_into, plain_length};
 
 /// An error turning SVG text into a [`Document`].
 #[derive(Debug, Clone, PartialEq)]
@@ -195,8 +195,10 @@ impl Document {
 
     /// Reads every event of `reader` into the (cleared) document.
     fn fill(&mut self, reader: &mut Reader<'_>) -> Result<(), ParseError> {
-        // Transform stack: one entry per open element.
-        let mut stack: Vec<Affine> = Vec::new();
+        // Transform stack: one entry per open element, `None` while no
+        // element on the path has a `transform` (the identity, which
+        // composes with the identity to itself bit for bit).
+        let mut stack: Vec<Option<Affine>> = Vec::new();
         let mut seen_svg = false;
         // Index of the in-progress <text> row.
         let mut open_text: Option<usize> = None;
@@ -215,33 +217,38 @@ impl Document {
                         seen_svg = true;
                     }
                     let attrs = Known::read(reader);
-                    let parent = stack.last().copied().unwrap_or(Affine::IDENTITY);
-                    let local = match attrs.transform {
-                        None => Affine::IDENTITY,
-                        Some(raw) => parse_transform(raw)
-                            .ok_or_else(|| bad(name, "non-finite transform argument"))?,
+                    let parent = stack.last().copied().flatten();
+                    let composed = match (parent, attrs.transform) {
+                        (None, None) => None,
+                        (parent, raw) => {
+                            let local = match raw {
+                                None => Affine::IDENTITY,
+                                Some(raw) => parse_transform(raw)
+                                    .ok_or_else(|| bad(name, "non-finite transform argument"))?,
+                            };
+                            Some(parent.unwrap_or(Affine::IDENTITY).then(local))
+                        }
                     };
-                    let transform = parent.then(local);
+                    let transform = composed.unwrap_or(Affine::IDENTITY);
 
-                    if name == "svg" && stack.is_empty() {
-                        self.width = number(attrs.width);
-                        self.height = number(attrs.height);
+                    let tag = name.as_bytes();
+                    if tag == b"svg" && stack.is_empty() {
+                        self.width = attrs.width;
+                        self.height = attrs.height;
                     }
 
-                    let geometry = match name {
-                        "rect" => {
-                            let x = number(attrs.x);
-                            let y = number(attrs.y);
-                            let w = number(attrs.width);
-                            let h = number(attrs.height);
+                    // Byte patterns, like `Known::read`'s.
+                    let geometry = match tag {
+                        b"rect" => {
+                            let (x, y) = (attrs.x, attrs.y);
                             let p1 = transform.apply(Point::new(x, y));
-                            let p2 = transform.apply(Point::new(x + w, y + h));
+                            let p2 = transform.apply(Point::new(x + attrs.width, y + attrs.height));
                             if !(finite(p1) && finite(p2)) {
                                 return Err(bad(name, "non-finite rect coordinates"));
                             }
                             Some(Geometry::Rect(Rect::from_corners(p1, p2)))
                         }
-                        "polygon" | "polyline" => {
+                        b"polygon" | b"polyline" => {
                             let raw = attrs
                                 .points
                                 .ok_or_else(|| bad(name, "missing points attribute"))?;
@@ -256,33 +263,25 @@ impl Document {
                             if !added.iter().all(|&p| finite(p)) {
                                 return Err(bad(name, "non-finite polygon points"));
                             }
-                            Some(if name == "polygon" {
+                            Some(if tag == b"polygon" {
                                 Geometry::Polygon(span)
                             } else {
                                 Geometry::Polyline(span)
                             })
                         }
-                        "line" => {
-                            let x1 = number(attrs.x1);
-                            let y1 = number(attrs.y1);
-                            let x2 = number(attrs.x2);
-                            let y2 = number(attrs.y2);
-                            Some(Geometry::Line(Segment::new(
-                                transform.apply(Point::new(x1, y1)),
-                                transform.apply(Point::new(x2, y2)),
-                            )))
-                        }
-                        "text" => {
-                            let x = number(attrs.x);
-                            let y = number(attrs.y);
+                        b"line" => Some(Geometry::Line(Segment::new(
+                            transform.apply(Point::new(attrs.x1, attrs.y1)),
+                            transform.apply(Point::new(attrs.x2, attrs.y2)),
+                        ))),
+                        b"text" => {
                             let at = self.text.len();
                             Some(Geometry::Text {
-                                anchor: transform.apply(Point::new(x, y)),
+                                anchor: transform.apply(Point::new(attrs.x, attrs.y)),
                                 content: Span { start: at, end: at },
                             })
                         }
-                        "tspan" => None, // Content folds into the open <text>.
-                        "svg" | "g" => None,
+                        b"tspan" => None, // Content folds into the open <text>.
+                        b"svg" | b"g" => None,
                         _ => Some(Geometry::Other),
                     };
 
@@ -298,12 +297,12 @@ impl Document {
                         }
                     }
                     if !self_closing {
-                        stack.push(transform);
+                        stack.push(composed);
                     }
                 }
                 Event::EndElement { name } => {
                     stack.pop();
-                    if name == "text" {
+                    if name.as_bytes() == b"text" {
                         open_text = None;
                     }
                     if let Some(depth) = skip_text_depth {
@@ -347,49 +346,59 @@ impl Document {
 }
 
 /// The attributes the model reads, gathered in one pass over a start
-/// tag (a tag names each attribute at most once).
+/// tag (a tag names each attribute at most once). Lengths are parsed as
+/// they are met: 0 when absent or not a number.
 #[derive(Default)]
 struct Known<'r> {
     class: Option<&'r str>,
     transform: Option<&'r str>,
-    x: Option<&'r str>,
-    y: Option<&'r str>,
-    width: Option<&'r str>,
-    height: Option<&'r str>,
-    x1: Option<&'r str>,
-    y1: Option<&'r str>,
-    x2: Option<&'r str>,
-    y2: Option<&'r str>,
     points: Option<&'r str>,
+    x: f64,
+    y: f64,
+    width: f64,
+    height: f64,
+    x1: f64,
+    y1: f64,
+    x2: f64,
+    y2: f64,
 }
 
 impl<'r> Known<'r> {
     fn read(reader: &'r Reader<'_>) -> Known<'r> {
         let mut known = Known::default();
         for (name, value) in reader.attributes() {
-            let slot = match name {
-                "class" => &mut known.class,
-                "transform" => &mut known.transform,
-                "x" => &mut known.x,
-                "y" => &mut known.y,
-                "width" => &mut known.width,
-                "height" => &mut known.height,
-                "x1" => &mut known.x1,
-                "y1" => &mut known.y1,
-                "x2" => &mut known.x2,
-                "y2" => &mut known.y2,
-                "points" => &mut known.points,
+            // Byte patterns compile to one length switch and a few byte
+            // compares, where string patterns compare arm by arm.
+            let length = match name.as_bytes() {
+                b"class" => {
+                    known.class = Some(value);
+                    continue;
+                }
+                b"transform" => {
+                    known.transform = Some(value);
+                    continue;
+                }
+                b"points" => {
+                    known.points = Some(value);
+                    continue;
+                }
+                b"x" => &mut known.x,
+                b"y" => &mut known.y,
+                b"width" => &mut known.width,
+                b"height" => &mut known.height,
+                b"x1" => &mut known.x1,
+                b"y1" => &mut known.y1,
+                b"x2" => &mut known.x2,
+                b"y2" => &mut known.y2,
                 _ => continue,
             };
-            *slot = Some(value);
+            // A plain decimal goes straight to the number parser.
+            *length = plain_length(value.as_bytes())
+                .or_else(|| parse_length(value))
+                .unwrap_or(0.0);
         }
         known
     }
-}
-
-/// A length attribute's value; 0 when absent or not a number.
-fn number(raw: Option<&str>) -> f64 {
-    raw.and_then(parse_length).unwrap_or(0.0)
 }
 
 fn bad(tag: &str, message: &str) -> ParseError {

@@ -35,7 +35,7 @@ mod writer;
 
 pub use error::{Error, ErrorKind, Result};
 pub use escape::{escape_attribute, escape_text, unescape};
-pub use reader::{Attribute, AttributeBuffer, Event, Reader};
+pub use reader::{Attribute, AttributeBuffer, Attributes, Event, Reader};
 pub use writer::{ElementBuilder, Writer};
 
 #[cfg(test)]

@@ -130,6 +130,29 @@ impl AttributeBuffer {
     }
 }
 
+/// The attributes of a [`Reader`]'s current start tag, from
+/// [`Reader::attributes`].
+#[derive(Debug, Clone)]
+pub struct Attributes<'r, 'a> {
+    reader: &'r Reader<'a>,
+    slots: std::slice::Iter<'r, Slot>,
+}
+
+impl<'r, 'a> Iterator for Attributes<'r, 'a> {
+    type Item = (&'a str, &'r str);
+
+    // Inlined into the caller's loop: the SVG layer reads every
+    // attribute of every tag through here.
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let text: &'a str = self.reader.text;
+        self.slots.find_map(|slot| {
+            let name = text.get(slot.name.0..slot.name.1)?;
+            Some((name, self.reader.value_of(slot)?))
+        })
+    }
+}
+
 /// A streaming XML pull parser over an in-memory document.
 ///
 /// Call [`Reader::next_event`] (or [`Reader::next_buffered`])
@@ -216,25 +239,35 @@ impl<'a> Reader<'a> {
             let end = memchr(self.input, b'<', self.pos).unwrap_or(self.input.len());
             self.pos = end;
             let raw = self.slice(start, end)?;
-            if raw.bytes().all(|b| b.is_ascii_whitespace()) {
+            // One pass tells whitespace-only runs and entities apart.
+            let (mut blank, mut has_entity) = (true, false);
+            for b in raw.bytes() {
+                blank &= b.is_ascii_whitespace();
+                has_entity |= b == b'&';
+            }
+            if blank {
                 continue; // Skip inter-element whitespace.
             }
             if self.stack.is_empty() {
                 return Err(Error::new(ErrorKind::TrailingContent, start));
             }
-            let decoded = unescape(raw, start)?;
-            return Ok(Some(Event::Text(decoded)));
+            let text = if has_entity {
+                unescape(raw, start)?
+            } else {
+                Cow::Borrowed(raw)
+            };
+            return Ok(Some(Event::Text(text)));
         }
     }
 
     /// The current start tag's attributes as `(name, value)` pairs in
     /// document order, values decoded (see [`Reader::next_buffered`]).
-    pub fn attributes(&self) -> impl Iterator<Item = (&'a str, &str)> + '_ {
-        let text: &'a str = self.text;
-        self.attributes.slots.iter().filter_map(move |slot| {
-            let name = text.get(slot.name.0..slot.name.1)?;
-            Some((name, self.value_of(slot)?))
-        })
+    #[must_use]
+    pub fn attributes(&self) -> Attributes<'_, 'a> {
+        Attributes {
+            reader: self,
+            slots: self.attributes.slots.iter(),
+        }
     }
 
     /// The current start tag's attributes, copied out in document order.
@@ -255,6 +288,7 @@ impl<'a> Reader<'a> {
             .collect()
     }
 
+    #[inline]
     fn value_of(&self, slot: &Slot) -> Option<&str> {
         let (start, end) = slot.value;
         if slot.decoded {
@@ -380,10 +414,24 @@ impl<'a> Reader<'a> {
     /// Reads `</name>`.
     fn read_close_tag(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
-        self.pos += 2; // consume "</"
-        let name = self.read_name()?;
-        self.skip_whitespace();
-        self.expect_byte(b'>', "'>' closing the tag")?;
+        let input = self.input;
+        let start = at + 2;
+        // `</name>` closing the innermost element, as writers spell it:
+        // no name to scan.
+        if let Some(&open) = self.stack.last() {
+            let end = start + open.len();
+            if input.get(start..end) == Some(open.as_bytes()) && input.get(end) == Some(&b'>') {
+                self.stack.pop();
+                self.pos = end + 1;
+                return Ok(Event::EndElement {
+                    name: self.slice(start, end)?,
+                });
+            }
+        }
+        let name_end = name_end(input, start)?;
+        let name = self.slice(start, name_end)?;
+        let pos = skip_whitespace(input, name_end);
+        self.pos = expect_byte(input, pos, b'>', "'>' closing the tag")?;
         match self.stack.pop() {
             Some(open) if open == name => Ok(Event::EndElement { name }),
             Some(open) => Err(Error::new(
@@ -404,19 +452,24 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `<name attr="v" ...>` or `<name ... />`, its attributes
-    /// into the reader's buffer.
+    /// into the reader's buffer. The tag is read with a local cursor;
+    /// the reader's position moves once, past the tag.
     fn read_open_tag(&mut self) -> Result<Event<'a, ()>> {
         let at = self.pos;
         if self.seen_root && self.stack.is_empty() {
             return Err(Error::new(ErrorKind::TrailingContent, at));
         }
-        self.pos += 1; // consume '<'
-        let name = self.read_name()?;
+        let input = self.input;
+        let name_end = name_end(input, at + 1)?;
+        let name = self.slice(at + 1, name_end)?;
         self.attributes.slots.clear();
         self.attributes.decoded.clear();
+        // One bit per attribute name read so far (see `name_bit`).
+        let mut seen = 0u64;
+        let mut pos = name_end;
         loop {
-            self.skip_whitespace();
-            match self.peek() {
+            pos = skip_whitespace(input, pos);
+            match input.get(pos) {
                 None => {
                     return Err(Error::new(
                         ErrorKind::UnexpectedEof { context: "a tag" },
@@ -424,7 +477,7 @@ impl<'a> Reader<'a> {
                     ));
                 }
                 Some(b'>') => {
-                    self.pos += 1;
+                    self.pos = pos + 1;
                     self.stack.push(name);
                     self.seen_root = true;
                     return Ok(Event::StartElement {
@@ -434,8 +487,7 @@ impl<'a> Reader<'a> {
                     });
                 }
                 Some(b'/') => {
-                    self.pos += 1;
-                    self.expect_byte(b'>', "'>' after '/'")?;
+                    self.pos = expect_byte(input, pos + 1, b'>', "'>' after '/'")?;
                     self.seen_root = true;
                     return Ok(Event::StartElement {
                         name,
@@ -443,42 +495,27 @@ impl<'a> Reader<'a> {
                         self_closing: true,
                     });
                 }
-                Some(_) => self.read_attribute()?,
+                Some(_) => pos = self.read_attribute(pos, &mut seen)?,
             }
         }
     }
 
-    /// Reads `name = "value"` (single or double quotes) into the buffer.
-    fn read_attribute(&mut self) -> Result<()> {
-        let name_start = self.pos;
-        let name = self.read_name()?;
-        let name_end = self.pos;
-        self.skip_whitespace();
-        self.expect_byte(b'=', "'=' after attribute name")?;
-        self.skip_whitespace();
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            Some(other) => {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedChar {
-                        found: other as char,
-                        expected: "a quote",
-                    },
-                    self.pos,
-                ));
-            }
-            None => {
-                return Err(Error::new(
-                    ErrorKind::UnexpectedEof {
-                        context: "an attribute value",
-                    },
-                    self.pos,
-                ));
-            }
+    /// Reads `name = "value"` (single or double quotes) at `pos` into
+    /// the buffer and returns the position after its closing quote.
+    ///
+    /// The value is scanned once: the pass that finds the closing quote
+    /// also notes whether a `&` came before it, and only then is the
+    /// value decoded. `seen` filters the duplicate check: names are
+    /// compared only when one shares the new name's bit.
+    fn read_attribute(&mut self, name_start: usize, seen: &mut u64) -> Result<usize> {
+        let input = self.input;
+        let name_end = name_end(input, name_start)?;
+        let (quote, start) = match input.get(name_end..name_end + 2) {
+            // `name="`, as writers spell it.
+            Some(&[b'=', quote @ (b'"' | b'\'')]) => (quote, name_end + 2),
+            _ => open_quote(input, name_end)?,
         };
-        self.pos += 1;
-        let start = self.pos;
-        let end = memchr(self.input, quote, self.pos).ok_or_else(|| {
+        let (end, has_entity) = find_value_end(input, quote, start).ok_or_else(|| {
             Error::new(
                 ErrorKind::UnexpectedEof {
                     context: "an attribute value",
@@ -486,88 +523,190 @@ impl<'a> Reader<'a> {
                 start,
             )
         })?;
-        let raw = self.slice(start, end)?;
-        let decoded = &mut self.attributes.decoded;
-        let (value, is_decoded) = if raw.contains('&') {
+        let value = if has_entity {
+            let raw = self.slice(start, end)?;
+            let decoded = &mut self.attributes.decoded;
             let from = decoded.len();
             unescape_into(raw, start, decoded)?;
-            ((from, decoded.len()), true)
+            (from, decoded.len())
         } else {
-            ((start, end), false)
+            (start, end)
         };
-        self.pos = end + 1;
-        let input = self.input;
-        if self
-            .attributes
-            .slots
-            .iter()
-            .any(|s| input.get(s.name.0..s.name.1) == Some(name.as_bytes()))
+        let name = input.get(name_start..name_end).unwrap_or_default();
+        let bit = name_bit(name);
+        if *seen & bit != 0
+            && self
+                .attributes
+                .slots
+                .iter()
+                .any(|s| input.get(s.name.0..s.name.1) == Some(name))
         {
             return Err(Error::new(
                 ErrorKind::DuplicateAttribute {
-                    name: name.to_owned(),
+                    name: self.slice(name_start, name_end)?.to_owned(),
                 },
-                self.pos,
+                end + 1,
             ));
         }
+        *seen |= bit;
         self.attributes.slots.push(Slot {
             name: (name_start, name_end),
             value,
-            decoded: is_decoded,
+            decoded: has_entity,
         });
-        Ok(())
-    }
-
-    /// Reads an XML name at the current position.
-    fn read_name(&mut self) -> Result<&'a str> {
-        let start = self.pos;
-        let mut end = start;
-        while let Some(&b) = self.input.get(end) {
-            let ok = if end == start {
-                b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-            } else {
-                b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_' | b':') || b >= 0x80
-            };
-            if !ok {
-                break;
-            }
-            end += 1;
-        }
-        if end == start {
-            return Err(Error::new(ErrorKind::InvalidName, start));
-        }
-        self.pos = end;
-        self.slice(start, end)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
+        Ok(end + 1)
     }
 
     fn peek(&self) -> Option<u8> {
         self.input.get(self.pos).copied()
     }
+}
 
-    fn expect_byte(&mut self, byte: u8, expected: &'static str) -> Result<()> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(other) => Err(Error::new(
-                ErrorKind::UnexpectedChar {
-                    found: other as char,
-                    expected,
-                },
-                self.pos,
-            )),
-            None => Err(Error::new(
-                ErrorKind::UnexpectedEof { context: expected },
-                self.pos,
-            )),
+/// The quote that opens an attribute value after `= ` (whitespace
+/// allowed around `=`) from `pos`, and the position after it.
+fn open_quote(input: &[u8], pos: usize) -> Result<(u8, usize)> {
+    let pos = skip_whitespace(input, pos);
+    let pos = skip_whitespace(
+        input,
+        expect_byte(input, pos, b'=', "'=' after attribute name")?,
+    );
+    match input.get(pos) {
+        Some(&quote @ (b'"' | b'\'')) => Ok((quote, pos + 1)),
+        Some(&other) => Err(Error::new(
+            ErrorKind::UnexpectedChar {
+                found: other as char,
+                expected: "a quote",
+            },
+            pos,
+        )),
+        None => Err(Error::new(
+            ErrorKind::UnexpectedEof {
+                context: "an attribute value",
+            },
+            pos,
+        )),
+    }
+}
+
+/// The first position at or after `pos` that is not ASCII whitespace.
+fn skip_whitespace(input: &[u8], mut pos: usize) -> usize {
+    while input.get(pos).is_some_and(u8::is_ascii_whitespace) {
+        pos += 1;
+    }
+    pos
+}
+
+/// The position after `byte`, which must be at `pos`.
+fn expect_byte(input: &[u8], pos: usize, byte: u8, expected: &'static str) -> Result<usize> {
+    match input.get(pos) {
+        Some(&b) if b == byte => Ok(pos + 1),
+        Some(&other) => Err(Error::new(
+            ErrorKind::UnexpectedChar {
+                found: other as char,
+                expected,
+            },
+            pos,
+        )),
+        None => Err(Error::new(
+            ErrorKind::UnexpectedEof { context: expected },
+            pos,
+        )),
+    }
+}
+
+/// Bytes that may start an XML name: ASCII letters, `_`, `:`, and every
+/// byte of a non-ASCII character.
+const NAME_START: u8 = 1;
+/// Bytes that may continue an XML name: the start bytes, digits, `-`
+/// and `.`.
+const NAME_CHAR: u8 = 2;
+
+/// The name classes of every byte value.
+static NAME_CLASSES: [u8; 256] = name_classes();
+
+const fn name_classes() -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut rest: &mut [u8] = &mut table;
+    let mut byte = 0u8;
+    while let [class, tail @ ..] = rest {
+        let start = byte.is_ascii_alphabetic() || byte == b'_' || byte == b':' || byte >= 0x80;
+        if start {
+            *class = NAME_START | NAME_CHAR;
+        } else if byte.is_ascii_digit() || byte == b'-' || byte == b'.' {
+            *class = NAME_CHAR;
         }
+        rest = tail;
+        byte = byte.wrapping_add(1);
+    }
+    table
+}
+
+fn name_class(byte: u8) -> u8 {
+    NAME_CLASSES.get(usize::from(byte)).copied().unwrap_or(0)
+}
+
+/// The end of the XML name that starts at `start`; `InvalidName` when
+/// the byte there cannot start one.
+///
+/// A name stops only at an ASCII byte or the end of input, so both ends
+/// are character boundaries.
+fn name_end(input: &[u8], start: usize) -> Result<usize> {
+    let rest = input.get(start..).unwrap_or_default();
+    match rest.first() {
+        Some(&first) if name_class(first) & NAME_START != 0 => {}
+        _ => return Err(Error::new(ErrorKind::InvalidName, start)),
+    }
+    let len = rest
+        .iter()
+        .position(|&b| name_class(b) & NAME_CHAR == 0)
+        .unwrap_or(rest.len());
+    Ok(start + len)
+}
+
+/// One bit of a 64-bit filter per attribute name. The common SVG names
+/// (`class`, `x`, `y`, `width`, `height`, `points`, `transform`, `x1`
+/// … `y2`) all get different bits, so a well-formed tag of them never
+/// compares two names.
+fn name_bit(name: &[u8]) -> u64 {
+    let first = name.first().map_or(0, |&b| usize::from(b));
+    let last = name.last().map_or(0, |&b| usize::from(b));
+    1 << ((first * 3 + last * 5 + name.len()) % 64)
+}
+
+/// The set bits of `(x - 0x01…01) & !x & 0x80…80`: a high bit for
+/// every zero byte of `x`, exact up to its lowest one (see [`memchr`]).
+fn zero_bytes(x: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    x.wrapping_sub(ONES) & !x & HIGHS
+}
+
+/// The closing `quote` of an attribute value that starts at `from`, and
+/// whether a `&` comes before it: one pass, eight bytes per step, over
+/// both needles at once (the lowest hit of either is exact).
+fn find_value_end(haystack: &[u8], quote: u8, from: usize) -> Option<(usize, bool)> {
+    let quotes = u64::from_ne_bytes([quote; 8]);
+    let amps = u64::from_ne_bytes([b'&'; 8]);
+    let mut i = from;
+    let hit = loop {
+        let Some(window) = haystack.get(i..i + 8) else {
+            let tail = haystack.get(i..)?;
+            break i + tail.iter().position(|&b| b == quote || b == b'&')?;
+        };
+        let Ok(bytes) = <[u8; 8]>::try_from(window) else {
+            return None; // `window` is exactly 8 bytes; kept panic-free anyway
+        };
+        let chunk = u64::from_le_bytes(bytes);
+        let found = zero_bytes(chunk ^ quotes) | zero_bytes(chunk ^ amps);
+        if found != 0 {
+            break i + (found.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    };
+    if haystack.get(hit) == Some(&quote) {
+        Some((hit, false))
+    } else {
+        memchr(haystack, quote, hit + 1).map(|end| (end, true))
     }
 }
 
@@ -580,17 +719,13 @@ impl<'a> Reader<'a> {
 /// bit is exact. `from_le_bytes` maps `haystack[i]` to the low byte,
 /// making `trailing_zeros / 8` the in-chunk offset on every platform.
 fn memchr(haystack: &[u8], needle: u8, from: usize) -> Option<usize> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGHS: u64 = 0x8080_8080_8080_8080;
     let broadcast = u64::from_ne_bytes([needle; 8]);
     let mut i = from;
     while let Some(window) = haystack.get(i..i + 8) {
         let Ok(bytes) = <[u8; 8]>::try_from(window) else {
             break; // `window` is exactly 8 bytes; kept panic-free anyway
         };
-        let chunk = u64::from_le_bytes(bytes);
-        let x = chunk ^ broadcast;
-        let found = x.wrapping_sub(ONES) & !x & HIGHS;
+        let found = zero_bytes(u64::from_le_bytes(bytes) ^ broadcast);
         if found != 0 {
             return Some(i + (found.trailing_zeros() / 8) as usize);
         }
