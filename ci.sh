@@ -194,6 +194,46 @@ target/release/ovh-weather analyze --in "$reshaped_dir" --map europe --threads 2
 diff "$smoke_dir/plain.txt" "$reshaped_dir/plain.txt"
 diff "$smoke_dir/plain.txt" "$reshaped_dir/rebuilt.txt"
 rm -rf "$reshaped_dir"
+# Near repeats: a file equal to the one its worker read last outside
+# its load and timestamp values is read as those values alone. In a
+# copy of the corpus, eight mid-series files carry one edit each: two
+# the schema refuses (a load of 101, a signed timestamp) and six it
+# accepts (a load of +42 and of 042, a trailing comment after a load,
+# a renamed link end, a changed label, CRLF line ends). A second copy
+# gives every file a comment line of its own, so no file repeats its
+# predecessor and every file takes the full read; both copies must
+# report the same, and exactly the two refused files fail.
+repeat_dir="$(mktemp -d)"
+mkdir -p "$repeat_dir/edited/europe" "$repeat_dir/commented/europe"
+cp -R "$smoke_dir/europe/yaml" "$repeat_dir/edited/europe/"
+set -- $(find "$repeat_dir/edited/europe/yaml" -name '*.yaml' | sort)
+shift 100
+sed -i '0,/a_load: [0-9]*/s//a_load: 101/' "$1"
+sed -i 's/^timestamp: 2/timestamp: -/' "$6"
+sed -i '0,/b_load: [0-9]*/s//b_load: +42/' "${11}"
+sed -i '0,/a_load: [0-9]*/s//a_load: 042/' "${16}"
+sed -i '0,/b_load: [0-9]*/s//& # trailing/' "${21}"
+sed -i '0,/^    b: .*/s//    b: RENAMED/' "${26}"
+sed -i '0,/"#1"/s//"#99"/' "${31}"
+sed -i 's/$/\r/' "${36}"
+test "$(diff -rq "$smoke_dir/europe/yaml" "$repeat_dir/edited/europe/yaml" | wc -l)" -eq 8
+cp -R "$repeat_dir/edited/europe/yaml" "$repeat_dir/commented/europe/"
+n=0
+for file in $(find "$repeat_dir/commented/europe/yaml" -name '*.yaml' | sort); do
+    n=$((n + 1))
+    printf '# %d\n' "$n" >> "$file"
+done
+for flags in "--threads 1" "--threads 3" "--threads 2 --cache=rebuild"; do
+    for copy in edited commented; do
+        target/release/ovh-weather analyze --in "$repeat_dir/$copy" --map europe $flags > "$repeat_dir/$copy.txt"
+    done
+    diff "$repeat_dir/edited.txt" "$repeat_dir/commented.txt"
+done
+for copy in edited commented; do
+    target/release/ovh-weather analyze --in "$repeat_dir/$copy" --map europe --threads 2 --metrics \
+        | grep "^corpus: 287 files, 285 parsed, 2 failed," > /dev/null
+done
+rm -rf "$repeat_dir"
 # Serve a six-hour window from only the segments it intersects; the
 # windowed report is the same with and without the segment store.
 target/release/ovh-weather analyze --in "$smoke_dir" --map europe --threads 2 --cache --metrics \

@@ -131,6 +131,97 @@ struct PendingSnapshot {
     loads: usize,
 }
 
+/// What a value token of a base file feeds, should a repeat change it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// The `timestamp` value.
+    Timestamp,
+    /// A load: the position of its link cell in the row, and whether
+    /// it goes to the canonical second end's column.
+    Load { cell: usize, second: bool },
+}
+
+/// What a builder keeps of the last file it fully read and accepted. A
+/// file equal to it byte for byte outside its timestamp and load value
+/// tokens, each new token a value the full read accepts for its field,
+/// reads exactly as that file with those values changed (DESIGN
+/// decision 20), so [`ColumnarBuilder::add_yaml`] reads only the
+/// values and commits the base's topology row again.
+#[derive(Debug)]
+struct Base {
+    /// The file's text.
+    text: String,
+    /// The value tokens a repeat may change, in text order: each one's
+    /// byte span in `text` and what it feeds. A token not in its
+    /// field's canonical spelling is not listed, so a repeat must carry
+    /// it unchanged.
+    spans: Vec<(Range<usize>, Slot)>,
+    /// The snapshot the file committed: its map, its row and where its
+    /// loads start.
+    snap: PendingSnapshot,
+}
+
+impl Base {
+    /// Reads `text` as a repeat of the base file: it must equal the
+    /// base outside the listed tokens, and each of its tokens there
+    /// must be one the full read accepts (see [`load_token`], and a
+    /// timestamp of the base token's length that
+    /// [`Timestamp::parse_iso8601`] accepts). The loads are written
+    /// into `load_a`/`load_b`, the new snapshot's canonical columns
+    /// (pre-filled with the base's). Returns the timestamp, or `None`
+    /// when `text` is no repeat; the columns then hold partial values.
+    fn repeat(&self, text: &[u8], load_a: &mut [u8], load_b: &mut [u8]) -> Option<Timestamp> {
+        let base = self.text.as_bytes();
+        let mut timestamp = self.snap.timestamp;
+        // Positions in the base and in the new text.
+        let (mut from, mut at) = (0, 0);
+        for (span, slot) in &self.spans {
+            let gap = base.get(from..span.start)?;
+            let rest = text.get(at..)?;
+            let rest = rest.strip_prefix(gap)?;
+            let len = match *slot {
+                Slot::Timestamp => {
+                    let token = rest.get(..span.len())?;
+                    let token = std::str::from_utf8(token).ok()?;
+                    timestamp = Timestamp::parse_iso8601(token).ok()?;
+                    token.len()
+                }
+                Slot::Load { cell, second } => {
+                    let (load, len) = load_token(rest)?;
+                    let column = if second { &mut *load_b } else { &mut *load_a };
+                    *column.get_mut(cell)? = load;
+                    len
+                }
+            };
+            at += gap.len() + len;
+            from = span.end;
+        }
+        (text.get(at..)? == base.get(from..)?).then_some(timestamp)
+    }
+}
+
+/// The load token at the start of `bytes` as `(percent, length)`, when
+/// it is spelled as the snapshot writer spells a load: `0`, or one to
+/// three ASCII digits with no leading zero, at most `100`, and not
+/// followed by a further digit. The full read types such a token as the
+/// same integer and accepts it as a load.
+fn load_token(bytes: &[u8]) -> Option<(u8, usize)> {
+    let len = bytes
+        .iter()
+        .take(4)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    let token = bytes.get(..len)?;
+    if len > 3 || !matches!(token, [_] | [b'1'..=b'9', ..]) {
+        return None;
+    }
+    let value = token
+        .iter()
+        .fold(0u32, |value, &digit| value * 10 + u32::from(digit - b'0'));
+    let load = u8::try_from(value).ok().filter(|&load| load <= 100)?;
+    Some((load, len))
+}
+
 /// The local id slot of an absent entry (no node of that kind, no
 /// label).
 const NO_ID: u32 = u32::MAX;
@@ -181,6 +272,13 @@ pub struct ColumnarBuilder {
     /// Local ids of the listed nodes of the snapshot being added, in
     /// list order (scratch, reused across snapshots).
     listed: Vec<u32>,
+    /// The last file [`ColumnarBuilder::add_yaml`] fully read and
+    /// accepted, for the repeat read; `None` before the first and after
+    /// [`ColumnarBuilder::add_snapshot`].
+    base: Option<Base>,
+    /// The value spans of the file being read (scratch; they become
+    /// the base's when the file is accepted).
+    spans: Vec<(Range<usize>, Slot)>,
 }
 
 /// A stored load byte as a [`Load`]. Stored bytes come from
@@ -285,15 +383,85 @@ impl ColumnarBuilder {
     /// builder exactly as it was: the reader hands a file over only
     /// once all of it has validated, and the snapshot is committed only
     /// then.
+    ///
+    /// A file that repeats the last file this builder read and accepted
+    /// outside its timestamp and load values is read as those values
+    /// alone ([`Base::repeat`]), with the result the full read would
+    /// give; every other file takes the full read and, when accepted,
+    /// becomes the base.
     pub fn add_yaml(&mut self, index: usize, text: &str) -> Result<(), SchemaError> {
+        if self.add_repeat(index, text) {
+            return Ok(());
+        }
         let mut file = FileVisitor::new(self);
         read_snapshot(text, &mut file)?;
         file.commit(index);
+        self.set_base(text);
         Ok(())
+    }
+
+    /// Commits `text` as a repeat of the base, if it is one.
+    fn add_repeat(&mut self, index: usize, text: &str) -> bool {
+        let Some(base) = &self.base else {
+            return false;
+        };
+        // The new snapshot's loads start as a copy of the base's.
+        let from = self.load_a.len();
+        let loads = base.snap.loads..base.snap.loads.saturating_add(base.snap.cells.len());
+        if loads.end > from {
+            return false; // the base's loads are always committed
+        }
+        self.load_a.extend_from_within(loads.clone());
+        self.load_b.extend_from_within(loads);
+        let timestamp = base.repeat(
+            text.as_bytes(),
+            self.load_a.get_mut(from..).unwrap_or_default(),
+            self.load_b.get_mut(from..).unwrap_or_default(),
+        );
+        let Some(timestamp) = timestamp else {
+            self.load_a.truncate(from);
+            self.load_b.truncate(from);
+            return false;
+        };
+        self.snaps.push(PendingSnapshot {
+            index,
+            timestamp,
+            loads: from,
+            ..base.snap.clone()
+        });
+        true
+    }
+
+    /// Makes `text`, just committed by the full read, the base: its
+    /// value spans (collected by [`FileVisitor::value_spans`]) in their
+    /// canonical spelling, and the snapshot it committed.
+    fn set_base(&mut self, text: &str) {
+        let Some(snap) = self.snaps.last().cloned() else {
+            return;
+        };
+        let mut spans = std::mem::take(&mut self.spans);
+        spans.retain(|(span, slot)| {
+            let token = text.get(span.clone()).unwrap_or_default();
+            match slot {
+                Slot::Timestamp => Timestamp::parse_iso8601(token).is_ok(),
+                Slot::Load { .. } => {
+                    load_token(token.as_bytes()).is_some_and(|(_, len)| len == token.len())
+                }
+            }
+        });
+        // Distinct scalar tokens never overlap; if two did,
+        // `Base::repeat` would find no gap between them and refuse.
+        spans.sort_unstable_by_key(|(span, _)| span.start);
+        self.base = Some(Base {
+            text: text.to_owned(),
+            spans,
+            snap,
+        });
     }
 
     /// Folds one snapshot (input position `index`) into the columns.
     pub fn add_snapshot(&mut self, index: usize, snapshot: &TopologySnapshot) {
+        self.base = None;
         let mut file = FileVisitor::new(self);
         file.header(snapshot.map, snapshot.timestamp);
         for node in &snapshot.nodes {
@@ -555,6 +723,23 @@ impl SnapshotVisitor for FileVisitor<'_> {
 
     fn link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>) {
         self.builder.push_link(a, b);
+    }
+
+    fn value_spans(&mut self, timestamp: &Range<usize>, loads: &[[Range<usize>; 2]]) {
+        let builder = &mut *self.builder;
+        builder.spans.clear();
+        builder.spans.reserve(1 + 2 * loads.len());
+        builder.spans.push((timestamp.clone(), Slot::Timestamp));
+        // Link `cell` of the file is cell `cell` of the row just pushed;
+        // a flipped cell stores its `a` load in the second column.
+        let cells = builder.cells.get(self.cells_from..).unwrap_or_default();
+        for (cell, ([a, b], local)) in loads.iter().zip(cells).enumerate() {
+            for (span, second) in [(a, local.flipped), (b, !local.flipped)] {
+                builder
+                    .spans
+                    .push((span.clone(), Slot::Load { cell, second }));
+            }
+        }
     }
 }
 
@@ -1119,6 +1304,83 @@ mod tests {
         b1.add_snapshot(0, &snaps[0]);
         let split = ColumnarBuilder::finish(vec![b0, b1]);
         assert_eq!(whole, split);
+    }
+
+    /// The builder's topology state: interned nodes and link identities,
+    /// and the row cells held.
+    fn topology_state(builder: &ColumnarBuilder) -> [usize; 4] {
+        [
+            builder.nodes.len(),
+            builder.defs.len(),
+            builder.node_cells.len(),
+            builder.cells.len(),
+        ]
+    }
+
+    fn base_text(builder: &ColumnarBuilder) -> Option<&str> {
+        builder.base.as_ref().map(|base| base.text.as_str())
+    }
+
+    #[test]
+    fn a_near_repeat_adds_no_topology_and_keeps_the_base() {
+        let [s0, s1, s2] = series().try_into().unwrap();
+        let texts = [&s0, &s1, &s2].map(wm_extract::to_yaml_string);
+        let mut builder = ColumnarBuilder::new();
+        builder.add_yaml(0, &texts[0]).unwrap();
+        assert_eq!(base_text(&builder), Some(texts[0].as_str()));
+        let after_first = topology_state(&builder);
+
+        // `s1` changes one flipped link's loads and the timestamp: it is
+        // read as values, on the base's row.
+        builder.add_yaml(1, &texts[1]).unwrap();
+        assert_eq!(topology_state(&builder), after_first);
+        assert_eq!(base_text(&builder), Some(texts[0].as_str()));
+        assert_eq!(builder.snaps[1].cells, builder.snaps[0].cells);
+
+        // A repeat of `s1` whose load the full read refuses is refused,
+        // and leaves the builder and its base as they were.
+        let refused = texts[1].replacen("a_load: 0", "a_load: 101", 1);
+        assert!(builder.add_yaml(9, &refused).is_err());
+        assert_eq!(builder.snaps.len(), 2);
+        assert_eq!(builder.load_a.len(), 2 * s0.links.len());
+        assert_eq!(base_text(&builder), Some(texts[0].as_str()));
+
+        // `s2` adds a node and a link: the full read takes it, and the
+        // accepted file becomes the base.
+        builder.add_yaml(2, &texts[2]).unwrap();
+        assert_ne!(topology_state(&builder), after_first);
+        assert_eq!(base_text(&builder), Some(texts[2].as_str()));
+
+        // The values of a repeat land on their canonical ends.
+        let mut s3 = s2.clone();
+        s3.timestamp = s2.timestamp + Duration::from_minutes(5);
+        for (i, link) in s3.links.iter_mut().enumerate() {
+            link.a.egress_load = load(100 - i as u8);
+            link.b.egress_load = load(i as u8);
+        }
+        let after_third = topology_state(&builder);
+        builder
+            .add_yaml(3, &wm_extract::to_yaml_string(&s3))
+            .unwrap();
+        assert_eq!(topology_state(&builder), after_third);
+        let store = ColumnarBuilder::finish(vec![builder]);
+        assert_eq!(store, LongitudinalStore::from_snapshots(&[s0, s1, s2, s3]));
+    }
+
+    #[test]
+    fn an_accepted_edit_replaces_the_base() {
+        let [s0, _, _] = series().try_into().unwrap();
+        let text = wm_extract::to_yaml_string(&s0);
+        // A trailing comment after a load is outside every value token:
+        // not a repeat, but a file the full read accepts.
+        let edited = text.replacen("a_load: 42", "a_load: 42 # note", 1);
+        let mut builder = ColumnarBuilder::new();
+        builder.add_yaml(0, &text).unwrap();
+        builder.add_yaml(1, &edited).unwrap();
+        assert_eq!(base_text(&builder), Some(edited.as_str()));
+        // `add_snapshot` drops the base.
+        builder.add_snapshot(2, &s0);
+        assert_eq!(base_text(&builder), None);
     }
 
     /// Snapshots `0..n` of a fixed topology at 5-minute steps, with the

@@ -523,3 +523,232 @@ fn link_ends_take_the_kind_of_the_first_listed_node() {
     assert_eq!(snapshot.links[0].b.node.kind, wm_model::NodeKind::Router);
     assert_eq!(snapshot.nodes.len(), 2);
 }
+
+/// The edits a near-repeat copy may carry. Each one changes the file
+/// outside its timestamp and load values, or puts a value there that
+/// the snapshot writer never spells, so the copy is no repeat and takes
+/// the full read, which accepts or refuses it.
+const EDITS: [&str; 9] = [
+    "flip", "insert", "delete", "load", "rename", "comment", "crlf", "signed", "tail",
+];
+
+/// Applies `f` to every line of `text` (line ends kept) and joins the
+/// results.
+fn map_lines(text: &str, f: impl FnMut(&str) -> String) -> String {
+    text.split_inclusive('\n').map(f).collect()
+}
+
+/// The byte range of a load value on `line`, when it is an
+/// `a_load`/`b_load` line with a digit value (decoys and a quoted
+/// `a_load` key included).
+fn load_digits(line: &str) -> Option<std::ops::Range<usize>> {
+    let body = line.trim_start_matches(' ');
+    let body = body.strip_prefix("- ").unwrap_or(body);
+    let value = body
+        .strip_prefix("a_load: ")
+        .or_else(|| body.strip_prefix("b_load: "))
+        .or_else(|| body.strip_prefix("\"a_load\": "))?;
+    let start = line.len() - value.len();
+    let len = value.bytes().take_while(u8::is_ascii_digit).count();
+    (len > 0).then_some(start..start + len)
+}
+
+/// The byte range of the ISO timestamp on a root `timestamp:` line.
+fn timestamp_digits(line: &str) -> Option<std::ops::Range<usize>> {
+    let value = line.strip_prefix("timestamp: ")?;
+    let value = value.strip_prefix('"').unwrap_or(value);
+    let start = line.len() - value.len();
+    value
+        .get(..20)
+        .filter(|iso| Timestamp::parse_iso8601(iso).is_ok())
+        .map(|_| start..start + 20)
+}
+
+/// `text` with every load value re-drawn and the timestamp moved.
+fn redraw(dice: &mut Dice, text: &str) -> String {
+    let minutes = 5 * dice.below(288) as i64;
+    let iso = (Timestamp::from_ymd(2022, 2, 1) + Duration::from_minutes(minutes)).to_iso8601();
+    map_lines(text, |line| {
+        let mut line = line.to_owned();
+        if let Some(digits) = load_digits(&line) {
+            line.replace_range(digits, &dice.below(101).to_string());
+        } else if let Some(digits) = timestamp_digits(&line) {
+            line.replace_range(digits, &iso);
+        }
+        line
+    })
+}
+
+/// `text` with `change` applied to one of the lines `wanted` selects,
+/// picked by `rank` among them (modulo their count).
+fn change_line(
+    text: &str,
+    rank: usize,
+    wanted: impl Fn(&str) -> bool,
+    change: impl FnOnce(&mut String),
+) -> String {
+    let count = text.split_inclusive('\n').filter(|l| wanted(l)).count();
+    let mut left = rank % count.max(1);
+    let mut change = Some(change);
+    map_lines(text, |line| {
+        let mut line = line.to_owned();
+        if wanted(&line) {
+            if left == 0 {
+                if let Some(change) = change.take() {
+                    change(&mut line);
+                }
+            }
+            left = left.wrapping_sub(1);
+        }
+        line
+    })
+}
+
+/// `text` with one edit of kind `edit` (see [`EDITS`]).
+fn edit(dice: &mut Dice, text: &str, edit: &str) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let junk = b"7 :#\"-x\n";
+    let byte = junk[dice.below(junk.len())];
+    let at = dice.below(bytes.len() + 1);
+    let rank = dice.below(64);
+    let is_load = |line: &str| load_digits(line).is_some();
+    match edit {
+        "flip" if at < bytes.len() => bytes[at] = byte,
+        "insert" => bytes.insert(at, byte),
+        "delete" if at < bytes.len() => {
+            bytes.remove(at);
+        }
+        "tail" => {
+            let at = bytes.len() - 1 - dice.below(bytes.len().min(40));
+            bytes[at] = byte;
+        }
+        "crlf" if text.contains("\r\n") => return text.replace("\r\n", "\n"),
+        "crlf" => return text.replace('\n', "\r\n"),
+        "signed" => {
+            let signed = dice.pick(&["2022-02-+1T+0:+5:+0Z", "-022-02-01T00:05:00Z"]);
+            let is_timestamp = |line: &str| timestamp_digits(line).is_some();
+            return change_line(text, 0, is_timestamp, |line| {
+                let digits = timestamp_digits(line).unwrap();
+                line.replace_range(digits, signed);
+            });
+        }
+        "load" => {
+            let value = dice.pick(&["101", "+42", "042", "4 2"]);
+            return change_line(text, rank, is_load, |line| {
+                line.replace_range(load_digits(line).unwrap(), value);
+            });
+        }
+        "comment" => {
+            return change_line(text, rank, is_load, |line| {
+                line.insert_str(load_digits(line).unwrap().end, " # c");
+            });
+        }
+        "rename" => {
+            let value = dice.pick(&["r-zz", "\"#9\"", "PEER"]);
+            let is_end = |line: &str| {
+                let body = line.trim_start_matches(['-', ' ']);
+                ["a: ", "b: ", "a_label: ", "b_label: "]
+                    .iter()
+                    .any(|key| body.starts_with(key))
+            };
+            return change_line(text, rank, is_end, |line| {
+                let colon = line.find(": ").map_or(0, |at| at + 2);
+                let end = line.trim_end().len().max(colon);
+                line.replace_range(colon..end, value);
+            });
+        }
+        _ => {}
+    }
+    String::from_utf8(bytes).unwrap_or_else(|_| text.to_owned())
+}
+
+/// A near-repeat sequence: an accepted generated file (from `seed` or
+/// the next seed that gives one), sometimes with a decoy `a_load` key
+/// nested under an unknown root key and a link's `a_load` key quoted,
+/// then `copies`
+/// copies, each of the file before it with every load re-drawn and a
+/// new timestamp, one in three also with one edit.
+fn near_repeats(seed: u64, copies: usize) -> Vec<String> {
+    let mut dice = Dice(seed);
+    let mut first = (seed..seed + 1000)
+        .map(file)
+        .find(|text| reference::from_yaml_str(text).is_ok())
+        .unwrap_or_default();
+    if dice.one_in(2) {
+        let newline = if first.contains("\r\n") { "\r\n" } else { "\n" };
+        let decoy = format!("decoy:{newline}  a_load: 7{newline}");
+        let at = if first.starts_with("---") {
+            first.find('\n').map_or(first.len(), |at| at + 1)
+        } else {
+            0
+        };
+        first.insert_str(at, &decoy);
+        // A quoted key is the same key to the reader, but not to a text
+        // search for `a_load: `, which then finds the decoy instead and
+        // as many loads as the file has.
+        if dice.one_in(2) {
+            if let Some(last) = first.rfind("a_load: ") {
+                first.replace_range(last..last + 8, "\"a_load\": ");
+            }
+        }
+    }
+    let mut files = vec![first];
+    for _ in 0..copies {
+        let previous = files.last().cloned().unwrap_or_default();
+        let mut copy = redraw(&mut dice, &previous);
+        if dice.one_in(3) {
+            let kind = EDITS[dice.below(EDITS.len())];
+            copy = edit(&mut dice, &copy, kind);
+        }
+        files.push(copy);
+    }
+    files
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn near_repeats_equal_the_tree_reference(
+        seed in any::<u64>(),
+        copies in 1usize..9,
+        split in any::<u64>(),
+    ) {
+        check(&near_repeats(seed, copies), split)?;
+    }
+}
+
+/// The near-repeat generator reaches what the property is about: plain
+/// repeats the reference accepts, copies it refuses, decoys, and every
+/// edit kind changing the file.
+#[test]
+fn near_repeats_cover_the_shapes() {
+    let (mut repeats, mut refused, mut decoys) = (0, 0, 0);
+    for seed in 0..400u64 {
+        let files = near_repeats(seed, 4);
+        decoys += usize::from(files[0].contains("decoy:"));
+        for copy in &files[1..] {
+            match reference::from_yaml_str(copy) {
+                Ok(_) => repeats += 1,
+                Err(_) => refused += 1,
+            }
+        }
+    }
+    for (what, count) in [
+        ("accepted copies", repeats),
+        ("refused copies", refused),
+        ("decoys", decoys),
+    ] {
+        assert!(count >= 100, "{what}: only {count}");
+    }
+    let mut dice = Dice(7);
+    let text = file(
+        (0..)
+            .find(|&s| reference::from_yaml_str(&file(s)).is_ok())
+            .unwrap(),
+    );
+    for kind in EDITS {
+        let changed = (0..20).any(|_| edit(&mut dice, &text, kind) != text);
+        assert!(changed, "edit {kind:?} never changes the file");
+    }
+}

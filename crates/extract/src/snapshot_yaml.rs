@@ -26,15 +26,17 @@
 //! string, quoting with `wm-yaml`'s one scalar rule; a property test
 //! pins it byte for byte to the tree emitter's output. Reading
 //! ([`read_snapshot`]) walks the borrowed `wm-yaml` event stream, validates the whole file and only then hands its header,
-//! nodes and link ends to a [`SnapshotVisitor`]. [`from_yaml_str`] is
+//! nodes and link ends, and where its timestamp and load values sit in
+//! the text, to a [`SnapshotVisitor`]. [`from_yaml_str`] is
 //! the visitor that assembles a [`TopologySnapshot`]; the columnar
 //! builder in `wm-dataset` is the other, and interns straight from the
 //! borrowed names.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use wm_model::{Link, LinkEnd, Load, MapKind, Node, NodeKind, Timestamp, TopologySnapshot};
-use wm_yaml::{push_str_scalar, Event, Scalar};
+use wm_yaml::{push_str_scalar, Event, Handler, Scalar};
 
 /// The schema identifier embedded in every file.
 pub const SCHEMA_ID: &str = "ovh-weather/1";
@@ -151,6 +153,14 @@ pub trait SnapshotVisitor {
     fn node(&mut self, name: &str, kind: NodeKind);
     /// One link, its ends as written (`a`, then `b`).
     fn link(&mut self, a: &EndRef<'_>, b: &EndRef<'_>);
+    /// Where the values that change from snapshot to snapshot sit in
+    /// the file text, as the YAML grammar delimited their tokens: the
+    /// byte span of the `timestamp` value and, per link in link order,
+    /// those of its `a_load` and `b_load` values. Called once, after
+    /// the last link; the default ignores it.
+    fn value_spans(&mut self, timestamp: &Range<usize>, loads: &[[Range<usize>; 2]]) {
+        let _ = (timestamp, loads);
+    }
 }
 
 /// One link end as read from a snapshot file, borrowed from it.
@@ -212,6 +222,7 @@ pub fn read_snapshot<V: SnapshotVisitor>(text: &str, visitor: &mut V) -> Result<
         let (b_kind, b_listed) = memoized(&mut last_b, &b.name, resolve);
         visitor.link(&a.as_ref(a_kind, a_listed), &b.as_ref(b_kind, b_listed));
     }
+    visitor.value_spans(&reader.timestamp_span, &reader.load_spans);
     Ok(())
 }
 
@@ -338,6 +349,8 @@ struct ItemFields<'a> {
     ends: [Option<Cow<'a, str>>; 2],
     labels: [Option<Cow<'a, str>>; 2],
     loads: [Option<i64>; 2],
+    /// The byte spans of the load values read into `loads`.
+    load_spans: [Range<usize>; 2],
 }
 
 /// The schema walk over the event stream: tracks where in the document
@@ -366,11 +379,18 @@ struct Reader<'a> {
     schema: Option<Cow<'a, str>>,
     map: Option<Cow<'a, str>>,
     timestamp: Option<Cow<'a, str>>,
+    /// The byte span of the `timestamp` value.
+    timestamp_span: Range<usize>,
+    /// The byte span of the scalar being handled (set by
+    /// [`Handler::scalar`], which every scalar with source text takes).
+    span: Range<usize>,
     nodes_seq: bool,
     links_seq: bool,
     nodes: Vec<NodeRecord<'a>>,
     /// Each link's ends, `a` then `b`.
     links: Vec<[EndRecord<'a>; 2]>,
+    /// Each link's load value spans, aligned with `links`.
+    load_spans: Vec<[Range<usize>; 2]>,
     node_error: Option<SchemaError>,
     link_error: Option<SchemaError>,
 }
@@ -389,17 +409,25 @@ impl Default for Reader<'_> {
             schema: None,
             map: None,
             timestamp: None,
+            timestamp_span: 0..0,
+            span: 0..0,
             nodes_seq: false,
             links_seq: false,
             nodes: Vec::new(),
             links: Vec::new(),
+            load_spans: Vec::new(),
             node_error: None,
             link_error: None,
         }
     }
 }
 
-impl<'a> wm_yaml::Handler<'a> for Reader<'a> {
+impl<'a> Handler<'a> for Reader<'a> {
+    fn scalar(&mut self, line: usize, span: Range<usize>, scalar: Scalar<'a>) {
+        self.span = span;
+        self.event(line, Event::Scalar(scalar));
+    }
+
     fn event(&mut self, _line: usize, event: Event<'a>) {
         match event {
             Event::Key(key) => {
@@ -489,7 +517,10 @@ impl<'a> Reader<'a> {
         match (self.section, scalar) {
             (Section::Schema, Scalar::Str(s)) => self.schema = Some(s),
             (Section::Map, Scalar::Str(s)) => self.map = Some(s),
-            (Section::Timestamp, Scalar::Str(s)) => self.timestamp = Some(s),
+            (Section::Timestamp, Scalar::Str(s)) => {
+                self.timestamp = Some(s);
+                self.timestamp_span = self.span.clone();
+            }
             (Section::Nodes, Scalar::EmptySeq) => self.nodes_seq = true,
             (Section::Links, Scalar::EmptySeq) => self.links_seq = true,
             _ => {}
@@ -504,7 +535,12 @@ impl<'a> Reader<'a> {
             (Field::Kind, Scalar::Str(s)) => item.kind = Some(s),
             (Field::End(e), Scalar::Str(s)) => set(&mut item.ends, e, s),
             (Field::Label(e), Scalar::Str(s)) => set(&mut item.labels, e, s),
-            (Field::Load(e), Scalar::Int(load)) => set(&mut item.loads, e, load),
+            (Field::Load(e), Scalar::Int(load)) => {
+                set(&mut item.loads, e, load);
+                if let Some(span) = item.load_spans.get_mut(e) {
+                    *span = self.span.clone();
+                }
+            }
             _ => {}
         }
     }
@@ -519,7 +555,10 @@ impl<'a> Reader<'a> {
                 Err(err) => self.node_error = Some(err),
             },
             Section::Links if self.link_error.is_none() => match ends_of(item) {
-                Ok(ends) => self.links.push(ends),
+                Ok(ends) => {
+                    self.links.push(ends);
+                    self.load_spans.push(item.load_spans.clone());
+                }
                 Err(err) => self.link_error = Some(err),
             },
             _ => {}
@@ -712,6 +751,31 @@ mod tests {
     fn out_of_range_load_is_rejected() {
         let text = to_yaml_string(&sample()).replace("a_load: 42", "a_load: 142");
         assert!(from_yaml_str(&text).is_err());
+    }
+
+    #[test]
+    fn value_spans_come_from_the_schema_fields_only() {
+        /// The text of the reported timestamp and load spans.
+        struct Spans<'t>(&'t str, Vec<&'t str>);
+        impl SnapshotVisitor for Spans<'_> {
+            fn header(&mut self, _map: MapKind, _timestamp: Timestamp) {}
+            fn node(&mut self, _name: &str, _kind: NodeKind) {}
+            fn link(&mut self, _a: &EndRef<'_>, _b: &EndRef<'_>) {}
+            fn value_spans(&mut self, timestamp: &Range<usize>, loads: &[[Range<usize>; 2]]) {
+                let text = self.0;
+                let at = |span: &Range<usize>| text.get(span.clone()).unwrap_or("<none>");
+                self.1.push(at(timestamp));
+                self.1.extend(loads.iter().flatten().map(at));
+            }
+        }
+        // Keys out of order, a trailing comment, and a decoy `a_load`
+        // nested under an unknown key of a link.
+        let text = "links:\n  - b_load: 7  # c\n    a: r-a\n    note:\n      a_load: 99\n    \
+                    b: PEER\n    a_load: 042\nschema: ovh-weather/1\nnodes: []\n\
+                    timestamp: \"2022-02-01T00:05:00Z\"\nmap: europe\n";
+        let mut spans = Spans(text, Vec::new());
+        read_snapshot(text, &mut spans).unwrap();
+        assert_eq!(spans.1, ["\"2022-02-01T00:05:00Z\"", "042", "7"]);
     }
 
     #[test]

@@ -100,6 +100,9 @@ impl Config {
                 "crates/dataset/src/segment.rs",
                 "crates/dataset/src/segments.rs",
                 "crates/dataset/src/query.rs",
+                "crates/dataset/src/loader.rs",
+                "crates/extract/src/snapshot_yaml.rs",
+                "crates/model/src/time.rs",
             ]),
             error_enum: "crates/extract/src/error.rs".to_owned(),
             error_type: "ExtractError".to_owned(),

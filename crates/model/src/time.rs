@@ -260,29 +260,29 @@ impl Timestamp {
         )
     }
 
-    /// Parses the ISO 8601 UTC form produced by [`Timestamp::to_iso8601`].
+    /// Parses the ISO 8601 UTC form produced by [`Timestamp::to_iso8601`]:
+    /// exactly `YYYY-MM-DDTHH:MM:SSZ`, every field ASCII digits (no
+    /// sign, no space), naming a real calendar instant.
     pub fn parse_iso8601(s: &str) -> Result<Timestamp, String> {
-        let bytes = s.as_bytes();
         let fail = || format!("invalid ISO 8601 timestamp: {s:?}");
-        if bytes.len() != 20
-            || bytes[4] != b'-'
-            || bytes[7] != b'-'
-            || bytes[10] != b'T'
-            || bytes[13] != b':'
-            || bytes[16] != b':'
-            || bytes[19] != b'Z'
-        {
+        let &[y0, y1, y2, y3, b'-', mo0, mo1, b'-', d0, d1, b'T', h0, h1, b':', mi0, mi1, b':', s0, s1, b'Z'] =
+            s.as_bytes()
+        else {
             return Err(fail());
-        }
-        let num = |range: std::ops::Range<usize>| -> Result<i64, String> {
-            s[range].parse::<i64>().map_err(|_| fail())
         };
-        let year = num(0..4)? as i32;
-        let month = num(5..7)? as u8;
-        let day = num(8..10)? as u8;
-        let hour = num(11..13)? as u8;
-        let minute = num(14..16)? as u8;
-        let second = num(17..19)? as u8;
+        let (Some(year), Some(month), Some(day), Some(hour), Some(minute), Some(second)) = (
+            decimal(&[y0, y1, y2, y3]),
+            decimal(&[mo0, mo1]),
+            decimal(&[d0, d1]),
+            decimal(&[h0, h1]),
+            decimal(&[mi0, mi1]),
+            decimal(&[s0, s1]),
+        ) else {
+            return Err(fail());
+        };
+        // Every field has at most four digits, so each fits its type.
+        let year = year as i32;
+        let (month, day) = (month as u8, day as u8);
         if !(1..=12).contains(&month)
             || !(1..=31).contains(&day)
             || day > days_in_month(year, month)
@@ -293,7 +293,12 @@ impl Timestamp {
             return Err(fail());
         }
         Ok(Timestamp::from_ymd_hms(
-            year, month, day, hour, minute, second,
+            year,
+            month,
+            day,
+            hour as u8,
+            minute as u8,
+            second as u8,
         ))
     }
 
@@ -420,6 +425,18 @@ fn civil_from_days(days: i64) -> (i32, u8, u8) {
     let d = (doy - (153 * mp + 2) / 5 + 1) as u8; // [1, 31]
     let m = if mp < 10 { mp + 3 } else { mp - 9 } as u8; // [1, 12]
     ((y + i64::from(m <= 2)) as i32, m, d)
+}
+
+/// The value of a run of ASCII digits, or `None` when any byte is not
+/// one (no sign, no space).
+fn decimal(digits: &[u8]) -> Option<u32> {
+    digits.iter().try_fold(0u32, |value, &byte| {
+        byte.is_ascii_digit().then(|| {
+            value
+                .saturating_mul(10)
+                .saturating_add(u32::from(byte - b'0'))
+        })
+    })
 }
 
 /// Number of days in a month of the proleptic Gregorian calendar.
@@ -552,6 +569,28 @@ mod tests {
                 "{bad:?} should fail"
             );
         }
+    }
+
+    #[test]
+    fn parse_reads_fields_as_digits_only() {
+        for signed in [
+            "2022-02-+1T+0:+5:+0Z",
+            "-022-02-01T00:05:00Z",
+            "+022-02-01T00:05:00Z",
+            "2022-+2-01T00:05:00Z",
+            "2022-02-01T00:-5:00Z",
+            "2022-02- 1T00:05:00Z",
+            "2022-02-01T00:05:0 Z",
+        ] {
+            assert!(
+                Timestamp::parse_iso8601(signed).is_err(),
+                "{signed:?} should fail"
+            );
+        }
+        assert_eq!(
+            Timestamp::parse_iso8601("0000-01-01T00:00:00Z"),
+            Ok(Timestamp::from_ymd_hms(0, 1, 1, 0, 0, 0))
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! in `tests/proptest_fastpath.rs`.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::{Error, Result, Value};
 
@@ -129,6 +130,16 @@ pub trait Handler<'a> {
     /// block's [`Event::End`] carries the line that closed it (the next
     /// significant line, or the last line of the input).
     fn event(&mut self, line: usize, event: Event<'a>);
+
+    /// Takes a scalar written in the input, with the byte span of its
+    /// token: the trimmed value text, quotes included, without a
+    /// trailing comment. Every scalar with source text arrives here; a
+    /// `Null` standing for an absent value arrives through
+    /// [`Handler::event`]. The default forwards to [`Handler::event`].
+    fn scalar(&mut self, line: usize, span: Range<usize>, scalar: Scalar<'a>) {
+        let _ = span;
+        self.event(line, Event::Scalar(scalar));
+    }
 }
 
 /// Parses a YAML document into a [`Value`].
@@ -286,6 +297,18 @@ impl<'a, H: Handler<'a>> Parser<'a, '_, H> {
         self.handler.event(line, event);
     }
 
+    /// Parses the scalar token `text` (a slice of the input) and hands
+    /// it over with its span.
+    fn emit_scalar(&mut self, line: usize, text: &'a str) -> Result<()> {
+        let scalar = parse_scalar(text, line)?;
+        // `text` borrows from the input, so its address less the
+        // input's is its byte offset.
+        let start = (text.as_ptr() as usize).wrapping_sub(self.cursor.text.as_ptr() as usize);
+        let span = start..start.saturating_add(text.len());
+        self.handler.scalar(line, span, scalar);
+        Ok(())
+    }
+
     /// Parses the block value starting at the current line, expected at
     /// `indent` columns and `depth` blocks deep.
     fn value(&mut self, indent: usize, depth: usize) -> Result<()> {
@@ -315,9 +338,7 @@ impl<'a, H: Handler<'a>> Parser<'a, '_, H> {
             self.mapping(indent, depth, entry)
         } else {
             self.cursor.advance();
-            let scalar = parse_scalar(line.text, line.number)?;
-            self.emit(line.number, Event::Scalar(scalar));
-            Ok(())
+            self.emit_scalar(line.number, line.text)
         }
     }
 
@@ -393,8 +414,7 @@ impl<'a, H: Handler<'a>> Parser<'a, '_, H> {
                     _ => self.emit(line.number, Event::Scalar(Scalar::Null)),
                 }
             } else {
-                let scalar = parse_scalar(rest, line.number)?;
-                self.emit(line.number, Event::Scalar(scalar));
+                self.emit_scalar(line.number, rest)?;
             }
         }
         self.keys.truncate(first_key);
@@ -887,6 +907,26 @@ mod tests {
                 (5, Event::End),
             ]
         );
+    }
+
+    #[test]
+    fn scalar_spans_delimit_each_token_in_the_input() {
+        /// The input text of every scalar that carries a span.
+        struct Spans<'t>(&'t str, Vec<&'t str>);
+        impl<'t> Handler<'t> for Spans<'t> {
+            fn event(&mut self, _line: usize, _event: Event<'t>) {}
+            fn scalar(&mut self, _line: usize, span: Range<usize>, _scalar: Scalar<'t>) {
+                self.1.push(self.0.get(span).unwrap_or("<out of range>"));
+            }
+        }
+        let text =
+            "---\nk: 42  # note\r\nq: \"a\\\"b\" \nlist:\n  - x: 'y'\n  - 7\n  -\n  - []\nend:\n";
+        let mut spans = Spans(text, Vec::new());
+        parse_events(text, &mut spans).unwrap();
+        assert_eq!(spans.1, ["42", "\"a\\\"b\"", "'y'", "7", "[]"]);
+        let mut root = Spans("  plain \n", Vec::new());
+        parse_events(root.0, &mut root).unwrap();
+        assert_eq!(root.1, ["plain"]);
     }
 
     #[test]
