@@ -263,6 +263,11 @@ target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op
 target/release/ovh-weather query --in "$smoke_dir" --map europe --threads 2 --op sites --json --cache=off \
     --from 2022-02-01T18:00:00Z --to 2022-02-02T06:00:00Z > "$smoke_dir/appended_query_off.json"
 diff "$smoke_dir/appended_query_off.json" "$smoke_dir/appended_query_cached.json"
+# The appended store must be the bytes a fresh build writes: keep a copy,
+# rebuild every segment from YAML and compare the two trees.
+cp -R "$smoke_dir/europe/.segments" "$smoke_dir/appended_segments"
+target/release/ovh-weather index --in "$smoke_dir" --map europe --threads 2 --cache=rebuild > /dev/null
+diff -r "$smoke_dir/appended_segments" "$smoke_dir/europe/.segments"
 rm -rf "$smoke_dir"
 
 # The paper's artifacts run through the one pipeline (SVG files on disk,

@@ -129,40 +129,70 @@ impl fmt::Display for CacheError {
 impl std::error::Error for CacheError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, std-only.
+// CRC-32 (IEEE 802.3), slice-by-8, std-only.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slice-by-8 tables: entry `n` of table `k` is the CRC register
+/// after byte `n` followed by `k` zero bytes, that is `8 * (k + 1)`
+/// steps of the bitwise algorithm. Table 0 is the classic byte table.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0usize;
     while n < 256 {
         let mut c = n as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            let mut bit = 0;
+            while bit < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                bit += 1;
+            }
+            // wm-lint: allow(index-unchecked): evaluated at compile time, where an out-of-range index is a build error, not a panic
+            tables[k][n] = c;
             k += 1;
         }
-        // wm-lint: allow(index-unchecked): evaluated at compile time, where an out-of-range index is a build error, not a panic
-        table[n] = c;
         n += 1;
     }
-    table
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// One table entry; a `u8` index never leaves the table's 256 entries.
+#[inline(always)]
+fn crc32_entry(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or_default()
+}
 
 /// CRC-32 (IEEE) of a byte slice.
+///
+/// Its values are part of the segment and manifest formats; the
+/// algorithm is not. Eight bytes a step (slice-by-8), then the tail a
+/// byte at a time: the same values as the byte-wise loop.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // The index is masked to 0..=255, the table's exact range.
-        let entry = CRC32_TABLE.get(((c ^ u32::from(b)) & 0xFF) as usize);
-        c = entry.copied().unwrap_or_default() ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let [b0, b1, b2, b3, b4, b5, b6, b7] = <[u8; 8]>::try_from(word).unwrap_or_default();
+        let [c0, c1, c2, c3] = c.to_le_bytes();
+        c = crc32_entry(t7, b0 ^ c0)
+            ^ crc32_entry(t6, b1 ^ c1)
+            ^ crc32_entry(t5, b2 ^ c2)
+            ^ crc32_entry(t4, b3 ^ c3)
+            ^ crc32_entry(t3, b4)
+            ^ crc32_entry(t2, b5)
+            ^ crc32_entry(t1, b6)
+            ^ crc32_entry(t0, b7);
+    }
+    for &b in words.remainder() {
+        let [c0, ..] = c.to_le_bytes();
+        c = crc32_entry(t0, b ^ c0) ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -954,5 +984,66 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-wise CRC-32 loop, one table read per byte: the
+    /// reference the slice-by-8 loop must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table: Vec<u32> = (0..256u32)
+            .map(|n| {
+                (0..8).fold(n, |c, _| {
+                    if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    }
+                })
+            })
+            .collect();
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// `len` pseudo-random bytes (splitmix64) from `seed`.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
+        let buf = random_bytes(0x5EED, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+        let big = random_bytes(0xC0FFEE, 1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn crc32_of_a_fixed_input_is_pinned() {
+        // The value the byte-wise loop wrote for this input: segment and
+        // manifest frames carry these values, so they may never change.
+        let input: Vec<u8> = (0..4096usize).map(|i| (i * 7 + i / 256) as u8).collect();
+        assert_eq!(crc32(&input), 0x462C_1E21);
+        assert_eq!(crc32_bytewise(&input), 0x462C_1E21);
     }
 }

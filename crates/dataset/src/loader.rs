@@ -15,11 +15,11 @@
 use std::io;
 
 use wm_extract::{claim_each, CacheStats};
-use wm_model::{MapKind, TimeRange, Timestamp};
+use wm_model::{MapKind, TimeRange};
 
 use crate::codec::{self, CorpusFingerprint, FingerprintEntry};
 use crate::longitudinal::{ColumnarBuilder, LongitudinalStore};
-use crate::paths::{relative_path, FileKind};
+use crate::paths::{relative_path_string, FileKind};
 use crate::store::{DatasetEntry, DatasetStore};
 
 /// Counters of one corpus load.
@@ -123,26 +123,12 @@ pub(crate) fn fingerprint_from(
             .iter()
             .zip(hashes)
             .map(|(entry, &hash)| FingerprintEntry {
-                path: relative_path_string(map, entry.timestamp),
+                path: relative_path_string(map, FileKind::Yaml, entry.timestamp),
                 size: entry.size,
                 hash,
             })
             .collect(),
     }
-}
-
-/// The layout-relative path of one snapshot file as a `/`-joined string
-/// (platform-independent, so fingerprints are portable).
-pub(crate) fn relative_path_string(map: MapKind, timestamp: Timestamp) -> String {
-    let path = relative_path(map, FileKind::Yaml, timestamp);
-    let mut out = String::new();
-    for component in path.iter() {
-        if !out.is_empty() {
-            out.push('/');
-        }
-        out.push_str(&component.to_string_lossy());
-    }
-    out
 }
 
 /// The loader core: reads and parses the given YAML entries of `map`
@@ -203,7 +189,7 @@ pub(crate) fn load_store(
 mod tests {
     use super::*;
     use wm_extract::to_yaml_string;
-    use wm_model::{Duration, Link, LinkEnd, Load, Node, TopologySnapshot};
+    use wm_model::{Duration, Link, LinkEnd, Load, Node, Timestamp, TopologySnapshot};
 
     fn temp_store(tag: &str) -> DatasetStore {
         let dir = std::env::temp_dir().join(format!("wm-loader-test-{tag}-{}", std::process::id()));

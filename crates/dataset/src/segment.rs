@@ -62,22 +62,28 @@ pub struct SegmentHeader {
 /// Order-sensitive digest over `(path, size)` pairs.
 ///
 /// This is the cheap identity a windowed load can recompute from a
-/// directory enumeration alone — no file contents are read, which is
-/// what keeps append cost independent of history length. The full
-/// content hashes still live in each segment's fingerprint section but
-/// are not checked on load, so a same-size in-place edit goes unnoticed;
-/// that trade-off is documented in DESIGN.md decision 14.
+/// directory enumeration alone: no file contents are read, though every
+/// listed file's path and size are. The full content hashes still live
+/// in each segment's fingerprint section but are not checked on load,
+/// so a same-size in-place edit goes unnoticed; that trade-off is
+/// documented in DESIGN.md decision 14.
 #[must_use]
 pub fn identity_digest<'a, I>(parts: I) -> u64
 where
     I: IntoIterator<Item = (&'a str, u64)>,
 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for (path, size) in parts {
-        h ^= codec::content_hash(path.as_bytes()) ^ size;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    parts.into_iter().fold(IDENTITY_SEED, |h, (path, size)| {
+        identity_step(h, path, size)
+    })
+}
+
+/// [`identity_digest`] of no pairs.
+pub(crate) const IDENTITY_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// [`identity_digest`] folded over one more pair, for a caller that
+/// renders each path into a reused buffer.
+pub(crate) fn identity_step(h: u64, path: &str, size: u64) -> u64 {
+    (h ^ codec::content_hash(path.as_bytes()) ^ size).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
 /// The identity digest of a fingerprint's `(path, size)` pairs.

@@ -19,8 +19,12 @@
 //! A manifest file maps `[t_min, t_max] → segment` so a windowed load
 //! decodes only the segments its range intersects. Validation against
 //! the corpus uses the [`crate::segment::identity_digest`] over
-//! `(path, size)` pairs — no content reads — keeping append cost
-//! independent of history length. The price is that a same-size
+//! `(path, size)` pairs: no YAML content is read, so an append parses
+//! only its new files. It is not independent of history length: every
+//! load lists every file of the map (a directory entry and a stat
+//! each) and renders every listed path once for the digest of the
+//! chunk it falls in, so that fixed cost grows with the corpus
+//! (ROADMAP item 2). The price of skipping content is that a same-size
 //! in-place edit of a YAML file goes unnoticed until `--cache=rebuild`
 //! (DESIGN.md decision 14).
 //!
@@ -40,12 +44,12 @@ use std::io;
 use std::ops::Range;
 
 use wm_extract::CacheStats;
-use wm_model::{MapKind, TimeRange, Timestamp};
+use wm_model::{Duration, MapKind, TimeRange, Timestamp};
 
 use crate::codec::{self, CacheError, CorpusFingerprint, FingerprintEntry};
 use crate::loader::{self, CacheMode, CorpusLoadStats};
 use crate::longitudinal::LongitudinalStore;
-use crate::paths::FileKind;
+use crate::paths::{self, FileKind};
 use crate::segment::{self, SegmentHeader};
 use crate::store::{DatasetEntry, DatasetStore};
 
@@ -338,39 +342,28 @@ fn serve(
     Ok((manifest, stats))
 }
 
-/// The manifest row the current corpus dictates for one entry chunk.
-///
-/// `snapshots` is unknown without parsing and stays 0; matching against
-/// an existing manifest ignores it.
-fn meta_of_chunk(map: MapKind, chunk: &[DatasetEntry]) -> Option<SegmentMeta> {
-    let first = chunk.first()?;
-    let last = chunk.last()?;
-    Some(SegmentMeta {
-        name: segment_name(first.timestamp),
-        t_min: first.timestamp,
-        t_max: last.timestamp,
-        entries: chunk.len() as u64,
-        snapshots: 0,
-        meta_digest: chunk_identity(map, chunk),
+/// Whether a manifest row still matches the chunk the corpus dictates:
+/// its span and entry count first, then its identity digest, which
+/// renders every path of the chunk (into the reused `buf`).
+fn meta_matches(map: MapKind, old: &SegmentMeta, chunk: &[DatasetEntry], buf: &mut String) -> bool {
+    let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
+        return false;
+    };
+    old.t_min == first.timestamp
+        && old.t_max == last.timestamp
+        && old.entries == chunk.len() as u64
+        && old.name == segment_name(first.timestamp)
+        && old.meta_digest == chunk_identity(map, chunk, buf)
+}
+
+/// [`segment::identity_digest`] of one entry chunk, each path rendered
+/// into `buf` in turn.
+fn chunk_identity(map: MapKind, chunk: &[DatasetEntry], buf: &mut String) -> u64 {
+    chunk.iter().fold(segment::IDENTITY_SEED, |h, entry| {
+        buf.clear();
+        paths::push_relative_path(buf, map, FileKind::Yaml, entry.timestamp);
+        segment::identity_step(h, buf, entry.size)
     })
-}
-
-/// [`segment::identity_digest`] of one entry chunk.
-fn chunk_identity(map: MapKind, chunk: &[DatasetEntry]) -> u64 {
-    let paths: Vec<(String, u64)> = chunk
-        .iter()
-        .map(|e| (loader::relative_path_string(map, e.timestamp), e.size))
-        .collect();
-    segment::identity_digest(paths.iter().map(|(p, s)| (p.as_str(), *s)))
-}
-
-/// Whether a manifest row still matches the chunk the corpus dictates.
-fn meta_matches(old: &SegmentMeta, expected: &SegmentMeta) -> bool {
-    old.name == expected.name
-        && old.t_min == expected.t_min
-        && old.t_max == expected.t_max
-        && old.entries == expected.entries
-        && old.meta_digest == expected.meta_digest
 }
 
 /// Reconstructs a manifest from segment file headers — the recovery
@@ -419,6 +412,13 @@ type Built = (LongitudinalStore, Vec<Range<usize>>);
 /// [`serve`] read and decoded it (`None` when absent or ignored): a
 /// damaged one is recovered from the segment headers. Returns the
 /// manifest and, per segment, the [`Built`] store this call wrote for it.
+///
+/// Each listed path is rendered once: a kept chunk's into one reused
+/// buffer for its digest, a rebuilt chunk's into its fingerprint, while
+/// the reuse pool meets the listing on instants, not on path strings.
+/// The one exception is a chunk whose span still matches its manifest
+/// row but whose digest does not (a size-changing edit): its paths
+/// render for the check and again for its rebuild.
 #[allow(clippy::too_many_arguments)]
 fn ensure_segments(
     store: &DatasetStore,
@@ -455,11 +455,12 @@ fn ensure_segments(
 
     // Longest prefix of chunks the old manifest still matches.
     let mut kept = 0usize;
+    let mut buf = String::new();
     for (chunk, old_meta) in entries.chunks(capacity).zip(&old.segments) {
-        match meta_of_chunk(map, chunk) {
-            Some(expected) if meta_matches(old_meta, &expected) => kept += 1,
-            _ => break,
+        if !meta_matches(map, old_meta, chunk, &mut buf) {
+            break;
         }
+        kept += 1;
     }
     let chunk_count = entries.len().div_ceil(capacity);
 
@@ -486,7 +487,7 @@ fn ensure_segments(
         let rebuild_from = kept.saturating_mul(capacity);
         let first_rebuilt = entries.get(rebuild_from).map(|e| e.timestamp);
         let mut sources: Vec<LongitudinalStore> = Vec::new();
-        let mut pool: BTreeMap<String, PoolEntry> = BTreeMap::new();
+        let mut pool: BTreeMap<i64, PoolEntry> = BTreeMap::new();
         if !rebuild_all {
             for meta in old.segments.iter().skip(kept) {
                 if first_rebuilt.is_none_or(|t| meta.t_max < t) {
@@ -499,15 +500,26 @@ fn ensure_segments(
                     continue;
                 };
                 let source = sources.len();
-                let mut by_path: BTreeMap<String, usize> = seg_store
+                // A snapshot's file is the one its timestamp names; the
+                // layout drops the seconds.
+                let mut by_minute: BTreeMap<i64, usize> = seg_store
                     .timestamps()
                     .iter()
                     .enumerate()
-                    .map(|(index, &t)| (loader::relative_path_string(map, t), index))
+                    .map(|(index, &t)| (t.align_down(Duration::from_minutes(1)).unix(), index))
                     .collect();
                 for entry in &fingerprint.entries {
-                    let snapshot = by_path.remove(&entry.path).map(|index| (source, index));
-                    pool.insert(entry.path.clone(), (entry.size, entry.hash, snapshot));
+                    // Only a path the layout renders for this map can be
+                    // a listed file; pool and listing meet on its instant.
+                    let Some((file_map, FileKind::Yaml, t)) = paths::parse_path_str(&entry.path)
+                    else {
+                        continue;
+                    };
+                    if file_map != map {
+                        continue;
+                    }
+                    let snapshot = by_minute.remove(&t.unix()).map(|index| (source, index));
+                    pool.insert(t.unix(), (entry.size, entry.hash, snapshot));
                 }
                 sources.push(seg_store);
             }
@@ -519,8 +531,8 @@ fn ensure_segments(
         let fresh: Vec<DatasetEntry> = rebuild
             .iter()
             .filter(|e| {
-                let path = loader::relative_path_string(map, e.timestamp);
-                pool.get(&path).is_none_or(|(size, _, _)| *size != e.size)
+                pool.get(&e.timestamp.unix())
+                    .is_none_or(|(size, _, _)| *size != e.size)
             })
             .cloned()
             .collect();
@@ -544,15 +556,15 @@ fn ensure_segments(
         // Each chunk is a concatenation of runs of consecutive source
         // snapshots, in entry order.
         let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut fp = CorpusFingerprint::default();
         for chunk in entries.chunks(capacity).skip(kept) {
-            let Some(mut meta) = meta_of_chunk(map, chunk) else {
+            let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
                 continue;
             };
             runs.clear();
-            let mut fp = CorpusFingerprint::default();
+            fp.entries.clear();
             for entry in chunk {
-                let path = loader::relative_path_string(map, entry.timestamp);
-                let (hash, snapshot) = match pool.get(&path) {
+                let (hash, snapshot) = match pool.get(&entry.timestamp.unix()) {
                     Some(&(size, hash, snapshot)) if size == entry.size => {
                         reused_any = true;
                         (hash, snapshot)
@@ -568,7 +580,7 @@ fn ensure_segments(
                     ),
                 };
                 fp.entries.push(FingerprintEntry {
-                    path,
+                    path: paths::relative_path_string(map, FileKind::Yaml, entry.timestamp),
                     size: entry.size,
                     hash,
                 });
@@ -594,7 +606,14 @@ fn ensure_segments(
                 .filter_map(|(source, run)| Some((sources.get(*source)?, run.clone())))
                 .collect();
             let chunk_store = LongitudinalStore::concat(&parts);
-            meta.snapshots = chunk_store.len() as u64;
+            let meta = SegmentMeta {
+                name: segment_name(first.timestamp),
+                t_min: first.timestamp,
+                t_max: last.timestamp,
+                entries: chunk.len() as u64,
+                snapshots: chunk_store.len() as u64,
+                meta_digest: segment::fingerprint_identity(&fp),
+            };
             write_chunk(store, map, &meta, chunk, &chunk_store, &fp)?;
             if on_disk.binary_search(&meta.name).is_ok() {
                 cache.segments_rebuilt += 1;

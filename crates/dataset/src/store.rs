@@ -248,12 +248,15 @@ impl DatasetStore {
     fn walk(&self, dir: &Path, out: &mut Vec<DatasetEntry>) -> io::Result<()> {
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
+            let path = entry.path();
             // Dot-prefixed names (the cache file, editor droppings) are
             // never corpus members; skip them before any path parsing.
-            if entry.file_name().to_string_lossy().starts_with('.') {
+            if path
+                .file_name()
+                .is_some_and(|name| name.as_encoded_bytes().starts_with(b"."))
+            {
                 continue;
             }
-            let path = entry.path();
             // The directory entry's own type costs no system call; only
             // a symlink needs a stat to learn what it points to.
             let file_type = entry.file_type()?;

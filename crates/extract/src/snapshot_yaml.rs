@@ -161,6 +161,10 @@ pub trait SnapshotVisitor {
     fn value_spans(&mut self, timestamp: &Range<usize>, loads: &[[Range<usize>; 2]]) {
         let _ = (timestamp, loads);
     }
+    /// Whether the reader records the spans [`Self::value_spans`]
+    /// receives. A visitor that ignores them sets this to `false`, and
+    /// the reader neither records them nor calls `value_spans`.
+    const VALUE_SPANS: bool = true;
 }
 
 /// One link end as read from a snapshot file, borrowed from it.
@@ -192,7 +196,10 @@ pub struct EndRef<'a> {
 /// (then each link in turn: `a`, `a_load`, `b`, `b_load`). The visitor
 /// is called only once all of them passed.
 pub fn read_snapshot<V: SnapshotVisitor>(text: &str, visitor: &mut V) -> Result<(), SchemaError> {
-    let mut reader = Reader::default();
+    let mut reader = Reader {
+        spans: V::VALUE_SPANS,
+        ..Reader::default()
+    };
     wm_yaml::parse_events(text, &mut reader).map_err(|e| SchemaError::new(e.to_string()))?;
     let (map, timestamp) = reader.validate()?;
 
@@ -222,7 +229,9 @@ pub fn read_snapshot<V: SnapshotVisitor>(text: &str, visitor: &mut V) -> Result<
         let (b_kind, b_listed) = memoized(&mut last_b, &b.name, resolve);
         visitor.link(&a.as_ref(a_kind, a_listed), &b.as_ref(b_kind, b_listed));
     }
-    visitor.value_spans(&reader.timestamp_span, &reader.load_spans);
+    if V::VALUE_SPANS {
+        visitor.value_spans(&reader.timestamp_span, &reader.load_spans);
+    }
     Ok(())
 }
 
@@ -256,6 +265,8 @@ pub fn from_yaml_str(text: &str) -> Result<TopologySnapshot, SchemaError> {
 struct Assembler(TopologySnapshot);
 
 impl SnapshotVisitor for Assembler {
+    const VALUE_SPANS: bool = false;
+
     fn header(&mut self, map: MapKind, timestamp: Timestamp) {
         self.0.map = map;
         self.0.timestamp = timestamp;
@@ -379,6 +390,8 @@ struct Reader<'a> {
     schema: Option<Cow<'a, str>>,
     map: Option<Cow<'a, str>>,
     timestamp: Option<Cow<'a, str>>,
+    /// Whether to record the value spans below.
+    spans: bool,
     /// The byte span of the `timestamp` value.
     timestamp_span: Range<usize>,
     /// The byte span of the scalar being handled (set by
@@ -409,6 +422,7 @@ impl Default for Reader<'_> {
             schema: None,
             map: None,
             timestamp: None,
+            spans: false,
             timestamp_span: 0..0,
             span: 0..0,
             nodes_seq: false,
@@ -424,7 +438,9 @@ impl Default for Reader<'_> {
 
 impl<'a> Handler<'a> for Reader<'a> {
     fn scalar(&mut self, line: usize, span: Range<usize>, scalar: Scalar<'a>) {
-        self.span = span;
+        if self.spans {
+            self.span = span;
+        }
         self.event(line, Event::Scalar(scalar));
     }
 
@@ -557,7 +573,9 @@ impl<'a> Reader<'a> {
             Section::Links if self.link_error.is_none() => match ends_of(item) {
                 Ok(ends) => {
                     self.links.push(ends);
-                    self.load_spans.push(item.load_spans.clone());
+                    if self.spans {
+                        self.load_spans.push(item.load_spans.clone());
+                    }
                 }
                 Err(err) => self.link_error = Some(err),
             },
